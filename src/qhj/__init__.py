@@ -6,7 +6,7 @@ nodes of ψ).  Requiring the right pole structure fixes each fixed-pole
 residue to a root of a quadratic; summing the residues against the behaviour
 at infinity quantizes the energy; the surviving freedom is a polynomial
 factor of ψ determined by a linear (generalized eigenvalue) system.  This
-package implements that pipeline for a catalog of seven potential families
+package implements that pipeline for a catalog of eight potential families
 and cross-checks every spectrum against an independent grid solver.
 """
 
@@ -16,8 +16,9 @@ from .errors import (EnergyRequiredError, GridTooCoarseError,
                      SingularPointError, UnknownModelError,
                      UnsupportedExpansionError)
 from .exactmath import ExactComplex, as_exact, exact_sqrt, to_complex, to_float
-from .potential_catalog import (MODEL_IDS, PARAM_SCHEMAS, WavefunctionRecipe,
-                                evaluate_potential, get_model)
+from .potential_catalog import (MODEL_CLASSES, MODEL_IDS, PARAM_SCHEMAS,
+                                WavefunctionRecipe, evaluate_potential,
+                                get_model)
 from .qmf_residues import (FixedPole, InfinityExpansion, ResidueBranch,
                            finite_pole_residues, infinity_residues,
                            moving_pole_residue)
@@ -35,22 +36,24 @@ from .schrodinger_oracle import (GridSpec, OracleSpectrum, count_nodes,
                                  solve_pt)
 from .special_functions import (JacobiTriple, elliptic_K, jacobi_elliptic,
                                 jacobi_polynomial, laguerre)
-from .wavefunction_assembly import (SampledWavefunction, WavefunctionReport,
-                                    assemble, overlap, parity_deviation,
-                                    subspace_overlap, verify_against_oracle)
+from .wavefunction_assembly import (LevelCheck, SampledWavefunction,
+                                    Verification, WavefunctionReport, assemble,
+                                    overlap, parity_deviation, subspace_overlap,
+                                    verify, verify_against_oracle)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BandEdgeSolution", "DefectivePencilWarning", "EnergyRequiredError",
     "ExactComplex", "FixedPole", "GridSpec", "GridTooCoarseError",
-    "InfinityExpansion", "InvalidStateError", "JacobiTriple", "MODEL_IDS",
+    "InfinityExpansion", "InvalidStateError", "JacobiTriple", "LevelCheck",
+    "MODEL_CLASSES", "MODEL_IDS",
     "NoAdmissibleAssignmentError", "NonlinearEnergyError", "OracleSpectrum",
     "PARAM_SCHEMAS", "ParameterError", "PencilSystem", "PolynomialOnT",
     "QES_RELATIONS", "QhjError", "QuantizationOutcome", "ResidueAssignment",
     "ResidueBranch", "SampledWavefunction", "SingularPointError",
     "SpectrumResult", "UnknownModelError", "UnsupportedExpansionError",
-    "WavefunctionRecipe", "WavefunctionReport", "as_exact", "assemble",
+    "Verification", "WavefunctionRecipe", "WavefunctionReport", "as_exact", "assemble",
     "build_fixed_system", "build_pencil", "closed_form_check",
     "closed_form_deviation", "count_nodes", "elliptic_K",
     "enumerate_assignments", "evaluate_potential", "exact_sqrt",
@@ -59,6 +62,6 @@ __all__ = [
     "moving_pole_residue", "overlap", "parity_deviation", "qes_family",
     "quantize", "solve_band_edges", "solve_bound",
     "solve_inverse_square_cell", "solve_oracle", "solve_pencil", "solve_pt",
-    "solve_spectrum", "subspace_overlap", "to_complex", "to_float",
+    "solve_spectrum", "subspace_overlap", "to_complex", "to_float", "verify",
     "verify_against_oracle",
 ]

@@ -20,38 +20,14 @@ import numpy as np
 from .errors import (InvalidStateError, NoAdmissibleAssignmentError,
                      ParameterError, QhjError, UnknownModelError)
 from .exactmath import to_complex
-from .potential_catalog import MODEL_IDS, PARAM_SCHEMAS, get_model
+from .potential_catalog import MODEL_CLASSES, MODEL_IDS, PARAM_SCHEMAS, get_model
 from .polynomial_system import solve_spectrum
-from .schrodinger_oracle import solve_oracle
-from .wavefunction_assembly import assemble, verify_against_oracle
+from .wavefunction_assembly import assemble, verify
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_ASSIGNMENT = 2
 EXIT_VERIFY_FAILED = 3
-
-_SUMMARIES = {
-    "hydrogen": "radial Coulomb problem with centrifugal term",
-    "scarf1": "trigonometric Scarf well on a finite interval",
-    "scarf_periodic": "inverse-square periodic cell (band edges or bound)",
-    "lame": "elliptic sn^2 band-edge potential",
-    "assoc_lame_es": "associated elliptic potential, exactly solvable slice",
-    "assoc_lame_qes": "associated elliptic potential, quasi-exact slice",
-    "khare_mandal": "complex PT-symmetric cosh pair",
-    "complex_scarf": "complex PT-symmetric Scarf well",
-}
-
-_VERIFY_TOL = {
-    "hydrogen": 2e-4,
-    "scarf1": 2e-4,
-    "scarf_periodic": 5e-4,
-    "lame": 5e-4,
-    "assoc_lame_es": 5e-4,
-    "assoc_lame_qes": 5e-4,
-    "khare_mandal": 1e-3,
-    "complex_scarf": 1e-3,
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped onto exit code 1."""
@@ -163,11 +139,25 @@ def _parse_param(text):
     return name, frac
 
 
+def _read_config(path):
+    """The JSON object in a config file; anything else is a ParameterError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ParameterError("cannot read config %s: %s" % (path, exc.strerror or exc))
+    except ValueError as exc:
+        raise ParameterError("config %s is not valid JSON: %s" % (path, exc))
+    if not isinstance(cfg, dict) or not isinstance(cfg.get("params", {}), dict):
+        raise ParameterError("config %s must be a JSON object whose params "
+                             "is an object" % path)
+    return cfg
+
+
 def _collect_params(args):
     params = {}
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        cfg = _read_config(args.config)
         for name, value in cfg.get("params", {}).items():
             if isinstance(value, str):
                 _, parsed = _parse_param("%s=%s" % (name, value))
@@ -183,7 +173,11 @@ def _collect_params(args):
         if not getattr(args, "model", None):
             args.model = cfg.get("model")
         if getattr(args, "levels", None) is None and "levels" in cfg:
-            args.levels = int(cfg["levels"])
+            try:
+                args.levels = int(cfg["levels"])
+            except (TypeError, ValueError):
+                raise ParameterError("config levels must be an integer, got %r"
+                                     % (cfg["levels"],))
     for text in args.param or []:
         name, value = _parse_param(text)
         params[name] = value
@@ -195,6 +189,14 @@ def _build_model(args):
     if not getattr(args, "model", None):
         raise ParameterError("no model given (positional argument or config)")
     return get_model(args.model, **params)
+
+
+def _levels(args):
+    """--levels (or the config's levels), default 4; at least one level."""
+    levels = args.levels if args.levels is not None else 4
+    if levels < 1:
+        raise ParameterError("levels must be at least 1, got %d" % levels)
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -209,27 +211,26 @@ def _cmd_list(args, stream):
         schema = PARAM_SCHEMAS[args.model]
         if args.json:
             stream.write(canonical_json({"model": args.model,
-                                         "summary": _SUMMARIES[args.model],
+                                         "summary": MODEL_CLASSES[args.model].summary,
                                          "parameters": schema}))
         else:
-            print("%s — %s" % (args.model, _SUMMARIES[args.model]), file=stream)
+            print("%s — %s" % (args.model, MODEL_CLASSES[args.model].summary), file=stream)
             for name, doc in schema.items():
                 print("  %-8s %s" % (name, doc), file=stream)
         return EXIT_OK
     if args.json:
         stream.write(canonical_json(
-            {"models": [{"id": mid, "summary": _SUMMARIES[mid]}
-                        for mid in MODEL_IDS]}))
+            {"models": [{"id": mid, "summary": cls.summary}
+                        for mid, cls in MODEL_CLASSES.items()]}))
     else:
-        for mid in MODEL_IDS:
-            print("%-16s %s" % (mid, _SUMMARIES[mid]), file=stream)
+        for mid, cls in MODEL_CLASSES.items():
+            print("%-16s %s" % (mid, cls.summary), file=stream)
     return EXIT_OK
 
 
 def _cmd_solve(args, stream):
     model = _build_model(args)
-    levels = args.levels if args.levels is not None else 4
-    result = solve_spectrum(model, levels=levels)
+    result = solve_spectrum(model, levels=_levels(args))
     if args.format == "json":
         payload = {
             "model": model.id,
@@ -248,65 +249,32 @@ def _cmd_solve(args, stream):
     return EXIT_OK
 
 
-def _oracle_indices_for(solution, oracle):
-    """Candidate oracle levels compatible with the solution's channel tag."""
-    if solution.bc_class and any(t != "dirichlet" for t in oracle.bc_tags):
-        idx = [i for i, t in enumerate(oracle.bc_tags) if t == solution.bc_class]
-        if idx:
-            return idx
-    return list(range(len(oracle.eigenvalues)))
-
-
 def _cmd_verify(args, stream):
     model = _build_model(args)
-    levels = args.levels if args.levels is not None else 4
-    result = solve_spectrum(model, levels=levels)
-    tol = args.tol if args.tol is not None else _VERIFY_TOL[model.id]
-    oracle_kwargs = {}
-    if model.id in ("lame", "assoc_lame_es", "assoc_lame_qes"):
-        tops = [to_complex(s.energy).real for s in result.solutions]
-        oracle_kwargs["emax"] = (max(tops) if tops else 0.0) + 0.5
-    oracle = solve_oracle(model, k=len(result.solutions) + 2, **oracle_kwargs)
-    ok = True
-    skip_overlap = model.id == "khare_mandal"
-    for sol in result.solutions:
-        e = to_complex(sol.energy)
-        cands = _oracle_indices_for(sol, oracle)
-        gaps = [abs(complex(oracle.eigenvalues[i]) - e) for i in cands]
-        pick = cands[int(np.argmin(gaps))]
-        gap = min(gaps)
-        line_ok = gap <= tol
+    outcome = verify(model, levels=_levels(args), tol=args.tol)
+    for check in outcome.checks:
+        e = to_complex(check.solution.energy)
         detail = ""
-        if not skip_overlap:
-            cluster = [i for i in cands
-                       if abs(complex(oracle.eigenvalues[i])
-                              - complex(oracle.eigenvalues[pick]))
-                       <= 1e-6 * (1.0 + abs(e))]
-            report = verify_against_oracle(
-                sol.recipe, oracle, pick, cluster_levels=cluster,
-                overlap_tol=1e-3, modulus_tol=5e-2,
-                check_nodes=oracle.node_counts is not None)
-            line_ok = line_ok and report.overlap_ok and report.nodes_ok
-            detail = " overlap=%.8f" % report.overlap
-            if report.predicted_nodes is not None:
-                detail += " nodes=%d/%d" % (report.predicted_nodes,
-                                            report.oracle_nodes)
-        ok = ok and line_ok
+        if check.report is not None:
+            detail = " overlap=%.8f" % check.report.overlap
+            if check.report.predicted_nodes is not None:
+                detail += " nodes=%d/%d" % (check.report.predicted_nodes,
+                                            check.report.oracle_nodes)
         print("set=%s n=%d E=%.10g%+.10gj oracle=%.10g%+.10gj |dE|=%.3e tol=%.1e%s %s"
-              % (sol.assignment.set_label, int(sol.assignment.n),
-                 e.real, e.imag,
-                 complex(oracle.eigenvalues[pick]).real,
-                 complex(oracle.eigenvalues[pick]).imag,
-                 gap, tol, detail, "PASS" if line_ok else "FAIL"),
+              % (check.solution.assignment.set_label, int(check.solution.assignment.n),
+                 e.real, e.imag, check.oracle_energy.real, check.oracle_energy.imag,
+                 check.gap, outcome.tol, detail, "PASS" if check.passed else "FAIL"),
               file=stream)
-    print("verification %s for %s" % ("PASSED" if ok else "FAILED", model.id),
+    print("verification %s for %s" % ("PASSED" if outcome.passed else "FAILED", model.id),
           file=stream)
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return EXIT_OK if outcome.passed else EXIT_VERIFY_FAILED
 
 
 def _cmd_wavefunction(args, stream):
     model = _build_model(args)
-    levels = args.levels if args.levels is not None else 4
+    levels = _levels(args)
+    if args.samples < 1:
+        raise ParameterError("--samples must be at least 1, got %d" % args.samples)
     result = solve_spectrum(model, levels=levels)
     if not (0 <= args.state < len(result.solutions)):
         raise InvalidStateError(
@@ -366,25 +334,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    stream = sys.stdout
+    args = build_parser().parse_args(argv)
+    commands = {"list": _cmd_list, "solve": _cmd_solve, "verify": _cmd_verify,
+                "wavefunction": _cmd_wavefunction}
     try:
-        if args.command == "list":
-            return _cmd_list(args, stream)
-        if args.command == "solve":
-            return _cmd_solve(args, stream)
-        if args.command == "verify":
-            return _cmd_verify(args, stream)
-        if args.command == "wavefunction":
-            return _cmd_wavefunction(args, stream)
-        raise ParameterError("unknown command %r" % (args.command,))
+        return commands[args.command](args, sys.stdout)
     except NoAdmissibleAssignmentError as exc:
         print("no admissible residue assignment: %s" % exc, file=sys.stderr)
         return EXIT_NO_ASSIGNMENT
-    except (ParameterError, UnknownModelError, InvalidStateError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
     except QhjError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -22,9 +22,8 @@ then evaluated at that energy and its kernel is the node polynomial.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Tuple
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -32,7 +31,7 @@ from scipy import linalg
 
 from .errors import NonlinearEnergyError, QhjError
 from .exactmath import to_complex
-from .potential_catalog import WavefunctionRecipe
+from .potential_catalog import WavefunctionRecipe, poly_eval
 from .quantization import QuantizationOutcome, quantize
 
 _DIV_TOL = 1e-10
@@ -55,10 +54,7 @@ class PolynomialOnT:
         return len(self.coeffs) - 1
 
     def __call__(self, t):
-        acc = np.zeros_like(np.asarray(t, dtype=complex))
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        return poly_eval(self.coeffs, t)
 
 
 @dataclass
@@ -160,8 +156,12 @@ def _row_matrix(pi, ns, nr, basis):
             parts.append(d * (d - 1) * _shift(pi, d - 2))
         cols.append(_polyadd_many(parts))
     # polyadd trims trailing zeros; rows must still cover every basis degree
-    nrows = max(max(len(c) for c in cols), max(basis) + 1)
-    mat = np.zeros((nrows, len(basis)), dtype=complex)
+    return _column_matrix(cols, max(basis) + 1)
+
+
+def _column_matrix(cols, nrows):
+    """Coefficient columns stacked side by side, zero-padded to ≥ nrows rows."""
+    mat = np.zeros((max(nrows, max(len(c) for c in cols)), len(cols)), dtype=complex)
     for j, c in enumerate(cols):
         mat[: len(c), j] = c
     return mat
@@ -200,15 +200,9 @@ def build_pencil(model, assignment):
     basis = _basis_degrees(model, n)
     full0 = _row_matrix(pi, ns, nr0, basis)
     # energy rows: only NR1·P contributes
-    cols1 = [_shift(nr1, d) for d in basis]
-    nrows1 = max(len(c) for c in cols1)
-    full1 = np.zeros((max(full0.shape[0], nrows1), len(basis)), dtype=complex)
-    for j, c in enumerate(cols1):
-        full1[: len(c), j] = c
-    if full1.shape[0] > full0.shape[0]:
-        full0 = np.vstack([full0, np.zeros((full1.shape[0] - full0.shape[0], len(basis)), dtype=complex)])
-    else:
-        full1 = np.vstack([full1, np.zeros((full0.shape[0] - full1.shape[0], len(basis)), dtype=complex)])
+    full1 = _column_matrix([_shift(nr1, d) for d in basis], full0.shape[0])
+    full0 = np.vstack([full0, np.zeros((full1.shape[0] - full0.shape[0], len(basis)),
+                                       dtype=complex)])
     m0, o0 = _split_rows(full0, basis)
     m1, o1 = _split_rows(full1, basis)
     system = PencilSystem(M0=m0, M1=m1, basis=basis, overflow=(o0, o1),
@@ -324,38 +318,7 @@ def closed_form_check(model, solution):
     node polynomial up to overall scale.  Elliptic-family kernels have no
     classical closed form and return None.
     """
-    from .special_functions import jacobi_polynomial, laguerre
-
-    a = solution.assignment
-    n = int(a.n)
-    if model.id == "hydrogen":
-        k = 2 * model.l + 1
-        slope = -2.0 * to_complex(a.a0).real
-
-        def evaluator(t):
-            return laguerre(n, k, slope * np.asarray(t, dtype=float))
-        return ("laguerre", (k,), evaluator)
-    if model.id == "scarf1":
-        al = 2 * to_complex(a.pole_residues["t=+1"]).real - 1
-        be = 2 * to_complex(a.pole_residues["t=-1"]).real - 1
-
-        def evaluator(t):
-            return jacobi_polynomial(n, al, be, np.asarray(t, dtype=complex))
-        return ("jacobi", (al, be), evaluator)
-    if model.id == "scarf_periodic":
-        nu = 2 * to_complex(a.pole_residues["t=+i"]).real - 1
-
-        def evaluator(t):
-            return jacobi_polynomial(n, nu, nu, -1j * np.asarray(t, dtype=complex))
-        return ("jacobi", (nu, nu), evaluator)
-    if model.id == "complex_scarf":
-        al = 2 * to_complex(a.pole_residues["t=+1"]) - 1
-        be = 2 * to_complex(a.pole_residues["t=-1"]) - 1
-
-        def evaluator(t):
-            return jacobi_polynomial(n, al, be, np.asarray(t, dtype=complex))
-        return ("jacobi", (al, be), evaluator)
-    return None
+    return model.classical_polynomial(solution.assignment)
 
 
 def closed_form_deviation(model, solution, npoints=20):
@@ -364,10 +327,7 @@ def closed_form_deviation(model, solution, npoints=20):
     if check is None:
         return None
     _family, _indices, evaluator = check
-    if model.id == "hydrogen":
-        ts = np.linspace(0.5, 2.0 * (int(solution.assignment.n) + model.l + 2), npoints)
-    else:
-        ts = np.linspace(-0.9, 0.9, npoints)
+    ts = np.linspace(*model.classical_range(int(solution.assignment.n)), npoints)
     kernel_vals = solution.polynomial(ts)
     ref_vals = np.asarray(evaluator(ts), dtype=complex)
     idx = int(np.argmax(np.abs(ref_vals)))
@@ -389,19 +349,6 @@ class SpectrumResult:
     model_id: str
     outcome: QuantizationOutcome
     solutions: List[BandEdgeSolution]
-
-
-def _periodicity_class(model, assignment, parity):
-    """periodic/antiperiodic over one cell for elliptic families, else None."""
-    if model.id in ("lame", "assoc_lame_es", "assoc_lame_qes"):
-        cn_exp, _dn = model.prefactor_exponents(assignment.pole_residues)
-        flips = int(2 * to_complex(cn_exp).real) // 2  # cn exponent is 0 or 1
-        flips += 1 if parity == "odd" else 0
-        return "periodic" if flips % 2 == 0 else "antiperiodic"
-    if model.id == "scarf_periodic" and not model.bound_phase:
-        d1 = to_complex(assignment.lambda1).real
-        return "exponent_plus" if d1 < 0.5 else "exponent_minus"
-    return None
 
 
 def _poly_parity(coeffs):
@@ -427,35 +374,32 @@ def _solution_samples(model, recipe):
     return vals / norm if norm else vals
 
 
+def _solution(model, assignment, coeffs, parity, degeneracy):
+    """A solved level with its node polynomial, recipe and periodicity class."""
+    poly = PolynomialOnT(tuple(coeffs.tolist()), parity)
+    return BandEdgeSolution(
+        energy=assignment.energy, polynomial=poly, assignment=assignment,
+        recipe=model.recipe(assignment, poly.coeffs), degeneracy=degeneracy,
+        bc_class=model.bc_class(assignment, parity))
+
+
 def solve_spectrum(model, levels=4):
     """Quantize, solve every admissible set, deduplicate, attach recipes."""
     outcome = quantize(model, levels=levels)
     raw: List[BandEdgeSolution] = []
     if model.uses_pencil:
         for a in outcome.admissible_sets():
-            system = build_pencil(model, a)
-            for energy, coeffs, mult in solve_pencil(system):
+            for energy, coeffs, mult in solve_pencil(build_pencil(model, a)):
                 parity = _poly_parity(coeffs)
                 resolved = replace(a, energy=energy, level_resolved=True,
                                    parity=parity)
-                poly = PolynomialOnT(tuple(coeffs.tolist()), parity)
-                recipe = model.recipe(resolved, poly.coeffs)
-                raw.append(BandEdgeSolution(
-                    energy=energy, polynomial=poly, assignment=resolved,
-                    recipe=recipe, degeneracy=mult,
-                    bc_class=_periodicity_class(model, resolved, parity)))
+                raw.append(_solution(model, resolved, coeffs, parity, mult))
     else:
         for a in outcome.levels:
             sq, basis = build_fixed_system(model, a)
             for vec in _kernel_vectors(sq)[:1]:
                 coeffs = _normalize_leading(_expand_basis(vec, basis))
-                parity = _poly_parity(coeffs)
-                poly = PolynomialOnT(tuple(coeffs.tolist()), parity)
-                recipe = model.recipe(a, poly.coeffs)
-                raw.append(BandEdgeSolution(
-                    energy=a.energy, polynomial=poly, assignment=a,
-                    recipe=recipe, degeneracy=1,
-                    bc_class=_periodicity_class(model, a, parity)))
+                raw.append(_solution(model, a, coeffs, _poly_parity(coeffs), 1))
 
     solutions = _deduplicate(model, raw)
     solutions.sort(key=lambda s: (to_complex(s.energy).real,

@@ -10,30 +10,37 @@ the full algebraic data the solver needs:
   the change of variable contributes at each pole,
 * the large-argument expansion coefficients (G0, G1, G2) of G,
 * the polynomials Πclear²·G = A(t) + E·B(t) (Πclear = product of pole
-  monomials), which drive the polynomial-identity construction, and
-* prefactor builders that assemble wavefunctions from residue assignments.
+  monomials), which drive the polynomial-identity construction,
+* the residue sets with their admissibility verdicts, the closed-form levels
+  where they exist, the classical-polynomial twin of the node polynomial and
+  the periodicity class of each level,
+* prefactor builders that assemble wavefunctions from residue assignments,
+* how the independent oracle solves the family and how `verify` scores it.
 
 The transformed Riccati equation is χ² + χ' + G(t) = 0 with
 G = (E − Ṽ(t))/u + [−u''/(4u) + 3u'²/(16u²)], where Ṽ(t) = V(x(t)) and
 primes are d/dt.  Everything here is either exact rational data or plain
 polynomial coefficient arrays; no provenance strings, just math.
+
+A new family is one PotentialModel subclass here plus its entry in the
+class tuple behind MODEL_CLASSES; no other module knows the family ids.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import ParameterError, SingularPointError, UnknownModelError
-from .exactmath import ExactComplex, sqrt_fraction, to_complex
-from .qmf_residues import FixedPole, InfinityExpansion
-
-Number = Union[int, float, Fraction]
+from .exactmath import ExactComplex, to_complex
+from .qmf_residues import FixedPole, InfinityExpansion, finite_pole_residues
+from .quantization import QES_RELATIONS, ResidueAssignment, level_verdict, parity_of
+from .special_functions import elliptic_K, jacobi_elliptic, jacobi_polynomial, laguerre
 
 
 # ---------------------------------------------------------------------------
@@ -44,17 +51,12 @@ Number = Union[int, float, Fraction]
 class WavefunctionRecipe:
     """Closed-form factorization of one eigenfunction.
 
-    prefactors are (display, exponent) pairs; the polynomial rides in the
-    mapped variable (polynomial_variable, display string).  evaluator(xs)
-    returns complex ψ values on physical points xs; it is built by the model
-    so branch choices stay consistent on complex contours.
+    form is the display string (prefactors × polynomial in the mapped
+    variable).  evaluator(xs) returns complex ψ values on physical points xs;
+    it is built by the model so branch choices stay consistent on complex
+    contours.
     """
 
-    model_id: str
-    prefactors: Tuple[Tuple[str, object], ...]
-    polynomial_variable: str
-    polynomial_coeffs: Tuple[complex, ...]
-    exponential_factor: Optional[str]
     form: str
     evaluator: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
 
@@ -62,7 +64,7 @@ class WavefunctionRecipe:
         return self.evaluator(np.asarray(xs))
 
 
-def _poly_eval(coeffs, t):
+def poly_eval(coeffs, t):
     """Horner evaluation of ascending coefficients at scalar/array t."""
     acc = np.zeros_like(np.asarray(t, dtype=complex))
     for c in reversed(list(coeffs)):
@@ -99,13 +101,18 @@ class PotentialModel:
     """
 
     id = None
-    bc = None                      # dirichlet | periodic_union | decaying | pt_symmetric
+    summary = ""                   # one line for `qhj list`
+    param_doc: Dict[str, str] = {}  # parameter name → documented domain
     spectrum_kind = None           # es_spectrum | band_edge_group | qes_condition | pt_group
     parity_constraint = False
     uses_pencil = False            # energy stays an unknown in the identity
-    admissibility = ()
-    variable_map = ""
-    polynomial_variable = "t"
+    energy_formula = None
+    notes: Tuple[str, ...] = ()
+    qes_relations = None           # one level relation per residue set, or None
+    oracle = "bound"               # bound | band_edges | inverse_square_cell | pt
+    bent_contour = False           # pt oracle: eigenfunctions decay only off the real axis
+    verify_tol = 2e-4              # default energy tolerance of verify()
+    verify_overlap = True          # verify() also scores the eigenfunction
 
     def __init__(self):
         self.params: Dict[str, object] = {}
@@ -121,13 +128,13 @@ class PotentialModel:
         """Poles of V(x) inside the physical window (empty if smooth)."""
         return ()
 
+    def singular(self, xs):
+        """Why V cannot be evaluated at some of xs (walls, r ≤ 0), or None."""
+        return None
+
     def x_window(self):
         """Physical interval the oracle discretizes (one period if periodic)."""
         raise NotImplementedError
-
-    def symmetry_point(self):
-        """Center of an x-reflection symmetry of V, or None."""
-        return None
 
     # -- pole/expansion data --------------------------------------------------
     def fixed_poles(self) -> Tuple[FixedPole, ...]:
@@ -157,9 +164,30 @@ class PotentialModel:
         a, b = self.pi2_g_polys()
         pi = self.clear_poly()
         t = np.asarray(t, dtype=complex)
-        num = _poly_eval(a, t) + to_complex(energy) * _poly_eval(b, t)
-        den = _poly_eval(pi, t) ** 2
+        num = poly_eval(a, t) + to_complex(energy) * poly_eval(b, t)
+        den = poly_eval(pi, t) ** 2
         return num / den
+
+    # -- residue sets and levels -----------------------------------------------
+    def assignments(self):
+        """Every candidate residue set, in set-label order, with its verdict."""
+        raise NotImplementedError
+
+    def levels(self, sets, count):
+        """Exact level rows from assignments() sets; [] for pencil families."""
+        return []
+
+    def classical_polynomial(self, assignment):
+        """(family, indices, evaluator(t)) of the classical node polynomial, or None."""
+        return None
+
+    def classical_range(self, n):
+        """(lo, hi) of the t samples comparing a degree-n kernel with its twin."""
+        return (-0.9, 0.9)
+
+    def bc_class(self, assignment, parity):
+        """Periodicity class of a level over one cell, or None."""
+        return None
 
     # -- wavefunction assembly -------------------------------------------------
     def prefactor_exponents(self, residues):
@@ -175,10 +203,6 @@ class PotentialModel:
         raise NotImplementedError
 
     # -- misc -------------------------------------------------------------------
-    def default_points(self):
-        """Baseline oracle grid size (the refinement doubles it)."""
-        return 2000
-
     def describe_params(self):
         return {k: (str(v) if isinstance(v, Fraction) else v) for k, v in self.params.items()}
 
@@ -198,11 +222,11 @@ class HydrogenModel(PotentialModel):
     """
 
     id = "hydrogen"
-    bc = "decaying"
+    summary = "radial Coulomb problem with centrifugal term"
+    param_doc = {"e2": "rational > 0 (charge-squared strength)",
+                 "l": "integer >= 0 (angular momentum)"}
     spectrum_kind = "es_spectrum"
-    admissibility = ("positive_origin_exponent", "decaying_exponential")
-    variable_map = "t = r"
-    polynomial_variable = "r"
+    energy_formula = "E_n = e2^2/(4(l+1)^2) - e2^2/(4(n+l+1)^2)"
 
     def __init__(self, e2, l):
         super().__init__()
@@ -227,6 +251,11 @@ class HydrogenModel(PotentialModel):
     def singular_points(self):
         return (0.0,)
 
+    def singular(self, xs):
+        if np.any(np.real(xs) <= 0):
+            return "radial coordinate must be positive"
+        return None
+
     def x_window(self):
         # far wall sized for the slowest decay among the first few levels
         return (0.0, 40.0 * (self.l + 5) / float(self.e2))
@@ -250,6 +279,43 @@ class HydrogenModel(PotentialModel):
         b = np.array([0.0, 0.0, 1.0])
         return a, b
 
+    def assignments(self):
+        branch = finite_pole_residues(self.fixed_poles()[0])
+        out = []
+        for label, b1 in enumerate(branch.values, start=1):
+            admissible = b1 > 0
+            out.append(ResidueAssignment(
+                model_id=self.id, set_label=label,
+                pole_residues={"t=0": b1},
+                lambda1=None, a0=None, n=None,
+                admissible=admissible,
+                reason=None if admissible else "origin_exponent_nonpositive",
+            ))
+        return out
+
+    def levels(self, sets, count):
+        origin = next(a for a in sets if a.admissible)     # residue l + 1
+        out = []
+        for n in range(count):
+            lam = Fraction(n + self.l + 1)
+            out.append(replace(
+                origin, lambda1=lam, a0=-self.e2 / (2 * lam), n=n,
+                energy=self.kappa2 - self.e2 * self.e2 / (4 * lam * lam),
+                level_resolved=True))
+        return out
+
+    def classical_polynomial(self, assignment):
+        n = int(assignment.n)
+        k = 2 * self.l + 1
+        slope = -2.0 * to_complex(assignment.a0).real
+
+        def evaluator(t):
+            return laguerre(n, k, slope * np.asarray(t, dtype=float))
+        return ("laguerre", (k,), evaluator)
+
+    def classical_range(self, n):
+        return (0.5, 2.0 * (n + self.l + 2))
+
     def prefactor_exponents(self, residues):
         return (residues["t=0"],)
 
@@ -261,24 +327,106 @@ class HydrogenModel(PotentialModel):
 
         def evaluator(xs):
             r = np.asarray(xs, dtype=float)
-            return r**b1 * np.exp(a0 * r) * _poly_eval(coeffs, r)
+            return r**b1 * np.exp(a0 * r) * poly_eval(coeffs, r)
 
         return WavefunctionRecipe(
-            model_id=self.id,
-            prefactors=(("r", assignment.pole_residues["t=0"]),),
-            polynomial_variable="r",
-            polynomial_coeffs=coeffs,
-            exponential_factor="exp(%.6g*r)" % a0.real,
             form="r^%s * exp(%.6g*r) * P%d(r)" % (assignment.pole_residues["t=0"], a0.real, n),
             evaluator=evaluator,
         )
 
 
 # ---------------------------------------------------------------------------
-# trigonometric Scarf well (Dirichlet box with sec²/sec·tan walls)
+# two-wall Jacobi wells: the trigonometric and the complex Scarf potential
 # ---------------------------------------------------------------------------
 
-class ScarfOneModel(PotentialModel):
+class TwoWallJacobiModel(PotentialModel):
+    """Shared algebra of the Scarf wells, parametrized by strengths A and B.
+
+    Fixed poles at t = ±1 with strengths g2(A ± B) and offsets 1/4; each
+    wall takes one of its two residues, giving four sets.  Admissible sets
+    carry closed-form levels λ1 = b1 + b1' + n, their node polynomials are
+    Jacobi polynomials P_n^(2b1−1, 2b1'−1)(t), and ψ = (1−t)^e₊ (1+t)^e₋ P(t)
+    with e = b − 1/4.  Prefactor order: (1 − t, 1 + t).
+
+    Subclasses give the wall strength _g2(X), the set filter
+    _admissible(b₊, b₋) and _energy(b₊ + b₋, n), which is None past the
+    last normalizable level.
+    """
+
+    spectrum_kind = "es_spectrum"
+    real_residues = False          # True: wall residues are real for every parameter
+    reject_reason = None           # verdict of an inadmissible set
+    recipe_form = None             # % (e₊, e₋, degree)
+
+    def _scalar(self, value):
+        z = to_complex(value)
+        return z.real if self.real_residues else z
+
+    def fixed_poles(self):
+        return (
+            FixedPole(location=1.0, g2=self._g2(self.A + self.B),
+                      prefactor_offset=Fraction(1, 4), label="t=+1"),
+            FixedPole(location=-1.0, g2=self._g2(self.A - self.B),
+                      prefactor_offset=Fraction(1, 4), label="t=-1"),
+        )
+
+    def assignments(self):
+        plus, minus = (finite_pole_residues(p) for p in self.fixed_poles())
+        out = []
+        for bp in plus.values:
+            for bm in minus.values:
+                admissible = self._admissible(bp, bm)
+                out.append(ResidueAssignment(
+                    model_id=self.id, set_label=len(out) + 1,
+                    pole_residues={"t=+1": bp, "t=-1": bm},
+                    lambda1=None, a0=0, n=None,
+                    admissible=admissible,
+                    reason=None if admissible else self.reject_reason,
+                ))
+        return out
+
+    def levels(self, sets, count):
+        out = []
+        for a in sets:
+            if not a.admissible:
+                continue
+            s_sum = a.pole_residues["t=+1"] + a.pole_residues["t=-1"]
+            for n in range(count):
+                energy = self._energy(s_sum, n)
+                if energy is None:
+                    break
+                out.append(replace(a, lambda1=s_sum + n, n=n, energy=energy,
+                                   level_resolved=True))
+        return out
+
+    def classical_polynomial(self, assignment):
+        n = int(assignment.n)
+        al = 2 * self._scalar(assignment.pole_residues["t=+1"]) - 1
+        be = 2 * self._scalar(assignment.pole_residues["t=-1"]) - 1
+
+        def evaluator(t):
+            return jacobi_polynomial(n, al, be, np.asarray(t, dtype=complex))
+        return ("jacobi", (al, be), evaluator)
+
+    def prefactor_exponents(self, residues):
+        return (residues["t=+1"] - Fraction(1, 4), residues["t=-1"] - Fraction(1, 4))
+
+    def recipe(self, assignment, coeffs):
+        e_plus, e_minus = self.prefactor_exponents(assignment.pole_residues)
+        ep, em = self._scalar(e_plus), self._scalar(e_minus)
+        coeffs = tuple(complex(c) for c in coeffs)
+
+        def evaluator(xs):
+            t = self.to_t(xs)
+            return (1.0 - t) ** ep * (1.0 + t) ** em * poly_eval(coeffs, t)
+
+        return WavefunctionRecipe(
+            form=self.recipe_form % (e_plus, e_minus, len(coeffs) - 1),
+            evaluator=evaluator,
+        )
+
+
+class ScarfOneModel(TwoWallJacobiModel):
     """Trigonometric Scarf well on (−π/(2α), π/(2α)), offset so E0 = 0.
 
         V(x) = (A² + B² − Aα)·sec²(αx) + B(2A − α)·sec(αx)tan(αx) − A².
@@ -289,11 +437,14 @@ class ScarfOneModel(PotentialModel):
     """
 
     id = "scarf1"
-    bc = "dirichlet"
-    spectrum_kind = "es_spectrum"
-    admissibility = ("positive_wall_exponents", "nonneg_integer_level")
-    variable_map = "t = sin(alpha*x)"
-    polynomial_variable = "sin(alpha*x)"
+    summary = "trigonometric Scarf well on a finite interval"
+    param_doc = {"A": "rational > 0 (well depth scale)",
+                 "B": "rational (asymmetry strength)",
+                 "alpha": "rational > 0 (inverse width; default 1)"}
+    energy_formula = "E_n = alpha^2*(b1 + b1' + n - 1/2)^2 - A^2"
+    real_residues = True
+    reject_reason = "wall_exponent_nonpositive"
+    recipe_form = "(1-sin)^%s * (1+sin)^%s * P%d(sin(alpha*x))"
 
     def __init__(self, A, B, alpha=1):
         super().__init__()
@@ -321,29 +472,30 @@ class ScarfOneModel(PotentialModel):
         w = math.pi / (2 * float(self.alpha))
         return (-w, w)
 
+    def singular(self, xs):
+        if np.any(np.abs(np.cos(float(self.alpha) * xs)) < 1e-12):
+            return "potential scarf1 is singular at its box walls"
+        return None
+
     def x_window(self):
         w = math.pi / (2 * float(self.alpha))
         return (-w, w)
 
-    def symmetry_point(self):
-        return 0.0 if self.B == 0 else None
-
     def _g2(self, X):
         return Fraction(3, 16) - X * (X - self.alpha) / (4 * self.alpha**2)
 
-    def fixed_poles(self):
-        return (
-            FixedPole(location=1.0, g2=self._g2(self.A + self.B),
-                      prefactor_offset=Fraction(1, 4), label="t=+1"),
-            FixedPole(location=-1.0, g2=self._g2(self.A - self.B),
-                      prefactor_offset=Fraction(1, 4), label="t=-1"),
-        )
+    def _admissible(self, bp, bm):
+        exps = self.prefactor_exponents({"t=+1": bp, "t=-1": bm})
+        return all(to_complex(e).real > 0 for e in exps)
+
+    def _energy(self, s_sum, n):
+        root = self.alpha * (s_sum + n - Fraction(1, 2))     # = sqrt(E + A²)
+        return root * root - self.A * self.A
 
     def infinity_expansion(self):
         A, al = self.A, self.alpha
         return InfinityExpansion(G0=Fraction(0), G1=Fraction(0),
-                                 G2=lambda E: Fraction(1, 4) - (E + A * A) / (al * al)
-                                 if isinstance(E, (int, Fraction)) else 0.25 - (E + float(A * A)) / float(al * al))
+                                 G2=lambda E: Fraction(1, 4) - (E + A * A) / (al * al))
 
     def u_poly(self):
         al2 = float(self.alpha) ** 2
@@ -360,29 +512,74 @@ class ScarfOneModel(PotentialModel):
         b = np.array([1.0 / al2, 0.0, -1.0 / al2])
         return a, b
 
-    def prefactor_exponents(self, residues):
-        return (residues["t=+1"] - Fraction(1, 4), residues["t=-1"] - Fraction(1, 4))
 
-    def recipe(self, assignment, coeffs):
-        e_plus, e_minus = self.prefactor_exponents(assignment.pole_residues)
-        ep, em = to_complex(e_plus).real, to_complex(e_minus).real
-        al = float(self.alpha)
-        coeffs = tuple(complex(c) for c in coeffs)
-        n = len(coeffs) - 1
+class ComplexScarfModel(TwoWallJacobiModel):
+    """PT-symmetric hyperbolic well V(x) = −A·sech²x − iB·sechx·tanhx.
 
-        def evaluator(xs):
-            t = np.sin(al * np.asarray(xs, dtype=float))
-            return (1.0 - t) ** ep * (1.0 + t) ** em * _poly_eval(coeffs, t)
+    t = i·sinh(x), u = t²−1.  Fixed poles at t = ±1 with
+    g2 = 3/16 − (A±B)/4; the large-argument expansion has G2 = E + 1/4.
+    For |B| ≤ A + 1/4 the spectrum is real; beyond that threshold the
+    eigenvalues form conjugate pairs.  Prefactor order:
+    (1 − i·sinh x, 1 + i·sinh x).
+    """
 
-        return WavefunctionRecipe(
-            model_id=self.id,
-            prefactors=(("1-sin(alpha*x)", e_plus), ("1+sin(alpha*x)", e_minus)),
-            polynomial_variable=self.polynomial_variable,
-            polynomial_coeffs=coeffs,
-            exponential_factor=None,
-            form="(1-sin)^%s * (1+sin)^%s * P%d(sin(alpha*x))" % (e_plus, e_minus, n),
-            evaluator=evaluator,
-        )
+    id = "complex_scarf"
+    summary = "complex PT-symmetric Scarf well"
+    param_doc = {"A": "rational > 0 (real well depth)",
+                 "B": "rational (imaginary asymmetry)"}
+    spectrum_kind = "pt_group"
+    energy_formula = "E_n = -(b1 + b1' + n - 1/2)^2"
+    oracle = "pt"
+    verify_tol = 1e-3
+    reject_reason = "not_square_integrable"
+    recipe_form = "(1-i*sinh)^%s * (1+i*sinh)^%s * P%d(i*sinh(x))"
+
+    def __init__(self, A, B):
+        super().__init__()
+        A = _fraction(A, "A")
+        B = _fraction(B, "B")
+        if A <= 0:
+            raise ParameterError("complex_scarf needs A > 0, got %s" % A)
+        self.A, self.B = A, B
+        self.params = {"A": A, "B": B}
+
+    def potential(self, x):
+        z = np.asarray(x, dtype=complex)
+        sech = 1.0 / np.cosh(z)
+        return -float(self.A) * sech**2 - 1j * float(self.B) * sech * np.tanh(z)
+
+    def to_t(self, x):
+        return 1j * np.sinh(np.asarray(x, dtype=complex))
+
+    def x_window(self):
+        return (-16.0, 16.0)
+
+    def _g2(self, X):
+        return Fraction(3, 16) - X / 4
+
+    def _admissible(self, bp, bm):
+        # −(S − 1/2) is the decay margin; level n needs Re > n ≥ 0
+        return to_complex(Fraction(1, 2) - bp - bm).real > 0
+
+    def _energy(self, s_sum, n):
+        if not n < to_complex(Fraction(1, 2) - s_sum).real:   # strict square-integrability cut
+            return None
+        energy = -(to_complex(s_sum + n - Fraction(1, 2)) ** 2)
+        if abs(energy.imag) < 1e-13 * max(1.0, abs(energy.real)):
+            energy = energy.real
+        return energy
+
+    def infinity_expansion(self):
+        return InfinityExpansion(G0=Fraction(0), G1=Fraction(0),
+                                 G2=lambda E: E + Fraction(1, 4))
+
+    def u_poly(self):
+        return np.array([-1.0, 0.0, 1.0])
+
+    def pi2_g_polys(self):
+        a = np.array([complex(0.5 - float(self.A)), complex(-float(self.B)), complex(0.25)])
+        b = np.array([-1.0 + 0j, 0j, 1.0 + 0j])
+        return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +597,20 @@ class ScarfPeriodicModel(PotentialModel):
     """
 
     id = "scarf_periodic"
-    bc = "periodic_union"
+    summary = "inverse-square periodic cell (band edges or bound)"
+    param_doc = {"s": "rational > 0, s != 1/2 (wall-singularity index)"}
     parity_constraint = True
-    admissibility = ("nonneg_energy_root", "finite_at_cell_wall", "nonneg_integer_level")
-    variable_map = "t = cot(x)"
-    polynomial_variable = "cot(x)"
+    energy_formula = "E_n = (n + 1/2 +/- s)^2"
+    oracle = "inverse_square_cell"
+    verify_tol = 5e-4
+
+    _SETS = (
+        # (label, b-branch sign: -1 means b = (1−λ)/2, +1 means (1+λ)/2;  d1 choice sign)
+        (1, -1, -1),
+        (2, -1, +1),
+        (3, +1, -1),
+        (4, +1, +1),
+    )
 
     def __init__(self, s):
         super().__init__()
@@ -434,16 +640,17 @@ class ScarfPeriodicModel(PotentialModel):
     def singular_points(self):
         return (0.0, math.pi)
 
+    def singular(self, xs):
+        if np.any(np.abs(np.sin(xs)) < 1e-12):
+            return "potential scarf_periodic is singular at multiples of pi"
+        return None
+
     def x_window(self):
         return (0.0, math.pi)
 
-    def symmetry_point(self):
-        return math.pi / 2
-
     def fixed_poles(self):
         def g2(E):
-            lam2 = E
-            return (1 - lam2) / 4 if isinstance(lam2, (int, Fraction)) else (1.0 - lam2) / 4.0
+            return (1 - E) / 4
         return (
             FixedPole(location=1j, g2=g2, prefactor_offset=Fraction(1, 2), label="t=+i"),
             FixedPole(location=-1j, g2=g2, prefactor_offset=Fraction(1, 2), label="t=-i"),
@@ -461,6 +668,61 @@ class ScarfPeriodicModel(PotentialModel):
         a = np.array([-1.0 + c, 0.0, c])
         b = np.array([1.0, 0.0, 0.0])
         return a, b
+
+    def assignments(self):
+        out = []
+        for label, bsign, dsign in self._SETS:
+            d1 = Fraction(1, 2) + dsign * self.s
+            # level formula: λ = n + 1 − d1 for the (1−λ)/2 branch,
+            #                λ = d1 − 1 − n for the (1+λ)/2 branch, whose
+            #                λ(0) = d1 − 1 > 0 already breaks d1 < 1
+            if bsign > 0 and not d1 - 1 > 0:
+                reason = "negative_energy_root"
+            elif not d1 < 1 or (self.bound_phase and dsign > 0):
+                reason = "cell_wall_divergence"
+            else:
+                reason = None
+            out.append(ResidueAssignment(
+                model_id=self.id, set_label=label,
+                pole_residues={},
+                lambda1=d1, a0=0, n=None,
+                admissible=reason is None, reason=reason,
+            ))
+        return out
+
+    def levels(self, sets, count):
+        out = []
+        for a in sets:
+            if not a.admissible:
+                continue
+            d1 = a.lambda1
+            for n in range(count):
+                lam = n + 1 - d1
+                if lam < 0:
+                    continue
+                b = (1 - lam) / 2
+                energy = lam * lam
+                out.append(replace(
+                    a,
+                    pole_residues={"t=+i": b, "t=-i": b},
+                    n=n, energy=energy, parity=parity_of(n),
+                    level_resolved=True,
+                ))
+        return out
+
+    def classical_polynomial(self, assignment):
+        n = int(assignment.n)
+        nu = 2 * to_complex(assignment.pole_residues["t=+i"]).real - 1
+
+        def evaluator(t):
+            return jacobi_polynomial(n, nu, nu, -1j * np.asarray(t, dtype=complex))
+        return ("jacobi", (nu, nu), evaluator)
+
+    def bc_class(self, assignment, parity):
+        if self.bound_phase:
+            return None
+        d1 = to_complex(assignment.lambda1).real
+        return "exponent_plus" if d1 < 0.5 else "exponent_minus"
 
     def prefactor_exponents(self, residues):
         # (t∓i)^{b−1/2} pairs combine to (1+t²)^{b−1/2} = sin(x)^{−2(b−1/2)};
@@ -488,11 +750,6 @@ class ScarfPeriodicModel(PotentialModel):
             return sx ** (lamf - n) * q
 
         return WavefunctionRecipe(
-            model_id=self.id,
-            prefactors=(("sin(x)", lam),),
-            polynomial_variable=self.polynomial_variable,
-            polynomial_coeffs=coeffs,
-            exponential_factor=None,
             form="sin(x)^%s * P%d(cot(x))" % (lam, n),
             evaluator=evaluator,
         )
@@ -522,13 +779,18 @@ class AssociatedLameModel(PotentialModel):
     exponents (2b₁ − 1/2, 2d₁ − 1/2).
     """
 
-    bc = "periodic_union"
     spectrum_kind = "band_edge_group"
     parity_constraint = True
     uses_pencil = True
-    admissibility = ("parity_pairing", "nonneg_integer_level")
-    variable_map = "t = sn(x|m)"
-    polynomial_variable = "sn(x|m)"
+    energy_formula = "band edges from the (n+1)-term polynomial identity per set"
+    notes = ("the mirror branch lambda1 = -a reproduces the same spectra "
+             "under a -> -a-1, b -> -b-1 and is not enumerated separately",)
+    oracle = "band_edges"
+    min_band_edges = 5             # the oracle solves at least this many edges
+    verify_tol = 5e-4
+    # residue sets in label order as (b1, d1) branch signs: +1 takes
+    # b1 = 3/4 or d1 = 3/4 + b/2, −1 takes b1 = 1/4 or d1 = 1/4 − b/2
+    set_order = ((-1, -1), (+1, -1), (-1, +1), (+1, +1))
 
     def __init__(self, a, b, m, shift=None):
         super().__init__()
@@ -548,7 +810,6 @@ class AssociatedLameModel(PotentialModel):
 
     # -- geometry ---------------------------------------------------------
     def _sn_cn_dn(self, x):
-        from .special_functions import jacobi_elliptic
         xs = np.asarray(x, dtype=float)
         flat = np.atleast_1d(xs).ravel()
         sn = np.empty_like(flat)
@@ -574,11 +835,7 @@ class AssociatedLameModel(PotentialModel):
         return self._sn_cn_dn(x)[0]
 
     def x_window(self):
-        from .special_functions import elliptic_K
         return (0.0, 2.0 * elliptic_K(float(self.m)))
-
-    def symmetry_point(self):
-        return 0.0
 
     # -- algebraic data -----------------------------------------------------
     def fixed_poles(self):
@@ -612,6 +869,31 @@ class AssociatedLameModel(PotentialModel):
         b_poly = pi / mf
         return a_poly, b_poly
 
+    def assignments(self):
+        b1s = {+1: Fraction(3, 4), -1: Fraction(1, 4)}
+        d1s = {+1: Fraction(3, 4) + self.b / 2, -1: Fraction(1, 4) - self.b / 2}
+        lam1 = self.a + 1
+        relations = self.qes_relations or (None,) * len(self.set_order)
+        out = []
+        for label, ((bsign, dsign), rel) in enumerate(zip(self.set_order, relations), start=1):
+            b1, d1 = b1s[bsign], d1s[dsign]
+            admissible, reason, n = level_verdict(lam1 - 2 * b1 - 2 * d1)
+            out.append(ResidueAssignment(
+                model_id=self.id, set_label=label,
+                pole_residues={"t=+1": b1, "t=-1": b1, "t=+1/sqrt(m)": d1, "t=-1/sqrt(m)": d1},
+                lambda1=lam1, a0=0, n=n,
+                admissible=admissible, reason=reason,
+                qes_relation=rel,
+                parity=parity_of(n) if admissible else None,
+            ))
+        return out
+
+    def bc_class(self, assignment, parity):
+        cn_exp, _dn = self.prefactor_exponents(assignment.pole_residues)
+        flips = int(2 * to_complex(cn_exp).real) // 2  # cn exponent is 0 or 1
+        flips += 1 if parity == "odd" else 0
+        return "periodic" if flips % 2 == 0 else "antiperiodic"
+
     def prefactor_exponents(self, residues):
         b1 = residues["t=+1"]
         d1 = residues["t=+1/sqrt(m)"]
@@ -628,20 +910,34 @@ class AssociatedLameModel(PotentialModel):
             cn = np.asarray(cn, dtype=float)
             if ce < 0 and np.any(np.abs(cn) < 1e-12):
                 raise SingularPointError("cn prefactor with negative exponent hit a zero")
-            return (cn + 0j) ** ce * dn**de * _poly_eval(coeffs, sn)
+            return (cn + 0j) ** ce * dn**de * poly_eval(coeffs, sn)
 
         return WavefunctionRecipe(
-            model_id=self.id,
-            prefactors=(("cn(x|m)", cn_exp), ("dn(x|m)", dn_exp)),
-            polynomial_variable=self.polynomial_variable,
-            polynomial_coeffs=coeffs,
-            exponential_factor=None,
             form="cn^%s * dn^%s * P%d(sn(x|m))" % (cn_exp, dn_exp, n),
             evaluator=evaluator,
         )
 
 
-class LameModel(AssociatedLameModel):
+class IntegerLameModel(AssociatedLameModel):
+    """Elliptic entry on an integer line a = j ≥ 1 (b = 0, or b = j).
+
+    Its 2j+1 band edges are all algebraic, so the oracle solves at least
+    that many.
+    """
+
+    b_equals_j = False
+
+    def __init__(self, j, m, shift=None):
+        j = _require_int(j, "j")
+        if j < 1:
+            raise ParameterError("%s needs integer j >= 1, got %r" % (self.id, j))
+        self.j = j
+        self.min_band_edges = 2 * j + 1
+        super().__init__(a=j, b=j if self.b_equals_j else 0, m=m, shift=shift)
+        self.params = {"j": j, "m": self.m, "shift": self.shift}
+
+
+class LameModel(IntegerLameModel):
     """Single elliptic family: V = j(j+1)·m·sn² + shift, integer j ≥ 1.
 
     The worked j = 2 entry ships with the additive constant
@@ -649,53 +945,38 @@ class LameModel(AssociatedLameModel):
     """
 
     id = "lame"
-
-    def __init__(self, j, m, shift=None):
-        j = _require_int(j, "j")
-        if j < 1:
-            raise ParameterError("lame needs integer j >= 1, got %r" % j)
-        self._j = j
-        super().__init__(a=j, b=0, m=m, shift=shift)
-        self.params = {"j": j, "m": self.m, "shift": self.shift}
+    summary = "elliptic sn^2 band-edge potential"
+    param_doc = {"j": "integer >= 1 (band family order)",
+                 "m": "rational in (0,1) (elliptic parameter)",
+                 "shift": "rational additive constant (optional)"}
 
     def _default_shift(self):
-        if getattr(self, "_j", None) == 2:
+        if self.j == 2:
             m = self.m
             delta = math.sqrt(float(1 - m + m * m))
             return Fraction(2 * delta) - 2 * m - 2
         return Fraction(0)
 
-    @property
-    def j(self):
-        return self._j
 
-
-class AssociatedLameESModel(AssociatedLameModel):
+class AssociatedLameESModel(IntegerLameModel):
     """Associated family on the exactly-solvable line a = b = j (integer).
 
     The worked j = 1 entry ships with the additive constant 2√(1−m) − m − 2.
     """
 
     id = "assoc_lame_es"
-
-    def __init__(self, j, m, shift=None):
-        j = _require_int(j, "j")
-        if j < 1:
-            raise ParameterError("assoc_lame_es needs integer j >= 1, got %r" % j)
-        self._j = j
-        super().__init__(a=j, b=j, m=m, shift=shift)
-        self.params = {"j": j, "m": self.m, "shift": self.shift}
+    summary = "associated elliptic potential, exactly solvable slice"
+    param_doc = {"j": "integer >= 1 (a = b = j line)",
+                 "m": "rational in (0,1)",
+                 "shift": "rational additive constant (optional)"}
+    b_equals_j = True
 
     def _default_shift(self):
-        if getattr(self, "_j", None) == 1:
+        if self.j == 1:
             m = self.m
             root = math.sqrt(float(1 - m))
             return Fraction(2 * root) - m - 2
         return Fraction(0)
-
-    @property
-    def j(self):
-        return self._j
 
 
 class AssociatedLameQESModel(AssociatedLameModel):
@@ -706,7 +987,14 @@ class AssociatedLameQESModel(AssociatedLameModel):
     """
 
     id = "assoc_lame_qes"
+    summary = "associated elliptic potential, quasi-exact slice"
+    param_doc = {"a": "rational > 0",
+                 "b": "rational",
+                 "m": "rational in (0,1)",
+                 "shift": "rational additive constant (optional)"}
     spectrum_kind = "qes_condition"
+    qes_relations = QES_RELATIONS
+    set_order = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 
     def _default_shift(self):
         a, b, m = self.a, self.b, self.m
@@ -733,12 +1021,22 @@ class KhareMandalModel(PotentialModel):
     """
 
     id = "khare_mandal"
-    bc = "pt_symmetric"
+    summary = "complex PT-symmetric cosh pair"
+    param_doc = {"zeta": "rational > 0 (hyperbolic strength)",
+                 "M": "integer >= 1 (imaginary offset)"}
     spectrum_kind = "pt_group"
     uses_pencil = True
-    admissibility = ("contour_decay", "nonneg_integer_level")
-    variable_map = "t = cosh(2*x)"
-    polynomial_variable = "cosh(2*x)"
+    energy_formula = "levels from the (n+1)-term polynomial identity per set"
+    notes = ("lambda1 = -M/2 pairs with the exponential branch growing on "
+             "the decay contour and is rejected by contour_decay",)
+    qes_relations = ("n = (M - 1)/2", "n = (M - 3)/2", "n = M/2 - 1", "n = M/2 - 1")
+    oracle = "pt"
+    bent_contour = True
+    verify_tol = 1e-3
+    verify_overlap = False
+    # (b1, b1') per residue set, in label order
+    _SETS = ((Fraction(1, 4), Fraction(1, 4)), (Fraction(3, 4), Fraction(3, 4)),
+             (Fraction(3, 4), Fraction(1, 4)), (Fraction(1, 4), Fraction(3, 4)))
 
     def __init__(self, zeta, M):
         super().__init__()
@@ -772,8 +1070,7 @@ class KhareMandalModel(PotentialModel):
         return InfinityExpansion(
             G0=z * z / 4,
             G1=ExactComplex(Fraction(0), -Fraction(M) * z / 2),
-            G2=lambda E: (E - M * M + z * z + 1) / 4 if isinstance(E, (int, Fraction))
-            else (E - M * M + float(z * z) + 1.0) / 4.0,
+            G2=lambda E: (E - M * M + z * z + 1) / 4,
         )
 
     def u_poly(self):
@@ -787,6 +1084,21 @@ class KhareMandalModel(PotentialModel):
         a_poly = P.polyadd(P.polymul(vsq, pi) / 4.0, np.array([0.5, 0.0, 0.25], dtype=complex))
         b_poly = pi.astype(complex) / 4.0
         return a_poly, b_poly
+
+    def assignments(self):
+        lam1 = Fraction(self.M, 2)
+        a0 = ExactComplex(Fraction(0), self.zeta / 2)
+        out = []
+        for label, ((b1, b1p), rel) in enumerate(zip(self._SETS, self.qes_relations), start=1):
+            admissible, reason, n = level_verdict(lam1 - b1 - b1p)
+            out.append(ResidueAssignment(
+                model_id=self.id, set_label=label,
+                pole_residues={"t=+1": b1, "t=-1": b1p},
+                lambda1=lam1, a0=a0, n=n,
+                admissible=admissible, reason=reason,
+                qes_relation=rel,
+            ))
+        return out
 
     def prefactor_exponents(self, residues):
         return (2 * residues["t=+1"] - Fraction(1, 2), 2 * residues["t=-1"] - Fraction(1, 2))
@@ -802,102 +1114,10 @@ class KhareMandalModel(PotentialModel):
             z = np.asarray(xs, dtype=complex)
             t = np.cosh(2 * z)
             return (np.sinh(z) ** ps * np.cosh(z) ** pc
-                    * np.exp(a0 * t) * _poly_eval(coeffs, t))
+                    * np.exp(a0 * t) * poly_eval(coeffs, t))
 
         return WavefunctionRecipe(
-            model_id=self.id,
-            prefactors=(("sinh(x)", p_sinh), ("cosh(x)", p_cosh)),
-            polynomial_variable=self.polynomial_variable,
-            polynomial_coeffs=coeffs,
-            exponential_factor="exp(i*zeta*cosh(2x)/2)",
             form="sinh^%d * cosh^%d * exp(i*zeta*cosh(2x)/2) * P%d(cosh(2x))" % (ps, pc, n),
-            evaluator=evaluator,
-        )
-
-
-# ---------------------------------------------------------------------------
-# complex PT-symmetric Scarf-type well (−A sech² − iB sech·tanh)
-# ---------------------------------------------------------------------------
-
-class ComplexScarfModel(PotentialModel):
-    """PT-symmetric hyperbolic well V(x) = −A·sech²x − iB·sechx·tanhx.
-
-    t = i·sinh(x), u = t²−1.  Fixed poles at t = ±1 with
-    g2 = 3/16 − (A±B)/4; the large-argument expansion has G2 = E + 1/4.
-    For |B| ≤ A + 1/4 the spectrum is real; beyond that threshold the
-    eigenvalues form conjugate pairs.  Prefactor order:
-    (1 − i·sinh x, 1 + i·sinh x).
-    """
-
-    id = "complex_scarf"
-    bc = "pt_symmetric"
-    spectrum_kind = "pt_group"
-    admissibility = ("square_integrable_decay", "nonneg_integer_level")
-    variable_map = "t = i*sinh(x)"
-    polynomial_variable = "i*sinh(x)"
-
-    def __init__(self, A, B):
-        super().__init__()
-        A = _fraction(A, "A")
-        B = _fraction(B, "B")
-        if A <= 0:
-            raise ParameterError("complex_scarf needs A > 0, got %s" % A)
-        self.A, self.B = A, B
-        self.params = {"A": A, "B": B}
-
-    def potential(self, x):
-        z = np.asarray(x, dtype=complex)
-        sech = 1.0 / np.cosh(z)
-        return -float(self.A) * sech**2 - 1j * float(self.B) * sech * np.tanh(z)
-
-    def to_t(self, x):
-        return 1j * np.sinh(np.asarray(x, dtype=complex))
-
-    def x_window(self):
-        return (-16.0, 16.0)
-
-    def fixed_poles(self):
-        return (
-            FixedPole(location=1.0, g2=Fraction(3, 16) - (self.A + self.B) / 4,
-                      prefactor_offset=Fraction(1, 4), label="t=+1"),
-            FixedPole(location=-1.0, g2=Fraction(3, 16) - (self.A - self.B) / 4,
-                      prefactor_offset=Fraction(1, 4), label="t=-1"),
-        )
-
-    def infinity_expansion(self):
-        return InfinityExpansion(G0=Fraction(0), G1=Fraction(0),
-                                 G2=lambda E: E + Fraction(1, 4) if isinstance(E, (int, Fraction))
-                                 else E + 0.25)
-
-    def u_poly(self):
-        return np.array([-1.0, 0.0, 1.0])
-
-    def pi2_g_polys(self):
-        a = np.array([complex(0.5 - float(self.A)), complex(-float(self.B)), complex(0.25)])
-        b = np.array([-1.0 + 0j, 0j, 1.0 + 0j])
-        return a, b
-
-    def prefactor_exponents(self, residues):
-        return (residues["t=+1"] - Fraction(1, 4), residues["t=-1"] - Fraction(1, 4))
-
-    def recipe(self, assignment, coeffs):
-        e_plus, e_minus = self.prefactor_exponents(assignment.pole_residues)
-        ep, em = to_complex(e_plus), to_complex(e_minus)
-        coeffs = tuple(complex(c) for c in coeffs)
-        n = len(coeffs) - 1
-
-        def evaluator(xs):
-            z = np.asarray(xs, dtype=complex)
-            t = 1j * np.sinh(z)
-            return (1.0 - t) ** ep * (1.0 + t) ** em * _poly_eval(coeffs, t)
-
-        return WavefunctionRecipe(
-            model_id=self.id,
-            prefactors=(("1-i*sinh(x)", e_plus), ("1+i*sinh(x)", e_minus)),
-            polynomial_variable=self.polynomial_variable,
-            polynomial_coeffs=coeffs,
-            exponential_factor=None,
-            form="(1-i*sinh)^%s * (1+i*sinh)^%s * P%d(i*sinh(x))" % (e_plus, e_minus, n),
             evaluator=evaluator,
         )
 
@@ -906,42 +1126,14 @@ class ComplexScarfModel(PotentialModel):
 # registry
 # ---------------------------------------------------------------------------
 
-MODEL_IDS = ("hydrogen", "scarf1", "scarf_periodic", "lame",
-             "assoc_lame_es", "assoc_lame_qes", "khare_mandal", "complex_scarf")
+MODEL_CLASSES = {cls.id: cls for cls in (
+    HydrogenModel, ScarfOneModel, ScarfPeriodicModel, LameModel,
+    AssociatedLameESModel, AssociatedLameQESModel, KhareMandalModel,
+    ComplexScarfModel)}
 
-PARAM_SCHEMAS = {
-    "hydrogen": {"e2": "rational > 0 (charge-squared strength)",
-                 "l": "integer >= 0 (angular momentum)"},
-    "scarf1": {"A": "rational > 0 (well depth scale)",
-               "B": "rational (asymmetry strength)",
-               "alpha": "rational > 0 (inverse width; default 1)"},
-    "scarf_periodic": {"s": "rational > 0, s != 1/2 (wall-singularity index)"},
-    "lame": {"j": "integer >= 1 (band family order)",
-             "m": "rational in (0,1) (elliptic parameter)",
-             "shift": "rational additive constant (optional)"},
-    "assoc_lame_es": {"j": "integer >= 1 (a = b = j line)",
-                      "m": "rational in (0,1)",
-                      "shift": "rational additive constant (optional)"},
-    "assoc_lame_qes": {"a": "rational > 0",
-                       "b": "rational",
-                       "m": "rational in (0,1)",
-                       "shift": "rational additive constant (optional)"},
-    "khare_mandal": {"zeta": "rational > 0 (hyperbolic strength)",
-                     "M": "integer >= 1 (imaginary offset)"},
-    "complex_scarf": {"A": "rational > 0 (real well depth)",
-                      "B": "rational (imaginary asymmetry)"},
-}
+MODEL_IDS = tuple(MODEL_CLASSES)
 
-_BUILDERS = {
-    "hydrogen": HydrogenModel,
-    "scarf1": ScarfOneModel,
-    "scarf_periodic": ScarfPeriodicModel,
-    "lame": LameModel,
-    "assoc_lame_es": AssociatedLameESModel,
-    "assoc_lame_qes": AssociatedLameQESModel,
-    "khare_mandal": KhareMandalModel,
-    "complex_scarf": ComplexScarfModel,
-}
+PARAM_SCHEMAS = {mid: cls.param_doc for mid, cls in MODEL_CLASSES.items()}
 
 
 def get_model(model_id, **params):
@@ -950,7 +1142,7 @@ def get_model(model_id, **params):
     Raises UnknownModelError for an unknown id and ParameterError for
     missing/out-of-range parameters.
     """
-    if model_id not in _BUILDERS:
+    if model_id not in MODEL_CLASSES:
         raise UnknownModelError("unknown model id %r; known ids: %s"
                                 % (model_id, ", ".join(MODEL_IDS)))
     schema = PARAM_SCHEMAS[model_id]
@@ -959,7 +1151,7 @@ def get_model(model_id, **params):
         raise ParameterError("unknown parameter(s) %s for model %s (accepted: %s)"
                              % (sorted(unknown), model_id, ", ".join(schema)))
     try:
-        return _BUILDERS[model_id](**params)
+        return MODEL_CLASSES[model_id](**params)
     except TypeError as exc:
         raise ParameterError("missing/invalid parameters for %s: %s" % (model_id, exc)) from exc
 
@@ -970,12 +1162,7 @@ def evaluate_potential(model, x):
     for s in model.singular_points():
         if np.any(np.abs(xs - s) < 1e-12):
             raise SingularPointError("potential %s is singular at x = %r" % (model.id, s))
-    if model.id == "hydrogen" and np.any(np.real(xs) <= 0):
-        raise SingularPointError("radial coordinate must be positive")
-    if model.id == "scarf_periodic":
-        if np.any(np.abs(np.sin(xs)) < 1e-12):
-            raise SingularPointError("potential scarf_periodic is singular at multiples of pi")
-    if model.id == "scarf1":
-        if np.any(np.abs(np.cos(float(model.alpha) * xs)) < 1e-12):
-            raise SingularPointError("potential scarf1 is singular at its box walls")
+    reason = model.singular(xs)
+    if reason:
+        raise SingularPointError(reason)
     return model.potential(x)

@@ -126,13 +126,6 @@ def finite_pole_residues(pole, energy=None):
     return ResidueBranch(values=_quadratic_branch_pair(g2), origin=ORIGIN_FINITE)
 
 
-def _exact_sqrt_or_none(value):
-    root = exact_sqrt(value)
-    if root is not None:
-        return root
-    return None
-
-
 def infinity_residues(expansion, energy=None):
     """Large-argument residue data of χ from the expansion of G.
 
@@ -155,7 +148,7 @@ def infinity_residues(expansion, energy=None):
     pairs = []
     e0 = as_exact(g0)
     e1 = as_exact(g1)
-    a0_exact = _exact_sqrt_or_none(-e0) if e0 is not None else None
+    a0_exact = exact_sqrt(-e0) if e0 is not None else None
     if a0_exact is not None and e1 is not None:
         for a0 in (a0_exact, -a0_exact):
             lam = -e1 / (2 * a0) if isinstance(a0, ExactComplex) else Fraction(-e1, 1) / (2 * a0)

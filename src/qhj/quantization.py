@@ -17,23 +17,20 @@ Scarf, inverse-sin² cell, complex Scarf), quantize() resolves levels exactly
 in rational arithmetic whenever the parameters are rational.  The remaining
 models keep the energy as a pencil unknown and are handed to the
 polynomial-identity solver.
+
+The per-family sets, filters and level formulas live on the catalog classes
+(PotentialModel.assignments and .levels); this module holds the shared
+records and the condition that ties them together.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import NoAdmissibleAssignmentError, ParameterError
-from .exactmath import ExactComplex, sqrt_fraction, to_complex
-from .qmf_residues import finite_pole_residues, infinity_residues
-
-KIND_ES = "es_spectrum"
-KIND_QES = "qes_condition"
-KIND_BAND = "band_edge_group"
-KIND_PT = "pt_group"
+from .exactmath import to_complex
 
 
 @dataclass(frozen=True)
@@ -98,301 +95,35 @@ def _int_or_none(value):
     return int(round(f.real))
 
 
-def _parity_of(n):
+def parity_of(n):
     return "even" if n % 2 == 0 else "odd"
 
 
-# ---------------------------------------------------------------------------
-# per-model enumerations
-# ---------------------------------------------------------------------------
+def level_verdict(n_val):
+    """(admissible, reason, n) for a residue set whose sum rule gives n = n_val.
 
-def _enumerate_hydrogen(model, energy=None):
-    pole = model.fixed_poles()[0]
-    branch = finite_pole_residues(pole)
-    out = []
-    for label, b1 in enumerate(branch.values, start=1):
-        admissible = b1 > 0
-        out.append(ResidueAssignment(
-            model_id=model.id, set_label=label,
-            pole_residues={"t=0": b1},
-            lambda1=None, a0=None, n=None,
-            admissible=admissible,
-            reason=None if admissible else "origin_exponent_nonpositive",
-        ))
-    return out
-
-
-def _levels_hydrogen(model, levels):
-    e2, l = model.e2, model.l
-    out = []
-    for n in range(levels):
-        lam = Fraction(n + l + 1)
-        a0 = -e2 / (2 * lam)
-        energy = model.kappa2 - e2 * e2 / (4 * lam * lam)
-        out.append(ResidueAssignment(
-            model_id=model.id, set_label=1,
-            pole_residues={"t=0": Fraction(l + 1)},
-            lambda1=lam, a0=a0, n=n, admissible=True,
-            energy=energy, level_resolved=True,
-        ))
-    return out
-
-
-def _enumerate_scarf1(model, energy=None):
-    poles = {p.label: finite_pole_residues(p) for p in model.fixed_poles()}
-    out = []
-    label = 0
-    for bp in poles["t=+1"].values:
-        for bm in poles["t=-1"].values:
-            label += 1
-            exps = model.prefactor_exponents({"t=+1": bp, "t=-1": bm})
-            bad = [e for e in exps if not (to_complex(e).real > 0)]
-            admissible = not bad
-            out.append(ResidueAssignment(
-                model_id=model.id, set_label=label,
-                pole_residues={"t=+1": bp, "t=-1": bm},
-                lambda1=None, a0=0, n=None,
-                admissible=admissible,
-                reason=None if admissible else "wall_exponent_nonpositive",
-            ))
-    return out
-
-
-def _levels_scarf1(model, levels):
-    chosen = [a for a in _enumerate_scarf1(model) if a.admissible]
-    out = []
-    for a in chosen:
-        s_sum = a.pole_residues["t=+1"] + a.pole_residues["t=-1"]
-        for n in range(levels):
-            lam = s_sum + n
-            root = model.alpha * (lam - Fraction(1, 2))     # = sqrt(E + A²)
-            energy = root * root - model.A * model.A
-            out.append(replace(a, lambda1=lam, n=n, energy=energy,
-                               level_resolved=True))
-    return out
-
-
-_SCARF_PERIODIC_SETS = (
-    # (b-branch sign: -1 means b = (1−λ)/2, +1 means (1+λ)/2;  d1 choice sign)
-    (1, -1, -1),
-    (2, -1, +1),
-    (3, +1, -1),
-    (4, +1, +1),
-)
-
-
-def _enumerate_scarf_periodic(model, energy=None):
-    s = model.s
-    bound = model.bound_phase
-    out = []
-    for label, bsign, dsign in _SCARF_PERIODIC_SETS:
-        d1 = Fraction(1, 2) + dsign * s
-        admissible, reason = True, None
-        # level formula: λ = n + 1 − d1 for the (1−λ)/2 branch,
-        #                λ = d1 − 1 − n for the (1+λ)/2 branch
-        if bsign > 0:
-            lam0 = d1 - 1                  # λ at n = 0, decreasing with n
-            if not lam0 > 0:
-                admissible, reason = False, "negative_energy_root"
-            elif not d1 < 1:
-                admissible, reason = False, "cell_wall_divergence"
-        else:
-            if not d1 < 1:
-                admissible, reason = False, "cell_wall_divergence"
-        if admissible and bound and dsign > 0:
-            admissible, reason = False, "cell_wall_divergence"
-        residues = {}
-        if energy is not None:
-            lam = math.sqrt(to_complex(energy).real)
-            b = (1 + bsign * lam) / 2
-            residues = {"t=+i": b, "t=-i": b}
-        out.append(ResidueAssignment(
-            model_id=model.id, set_label=label,
-            pole_residues=residues,
-            lambda1=d1, a0=0, n=None,
-            admissible=admissible, reason=reason,
-        ))
-    return out
-
-
-def _levels_scarf_periodic(model, levels):
-    s = model.s
-    out = []
-    for a in _enumerate_scarf_periodic(model):
-        if not a.admissible:
-            continue
-        d1 = a.lambda1
-        for n in range(levels):
-            lam = n + 1 - d1
-            if lam < 0:
-                continue
-            b = (1 - lam) / 2
-            energy = lam * lam
-            out.append(replace(
-                a,
-                pole_residues={"t=+i": b, "t=-i": b},
-                n=n, energy=energy, parity=_parity_of(n),
-                level_resolved=True,
-            ))
-    return out
-
-
-def _elliptic_set_table(model):
-    """Ordered (label, b1, d1) residue sets for the sn-mapped families."""
-    b_plus, b_minus = Fraction(3, 4), Fraction(1, 4)
-    d_plus = Fraction(3, 4) + model.b / 2
-    d_minus = Fraction(1, 4) - model.b / 2
-    mid = model.id
-    if mid == "lame":
-        order = [(b_minus, d_minus), (b_plus, d_minus), (b_minus, d_plus), (b_plus, d_plus)]
-        relations = [None] * 4
-    elif mid == "assoc_lame_es":
-        order = [(b_minus, d_minus), (b_plus, d_minus), (b_minus, d_plus), (b_plus, d_plus)]
-        relations = [None] * 4
-    else:
-        order = [(b_plus, d_plus), (b_plus, d_minus), (b_minus, d_plus), (b_minus, d_minus)]
-        relations = QES_RELATIONS
-    return [(i + 1, b1, d1, rel) for i, ((b1, d1), rel) in enumerate(zip(order, relations))]
+    The level count must be a nonnegative integer; a rejected set keeps
+    n_val (non-integer) or the negative integer as its n.
+    """
+    n_int = _int_or_none(n_val)
+    if n_int is None:
+        return False, "non_integer_level", n_val
+    if n_int < 0:
+        return False, "negative_level", n_int
+    return True, None, n_int
 
 
 QES_RELATIONS = ("b - a = -n - 2", "a + b + 1 = n + 2", "b - a = -n - 1", "a + b = n")
 
 
-def _enumerate_elliptic(model, energy=None):
-    lam1 = model.a + 1
-    out = []
-    for label, b1, d1, rel in _elliptic_set_table(model):
-        n_val = lam1 - 2 * b1 - 2 * d1
-        n_int = _int_or_none(n_val)
-        if n_int is None:
-            admissible, reason, n_norm = False, "non_integer_level", n_val
-        elif n_int < 0:
-            admissible, reason, n_norm = False, "negative_level", n_int
-        else:
-            admissible, reason, n_norm = True, None, n_int
-        inv = "t=+1/sqrt(m)"
-        out.append(ResidueAssignment(
-            model_id=model.id, set_label=label,
-            pole_residues={"t=+1": b1, "t=-1": b1, inv: d1, "t=-1/sqrt(m)": d1},
-            lambda1=lam1, a0=0, n=n_norm,
-            admissible=admissible, reason=reason,
-            qes_relation=rel,
-            parity=_parity_of(n_int) if admissible else None,
-        ))
-    return out
-
-
-def _enumerate_khare_mandal(model, energy=None):
-    M, zeta = model.M, model.zeta
-    lam1 = Fraction(M, 2)
-    a0 = ExactComplex(Fraction(0), zeta / 2)
-    combos = [
-        (1, Fraction(1, 4), Fraction(1, 4), "n = (M - 1)/2"),
-        (2, Fraction(3, 4), Fraction(3, 4), "n = (M - 3)/2"),
-        (3, Fraction(3, 4), Fraction(1, 4), "n = M/2 - 1"),
-        (4, Fraction(1, 4), Fraction(3, 4), "n = M/2 - 1"),
-    ]
-    out = []
-    for label, b1, b1p, rel in combos:
-        n_val = lam1 - b1 - b1p
-        n_int = _int_or_none(n_val)
-        if n_int is None:
-            admissible, reason, n_norm = False, "non_integer_level", n_val
-        elif n_int < 0:
-            admissible, reason, n_norm = False, "negative_level", n_int
-        else:
-            admissible, reason, n_norm = True, None, n_int
-        out.append(ResidueAssignment(
-            model_id=model.id, set_label=label,
-            pole_residues={"t=+1": b1, "t=-1": b1p},
-            lambda1=lam1, a0=a0, n=n_norm,
-            admissible=admissible, reason=reason,
-            qes_relation=rel,
-        ))
-    return out
-
-
-def _enumerate_complex_scarf(model, energy=None):
-    poles = {p.label: finite_pole_residues(p) for p in model.fixed_poles()}
-    out = []
-    label = 0
-    for bp in poles["t=+1"].values:
-        for bm in poles["t=-1"].values:
-            label += 1
-            decay = Fraction(1, 2) - bp - bm      # −(S − 1/2); need Re > n ≥ 0
-            max_n = to_complex(decay).real
-            admissible = max_n > 0
-            out.append(ResidueAssignment(
-                model_id=model.id, set_label=label,
-                pole_residues={"t=+1": bp, "t=-1": bm},
-                lambda1=None, a0=0, n=None,
-                admissible=admissible,
-                reason=None if admissible else "not_square_integrable",
-            ))
-    return out
-
-
-def _levels_complex_scarf(model, levels):
-    out = []
-    for a in _enumerate_complex_scarf(model):
-        if not a.admissible:
-            continue
-        s_sum = a.pole_residues["t=+1"] + a.pole_residues["t=-1"]
-        limit = to_complex(Fraction(1, 2) - s_sum).real
-        for n in range(levels):
-            if not n < limit:        # strict square-integrability cut
-                break
-            shifted = s_sum + n - Fraction(1, 2)
-            energy = -(to_complex(shifted) ** 2)
-            if abs(energy.imag) < 1e-13 * max(1.0, abs(energy.real)):
-                energy = energy.real
-            out.append(replace(a, lambda1=s_sum + n, n=n, energy=energy,
-                               level_resolved=True))
-    return out
-
-
-_ENUMERATORS = {
-    "hydrogen": _enumerate_hydrogen,
-    "scarf1": _enumerate_scarf1,
-    "scarf_periodic": _enumerate_scarf_periodic,
-    "lame": _enumerate_elliptic,
-    "assoc_lame_es": _enumerate_elliptic,
-    "assoc_lame_qes": _enumerate_elliptic,
-    "khare_mandal": _enumerate_khare_mandal,
-    "complex_scarf": _enumerate_complex_scarf,
-}
-
-_LEVEL_EXPANDERS = {
-    "hydrogen": _levels_hydrogen,
-    "scarf1": _levels_scarf1,
-    "scarf_periodic": _levels_scarf_periodic,
-    "complex_scarf": _levels_complex_scarf,
-}
-
-_FORMULAS = {
-    "hydrogen": "E_n = e2^2/(4(l+1)^2) - e2^2/(4(n+l+1)^2)",
-    "scarf1": "E_n = alpha^2*(b1 + b1' + n - 1/2)^2 - A^2",
-    "scarf_periodic": "E_n = (n + 1/2 +/- s)^2",
-    "lame": "band edges from the (n+1)-term polynomial identity per set",
-    "assoc_lame_es": "band edges from the (n+1)-term polynomial identity per set",
-    "assoc_lame_qes": "band edges from the (n+1)-term polynomial identity per set",
-    "khare_mandal": "levels from the (n+1)-term polynomial identity per set",
-    "complex_scarf": "E_n = -(b1 + b1' + n - 1/2)^2",
-}
-
-
-def enumerate_assignments(model, energy=None):
+def enumerate_assignments(model):
     """All candidate residue sets for a model, each with an admissibility verdict.
 
     Paired poles (elliptic families, the inverse-sin² cell) share one branch
     per pair; mixed choices violate the parity constraint and are excluded
-    structurally.  energy optionally resolves energy-dependent residues.
+    structurally.  The sets themselves come from the model's catalog class.
     """
-    try:
-        enum = _ENUMERATORS[model.id]
-    except KeyError:
-        raise ParameterError("no enumeration for model %r" % (model.id,))
-    return enum(model, energy=energy)
+    return model.assignments()
 
 
 def quantize(model, levels=4):
@@ -410,32 +141,13 @@ def quantize(model, levels=4):
             "no admissible residue assignment for %s with params %s: %s"
             % (model.id, model.describe_params(),
                "; ".join("set %d: %s" % (a.set_label, a.reason) for a in assignments)))
-
-    kind = model.spectrum_kind
-    expander = _LEVEL_EXPANDERS.get(model.id)
-    level_rows = expander(model, levels) if expander else []
-
-    notes = ()
-    if model.id in ("lame", "assoc_lame_es", "assoc_lame_qes"):
-        notes = ("the mirror branch lambda1 = -a reproduces the same spectra "
-                 "under a -> -a-1, b -> -b-1 and is not enumerated separately",)
-    if model.id == "khare_mandal":
-        notes = ("lambda1 = -M/2 pairs with the exponential branch growing on "
-                 "the decay contour and is rejected by contour_decay",)
-
-    qes_rel = None
-    if model.id == "assoc_lame_qes":
-        qes_rel = QES_RELATIONS
-    elif model.id == "khare_mandal":
-        qes_rel = tuple(a.qes_relation for a in assignments)
-
     return QuantizationOutcome(
-        kind=kind,
+        kind=model.spectrum_kind,
         assignments=assignments,
-        levels=level_rows,
-        energy_formula=_FORMULAS.get(model.id),
-        qes_relations=qes_rel,
-        notes=notes,
+        levels=model.levels(assignments, levels),
+        energy_formula=model.energy_formula,
+        qes_relations=model.qes_relations,
+        notes=model.notes,
     )
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.linalg import eig, eigh, eigh_tridiagonal
@@ -39,6 +39,17 @@ def _workers():
         return max(1, int(os.environ.get("QHJ_NUM_THREADS", "2")))
     except ValueError:
         return 2
+
+
+def _pooled(*calls):
+    """Results of calls (fn, arg, ...) run on the oracle's thread pool.
+
+    All calls are submitted in order before the first result is read, so
+    coarse and fine solves of one operator run side by side.
+    """
+    with ThreadPoolExecutor(max_workers=_workers()) as pool:
+        futures = [pool.submit(*call) for call in calls]
+        return [f.result() for f in futures]
 
 
 @dataclass(frozen=True)
@@ -141,11 +152,8 @@ def solve_bound(model, k, points=2400, tol=None):
     lo, hi = model.x_window()
     coarse = GridSpec(lo, hi, points, "dirichlet")
     fine = GridSpec(lo, hi, 2 * points, "dirichlet")
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        f_coarse = pool.submit(_dirichlet_lowest, model, coarse, k)
-        f_fine = pool.submit(_dirichlet_lowest, model, fine, k)
-        _, vals_c, _ = f_coarse.result()
-        xs, vals_f, vecs = f_fine.result()
+    (_, vals_c, _), (xs, vals_f, vecs) = _pooled(
+        (_dirichlet_lowest, model, coarse, k), (_dirichlet_lowest, model, fine, k))
     extr, est = _richardson(vals_c, vals_f)
     if tol is not None and np.any(est > tol):
         raise GridTooCoarseError(
@@ -195,23 +203,17 @@ def solve_band_edges(model, k=6, points=480, tol=None, emax=None):
     """
     lo, hi = model.x_window()
     keep = k + 2 if emax is None else max(k + 2, 40)
-    jobs = []
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        # wrap-around coupling keeps the off-diagonal sign for periodic
-        # closure and flips it for the antiperiodic one
-        for sign, tag in ((+1.0, "periodic"), (-1.0, "antiperiodic")):
-            gc = GridSpec(lo, hi, points, tag)
-            gf = GridSpec(lo, hi, 2 * points, tag)
-            jobs.append((tag,
-                         pool.submit(_cell_lowest, model, gc, keep, sign),
-                         pool.submit(_cell_lowest, model, gf, keep, sign)))
-        merged = []
-        for tag, fc, ff in jobs:
-            _, vals_c, _ = fc.result()
-            xs, vals_f, vecs = ff.result()
-            extr, est = _richardson(vals_c, vals_f)
-            for i, (e, err) in enumerate(zip(extr, est)):
-                merged.append((float(e), tag, vecs[:, i], float(err)))
+    # wrap-around coupling keeps the off-diagonal sign for periodic
+    # closure and flips it for the antiperiodic one
+    closures = ((+1.0, "periodic"), (-1.0, "antiperiodic"))
+    results = _pooled(*[(_cell_lowest, model, GridSpec(lo, hi, npts, tag), keep, sign)
+                        for sign, tag in closures for npts in (points, 2 * points)])
+    merged = []
+    for (_, tag), (_, vals_c, _), (xs, vals_f, vecs) in zip(
+            closures, results[0::2], results[1::2]):
+        extr, est = _richardson(vals_c, vals_f)
+        for i, (e, err) in enumerate(zip(extr, est)):
+            merged.append((float(e), tag, vecs[:, i], float(err)))
     merged.sort(key=lambda item: item[0])
     cut = min(k, len(merged))
     if emax is not None:
@@ -267,23 +269,16 @@ def solve_inverse_square_cell(model, k=4, points=1600, tol=None):
     channels = [(0.5 + s, "exponent_plus")]
     if s < 0.5:
         channels.append((0.5 - s, "exponent_minus"))
+    results = _pooled(*[(_weighted_channel, model, GridSpec(0.0, np.pi, npts, tag), k + 1, mu)
+                        for mu, tag in channels for npts in (points, 2 * points)])
     merged = []
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        jobs = []
-        for mu, tag in channels:
-            gc = GridSpec(0.0, np.pi, points, tag)
-            gf = GridSpec(0.0, np.pi, 2 * points, tag)
-            jobs.append((mu, tag,
-                         pool.submit(_weighted_channel, model, gc, k + 1, mu),
-                         pool.submit(_weighted_channel, model, gf, k + 1, mu)))
-        for mu, tag, fc, ff in jobs:
-            _, vals_c, _ = fc.result()
-            xs, vals_f, vecs = ff.result()
-            extr, est = _richardson(vals_c, vals_f)
-            for i, (e, err) in enumerate(zip(extr, est)):
-                merged.append((float(e), tag, np.interp(
-                    np.linspace(0.0, np.pi, 1201)[1:-1], xs, vecs[:, i]),
-                    float(err)))
+    for (_, tag), (_, vals_c, _), (xs, vals_f, vecs) in zip(
+            channels, results[0::2], results[1::2]):
+        extr, est = _richardson(vals_c, vals_f)
+        for i, (e, err) in enumerate(zip(extr, est)):
+            merged.append((float(e), tag, np.interp(
+                np.linspace(0.0, np.pi, 1201)[1:-1], xs, vecs[:, i]),
+                float(err)))
     merged.sort(key=lambda item: item[0])
     merged = merged[:2 * k if len(channels) == 2 else k]
     if tol is not None and any(item[3] > tol for item in merged):
@@ -350,7 +345,7 @@ def solve_pt(model, points=640, max_real=40.0, stability_tol=5e-3):
     contour are reported against the contour parameter.
     """
     lo, hi = model.x_window()
-    bent = model.id == "khare_mandal"
+    bent = model.bent_contour
 
     def solve_at(npts):
         grid = GridSpec(lo, hi, npts, "contour" if bent else "dirichlet")
@@ -362,11 +357,8 @@ def solve_pt(model, points=640, max_real=40.0, stability_tol=5e-3):
         vals, vecs = _complex_eigs(mat)
         return xs, xcurve, vals, vecs
 
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        fut_c = pool.submit(solve_at, points // 2)
-        fut_f = pool.submit(solve_at, points)
-        _, _, vals_c, _ = fut_c.result()
-        xs, xcurve, vals_f, vecs_f = fut_f.result()
+    (_, _, vals_c, _), (xs, xcurve, vals_f, vecs_f) = _pooled(
+        (solve_at, points // 2), (solve_at, points))
 
     kept = []
     for i, v in enumerate(vals_f):
@@ -389,12 +381,11 @@ def solve_pt(model, points=640, max_real=40.0, stability_tol=5e-3):
 
 
 def solve_oracle(model, k=4, **kwargs):
-    """Dispatch to the solver matching the model's spectral character."""
-    if model.id in ("khare_mandal", "complex_scarf"):
+    """Dispatch to the solver the model declares (model.oracle)."""
+    if model.oracle == "pt":
         return solve_pt(model, **kwargs)
-    if model.id == "scarf_periodic":
+    if model.oracle == "inverse_square_cell":
         return solve_inverse_square_cell(model, k=k, **kwargs)
-    if model.id in ("lame", "assoc_lame_es", "assoc_lame_qes"):
-        return solve_band_edges(model, k=max(k, 2 * getattr(model, "_j", 2) + 1),
-                                **kwargs)
+    if model.oracle == "band_edges":
+        return solve_band_edges(model, k=max(k, model.min_band_edges), **kwargs)
     return solve_bound(model, k=k, **kwargs)

@@ -5,17 +5,20 @@ polynomial × exponential); this module evaluates it on grids, normalizes,
 locates zeros, and scores it against an oracle eigenvector.  Scores are
 scale-free: overlap of unit vectors and sup-normalized modulus deviation,
 so any nonzero rescaling of either side gives the identical report.
+verify() runs both routes for one model and scores every solved level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InvalidStateError
-from .schrodinger_oracle import OracleSpectrum, count_nodes
+from .exactmath import to_complex
+from .polynomial_system import BandEdgeSolution, solve_spectrum
+from .schrodinger_oracle import OracleSpectrum, count_nodes, solve_oracle
 
 SUP_NORM_ONE = "sup_norm_one"
 L2_ONE = "l2_one"
@@ -161,6 +164,80 @@ def verify_against_oracle(recipe, oracle: OracleSpectrum, level,
         overlap_ok=ov >= 1.0 - overlap_tol,
         modulus_ok=mod_dev <= modulus_tol,
         nodes_ok=nodes_ok)
+
+
+@dataclass
+class LevelCheck:
+    """One solved level against its nearest compatible oracle level."""
+
+    solution: BandEdgeSolution
+    oracle_index: int
+    oracle_energy: complex
+    gap: float                     # |E_residue − E_oracle|
+    report: Optional[WavefunctionReport]   # None when the model skips overlap
+    passed: bool
+
+
+@dataclass
+class Verification:
+    """verify() outcome: the energy tolerance used and one check per level."""
+
+    tol: float
+    checks: List[LevelCheck]
+
+    @property
+    def passed(self):
+        return all(c.passed for c in self.checks)
+
+
+def _oracle_candidates(solution, oracle):
+    """Candidate oracle levels compatible with the solution's channel tag."""
+    if solution.bc_class and any(t != "dirichlet" for t in oracle.bc_tags):
+        idx = [i for i, t in enumerate(oracle.bc_tags) if t == solution.bc_class]
+        if idx:
+            return idx
+    return list(range(len(oracle.eigenvalues)))
+
+
+def verify(model, levels=4, tol=None):
+    """Solve a model by residues and on the grid, and score each level.
+
+    Each solved energy is paired with the nearest oracle level of the same
+    channel and passes when the gap is within tol (default model.verify_tol)
+    and, unless model.verify_overlap is false, its eigenfunction matches the
+    oracle vector (overlap and node count).
+    """
+    result = solve_spectrum(model, levels=levels)
+    tol = model.verify_tol if tol is None else tol
+    oracle_kwargs = {}
+    if model.oracle == "band_edges":
+        # the algebraic edges can be a sparse subset: keep all edges up to them
+        tops = [to_complex(s.energy).real for s in result.solutions]
+        oracle_kwargs["emax"] = (max(tops) if tops else 0.0) + 0.5
+    oracle = solve_oracle(model, k=len(result.solutions) + 2, **oracle_kwargs)
+    checks = []
+    for sol in result.solutions:
+        e = to_complex(sol.energy)
+        cands = _oracle_candidates(sol, oracle)
+        gaps = [abs(complex(oracle.eigenvalues[i]) - e) for i in cands]
+        pick = cands[int(np.argmin(gaps))]
+        gap = min(gaps)
+        passed = gap <= tol
+        report = None
+        if model.verify_overlap:
+            cluster = [i for i in cands
+                       if abs(complex(oracle.eigenvalues[i])
+                              - complex(oracle.eigenvalues[pick]))
+                       <= 1e-6 * (1.0 + abs(e))]
+            report = verify_against_oracle(
+                sol.recipe, oracle, pick, cluster_levels=cluster,
+                overlap_tol=1e-3, modulus_tol=5e-2,
+                check_nodes=oracle.node_counts is not None)
+            passed = passed and report.overlap_ok and report.nodes_ok
+        checks.append(LevelCheck(solution=sol, oracle_index=pick,
+                                 oracle_energy=complex(oracle.eigenvalues[pick]),
+                                 gap=gap, report=report, passed=passed))
+    return Verification(tol=tol, checks=checks)
 
 
 def parity_deviation(recipe, center, half_width, parity, samples=201):

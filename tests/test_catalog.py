@@ -6,8 +6,10 @@ transformed coefficient function G.  These tests recompute everything from
 the raw potential callable and finite differences, with no residue code.
 """
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,3 +215,64 @@ class TestStructuralSymmetries:
             K = elliptic_K(float(m))
             assert model.potential(K) == pytest.approx(j * (j + 1) * float(m),
                                                        abs=1e-10)
+
+
+def _id_branches(tree):
+    """Lines that branch on a model id: compare it, index by it, or copy it."""
+    def is_id(node):
+        return isinstance(node, ast.Attribute) and node.attr in ("id", "model_id")
+
+    copies = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and is_id(node.value):
+            copies.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    hits = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and is_id(node.value):
+            hits.add(node.lineno)
+        elif isinstance(node, ast.Compare):
+            operands = [node.left] + node.comparators
+            if any(is_id(o) or (isinstance(o, ast.Name) and o.id in copies)
+                   for o in operands):
+                hits.add(node.lineno)
+        elif isinstance(node, ast.Subscript) and is_id(node.slice):
+            hits.add(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and node.args and is_id(node.args[0])):
+            hits.add(node.lineno)
+    return sorted(hits)
+
+
+def test_only_the_catalog_branches_on_model_ids():
+    # per-family behaviour lives on the catalog classes; everything else
+    # reads their attributes, so a new family touches one module
+    package = Path(__file__).resolve().parents[1] / "src" / "qhj"
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name == "potential_catalog.py":
+            continue
+        hits = _id_branches(ast.parse(path.read_text(encoding="utf-8")))
+        if hits:
+            found[path.name] = hits
+    assert found == {}
+
+
+def test_id_guard_sees_each_branch_form():
+    code = ("if model.id == 'lame': pass\n"
+            "if model.id in ('a', 'b'): pass\n"
+            "mid = model.id\n"
+            "if mid == 'x': pass\n"
+            "tol = TABLE[model.id]\n"
+            "f = TABLE.get(model.id)\n"
+            "print(model.id)\n")
+    assert _id_branches(ast.parse(code)) == [1, 2, 3, 4, 5, 6]
+
+
+class TestRegistry:
+    def test_ids_and_schemas_come_from_the_classes_in_catalog_order(self):
+        assert MODEL_IDS == ("hydrogen", "scarf1", "scarf_periodic", "lame",
+                             "assoc_lame_es", "assoc_lame_qes", "khare_mandal",
+                             "complex_scarf")
+        assert list(PARAM_SCHEMAS) == list(MODEL_IDS)
+        assert list(PARAM_SCHEMAS["lame"]) == ["j", "m", "shift"]
+        assert list(PARAM_SCHEMAS["scarf1"]) == ["A", "B", "alpha"]

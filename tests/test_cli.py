@@ -3,12 +3,14 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from qhj.cli import (EXIT_NO_ASSIGNMENT, EXIT_OK, EXIT_USAGE,
                      EXIT_VERIFY_FAILED, main)
-from qhj.potential_catalog import MODEL_IDS
+from qhj.polynomial_system import solve_spectrum
+from qhj.potential_catalog import MODEL_IDS, get_model
 
 
 def run_cli(capsys, *argv):
@@ -133,6 +135,76 @@ class TestVerify:
         lines = [ln for ln in out.splitlines() if ln.endswith("PASS")]
         assert len(lines) == 3
         assert "FAIL" not in out
+
+    # band edges up to emax, the weighted-channel oracle, and energy-only
+    # scoring on the bent contour
+    @pytest.mark.parametrize("mid,params", [
+        ("lame", {"j": "2", "m": "1/2"}),
+        ("scarf_periodic", {"s": "3/10"}),
+        ("khare_mandal", {"zeta": "1/4", "M": "3"}),
+    ])
+    def test_family_passes_with_one_line_per_level(self, capsys, mid, params):
+        argv = ["verify", mid]
+        for name, value in params.items():
+            argv += ["--param", "%s=%s" % (name, value)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        solved = solve_spectrum(get_model(mid, **{
+            k: Fraction(v) for k, v in params.items()})).solutions
+        lines = out.splitlines()
+        assert len(lines) == len(solved) + 1
+        assert all(ln.endswith(" PASS") for ln in lines[:-1])
+        assert lines[-1] == "verification PASSED for %s" % mid
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    return str(path)
+
+
+class TestUsageErrors:
+    HYDROGEN = ("hydrogen", "--param", "e2=2", "--param", "l=0")
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "wavefunction"])
+    @pytest.mark.parametrize("levels", ["0", "-2"])
+    def test_levels_below_one_are_refused(self, capsys, command, levels):
+        code, out, err = run_cli(capsys, command, *self.HYDROGEN,
+                                 "--levels", levels)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and "levels" in err
+        assert "PASSED" not in out
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "wavefunction"])
+    def test_config_levels_below_one_are_refused(self, capsys, tmp_path, command):
+        cfg = _write(tmp_path, json.dumps(
+            {"model": "hydrogen", "params": {"e2": 2, "l": 0}, "levels": 0}))
+        code, out, err = run_cli(capsys, command, "--config", cfg)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and "levels" in err
+
+    @pytest.mark.parametrize("case", [
+        "missing_config", "invalid_json", "array_config", "params_not_object",
+        "non_integer_levels", "zero_samples", "negative_samples"])
+    def test_bad_input_is_an_error_line_not_a_traceback(self, capsys, tmp_path, case):
+        texts = {
+            "invalid_json": "{\"model\": ",
+            "array_config": "[1, 2]",
+            "params_not_object": '{"model": "hydrogen", "params": [1]}',
+            "non_integer_levels": json.dumps(
+                {"model": "hydrogen", "params": {"e2": 2, "l": 0}, "levels": "x"}),
+        }
+        if case in texts:
+            argv = ["solve", "--config", _write(tmp_path, texts[case])]
+        elif case == "missing_config":
+            argv = ["solve", "--config", str(tmp_path / "absent.json")]
+        else:
+            samples = "0" if case == "zero_samples" else "-4"
+            argv = ["wavefunction", *self.HYDROGEN, "--samples", samples]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert out == ""
 
 
 class TestWavefunction:

@@ -12,7 +12,7 @@ from qhj.polynomial_system import solve_spectrum
 from qhj.schrodinger_oracle import solve_band_edges, solve_bound
 from qhj.wavefunction_assembly import (L2_ONE, SUP_NORM_ONE, assemble,
                                        overlap, parity_deviation,
-                                       subspace_overlap,
+                                       subspace_overlap, verify,
                                        verify_against_oracle)
 
 HALF = Fraction(1, 2)
@@ -134,3 +134,21 @@ class TestParity:
         expected = ["even", "odd", "even", "odd", "even"]
         for sol, par in zip(spectrum.solutions, expected):
             assert parity_deviation(sol.recipe, center, 1.0, par) < 1e-10
+
+
+class TestVerify:
+    def test_records_one_scored_check_per_solved_level(self):
+        model = get_model("hydrogen", e2=2, l=0)
+        outcome = verify(model, levels=3)
+        assert outcome.passed and outcome.tol == model.verify_tol
+        assert [c.oracle_index for c in outcome.checks] == [0, 1, 2]
+        for check in outcome.checks:
+            assert check.passed and check.gap <= outcome.tol
+            assert check.report.overlap >= 1 - 1e-3
+            assert check.oracle_energy == pytest.approx(
+                float(check.solution.energy), abs=outcome.tol)
+
+    def test_tolerance_override_fails_every_level(self):
+        outcome = verify(get_model("hydrogen", e2=2, l=0), levels=2, tol=1e-14)
+        assert not outcome.passed
+        assert not any(c.passed for c in outcome.checks)
