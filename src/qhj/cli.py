@@ -254,12 +254,10 @@ def _cmd_verify(args, stream):
     outcome = verify(model, levels=_levels(args), tol=args.tol)
     for check in outcome.checks:
         e = to_complex(check.solution.energy)
-        detail = ""
-        if check.report is not None:
-            detail = " overlap=%.8f" % check.report.overlap
-            if check.report.predicted_nodes is not None:
-                detail += " nodes=%d/%d" % (check.report.predicted_nodes,
-                                            check.report.oracle_nodes)
+        detail = " overlap=%.8f" % check.report.overlap
+        if check.report.predicted_nodes is not None:
+            detail += " nodes=%d/%d" % (check.report.predicted_nodes,
+                                        check.report.oracle_nodes)
         print("set=%s n=%d E=%.10g%+.10gj oracle=%.10g%+.10gj |dE|=%.3e tol=%.1e%s %s"
               % (check.solution.assignment.set_label, int(check.solution.assignment.n),
                  e.real, e.imag, check.oracle_energy.real, check.oracle_energy.imag,

@@ -112,7 +112,6 @@ class PotentialModel:
     oracle = "bound"               # bound | band_edges | inverse_square_cell | pt
     bent_contour = False           # pt oracle: eigenfunctions decay only off the real axis
     verify_tol = 2e-4              # default energy tolerance of verify()
-    verify_overlap = True          # verify() also scores the eigenfunction
 
     def __init__(self):
         self.params: Dict[str, object] = {}
@@ -1033,7 +1032,6 @@ class KhareMandalModel(PotentialModel):
     oracle = "pt"
     bent_contour = True
     verify_tol = 1e-3
-    verify_overlap = False
     # (b1, b1') per residue set, in label order
     _SETS = ((Fraction(1, 4), Fraction(1, 4)), (Fraction(3, 4), Fraction(3, 4)),
              (Fraction(3, 4), Fraction(1, 4)), (Fraction(1, 4), Fraction(3, 4)))

@@ -21,8 +21,6 @@ Techniques, chosen per boundary behaviour:
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -32,24 +30,6 @@ from scipy.linalg import eig, eigh, eigh_tridiagonal
 from .errors import GridTooCoarseError, ParameterError
 
 _MIN_POINTS = 64
-
-
-def _workers():
-    try:
-        return max(1, int(os.environ.get("QHJ_NUM_THREADS", "2")))
-    except ValueError:
-        return 2
-
-
-def _pooled(*calls):
-    """Results of calls (fn, arg, ...) run on the oracle's thread pool.
-
-    All calls are submitted in order before the first result is read, so
-    coarse and fine solves of one operator run side by side.
-    """
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        futures = [pool.submit(*call) for call in calls]
-        return [f.result() for f in futures]
 
 
 @dataclass(frozen=True)
@@ -124,23 +104,47 @@ def count_nodes(values, rel_floor=1e-10):
     return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
 
 
-def _richardson(coarse, fine):
-    coarse = np.asarray(coarse, dtype=float)
-    fine = np.asarray(fine, dtype=float)
-    k = min(len(coarse), len(fine))
-    extr = (4.0 * fine[:k] - coarse[:k]) / 3.0
-    est = np.abs(fine[:k] - coarse[:k]) / 3.0
-    return extr, est
+def _two_grid(solve, lo, hi, points, channels):
+    """Richardson-combined levels of each channel, solved at two resolutions.
+
+    For each (tag, arg) channel, solve(GridSpec(lo, hi, npts, tag), arg)
+    returns (xs, energies, vectors) at points and at 2·points.  Returns the
+    fine xs and the (energy, tag, fine vector, error estimate) items of all
+    channels, sorted by energy.
+    """
+    items = []
+    for tag, arg in channels:
+        _, vals_c, _ = solve(GridSpec(lo, hi, points, tag), arg)
+        xs, vals_f, vecs = solve(GridSpec(lo, hi, 2 * points, tag), arg)
+        # second-order scheme: the error shrinks fourfold as h halves
+        items += [(float((4.0 * f - c) / 3.0), tag, vecs[:, i], float(abs(f - c) / 3.0))
+                  for i, (c, f) in enumerate(zip(vals_c, vals_f))]
+    items.sort(key=lambda item: item[0])
+    return xs, items
 
 
-def _dirichlet_lowest(model, grid, k):
-    xs = grid.interior()
-    h = grid.step
-    diag = 2.0 / h ** 2 + np.asarray(model.potential(xs), dtype=float)
-    off = np.full(len(xs) - 1, -1.0 / h ** 2)
-    vals, vecs = eigh_tridiagonal(diag, off, select="i",
-                                  select_range=(0, min(k, len(xs)) - 1))
-    return xs, vals, vecs
+def _spectrum(xs, items, tol, node_counts=None):
+    """OracleSpectrum of (energy, tag, vector, error estimate) items.
+
+    Raises GridTooCoarseError when an error estimate exceeds tol.
+    """
+    worst = max(item[3] for item in items)
+    if tol is not None and worst > tol:
+        raise GridTooCoarseError(
+            "Richardson error estimate %.3e exceeds tolerance %.3e; "
+            "increase the grid" % (worst, tol))
+    return OracleSpectrum(
+        eigenvalues=tuple(item[0] for item in items),
+        eigenvectors=np.column_stack([item[2] for item in items]),
+        xs=xs,
+        bc_tags=tuple(item[1] for item in items),
+        node_counts=node_counts,
+        error_estimates=tuple(item[3] for item in items))
+
+
+def _dense(diag, lower, upper):
+    """Dense tridiagonal matrix from its three diagonals."""
+    return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
 
 
 def solve_bound(model, k, points=2400, tol=None):
@@ -149,48 +153,22 @@ def solve_bound(model, k, points=2400, tol=None):
     Raises GridTooCoarseError when a requested tolerance exceeds the
     Richardson error estimate.
     """
-    lo, hi = model.x_window()
-    coarse = GridSpec(lo, hi, points, "dirichlet")
-    fine = GridSpec(lo, hi, 2 * points, "dirichlet")
-    (_, vals_c, _), (xs, vals_f, vecs) = _pooled(
-        (_dirichlet_lowest, model, coarse, k), (_dirichlet_lowest, model, fine, k))
-    extr, est = _richardson(vals_c, vals_f)
-    if tol is not None and np.any(est > tol):
-        raise GridTooCoarseError(
-            "Richardson error estimate %.3e exceeds tolerance %.3e; "
-            "increase the grid" % (float(est.max()), tol))
-    nodes = tuple(count_nodes(vecs[:, i]) for i in range(vecs.shape[1]))
-    return OracleSpectrum(
-        eigenvalues=tuple(float(v) for v in extr),
-        eigenvectors=vecs, xs=xs,
-        bc_tags=tuple("dirichlet" for _ in extr),
-        node_counts=nodes,
-        error_estimates=tuple(float(v) for v in est))
+    def lowest(grid, count):
+        xs = grid.interior()
+        h = grid.step
+        diag = 2.0 / h ** 2 + np.asarray(model.potential(xs), dtype=float)
+        off = np.full(len(xs) - 1, -1.0 / h ** 2)
+        vals, vecs = eigh_tridiagonal(diag, off, select="i",
+                                      select_range=(0, min(count, len(xs)) - 1))
+        return xs, vals, vecs
+
+    xs, items = _two_grid(lowest, *model.x_window(), points, [("dirichlet", k)])
+    return _spectrum(xs, items, tol, tuple(count_nodes(item[2]) for item in items))
 
 
 # ---------------------------------------------------------------------------
 # periodic cell (smooth potentials): dense periodic ∪ antiperiodic
 # ---------------------------------------------------------------------------
-
-def _cell_operator(model, grid, sign):
-    xs = grid.cell()
-    h = grid.step
-    n = len(xs)
-    mat = np.zeros((n, n))
-    np.fill_diagonal(mat, 2.0 / h ** 2 + np.asarray(model.potential(xs), dtype=float))
-    idx = np.arange(n - 1)
-    mat[idx, idx + 1] = -1.0 / h ** 2
-    mat[idx + 1, idx] = -1.0 / h ** 2
-    mat[0, n - 1] = sign * (-1.0 / h ** 2)
-    mat[n - 1, 0] = sign * (-1.0 / h ** 2)
-    return xs, mat
-
-
-def _cell_lowest(model, grid, k, sign):
-    xs, mat = _cell_operator(model, grid, sign)
-    vals, vecs = eigh(mat)
-    return xs, vals[:k], vecs[:, :k]
-
 
 def solve_band_edges(model, k=6, points=480, tol=None, emax=None):
     """Lowest band edges of a smooth periodic potential over one cell.
@@ -201,20 +179,21 @@ def solve_band_edges(model, k=6, points=480, tol=None, emax=None):
     up to that energy even when there are more than k of them (needed when
     the algebraic levels are a sparse subset of all edges).
     """
-    lo, hi = model.x_window()
     keep = k + 2 if emax is None else max(k + 2, 40)
-    # wrap-around coupling keeps the off-diagonal sign for periodic
-    # closure and flips it for the antiperiodic one
-    closures = ((+1.0, "periodic"), (-1.0, "antiperiodic"))
-    results = _pooled(*[(_cell_lowest, model, GridSpec(lo, hi, npts, tag), keep, sign)
-                        for sign, tag in closures for npts in (points, 2 * points)])
-    merged = []
-    for (_, tag), (_, vals_c, _), (xs, vals_f, vecs) in zip(
-            closures, results[0::2], results[1::2]):
-        extr, est = _richardson(vals_c, vals_f)
-        for i, (e, err) in enumerate(zip(extr, est)):
-            merged.append((float(e), tag, vecs[:, i], float(err)))
-    merged.sort(key=lambda item: item[0])
+
+    def lowest(grid, sign):
+        xs = grid.cell()
+        h = grid.step
+        off = np.full(len(xs) - 1, -1.0 / h ** 2)
+        mat = _dense(2.0 / h ** 2 + np.asarray(model.potential(xs), dtype=float), off, off)
+        # wrap-around coupling keeps the off-diagonal sign for periodic
+        # closure and flips it for the antiperiodic one
+        mat[0, -1] = mat[-1, 0] = sign * (-1.0 / h ** 2)
+        vals, vecs = eigh(mat)
+        return xs, vals[:keep], vecs[:, :keep]
+
+    xs, merged = _two_grid(lowest, *model.x_window(), points,
+                           [("periodic", +1.0), ("antiperiodic", -1.0)])
     cut = min(k, len(merged))
     if emax is not None:
         while cut < len(merged) and merged[cut][0] <= emax:
@@ -224,142 +203,90 @@ def solve_band_edges(model, k=6, points=480, tol=None, emax=None):
             <= 1e-6 * (1.0 + abs(merged[cut][0])):
         cut += 1
     merged = merged[:cut]
-    if tol is not None and any(item[3] > tol for item in merged):
-        raise GridTooCoarseError("band-edge error estimate exceeds tolerance")
-    vecs = np.column_stack([item[2] for item in merged])
     nodes = tuple(count_nodes(item[2]) for item in merged)
-    return OracleSpectrum(
-        eigenvalues=tuple(item[0] for item in merged),
-        eigenvectors=vecs, xs=xs,
-        bc_tags=tuple(item[1] for item in merged),
-        node_counts=None if any(b < a for a, b in zip(nodes, nodes[1:])) else nodes,
-        error_estimates=tuple(item[3] for item in merged))
+    return _spectrum(xs, merged, tol,
+                     None if any(b < a for a, b in zip(nodes, nodes[1:])) else nodes)
 
 
 # ---------------------------------------------------------------------------
 # inverse-square periodic cell: weighted Sturm–Liouville per exponent channel
 # ---------------------------------------------------------------------------
 
-def _weighted_channel(model, grid, k, mu):
-    """Lowest k levels of the sin^μ exponent channel on (0, π)."""
-    s = float(model.s)
-    xs = grid.midpoints()
-    h = grid.step
-    w2 = np.sin(xs) ** (2.0 * mu)
-    edges = grid.lower + h * np.arange(grid.points + 1)
-    w2_edge = np.sin(np.clip(edges, 0.0, np.pi)) ** (2.0 * mu)
-    w2_edge[0] = 0.0
-    w2_edge[-1] = 0.0
-    diag = (w2_edge[1:] + w2_edge[:-1]) / (h ** 2 * w2)
-    off = -w2_edge[1:-1] / (h ** 2 * np.sqrt(w2[:-1] * w2[1:]))
-    eps, y = eigh_tridiagonal(diag, off, select="i",
-                              select_range=(0, min(k, len(xs)) - 1))
-    energies = eps + (s * s - 0.25) + mu
-    # the symmetrized eigenvector is y = w·φ, which is ψ on the grid already
-    return xs, energies, y
-
-
 def solve_inverse_square_cell(model, k=4, points=1600, tol=None):
     """Band-edge (or bound) levels of the inverse-square cell potential.
 
     Each wall-exponent channel μ = 1/2 ± s is solved separately; for s > 1/2
-    only the normalizable μ = 1/2 + s channel exists.
+    only the normalizable μ = 1/2 + s channel exists.  Eigenvectors of both
+    resolutions are interpolated onto one common grid.
     """
     s = float(model.s)
-    channels = [(0.5 + s, "exponent_plus")]
+    common = np.linspace(0.0, np.pi, 1201)[1:-1]
+
+    def lowest(grid, mu):
+        """Lowest k+1 levels of the sin^μ exponent channel on (0, π)."""
+        xs = grid.midpoints()
+        h = grid.step
+        w2 = np.sin(xs) ** (2.0 * mu)
+        edges = grid.lower + h * np.arange(grid.points + 1)
+        w2_edge = np.sin(np.clip(edges, 0.0, np.pi)) ** (2.0 * mu)
+        w2_edge[0] = 0.0
+        w2_edge[-1] = 0.0
+        diag = (w2_edge[1:] + w2_edge[:-1]) / (h ** 2 * w2)
+        off = -w2_edge[1:-1] / (h ** 2 * np.sqrt(w2[:-1] * w2[1:]))
+        eps, y = eigh_tridiagonal(diag, off, select="i",
+                                  select_range=(0, min(k + 1, len(xs)) - 1))
+        # the symmetrized eigenvector is y = w·φ, which is ψ on the grid already
+        return common, eps + (s * s - 0.25) + mu, np.column_stack(
+            [np.interp(common, xs, y[:, i]) for i in range(y.shape[1])])
+
+    channels = [("exponent_plus", 0.5 + s)]
     if s < 0.5:
-        channels.append((0.5 - s, "exponent_minus"))
-    results = _pooled(*[(_weighted_channel, model, GridSpec(0.0, np.pi, npts, tag), k + 1, mu)
-                        for mu, tag in channels for npts in (points, 2 * points)])
-    merged = []
-    for (_, tag), (_, vals_c, _), (xs, vals_f, vecs) in zip(
-            channels, results[0::2], results[1::2]):
-        extr, est = _richardson(vals_c, vals_f)
-        for i, (e, err) in enumerate(zip(extr, est)):
-            merged.append((float(e), tag, np.interp(
-                np.linspace(0.0, np.pi, 1201)[1:-1], xs, vecs[:, i]),
-                float(err)))
-    merged.sort(key=lambda item: item[0])
-    merged = merged[:2 * k if len(channels) == 2 else k]
-    if tol is not None and any(item[3] > tol for item in merged):
-        raise GridTooCoarseError("channel error estimate exceeds tolerance")
-    xs_common = np.linspace(0.0, np.pi, 1201)[1:-1]
-    return OracleSpectrum(
-        eigenvalues=tuple(item[0] for item in merged),
-        eigenvectors=np.column_stack([item[2] for item in merged]),
-        xs=xs_common,
-        bc_tags=tuple(item[1] for item in merged),
-        error_estimates=tuple(item[3] for item in merged))
+        channels.append(("exponent_minus", 0.5 - s))
+    xs, merged = _two_grid(lowest, 0.0, np.pi, points, channels)
+    return _spectrum(xs, merged[:k * len(channels)], tol)
 
 
 # ---------------------------------------------------------------------------
 # complex potentials: dense non-Hermitian solves with stability filtering
 # ---------------------------------------------------------------------------
 
-def _line_operator(model, grid):
-    """Dirichlet operator for a complex potential sampled on a line."""
-    xs = grid.interior()
-    h = grid.step
-    n = len(xs)
-    mat = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(mat, 2.0 / h ** 2 + np.asarray(model.potential(xs), dtype=complex))
-    idx = np.arange(n - 1)
-    mat[idx, idx + 1] = -1.0 / h ** 2
-    mat[idx + 1, idx] = -1.0 / h ** 2
-    return xs, mat
-
-
-def _bent_contour_operator(model, grid, bend=0.25 * np.pi, steepness=1.5):
-    """Operator on x(σ) = σ + i·bend·tanh(steepness·σ) with Dirichlet ends."""
-    sig = grid.interior()
-    h = grid.step
-    n = len(sig)
-    sech2 = 1.0 / np.cosh(steepness * sig) ** 2
-    xprime = 1.0 + 1j * bend * steepness * sech2
-    xsecond = -2j * bend * steepness ** 2 * sech2 * np.tanh(steepness * sig)
-    xcurve = sig + 1j * bend * np.tanh(steepness * sig)
-    mat = np.zeros((n, n), dtype=complex)
-    inv2 = 1.0 / xprime ** 2
-    np.fill_diagonal(mat, 2.0 * inv2 / h ** 2
-                     + np.asarray(model.potential(xcurve), dtype=complex))
-    idx = np.arange(n - 1)
-    mat[idx, idx + 1] = -inv2[idx] / h ** 2
-    mat[idx + 1, idx] = -inv2[idx + 1] / h ** 2
-    first = xsecond / xprime ** 3
-    mat[idx, idx + 1] += first[idx] / (2.0 * h)
-    mat[idx + 1, idx] += -first[idx + 1] / (2.0 * h)
-    return sig, mat, xcurve
-
-
-def _complex_eigs(mat):
-    vals, vecs = eig(mat)
-    order = np.argsort(vals.real + 1e-9 * vals.imag)
-    return vals[order], vecs[:, order]
-
-
 def solve_pt(model, points=640, max_real=40.0, stability_tol=5e-3):
     """Complex spectrum of a PT-symmetric model, filtered for grid stability.
 
     An eigenvalue is kept only when the coarse and fine grids agree on it;
-    matched pairs are Richardson-combined.  Eigenfunctions of the bent
-    contour are reported against the contour parameter.
+    matched pairs are Richardson-combined.  On the bent contour
+    x(σ) = σ + i·bend·tanh(steepness·σ), for models whose eigenfunctions only
+    decay off the real axis, eigenfunctions are reported against x(σ).
     """
     lo, hi = model.x_window()
-    bent = model.bent_contour
+    tag = "contour" if model.bent_contour else "dirichlet"
 
     def solve_at(npts):
-        grid = GridSpec(lo, hi, npts, "contour" if bent else "dirichlet")
-        if bent:
-            xs, mat, xcurve = _bent_contour_operator(model, grid)
+        grid = GridSpec(lo, hi, npts, tag)
+        sig = grid.interior()
+        h = grid.step
+        if model.bent_contour:
+            bend, steepness = 0.25 * np.pi, 1.5
+            sech2 = 1.0 / np.cosh(steepness * sig) ** 2
+            xprime = 1.0 + 1j * bend * steepness * sech2
+            xsecond = -2j * bend * steepness ** 2 * sech2 * np.tanh(steepness * sig)
+            xs = sig + 1j * bend * np.tanh(steepness * sig)
+            inv2 = 1.0 / xprime ** 2
+            first = xsecond / xprime ** 3
+            mat = _dense(2.0 * inv2 / h ** 2 + np.asarray(model.potential(xs), dtype=complex),
+                         -inv2[1:] / h ** 2 - first[1:] / (2.0 * h),
+                         -inv2[:-1] / h ** 2 + first[:-1] / (2.0 * h))
         else:
-            xs, mat = _line_operator(model, grid)
-            xcurve = xs
-        vals, vecs = _complex_eigs(mat)
-        return xs, xcurve, vals, vecs
+            xs = sig
+            off = np.full(len(sig) - 1, -1.0 / h ** 2)
+            mat = _dense(2.0 / h ** 2 + np.asarray(model.potential(sig), dtype=complex),
+                         off, off)
+        vals, vecs = eig(mat)
+        order = np.argsort(vals.real + 1e-9 * vals.imag)
+        return xs, vals[order], vecs[:, order]
 
-    (_, _, vals_c, _), (xs, xcurve, vals_f, vecs_f) = _pooled(
-        (solve_at, points // 2), (solve_at, points))
-
+    _, vals_c, _ = solve_at(points // 2)
+    xs, vals_f, vecs_f = solve_at(points)
     kept = []
     for i, v in enumerate(vals_f):
         if abs(v.real) > max_real or abs(v.imag) > max_real:
@@ -367,25 +294,24 @@ def solve_pt(model, points=640, max_real=40.0, stability_tol=5e-3):
         j = int(np.argmin(np.abs(vals_c - v)))
         gap = abs(vals_c[j] - v)
         if gap <= stability_tol * (1.0 + abs(v)):
-            extr = (4.0 * v - vals_c[j]) / 3.0
-            kept.append((extr, vecs_f[:, i], gap / 3.0))
+            kept.append((complex((4.0 * v - vals_c[j]) / 3.0), tag, vecs_f[:, i],
+                         float(gap / 3.0)))
     kept.sort(key=lambda item: (item[0].real, item[0].imag))
     if not kept:
         raise GridTooCoarseError("no grid-stable complex eigenvalues found")
-    return OracleSpectrum(
-        eigenvalues=tuple(complex(item[0]) for item in kept),
-        eigenvectors=np.column_stack([item[1] for item in kept]),
-        xs=np.asarray(xcurve),
-        bc_tags=tuple("contour" if bent else "dirichlet" for _ in kept),
-        error_estimates=tuple(float(item[2]) for item in kept))
+    return _spectrum(xs, kept, None)
 
 
-def solve_oracle(model, k=4, **kwargs):
-    """Dispatch to the solver the model declares (model.oracle)."""
+def solve_oracle(model, k=4, emax=None):
+    """Dispatch to the solver the model declares (model.oracle).
+
+    emax reaches only the band-edge solver, which then keeps every edge up
+    to it: the algebraic edges can be a sparse subset of all edges.
+    """
     if model.oracle == "pt":
-        return solve_pt(model, **kwargs)
+        return solve_pt(model)
     if model.oracle == "inverse_square_cell":
-        return solve_inverse_square_cell(model, k=k, **kwargs)
+        return solve_inverse_square_cell(model, k=k)
     if model.oracle == "band_edges":
-        return solve_band_edges(model, k=max(k, model.min_band_edges), **kwargs)
-    return solve_bound(model, k=k, **kwargs)
+        return solve_band_edges(model, k=max(k, model.min_band_edges), emax=emax)
+    return solve_bound(model, k=k)

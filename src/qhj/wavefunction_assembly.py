@@ -10,12 +10,13 @@ verify() runs both routes for one model and scores every solved level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidStateError
+from .errors import InvalidStateError, ParameterError
 from .exactmath import to_complex
 from .polynomial_system import BandEdgeSolution, solve_spectrum
 from .schrodinger_oracle import OracleSpectrum, count_nodes, solve_oracle
@@ -174,7 +175,7 @@ class LevelCheck:
     oracle_index: int
     oracle_energy: complex
     gap: float                     # |E_residue − E_oracle|
-    report: Optional[WavefunctionReport]   # None when the model skips overlap
+    report: WavefunctionReport
     passed: bool
 
 
@@ -204,17 +205,16 @@ def verify(model, levels=4, tol=None):
 
     Each solved energy is paired with the nearest oracle level of the same
     channel and passes when the gap is within tol (default model.verify_tol)
-    and, unless model.verify_overlap is false, its eigenfunction matches the
-    oracle vector (overlap and node count).
+    and its eigenfunction matches the oracle vector (overlap and node count).
+    Raises ParameterError unless 0 < tol < inf.
     """
-    result = solve_spectrum(model, levels=levels)
     tol = model.verify_tol if tol is None else tol
-    oracle_kwargs = {}
-    if model.oracle == "band_edges":
-        # the algebraic edges can be a sparse subset: keep all edges up to them
-        tops = [to_complex(s.energy).real for s in result.solutions]
-        oracle_kwargs["emax"] = (max(tops) if tops else 0.0) + 0.5
-    oracle = solve_oracle(model, k=len(result.solutions) + 2, **oracle_kwargs)
+    if not 0.0 < tol < math.inf:
+        raise ParameterError("tolerance must be positive and finite, got %r" % (tol,))
+    result = solve_spectrum(model, levels=levels)
+    tops = [to_complex(s.energy).real for s in result.solutions]
+    oracle = solve_oracle(model, k=len(result.solutions) + 2,
+                          emax=(max(tops) if tops else 0.0) + 0.5)
     checks = []
     for sol in result.solutions:
         e = to_complex(sol.energy)
@@ -222,21 +222,18 @@ def verify(model, levels=4, tol=None):
         gaps = [abs(complex(oracle.eigenvalues[i]) - e) for i in cands]
         pick = cands[int(np.argmin(gaps))]
         gap = min(gaps)
-        passed = gap <= tol
-        report = None
-        if model.verify_overlap:
-            cluster = [i for i in cands
-                       if abs(complex(oracle.eigenvalues[i])
-                              - complex(oracle.eigenvalues[pick]))
-                       <= 1e-6 * (1.0 + abs(e))]
-            report = verify_against_oracle(
-                sol.recipe, oracle, pick, cluster_levels=cluster,
-                overlap_tol=1e-3, modulus_tol=5e-2,
-                check_nodes=oracle.node_counts is not None)
-            passed = passed and report.overlap_ok and report.nodes_ok
+        cluster = [i for i in cands
+                   if abs(complex(oracle.eigenvalues[i])
+                          - complex(oracle.eigenvalues[pick]))
+                   <= 1e-6 * (1.0 + abs(e))]
+        report = verify_against_oracle(
+            sol.recipe, oracle, pick, cluster_levels=cluster,
+            overlap_tol=1e-3, modulus_tol=5e-2)
         checks.append(LevelCheck(solution=sol, oracle_index=pick,
                                  oracle_energy=complex(oracle.eigenvalues[pick]),
-                                 gap=gap, report=report, passed=passed))
+                                 gap=gap, report=report,
+                                 passed=gap <= tol and report.overlap_ok
+                                 and report.nodes_ok))
     return Verification(tol=tol, checks=checks)
 
 

@@ -257,6 +257,51 @@ def test_only_the_catalog_branches_on_model_ids():
     assert found == {}
 
 
+_POOL_MODULES = ("concurrent", "threading", "multiprocessing")
+_ENV_READS = ("environ", "getenv")
+
+
+def _runtime_knobs(tree):
+    """Lines that import a pool or thread module, or read the environment."""
+    hits = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bad = any(a.name.split(".")[0] in _POOL_MODULES for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            bad = (node.module or "").split(".")[0] in _POOL_MODULES or (
+                node.module == "os" and any(a.name in _ENV_READS for a in node.names))
+        else:
+            bad = (isinstance(node, ast.Attribute) and node.attr in _ENV_READS
+                   and isinstance(node.value, ast.Name) and node.value.id == "os")
+        if bad:
+            hits.add(node.lineno)
+    return sorted(hits)
+
+
+def test_no_module_starts_threads_or_reads_the_environment():
+    # the package runs serially and is configured only by its arguments, so
+    # no hidden pool or environment knob changes what a call computes
+    package = Path(__file__).resolve().parents[1] / "src" / "qhj"
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        hits = _runtime_knobs(ast.parse(path.read_text(encoding="utf-8")))
+        if hits:
+            found[path.name] = hits
+    assert found == {}
+
+
+def test_knob_guard_sees_each_form():
+    code = ("import threading\n"
+            "from concurrent.futures import ThreadPoolExecutor\n"
+            "import multiprocessing as mp\n"
+            "n = os.environ.get('N')\n"
+            "n = os.getenv('N')\n"
+            "from os import environ\n"
+            "import os\n"
+            "p = os.path.join('a', 'b')\n")
+    assert _runtime_knobs(ast.parse(code)) == [1, 2, 3, 4, 5, 6]
+
+
 def test_id_guard_sees_each_branch_form():
     code = ("if model.id == 'lame': pass\n"
             "if model.id in ('a', 'b'): pass\n"

@@ -120,6 +120,14 @@ class TestExitCodes:
         assert code == EXIT_VERIFY_FAILED
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_meaningless_tolerance_is_a_usage_error(self, capsys, tol):
+        code, out, err = run_cli(capsys, "verify", "hydrogen", "--param", "e2=2",
+                                 "--param", "l=0", "--tol", tol)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and "tolerance" in err
+
     def test_state_out_of_range_is_a_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "wavefunction", "hydrogen", "--param",
                              "e2=2", "--param", "l=0", "--levels", "2",
@@ -136,7 +144,7 @@ class TestVerify:
         assert len(lines) == 3
         assert "FAIL" not in out
 
-    # band edges up to emax, the weighted-channel oracle, and energy-only
+    # band edges up to emax, the weighted-channel oracle, and eigenfunction
     # scoring on the bent contour
     @pytest.mark.parametrize("mid,params", [
         ("lame", {"j": "2", "m": "1/2"}),

@@ -102,6 +102,10 @@ class TestBandEdges:
         assert spec.eigenvalues == pytest.approx([0.0, 0.25, 0.25, 1.0, 1.0],
                                                  abs=1e-6)
 
+    def test_unreachable_tolerance_raises_with_the_estimate(self):
+        with pytest.raises(GridTooCoarseError, match="exceeds tolerance 1.000e-30"):
+            solve_band_edges(_FlatCell(), k=3, points=128, tol=1e-30)
+
     def test_lame_edges_match_the_pencil_values(self):
         spec = solve_band_edges(get_model("lame", j=2, m=Fraction(1, 2)), k=5)
         delta = math.sqrt(3) / 2
@@ -120,6 +124,11 @@ class TestWeightedChannels:
         assert spec.eigenvalues == pytest.approx(sorted(towers), abs=5e-4)
         assert spec.bc_tags[0] == "exponent_minus"
         assert spec.bc_tags[1] == "exponent_plus"
+
+    def test_unreachable_tolerance_raises_with_the_estimate(self):
+        model = get_model("scarf_periodic", s=Fraction(3, 10))
+        with pytest.raises(GridTooCoarseError, match="exceeds tolerance 1.000e-30"):
+            solve_inverse_square_cell(model, k=2, points=128, tol=1e-30)
 
     def test_bound_phase_keeps_one_tower(self):
         model = get_model("scarf_periodic", s=Fraction(3, 2))

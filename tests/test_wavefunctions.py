@@ -152,3 +152,10 @@ class TestVerify:
         outcome = verify(get_model("hydrogen", e2=2, l=0), levels=2, tol=1e-14)
         assert not outcome.passed
         assert not any(c.passed for c in outcome.checks)
+
+    def test_bent_contour_levels_score_their_eigenfunctions(self):
+        outcome = verify(get_model("khare_mandal", zeta=Fraction(1, 4), M=3))
+        assert outcome.passed and outcome.checks
+        for check in outcome.checks:
+            assert check.report is not None
+            assert check.report.overlap >= 1 - 1e-3
