@@ -40,7 +40,7 @@ from .errors import ParameterError, SingularPointError, UnknownModelError
 from .exactmath import ExactComplex, to_complex
 from .qmf_residues import FixedPole, InfinityExpansion, finite_pole_residues
 from .quantization import QES_RELATIONS, ResidueAssignment, level_verdict, parity_of
-from .special_functions import elliptic_K, jacobi_elliptic, jacobi_polynomial, laguerre
+from .special_functions import elliptic_K, jacobi_polynomial, laguerre, sn_cn_dn
 
 
 # ---------------------------------------------------------------------------
@@ -809,19 +809,7 @@ class AssociatedLameModel(PotentialModel):
 
     # -- geometry ---------------------------------------------------------
     def _sn_cn_dn(self, x):
-        xs = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(xs).ravel()
-        sn = np.empty_like(flat)
-        cn = np.empty_like(flat)
-        dn = np.empty_like(flat)
-        mf = float(self.m)
-        for i, xi in enumerate(flat):
-            trip = jacobi_elliptic(xi, mf)
-            sn[i], cn[i], dn[i] = trip.sn, trip.cn, trip.dn
-        sn = sn.reshape(np.shape(xs)) if np.shape(xs) else sn[0]
-        cn = cn.reshape(np.shape(xs)) if np.shape(xs) else cn[0]
-        dn = dn.reshape(np.shape(xs)) if np.shape(xs) else dn[0]
-        return sn, cn, dn
+        return sn_cn_dn(x, self.m)
 
     def potential(self, x):
         sn, cn, dn = self._sn_cn_dn(x)

@@ -8,8 +8,9 @@ Techniques, chosen per boundary behaviour:
 
 * bound states — second-order tridiagonal Dirichlet operator, eigenvalues
   at two resolutions combined by Richardson extrapolation;
-* band edges of smooth periodic potentials — dense periodic and
-  antiperiodic operators over one cell, merged and tagged;
+* band edges of smooth periodic potentials — the lowest `keep` eigenpairs
+  of the periodic and antiperiodic operators over one cell (an index-range
+  eigensolve, never the full spectrum), merged and tagged;
 * the inverse-square periodic cell — the naive operator only converges onto
   one wall behaviour, so each exponent channel is solved as a weighted
   Sturm–Liouville problem −(w²φ')' = ε w² φ with w = sin^μ x, whose natural
@@ -92,6 +93,8 @@ class OracleSpectrum:
 def count_nodes(values, rel_floor=1e-10):
     """Interior sign changes of a (real up to phase) sampled function."""
     vals = np.asarray(values)
+    if vals.size < 2:
+        return 0
     if np.iscomplexobj(vals):
         # rotate the dominant phase away; genuine bound states are real
         idx = int(np.argmax(np.abs(vals)))
@@ -100,8 +103,8 @@ def count_nodes(values, rel_floor=1e-10):
         else:
             vals = vals.real
     floor = rel_floor * (np.max(np.abs(vals)) or 1.0)
-    signs = [v for v in vals if abs(v) > floor]
-    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+    positive = vals[np.abs(vals) > floor] > 0
+    return int(np.count_nonzero(positive[1:] != positive[:-1]))
 
 
 def _two_grid(solve, lo, hi, points, channels):
@@ -167,17 +170,19 @@ def solve_bound(model, k, points=2400, tol=None):
 
 
 # ---------------------------------------------------------------------------
-# periodic cell (smooth potentials): dense periodic ∪ antiperiodic
+# periodic cell (smooth potentials): lowest edges, periodic ∪ antiperiodic
 # ---------------------------------------------------------------------------
 
 def solve_band_edges(model, k=6, points=480, tol=None, emax=None):
     """Lowest band edges of a smooth periodic potential over one cell.
 
-    Solves the periodic and the antiperiodic operator, Richardson-combines
-    two resolutions per operator, and merges the results sorted by energy
-    with their periodicity tags.  With ``emax`` the result keeps every edge
-    up to that energy even when there are more than k of them (needed when
-    the algebraic levels are a sparse subset of all edges).
+    Computes the lowest ``keep`` eigenpairs of the periodic and of the
+    antiperiodic operator (keep = k + 2, or at least 40 with ``emax``; at
+    most the grid size), Richardson-combines two resolutions per operator,
+    and merges the results sorted by energy with their periodicity tags.
+    With ``emax`` the result keeps every edge up to that energy even when
+    there are more than k of them (needed when the algebraic levels are a
+    sparse subset of all edges).
     """
     keep = k + 2 if emax is None else max(k + 2, 40)
 
@@ -189,8 +194,8 @@ def solve_band_edges(model, k=6, points=480, tol=None, emax=None):
         # wrap-around coupling keeps the off-diagonal sign for periodic
         # closure and flips it for the antiperiodic one
         mat[0, -1] = mat[-1, 0] = sign * (-1.0 / h ** 2)
-        vals, vecs = eigh(mat)
-        return xs, vals[:keep], vecs[:, :keep]
+        vals, vecs = eigh(mat, subset_by_index=(0, min(keep, len(xs)) - 1))
+        return xs, vals, vecs
 
     xs, merged = _two_grid(lowest, *model.x_window(), points,
                            [("periodic", +1.0), ("antiperiodic", -1.0)])

@@ -1,7 +1,8 @@
 """Special functions needed by the solver, implemented from scratch.
 
 Elliptic integrals use the arithmetic-geometric mean, Jacobi elliptic
-functions use the descending Landen transformation, and the classical
+functions use the descending Landen transformation (one array pass per
+grid: the AGM ladder depends on the parameter alone), and the classical
 orthogonal polynomials use their three-term recurrences.  No series in the
 modulus, no factorial ratios — these stay accurate for n up to a few hundred
 and for complex polynomial indices.
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 _EPS = 1e-15
 
@@ -44,27 +47,30 @@ class JacobiTriple:
     dn: float
 
 
-def jacobi_elliptic(x, m):
+def sn_cn_dn(x, m):
     """Jacobi elliptic functions sn, cn, dn by descending Landen recursion.
 
     Builds the AGM ladder a_n, b_n, c_n from (1, sqrt(1−m), sqrt(m)), sets
     φ_N = 2^N a_N x at the top and recovers the amplitude by the backward
     recurrence sin(2φ_{n−1} − φ_n) = (c_n/a_n)·sin φ_n.  Then
-    sn = sin φ_0, cn = cos φ_0, dn = sqrt(1 − m sn²).
+    sn = sin φ_0, cn = cos φ_0, dn = sqrt(1 − m sn²).  The ladder depends
+    on m alone, so it is built once and the recurrence runs over the whole
+    array x.
 
     Parameters
     ----------
-    x : float
-        Argument.
+    x : float or array of floats
+        Arguments; the three results have its shape (0-d input gives
+        scalars).
     m : float
         Parameter, 0 <= m < 1.
     """
-    x = float(x)
+    x = np.asarray(x, dtype=float)
     m = float(m)
-    if m < 0.0 or m >= 1.0:
-        raise ValueError("jacobi_elliptic requires 0 <= m < 1, got %r" % (m,))
+    if not 0.0 <= m < 1.0:
+        raise ValueError("Jacobi elliptic functions need 0 <= m < 1, got %r" % (m,))
     if m == 0.0:
-        return JacobiTriple(math.sin(x), math.cos(x), 1.0)
+        return np.sin(x)[()], np.cos(x)[()], np.ones_like(x)[()]
     a, b, c = 1.0, math.sqrt(1.0 - m), math.sqrt(m)
     ladder = []
     # ladder[k] holds (a_{k+1}, c_{k+1}): the backward amplitude step from
@@ -74,11 +80,15 @@ def jacobi_elliptic(x, m):
         ladder.append((a, c))
     phi = (2.0 ** len(ladder)) * a * x
     for a_n, c_n in reversed(ladder):
-        phi = 0.5 * (phi + math.asin(max(-1.0, min(1.0, (c_n / a_n) * math.sin(phi)))))
-    sn = math.sin(phi)
-    cn = math.cos(phi)
-    dn = math.sqrt(max(0.0, 1.0 - m * sn * sn))
-    return JacobiTriple(sn, cn, dn)
+        phi = 0.5 * (phi + np.arcsin(np.clip((c_n / a_n) * np.sin(phi), -1.0, 1.0)))
+    sn = np.sin(phi)
+    dn = np.sqrt(np.maximum(0.0, 1.0 - m * sn * sn))
+    return sn[()], np.cos(phi)[()], dn[()]
+
+
+def jacobi_elliptic(x, m):
+    """sn, cn, dn at one point x as a JacobiTriple (see sn_cn_dn)."""
+    return JacobiTriple(*(float(v) for v in sn_cn_dn(float(x), m)))
 
 
 def jacobi_polynomial(n, alpha, beta, t):

@@ -10,8 +10,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qhj import get_model
+from qhj import get_model, potential_catalog, schrodinger_oracle, special_functions
 from qhj.errors import GridTooCoarseError, ParameterError
 from qhj.schrodinger_oracle import (GridSpec, OracleSpectrum, count_nodes,
                                     solve_band_edges, solve_bound,
@@ -114,6 +117,64 @@ class TestBandEdges:
             abs=5e-4)
 
 
+def _full_eigh(mat, subset_by_index):
+    """Reference band-edge eigensolve: every eigenpair, then the index range."""
+    vals, vecs = scipy.linalg.eigh(mat)
+    lo, hi = subset_by_index
+    return vals[lo:hi + 1], vecs[:, lo:hi + 1]
+
+
+def _clusters(energies):
+    """Index groups of (near-)degenerate energies, in order."""
+    groups = [[0]]
+    for i in range(1, len(energies)):
+        if abs(energies[i] - energies[i - 1]) <= 1e-6 * (1.0 + abs(energies[i])):
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
+
+
+class TestTargetedBandEdges:
+    """The lowest-keep eigensolve gives what a full solve, sliced, gives."""
+
+    @pytest.mark.parametrize("emax_above_top", [None, 0.5])
+    def test_matches_the_full_solve_on_lame(self, monkeypatch, emax_above_top):
+        model = get_model("lame", j=2, m=Fraction(1, 2))
+        emax = None
+        if emax_above_top is not None:
+            top = solve_band_edges(model, k=5).eigenvalues[-1]
+            emax = top + emax_above_top
+        fast = solve_band_edges(model, k=5, emax=emax)
+        monkeypatch.setattr(schrodinger_oracle, "eigh", _full_eigh)
+        ref = solve_band_edges(model, k=5, emax=emax)
+        assert len(fast.eigenvalues) == len(ref.eigenvalues) >= 5
+        for e, r in zip(fast.eigenvalues, ref.eigenvalues):
+            assert abs(e - r) <= 1e-9 * (1.0 + abs(r))
+        assert fast.bc_tags == ref.bc_tags
+        assert fast.node_counts == ref.node_counts
+        for group in _clusters(ref.eigenvalues):
+            basis, _ = np.linalg.qr(ref.eigenvectors[:, group])
+            for i in group:
+                v = fast.eigenvectors[:, i] / np.linalg.norm(fast.eigenvectors[:, i])
+                assert np.linalg.norm(basis.T @ v) >= 1.0 - 1e-10
+
+    def test_keep_beyond_the_grid_takes_every_pair(self, monkeypatch):
+        pairs = []
+
+        def spy(mat, subset_by_index):
+            vals, vecs = scipy.linalg.eigh(mat, subset_by_index=subset_by_index)
+            pairs.append((len(mat), len(vals)))
+            return vals, vecs
+
+        monkeypatch.setattr(schrodinger_oracle, "eigh", spy)
+        # keep = k + 2 = 72 exceeds the 64-point coarse grid
+        spec = solve_band_edges(_FlatCell(), k=70, points=64)
+        assert pairs == [(64, 64), (128, 72), (64, 64), (128, 72)]
+        assert len(spec.eigenvalues) >= 70
+        assert set(spec.bc_tags) == {"periodic", "antiperiodic"}
+
+
 class TestWeightedChannels:
     def test_band_phase_gives_both_exponent_towers(self):
         model = get_model("scarf_periodic", s=Fraction(3, 10))
@@ -152,6 +213,20 @@ class TestComplexSpectra:
             solve_pt(model, points=480, stability_tol=1e-16)
 
 
+def _count_nodes_reference(values, rel_floor=1e-10):
+    """Sign changes counted point by point: the definition count_nodes keeps."""
+    vals = np.asarray(values)
+    if np.iscomplexobj(vals):
+        idx = int(np.argmax(np.abs(vals)))
+        if abs(vals[idx]) > 0:
+            vals = (vals * np.exp(-1j * np.angle(vals[idx]))).real
+        else:
+            vals = vals.real
+    floor = rel_floor * (np.max(np.abs(vals)) or 1.0)
+    signs = [v for v in vals if abs(v) > floor]
+    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+
+
 class TestNodeBookkeeping:
     def test_count_nodes_on_a_sine(self):
         xs = np.linspace(0.01, math.pi - 0.01, 400)
@@ -160,6 +235,23 @@ class TestNodeBookkeeping:
     def test_complex_profile_uses_dominant_phase(self):
         xs = np.linspace(0.01, math.pi - 0.01, 400)
         assert count_nodes(np.exp(0.7j) * np.sin(2 * xs)) == 1
+
+    def test_empty_and_single_samples_have_no_nodes(self):
+        assert count_nodes(np.array([])) == 0
+        assert count_nodes(np.array([], dtype=complex)) == 0
+        assert count_nodes(np.array([-2.0])) == 0
+        assert count_nodes(np.array([1j])) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.one_of(st.just(0.0), st.floats(-1e-12, 1e-12),
+                                      st.floats(-10.0, 10.0)),
+                           min_size=2, max_size=60),
+           phase=st.one_of(st.none(), st.floats(-math.pi, math.pi)))
+    def test_matches_the_pointwise_definition(self, values, phase):
+        vals = np.array(values)
+        if phase is not None:
+            vals = vals * np.exp(1j * phase)
+        assert count_nodes(vals) == _count_nodes_reference(vals)
 
     def test_non_monotone_node_counts_are_rejected(self):
         with pytest.raises(GridTooCoarseError):
@@ -178,3 +270,36 @@ class TestDispatcher:
         assert set(band.bc_tags) <= {"periodic", "antiperiodic"}
         cell = solve_oracle(get_model("scarf_periodic", s=Fraction(3, 10)), k=2)
         assert set(cell.bc_tags) <= {"exponent_plus", "exponent_minus"}
+
+
+class TestNoWastedWork:
+    """Guards against full spectra and per-point loops on the verify path."""
+
+    def test_band_edge_eigensolves_ask_for_an_index_range(self, monkeypatch):
+        calls = []
+        real_eigh = schrodinger_oracle.eigh
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return real_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(schrodinger_oracle, "eigh", spy)
+        solve_oracle(get_model("lame", j=2, m=Fraction(1, 2)))
+        assert calls
+        assert all("subset_by_index" in kwargs for kwargs in calls)
+
+    def test_elliptic_potential_makes_no_pointwise_calls(self, monkeypatch):
+        calls = []
+        scalar = special_functions.jacobi_elliptic
+
+        def spy(x, m):
+            calls.append(x)
+            return scalar(x, m)
+
+        monkeypatch.setattr(special_functions, "jacobi_elliptic", spy)
+        monkeypatch.setattr(potential_catalog, "jacobi_elliptic", spy, raising=False)
+        model = get_model("lame", j=2, m=Fraction(1, 2))
+        lo, hi = model.x_window()
+        values = model.potential(np.linspace(lo, hi, 960))
+        assert values.shape == (960,) and np.all(np.isfinite(values))
+        assert calls == []

@@ -6,6 +6,7 @@ orthogonal polynomials.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import ellipj, ellipk, eval_genlaguerre, eval_jacobi
 
-from qhj.special_functions import (elliptic_K, jacobi_elliptic,
-                                   jacobi_polynomial, laguerre)
+from qhj import get_model
+from qhj.special_functions import (JacobiTriple, elliptic_K, jacobi_elliptic,
+                                   jacobi_polynomial, laguerre, sn_cn_dn)
 
 # frozen reference: quarter period at m = 1/2, from the defining integral
 # ∫_0^{π/2} dθ/sqrt(1 − m sin²θ) evaluated by adaptive quadrature
@@ -87,6 +89,31 @@ class TestJacobiElliptic:
         assert abs(a.sn - b.sn) < 5e-11
         assert abs(a.cn - b.cn) < 5e-11
         assert abs(a.dn - b.dn) < 5e-11
+
+
+class TestJacobiEllipticArrays:
+    @pytest.mark.parametrize("m", [0.0, 1e-9, 0.5, 97 / 98])
+    def test_matches_scipy_on_a_2d_grid(self, m):
+        xs = np.linspace(-8.0, 8.0, 7 * 13).reshape(7, 13)
+        ref = ellipj(xs, m)[:3]
+        for mine, theirs in zip(sn_cn_dn(xs, m), ref):
+            assert mine.shape == xs.shape
+            assert float(np.max(np.abs(mine - theirs))) < 5e-14
+
+    def test_zero_dimensional_input_gives_floats(self):
+        model = get_model("lame", j=2, m=Fraction(1, 2))
+        assert all(isinstance(v, float) for v in model._sn_cn_dn(0.7))
+        assert all(isinstance(v, float) for v in model._sn_cn_dn(np.float64(0.7)))
+        tr = jacobi_elliptic(np.array(0.7), 0.5)
+        assert isinstance(tr, JacobiTriple)
+        assert all(type(v) is float for v in (tr.sn, tr.cn, tr.dn))
+
+    @pytest.mark.parametrize("m", [-0.1, 1.0, 1.5, math.nan])
+    def test_rejects_out_of_range(self, m):
+        with pytest.raises(ValueError):
+            sn_cn_dn(np.linspace(0.0, 1.0, 5), m)
+        with pytest.raises(ValueError):
+            jacobi_elliptic(0.3, m)
 
 
 class TestJacobiPolynomial:
