@@ -17,14 +17,13 @@ from .errors import (EnergyRequiredError, GridTooCoarseError,
                      UnsupportedExpansionError)
 from .exactmath import ExactComplex, as_exact, exact_sqrt, to_complex, to_float
 from .potential_catalog import (MODEL_CLASSES, MODEL_IDS, PARAM_SCHEMAS,
-                                WavefunctionRecipe, evaluate_potential,
-                                get_model)
+                                QES_RELATIONS, WavefunctionRecipe,
+                                evaluate_potential, get_model, qes_family)
 from .qmf_residues import (FixedPole, InfinityExpansion, ResidueBranch,
                            finite_pole_residues, infinity_residues,
                            moving_pole_residue)
-from .quantization import (QES_RELATIONS, QuantizationOutcome,
-                           ResidueAssignment, enumerate_assignments,
-                           qes_family, quantize)
+from .quantization import (QuantizationOutcome, ResidueAssignment,
+                           enumerate_assignments, quantize)
 from .polynomial_system import (BandEdgeSolution, DefectivePencilWarning,
                                 PencilSystem, PolynomialOnT, SpectrumResult,
                                 build_fixed_system, build_pencil,

@@ -1,16 +1,18 @@
 """Polynomial identities for the node polynomial and their solution.
 
 With ψ = Π_i (t−t_i)^{b_i} · e^{a0·t} · P_n(t) the transformed Schrödinger
-equation becomes P'' + S·P' + R·P = 0 with
+equation becomes P'' + (2S/Π)·P' + R·P = 0, where Π(t) = Π_i (t−t_i) is the
+*minimal* product of the fixed poles, D_i = Π/(t−t_i) and
 
-    S = 2·Σ_i b_i/(t−t_i) + 2·a0,
+    S = Σ_i b_i·D_i + a0·Π,
     R = Σ_i (b_i²−b_i)/(t−t_i)² + 2·Σ_{i<k} b_i b_k /((t−t_i)(t−t_k))
         + 2·a0·Σ_i b_i/(t−t_i) + a0² + G(t).
 
-Because each b_i is a root of b² − b + g2_i = 0 the double poles of R cancel,
-so clearing by the *minimal* product Π(t) = Π_i (t−t_i) gives the polynomial
-identity  Π·P'' + NS·P' + NR·P = 0  with NS = Π·S and NR = Π·R (the division
-Π²R / Π is exact and asserted).  Reading off monomial coefficients yields
+The b_i² terms and the cross terms of R make up (S/Π)², so
+Π²R = S² − Σ_i b_i·D_i² + Π²G.  Because each b_i is a root of
+b² − b + g2_i = 0 the double poles of R cancel, so clearing by Π gives the
+polynomial identity  Π·P'' + NS·P' + NR·P = 0  with NS = 2S and NR = Π·R (the
+division Π²R / Π is exact and asserted).  Reading off monomial coefficients yields
 linear conditions on the coefficients of P.  For models whose pole data is
 energy-free the identity is linear in E: rows split as M0 + E·M1, the square
 block on the basis degrees is a generalized eigenvalue pencil, and the
@@ -65,7 +67,6 @@ class PencilSystem:
     M1: np.ndarray
     basis: Tuple[int, ...]
     overflow: Tuple[np.ndarray, np.ndarray]
-    assignment: object = None
 
     def overflow_magnitude(self):
         o0, o1 = self.overflow
@@ -91,20 +92,6 @@ class BandEdgeSolution:
 # identity rows
 # ---------------------------------------------------------------------------
 
-def _shift(coeffs, k):
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if k == 0:
-        return coeffs
-    return np.concatenate([np.zeros(k, dtype=complex), coeffs])
-
-
-def _polyadd_many(parts):
-    acc = np.zeros(1, dtype=complex)
-    for p in parts:
-        acc = P.polyadd(acc, np.asarray(p, dtype=complex))
-    return acc
-
-
 def _exact_polydiv(num, den, what):
     quo, rem = P.polydiv(np.asarray(num, dtype=complex), np.asarray(den, dtype=complex))
     scale = max(1.0, float(np.max(np.abs(num))) if np.asarray(num).size else 1.0)
@@ -116,27 +103,21 @@ def _exact_polydiv(num, den, what):
 
 
 def _identity_parts(model, residues, a0):
-    """(Π, NS, Π²R without the G part) for numeric residues and slope a0."""
+    """(Π, NS, Π²R without the G part) for numeric residues and slope a0.
+
+    With D_i = Π/(t−t_i) and S = Σ b_i·D_i + a0·Π: NS = 2S, Π²R = S² − Σ b_i·D_i².
+    """
     poles = model.fixed_poles()
     locs = [to_complex(p.location) for p in poles]
-    bvals = [to_complex(residues[p.label]) for p in poles]
-    a0 = to_complex(a0)
     pi = P.polyfromroots(locs)
-    deleted = [P.polyfromroots(locs[:i] + locs[i + 1:]) for i in range(len(locs))]
-
-    ns_parts = [2 * bvals[i] * deleted[i] for i in range(len(locs))]
-    ns_parts.append(2 * a0 * pi)
-    ns = _polyadd_many(ns_parts)
-
-    r_parts = []
-    for i in range(len(locs)):
-        r_parts.append((bvals[i] ** 2 - bvals[i]) * P.polymul(deleted[i], deleted[i]))
-        r_parts.append(2 * a0 * bvals[i] * P.polymul(deleted[i], pi))
-        for k in range(i + 1, len(locs)):
-            r_parts.append(2 * bvals[i] * bvals[k] * P.polymul(deleted[i], deleted[k]))
-    r_parts.append(a0 ** 2 * P.polymul(pi, pi))
-    pi2_r = _polyadd_many(r_parts)
-    return pi, ns, pi2_r
+    s = to_complex(a0) * pi
+    sq = np.zeros(1, dtype=complex)
+    for i, p in enumerate(poles):
+        b = to_complex(residues[p.label])
+        d = P.polyfromroots(locs[:i] + locs[i + 1:])
+        s = P.polyadd(s, b * d)
+        sq = P.polyadd(sq, b * P.polymul(d, d))
+    return pi, 2 * s, P.polysub(P.polymul(s, s), sq)
 
 
 def _basis_degrees(model, n):
@@ -145,34 +126,18 @@ def _basis_degrees(model, n):
     return tuple(range(0, n + 1))
 
 
-def _row_matrix(pi, ns, nr, basis):
-    """Full coefficient matrix of Π·P'' + NS·P' + NR·P over basis columns."""
-    cols = []
-    for d in basis:
-        parts = [_shift(nr, d)]
-        if d >= 1:
-            parts.append(d * _shift(ns, d - 1))
-        if d >= 2:
-            parts.append(d * (d - 1) * _shift(pi, d - 2))
-        cols.append(_polyadd_many(parts))
-    # polyadd trims trailing zeros; rows must still cover every basis degree
-    return _column_matrix(cols, max(basis) + 1)
+def _rows(basis, nrows, pi=(), ns=(), nr=()):
+    """Coefficient rows of Π·P'' + NS·P' + NR·P over the basis monomials.
 
-
-def _column_matrix(cols, nrows):
-    """Coefficient columns stacked side by side, zero-padded to ≥ nrows rows."""
-    mat = np.zeros((max(nrows, max(len(c) for c in cols)), len(cols)), dtype=complex)
-    for j, c in enumerate(cols):
-        mat[: len(c), j] = c
-    return mat
-
-
-def _split_rows(mat, basis):
-    basis_set = set(basis)
-    sq = np.array([mat[r] for r in basis], dtype=complex)
-    rest = [mat[r] for r in range(mat.shape[0]) if r not in basis_set]
-    over = np.array(rest, dtype=complex) if rest else np.zeros((0, len(basis)), dtype=complex)
-    return sq, over
+    Column j holds d(d−1)·Π·t^(d−2) + d·NS·t^(d−1) + NR·t^d for d = basis[j];
+    returns (the square block on the basis degrees, every other row).
+    """
+    mat = np.zeros((nrows, len(basis)), dtype=complex)
+    for j, d in enumerate(basis):
+        for coeffs, scale, low in ((pi, d * (d - 1), d - 2), (ns, d, d - 1), (nr, 1, d)):
+            if scale:
+                mat[low:low + len(coeffs), j] += scale * np.asarray(coeffs)
+    return mat[list(basis)], np.delete(mat, basis, axis=0)
 
 
 def build_pencil(model, assignment):
@@ -189,24 +154,19 @@ def build_pencil(model, assignment):
     n = int(assignment.n)
     a_poly, b_poly = model.pi2_g_polys()
     pi, ns, pi2_r = _identity_parts(model, assignment.pole_residues, assignment.a0)
-    quo, rem = P.polydiv(np.asarray(b_poly, dtype=complex), pi)
+    nr1, rem = P.polydiv(np.asarray(b_poly, dtype=complex), pi)
     if rem.size and np.max(np.abs(rem)) > _DIV_TOL * max(1.0, np.max(np.abs(b_poly))):
         raise NonlinearEnergyError(
             "energy enters the %s identity through the pole strengths; "
             "no linear pencil exists" % model.id)
     nr0 = _exact_polydiv(P.polyadd(pi2_r, np.asarray(a_poly, dtype=complex)), pi,
                          "the energy-free identity part")
-    nr1 = quo
     basis = _basis_degrees(model, n)
-    full0 = _row_matrix(pi, ns, nr0, basis)
-    # energy rows: only NR1·P contributes
-    full1 = _column_matrix([_shift(nr1, d) for d in basis], full0.shape[0])
-    full0 = np.vstack([full0, np.zeros((full1.shape[0] - full0.shape[0], len(basis)),
-                                       dtype=complex)])
-    m0, o0 = _split_rows(full0, basis)
-    m1, o1 = _split_rows(full1, basis)
-    system = PencilSystem(M0=m0, M1=m1, basis=basis, overflow=(o0, o1),
-                          assignment=assignment)
+    # rows reach degree max(basis) + deg of the longest part
+    nrows = max(basis) + max(len(pi), len(ns), len(nr0), len(nr1))
+    m0, o0 = _rows(basis, nrows, pi, ns, nr0)
+    m1, o1 = _rows(basis, nrows, nr=nr1)     # energy rows: only NR1·P contributes
+    system = PencilSystem(M0=m0, M1=m1, basis=basis, overflow=(o0, o1))
     if system.overflow_magnitude() > _OVERFLOW_TOL:
         raise QhjError("overflow rows of the %s pencil do not vanish (%.2e); "
                        "the residue assignment is inconsistent"
@@ -226,13 +186,12 @@ def build_fixed_system(model, assignment, energy=None):
     pi, ns, pi2_r = _identity_parts(model, assignment.pole_residues, assignment.a0)
     nr = _exact_polydiv(P.polyadd(pi2_r, g_poly), pi, "the resolved identity")
     basis = _basis_degrees(model, int(assignment.n))
-    full = _row_matrix(pi, ns, nr, basis)
-    sq, over = _split_rows(full, basis)
-    scale = max(1.0, float(np.max(np.abs(full))))
-    if over.size and np.max(np.abs(over)) > 1e-7 * scale:
+    sq, over = _rows(basis, max(basis) + max(len(pi), len(ns), len(nr)), pi, ns, nr)
+    worst = float(np.max(np.abs(over), initial=0.0))
+    if worst > 1e-7 * max(1.0, float(np.max(np.abs(sq))), worst):
         raise QhjError("identity rows above the node-polynomial degree do not "
                        "vanish at the quantized energy (%.2e); closed form and "
-                       "identity disagree" % float(np.max(np.abs(over))))
+                       "identity disagree" % worst)
     return sq, basis
 
 
@@ -391,8 +350,7 @@ def solve_spectrum(model, levels=4):
         for a in outcome.admissible_sets():
             for energy, coeffs, mult in solve_pencil(build_pencil(model, a)):
                 parity = _poly_parity(coeffs)
-                resolved = replace(a, energy=energy, level_resolved=True,
-                                   parity=parity)
+                resolved = replace(a, energy=energy, parity=parity)
                 raw.append(_solution(model, resolved, coeffs, parity, mult))
     else:
         for a in outcome.levels:

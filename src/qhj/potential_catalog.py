@@ -39,7 +39,7 @@ from numpy.polynomial import polynomial as P
 from .errors import ParameterError, SingularPointError, UnknownModelError
 from .exactmath import ExactComplex, to_complex
 from .qmf_residues import FixedPole, InfinityExpansion, finite_pole_residues
-from .quantization import QES_RELATIONS, ResidueAssignment, level_verdict, parity_of
+from .quantization import ResidueAssignment, level_verdict, parity_of
 from .special_functions import elliptic_K, jacobi_polynomial, laguerre, sn_cn_dn
 
 
@@ -123,10 +123,6 @@ class PotentialModel:
     def to_t(self, x):
         raise NotImplementedError
 
-    def singular_points(self):
-        """Poles of V(x) inside the physical window (empty if smooth)."""
-        return ()
-
     def singular(self, xs):
         """Why V cannot be evaluated at some of xs (walls, r ≤ 0), or None."""
         return None
@@ -151,17 +147,10 @@ class PotentialModel:
         raise NotImplementedError
 
     # -- derived helpers ------------------------------------------------------
-    def pole_locations(self):
-        return tuple(p.location for p in self.fixed_poles())
-
-    def clear_poly(self):
-        """Πclear(t): monic product of (t − t_i) over the fixed poles."""
-        return P.polyfromroots([to_complex(loc) for loc in self.pole_locations()])
-
     def g_value(self, t, energy):
         """G(t) evaluated from the stored polynomials (for diagnostics)."""
         a, b = self.pi2_g_polys()
-        pi = self.clear_poly()
+        pi = P.polyfromroots([to_complex(p.location) for p in self.fixed_poles()])
         t = np.asarray(t, dtype=complex)
         num = poly_eval(a, t) + to_complex(energy) * poly_eval(b, t)
         den = poly_eval(pi, t) ** 2
@@ -247,11 +236,8 @@ class HydrogenModel(PotentialModel):
     def to_t(self, x):
         return np.asarray(x, dtype=float)
 
-    def singular_points(self):
-        return (0.0,)
-
     def singular(self, xs):
-        if np.any(np.real(xs) <= 0):
+        if np.any(np.real(xs) < 1e-12):
             return "radial coordinate must be positive"
         return None
 
@@ -299,8 +285,7 @@ class HydrogenModel(PotentialModel):
             lam = Fraction(n + self.l + 1)
             out.append(replace(
                 origin, lambda1=lam, a0=-self.e2 / (2 * lam), n=n,
-                energy=self.kappa2 - self.e2 * self.e2 / (4 * lam * lam),
-                level_resolved=True))
+                energy=self.kappa2 - self.e2 * self.e2 / (4 * lam * lam)))
         return out
 
     def classical_polynomial(self, assignment):
@@ -394,8 +379,7 @@ class TwoWallJacobiModel(PotentialModel):
                 energy = self._energy(s_sum, n)
                 if energy is None:
                     break
-                out.append(replace(a, lambda1=s_sum + n, n=n, energy=energy,
-                                   level_resolved=True))
+                out.append(replace(a, lambda1=s_sum + n, n=n, energy=energy))
         return out
 
     def classical_polynomial(self, assignment):
@@ -466,10 +450,6 @@ class ScarfOneModel(TwoWallJacobiModel):
 
     def to_t(self, x):
         return np.sin(float(self.alpha) * np.asarray(x, dtype=float))
-
-    def singular_points(self):
-        w = math.pi / (2 * float(self.alpha))
-        return (-w, w)
 
     def singular(self, xs):
         if np.any(np.abs(np.cos(float(self.alpha) * xs)) < 1e-12):
@@ -636,9 +616,6 @@ class ScarfPeriodicModel(PotentialModel):
     def to_t(self, x):
         return 1.0 / np.tan(np.asarray(x, dtype=float))
 
-    def singular_points(self):
-        return (0.0, math.pi)
-
     def singular(self, xs):
         if np.any(np.abs(np.sin(xs)) < 1e-12):
             return "potential scarf_periodic is singular at multiples of pi"
@@ -705,7 +682,6 @@ class ScarfPeriodicModel(PotentialModel):
                     a,
                     pole_residues={"t=+i": b, "t=-i": b},
                     n=n, energy=energy, parity=parity_of(n),
-                    level_resolved=True,
                 ))
         return out
 
@@ -966,6 +942,9 @@ class AssociatedLameESModel(IntegerLameModel):
         return Fraction(0)
 
 
+QES_RELATIONS = ("b - a = -n - 2", "a + b + 1 = n + 2", "b - a = -n - 1", "a + b = n")
+
+
 class AssociatedLameQESModel(AssociatedLameModel):
     """Associated family at general (a, b): quasi-exactly-solvable entries.
 
@@ -991,6 +970,37 @@ class AssociatedLameQESModel(AssociatedLameModel):
             d9 = math.sqrt(float(25 * m * m - 4 * m + 4))
             return Fraction(d9) - 2 - Fraction(29, 4) * m
         return Fraction(0)
+
+
+def qes_family(model_class, n, a):
+    """Partner strengths b that make level n algebraically reachable.
+
+    For the associated elliptic family at fixed a, each residue set demands
+    one linear relation between a, b and n; solving them for b gives four
+    candidates.  b and −b−1 generate the same potential, so entries carry a
+    canonical class representative; classes appearing twice are flagged.
+    """
+    if model_class != AssociatedLameQESModel.id:
+        raise ParameterError("qes_family supports model_class=%r"
+                             % AssociatedLameQESModel.id)
+    a = Fraction(a)
+    n = Fraction(n)
+    if n.denominator != 1 or n < 0:
+        raise ParameterError("level n must be a nonnegative integer")
+    solutions = [a - n - 2, n + 1 - a, a - n - 1, n - a]
+    entries = []
+    seen = {}
+    for (label, rel), b in zip(enumerate(QES_RELATIONS, start=1), solutions):
+        canon = b if b >= Fraction(-1, 2) else -b - 1
+        first = seen.setdefault(canon, label)
+        entries.append({
+            "set_label": label,
+            "relation": rel,
+            "b": b,
+            "potential_class": canon,
+            "duplicate_of_set": None if first == label else first,
+        })
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -1145,9 +1155,6 @@ def get_model(model_id, **params):
 def evaluate_potential(model, x):
     """V(x) with an explicit singular-point check for scalar arguments."""
     xs = np.asarray(x, dtype=float) if not np.iscomplexobj(np.asarray(x)) else np.asarray(x)
-    for s in model.singular_points():
-        if np.any(np.abs(xs - s) < 1e-12):
-            raise SingularPointError("potential %s is singular at x = %r" % (model.id, s))
     reason = model.singular(xs)
     if reason:
         raise SingularPointError(reason)

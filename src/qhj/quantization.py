@@ -26,11 +26,9 @@ records and the condition that ties them together.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .errors import NoAdmissibleAssignmentError, ParameterError
-from .exactmath import to_complex
+from .errors import NoAdmissibleAssignmentError
 
 
 @dataclass(frozen=True)
@@ -54,16 +52,12 @@ class ResidueAssignment:
     qes_relation: Optional[str] = None
     parity: Optional[str] = None
     energy: Optional[object] = None
-    level_resolved: bool = False
-
-    def residue_sum(self):
-        return sum(self.pole_residues.values())
 
     def sum_rule_gap(self):
         """Σ residues + n − λ1 (exact zero for admissible resolved sets)."""
         if self.n is None or self.lambda1 is None:
             return None
-        return self.residue_sum() + self.n - self.lambda1
+        return sum(self.pole_residues.values()) + self.n - self.lambda1
 
 
 @dataclass
@@ -81,20 +75,6 @@ class QuantizationOutcome:
         return [a for a in self.assignments if a.admissible]
 
 
-def _int_or_none(value):
-    """Return int(value) when value is an exact integer, else None."""
-    if isinstance(value, (int,)):
-        return int(value)
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else None
-    f = to_complex(value)
-    if abs(f.imag) > 1e-12:
-        return None
-    if abs(f.real - round(f.real)) > 1e-9:
-        return None
-    return int(round(f.real))
-
-
 def parity_of(n):
     return "even" if n % 2 == 0 else "odd"
 
@@ -102,18 +82,16 @@ def parity_of(n):
 def level_verdict(n_val):
     """(admissible, reason, n) for a residue set whose sum rule gives n = n_val.
 
-    The level count must be a nonnegative integer; a rejected set keeps
-    n_val (non-integer) or the negative integer as its n.
+    n_val is exact (λ1 − Σ b from rational parameters).  The level count
+    must be a nonnegative integer; a rejected set keeps n_val (non-integer)
+    or the negative integer as its n.
     """
-    n_int = _int_or_none(n_val)
-    if n_int is None:
+    if n_val.denominator != 1:
         return False, "non_integer_level", n_val
+    n_int = int(n_val)
     if n_int < 0:
         return False, "negative_level", n_int
     return True, None, n_int
-
-
-QES_RELATIONS = ("b - a = -n - 2", "a + b + 1 = n + 2", "b - a = -n - 1", "a + b = n")
 
 
 def enumerate_assignments(model):
@@ -149,33 +127,3 @@ def quantize(model, levels=4):
         qes_relations=model.qes_relations,
         notes=model.notes,
     )
-
-
-def qes_family(model_class, n, a):
-    """Partner strengths b that make level n algebraically reachable.
-
-    For the associated elliptic family at fixed a, each residue set demands
-    one linear relation between a, b and n; solving them for b gives four
-    candidates.  b and −b−1 generate the same potential, so entries carry a
-    canonical class representative; classes appearing twice are flagged.
-    """
-    if model_class != "assoc_lame_qes":
-        raise ParameterError("qes_family supports model_class='assoc_lame_qes'")
-    a = Fraction(a)
-    n = Fraction(n)
-    if n.denominator != 1 or n < 0:
-        raise ParameterError("level n must be a nonnegative integer")
-    solutions = [a - n - 2, n + 1 - a, a - n - 1, n - a]
-    entries = []
-    seen = {}
-    for (label, rel), b in zip(enumerate(QES_RELATIONS, start=1), solutions):
-        canon = b if b >= Fraction(-1, 2) else -b - 1
-        first = seen.setdefault(canon, label)
-        entries.append({
-            "set_label": label,
-            "relation": rel,
-            "b": b,
-            "potential_class": canon,
-            "duplicate_of_set": None if first == label else first,
-        })
-    return entries

@@ -147,7 +147,10 @@ def _spectrum(xs, items, tol, node_counts=None):
 
 def _dense(diag, lower, upper):
     """Dense tridiagonal matrix from its three diagonals."""
-    return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+    mat = np.diag(diag)
+    np.fill_diagonal(mat[1:], lower)
+    np.fill_diagonal(mat[:, 1:], upper)
+    return mat
 
 
 def solve_bound(model, k, points=2400, tol=None):

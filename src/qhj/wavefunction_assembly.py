@@ -140,12 +140,10 @@ def verify_against_oracle(recipe, oracle: OracleSpectrum, level,
         raise InvalidStateError("recipe not finite on the oracle grid")
     v_oracle = oracle.eigenvectors[:, level]
     if cluster_levels and len(cluster_levels) > 1:
-        ov = subspace_overlap(vals, [oracle.eigenvectors[:, j] for j in cluster_levels])
-        basis = np.column_stack([_unit(oracle.eigenvectors[:, j])
-                                 for j in cluster_levels])
-        q, _ = np.linalg.qr(basis)
-        proj = q @ (q.conj().T @ _unit(vals))
-        mod_ref = np.abs(proj)
+        q, _ = np.linalg.qr(oracle.eigenvectors[:, list(cluster_levels)].astype(complex))
+        coef = q.conj().T @ _unit(vals)
+        ov = float(np.linalg.norm(coef))
+        mod_ref = np.abs(q @ coef)
     else:
         ov = overlap(vals, v_oracle)
         mod_ref = np.abs(_unit(v_oracle))

@@ -181,6 +181,11 @@ class TestSingularPoints:
         with pytest.raises(SingularPointError):
             evaluate_potential(model, math.pi / 2)
 
+    def test_hydrogen_refuses_points_within_the_wall_band(self):
+        model = get_model("hydrogen", e2=2, l=0)
+        with pytest.raises(SingularPointError):
+            evaluate_potential(model, 1e-13)
+
 
 class TestStructuralSymmetries:
     def test_elliptic_potentials_have_cell_period(self):
@@ -255,6 +260,37 @@ def test_only_the_catalog_branches_on_model_ids():
         if hits:
             found[path.name] = hits
     assert found == {}
+
+
+def _id_literals(tree):
+    """Lines holding a string literal that names a catalog model."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and node.value in MODEL_IDS})
+
+
+def test_only_the_catalog_names_model_ids():
+    # a family's id spelled out elsewhere is family knowledge outside its
+    # class, even when it is compared through a parameter, not model.id
+    package = Path(__file__).resolve().parents[1] / "src" / "qhj"
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name == "potential_catalog.py":
+            continue
+        hits = _id_literals(ast.parse(path.read_text(encoding="utf-8")))
+        if hits:
+            found[path.name] = hits
+    assert found == {}
+
+
+def test_literal_guard_sees_model_ids():
+    code = ("if kind != 'assoc_lame_qes': pass\n"
+            "TABLE = {'lame': 1}\n"
+            "f('hydrogen')\n"
+            "x = 'lame_like'\n"
+            "y = b'lame'\n"
+            "z = 'lame' + 'x'\n")
+    assert _id_literals(ast.parse(code)) == [1, 2, 3, 6]
 
 
 _POOL_MODULES = ("concurrent", "threading", "multiprocessing")

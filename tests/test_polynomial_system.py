@@ -6,17 +6,23 @@ acceptance suite.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
-from qhj import NonlinearEnergyError, enumerate_assignments, get_model, quantize
-from qhj.polynomial_system import (PolynomialOnT, _kernel_vectors,
-                                   _poly_parity, build_fixed_system,
-                                   build_pencil, closed_form_check,
-                                   closed_form_deviation, solve_pencil,
-                                   solve_spectrum)
+from qhj import (NonlinearEnergyError, QhjError, enumerate_assignments,
+                 get_model, quantize)
+from qhj.polynomial_system import (PolynomialOnT, _identity_parts,
+                                   _kernel_vectors, _poly_parity,
+                                   build_fixed_system, build_pencil,
+                                   closed_form_check, closed_form_deviation,
+                                   solve_pencil, solve_spectrum)
 
 HALF = Fraction(1, 2)
 
@@ -63,6 +69,63 @@ class TestPencilAssembly:
             for a in _admissible(model).values():
                 with pytest.raises(NonlinearEnergyError):
                     build_pencil(model, a)
+
+
+class TestSafetyChecks:
+    """Inconsistent residue data must be refused, not solved."""
+
+    def _set1(self, **residues):
+        model = get_model("lame", j=2, m=HALF)
+        a = _admissible(model)[1]
+        return model, replace(a, pole_residues={**a.pole_residues, **residues})
+
+    def test_wrong_branch_leaves_a_division_remainder(self):
+        model, bad = self._set1(**{"t=+1": HALF})
+        with pytest.raises(QhjError, match="division .* is not exact"):
+            build_pencil(model, bad)
+
+    def test_wrong_branch_pair_leaves_overflow_rows(self):
+        model, bad = self._set1(**{"t=+1": Fraction(3, 4), "t=-1": Fraction(3, 4)})
+        with pytest.raises(QhjError, match="overflow rows .* do not vanish"):
+            build_pencil(model, bad)
+
+
+def _pairwise_identity(locs, bvals, a0):
+    """(Π, NS, Π²R − Π²G) summed term by term from the pole expansion of S and R."""
+    pi = P.polyfromroots(locs)
+    deleted = [P.polyfromroots(locs[:i] + locs[i + 1:]) for i in range(len(locs))]
+    ns = 2 * a0 * pi
+    r = a0 ** 2 * P.polymul(pi, pi)
+    for i, (b, d) in enumerate(zip(bvals, deleted)):
+        ns = P.polyadd(ns, 2 * b * d)
+        r = P.polyadd(r, (b * b - b) * P.polymul(d, d))
+        r = P.polyadd(r, 2 * a0 * b * P.polymul(d, pi))
+        for bk, dk in zip(bvals[i + 1:], deleted[i + 1:]):
+            r = P.polyadd(r, 2 * b * bk * P.polymul(d, dk))
+    return pi, ns, r
+
+
+_small = st.floats(-3.0, 3.0)
+_complex = st.builds(complex, _small, _small)
+
+
+class TestIdentityParts:
+    @settings(max_examples=200, deadline=None)
+    @given(locs=st.lists(_complex, min_size=1, max_size=4),
+           data=st.data(),
+           a0=st.one_of(_small.map(complex), _complex))
+    def test_matches_the_pairwise_definition(self, locs, data, a0):
+        bvals = data.draw(st.lists(st.one_of(_small.map(complex), _complex),
+                                   min_size=len(locs), max_size=len(locs)))
+        model = SimpleNamespace(fixed_poles=lambda: tuple(
+            SimpleNamespace(label="p%d" % i, location=t) for i, t in enumerate(locs)))
+        residues = {"p%d" % i: b for i, b in enumerate(bvals)}
+        got = _identity_parts(model, residues, a0)
+        for mine, ref in zip(got, _pairwise_identity(locs, bvals, a0)):
+            width = max(len(mine), len(ref))
+            mine, ref = (np.pad(np.asarray(c, dtype=complex), (0, width - len(c)))
+                         for c in (mine, ref))
+            assert np.max(np.abs(mine - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 class TestFixedSystem:
