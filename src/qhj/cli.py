@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -163,10 +164,8 @@ def _collect_params(args):
                 _, parsed = _parse_param("%s=%s" % (name, value))
             elif isinstance(value, bool):
                 raise ParameterError("boolean is not a valid parameter value")
-            elif isinstance(value, int):
-                parsed = value
-            elif isinstance(value, float):
-                parsed = Fraction(value).limit_denominator(10 ** 12)
+            elif isinstance(value, (int, float)):
+                parsed = value     # the catalog makes floats rational
             else:
                 raise ParameterError("unsupported config value for %r" % name)
             params[name] = parsed
@@ -175,7 +174,7 @@ def _collect_params(args):
         if getattr(args, "levels", None) is None and "levels" in cfg:
             try:
                 args.levels = int(cfg["levels"])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ParameterError("config levels must be an integer, got %r"
                                      % (cfg["levels"],))
     for text in args.param or []:
@@ -331,18 +330,25 @@ def build_parser():
     return parser
 
 
+def _print_warning(message, *_args, **_kwargs):
+    print("warning: %s" % message, file=sys.stderr)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     commands = {"list": _cmd_list, "solve": _cmd_solve, "verify": _cmd_verify,
                 "wavefunction": _cmd_wavefunction}
-    try:
-        return commands[args.command](args, sys.stdout)
-    except NoAdmissibleAssignmentError as exc:
-        print("no admissible residue assignment: %s" % exc, file=sys.stderr)
-        return EXIT_NO_ASSIGNMENT
-    except QhjError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+    # warnings print as one line each; the caller's handler is restored on return
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return commands[args.command](args, sys.stdout)
+        except NoAdmissibleAssignmentError as exc:
+            print("no admissible residue assignment: %s" % exc, file=sys.stderr)
+            return EXIT_NO_ASSIGNMENT
+        except QhjError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -52,9 +52,6 @@ class PolynomialOnT:
     coeffs: Tuple[complex, ...]
     parity: str = "none"          # even | odd | none
 
-    def degree(self):
-        return len(self.coeffs) - 1
-
     def __call__(self, t):
         return poly_eval(self.coeffs, t)
 
@@ -120,19 +117,22 @@ def _identity_parts(model, residues, a0):
     return pi, 2 * s, P.polysub(P.polymul(s, s), sq)
 
 
-def _basis_degrees(model, n):
-    if model.parity_constraint:
-        return tuple(range(n % 2, n + 1, 2))
-    return tuple(range(0, n + 1))
+def _identity(model, assignment, g_part, what):
+    """(basis, Π, NS, exact NR = (Π²R + g_part)/Π); what names g_part in errors."""
+    pi, ns, pi2_r = _identity_parts(model, assignment.pole_residues, assignment.a0)
+    nr = _exact_polydiv(P.polyadd(pi2_r, np.asarray(g_part, dtype=complex)), pi, what)
+    n = int(assignment.n)
+    basis = tuple(range(n % 2, n + 1, 2)) if model.parity_constraint else tuple(range(n + 1))
+    return basis, pi, ns, nr
 
 
-def _rows(basis, nrows, pi=(), ns=(), nr=()):
+def _rows(basis, pi=(), ns=(), nr=()):
     """Coefficient rows of Π·P'' + NS·P' + NR·P over the basis monomials.
 
     Column j holds d(d−1)·Π·t^(d−2) + d·NS·t^(d−1) + NR·t^d for d = basis[j];
     returns (the square block on the basis degrees, every other row).
     """
-    mat = np.zeros((nrows, len(basis)), dtype=complex)
+    mat = np.zeros((max(basis) + max(len(pi), len(ns), len(nr)), len(basis)), dtype=complex)
     for j, d in enumerate(basis):
         for coeffs, scale, low in ((pi, d * (d - 1), d - 2), (ns, d, d - 1), (nr, 1, d)):
             if scale:
@@ -151,21 +151,18 @@ def build_pencil(model, assignment):
         raise NonlinearEnergyError(
             "assignment for %s has energy-dependent pole data; solve its "
             "closed-form energies first" % model.id)
-    n = int(assignment.n)
     a_poly, b_poly = model.pi2_g_polys()
-    pi, ns, pi2_r = _identity_parts(model, assignment.pole_residues, assignment.a0)
+    # E-part first: an energy-dependent set is refused as such, not as a remainder
+    pi = P.polyfromroots([to_complex(p.location) for p in model.fixed_poles()])
     nr1, rem = P.polydiv(np.asarray(b_poly, dtype=complex), pi)
     if rem.size and np.max(np.abs(rem)) > _DIV_TOL * max(1.0, np.max(np.abs(b_poly))):
         raise NonlinearEnergyError(
             "energy enters the %s identity through the pole strengths; "
             "no linear pencil exists" % model.id)
-    nr0 = _exact_polydiv(P.polyadd(pi2_r, np.asarray(a_poly, dtype=complex)), pi,
-                         "the energy-free identity part")
-    basis = _basis_degrees(model, n)
-    # rows reach degree max(basis) + deg of the longest part
-    nrows = max(basis) + max(len(pi), len(ns), len(nr0), len(nr1))
-    m0, o0 = _rows(basis, nrows, pi, ns, nr0)
-    m1, o1 = _rows(basis, nrows, nr=nr1)     # energy rows: only NR1·P contributes
+    basis, pi, ns, nr0 = _identity(model, assignment, a_poly,
+                                   "the energy-free identity part")
+    m0, o0 = _rows(basis, pi, ns, nr0)
+    m1, o1 = _rows(basis, nr=nr1)     # energy rows: only NR1·P contributes
     system = PencilSystem(M0=m0, M1=m1, basis=basis, overflow=(o0, o1))
     if system.overflow_magnitude() > _OVERFLOW_TOL:
         raise QhjError("overflow rows of the %s pencil do not vanish (%.2e); "
@@ -180,13 +177,10 @@ def build_fixed_system(model, assignment, energy=None):
     if energy is None:
         raise QhjError("fixed system needs a resolved energy")
     a_poly, b_poly = model.pi2_g_polys()
-    e = to_complex(energy)
     g_poly = P.polyadd(np.asarray(a_poly, dtype=complex),
-                       e * np.asarray(b_poly, dtype=complex))
-    pi, ns, pi2_r = _identity_parts(model, assignment.pole_residues, assignment.a0)
-    nr = _exact_polydiv(P.polyadd(pi2_r, g_poly), pi, "the resolved identity")
-    basis = _basis_degrees(model, int(assignment.n))
-    sq, over = _rows(basis, max(basis) + max(len(pi), len(ns), len(nr)), pi, ns, nr)
+                       to_complex(energy) * np.asarray(b_poly, dtype=complex))
+    basis, pi, ns, nr = _identity(model, assignment, g_poly, "the resolved identity")
+    sq, over = _rows(basis, pi, ns, nr)
     worst = float(np.max(np.abs(over), initial=0.0))
     if worst > 1e-7 * max(1.0, float(np.max(np.abs(sq))), worst):
         raise QhjError("identity rows above the node-polynomial degree do not "
@@ -198,8 +192,6 @@ def build_fixed_system(model, assignment, energy=None):
 def _kernel_vectors(mat, rtol=1e-7):
     """Orthonormal kernel basis of a square matrix via SVD."""
     u, s, vh = np.linalg.svd(mat)
-    if mat.shape[0] == 0:
-        return [np.array([1.0 + 0j])]
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
         return [vh[i].conj() for i in range(vh.shape[0])]
@@ -221,8 +213,7 @@ def _normalize_leading(coeffs):
 
 def _expand_basis(vec, basis):
     full = np.zeros(max(basis) + 1, dtype=complex)
-    for val, d in zip(vec, basis):
-        full[d] = val
+    full[list(basis)] = vec
     return full
 
 
@@ -305,7 +296,6 @@ def closed_form_deviation(model, solution, npoints=20):
 class SpectrumResult:
     """Deduplicated, sorted level list for one model."""
 
-    model_id: str
     outcome: QuantizationOutcome
     solutions: List[BandEdgeSolution]
 
@@ -333,38 +323,35 @@ def _solution_samples(model, recipe):
     return vals / norm if norm else vals
 
 
-def _solution(model, assignment, coeffs, parity, degeneracy):
+def _solution(model, assignment, coeffs):
     """A solved level with its node polynomial, recipe and periodicity class."""
+    parity = _poly_parity(coeffs)
     poly = PolynomialOnT(tuple(coeffs.tolist()), parity)
     return BandEdgeSolution(
         energy=assignment.energy, polynomial=poly, assignment=assignment,
-        recipe=model.recipe(assignment, poly.coeffs), degeneracy=degeneracy,
+        recipe=model.recipe(assignment, poly.coeffs),
         bc_class=model.bc_class(assignment, parity))
 
 
 def solve_spectrum(model, levels=4):
     """Quantize, solve every admissible set, deduplicate, attach recipes."""
     outcome = quantize(model, levels=levels)
-    raw: List[BandEdgeSolution] = []
     if model.uses_pencil:
-        for a in outcome.admissible_sets():
-            for energy, coeffs, mult in solve_pencil(build_pencil(model, a)):
-                parity = _poly_parity(coeffs)
-                resolved = replace(a, energy=energy, parity=parity)
-                raw.append(_solution(model, resolved, coeffs, parity, mult))
+        kernels = [(replace(a, energy=energy), coeffs)
+                   for a in outcome.admissible_sets()
+                   for energy, coeffs, _mult in solve_pencil(build_pencil(model, a))]
     else:
+        kernels = []
         for a in outcome.levels:
             sq, basis = build_fixed_system(model, a)
-            for vec in _kernel_vectors(sq)[:1]:
-                coeffs = _normalize_leading(_expand_basis(vec, basis))
-                raw.append(_solution(model, a, coeffs, _poly_parity(coeffs), 1))
-
-    solutions = _deduplicate(model, raw)
+            vec = _kernel_vectors(sq)[0]     # one node polynomial per closed-form level
+            kernels.append((a, _normalize_leading(_expand_basis(vec, basis))))
+    solutions = _deduplicate(model, [_solution(model, a, coeffs) for a, coeffs in kernels])
     solutions.sort(key=lambda s: (to_complex(s.energy).real,
                                   to_complex(s.energy).imag,
                                   s.assignment.set_label,
                                   int(s.assignment.n)))
-    return SpectrumResult(model_id=model.id, outcome=outcome, solutions=solutions)
+    return SpectrumResult(outcome=outcome, solutions=solutions)
 
 
 def _deduplicate(model, raw):

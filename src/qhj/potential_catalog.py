@@ -39,7 +39,7 @@ from numpy.polynomial import polynomial as P
 from .errors import ParameterError, SingularPointError, UnknownModelError
 from .exactmath import ExactComplex, to_complex
 from .qmf_residues import FixedPole, InfinityExpansion, finite_pole_residues
-from .quantization import ResidueAssignment, level_verdict, parity_of
+from .quantization import ResidueAssignment, level_verdict
 from .special_functions import elliptic_K, jacobi_polynomial, laguerre, sn_cn_dn
 
 
@@ -77,7 +77,7 @@ def _fraction(value, name):
         if isinstance(value, float):
             return Fraction(value).limit_denominator(10**12)
         return Fraction(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError("parameter %s must be rational, got %r" % (name, value)) from exc
 
 
@@ -268,13 +268,11 @@ class HydrogenModel(PotentialModel):
         branch = finite_pole_residues(self.fixed_poles()[0])
         out = []
         for label, b1 in enumerate(branch.values, start=1):
-            admissible = b1 > 0
             out.append(ResidueAssignment(
-                model_id=self.id, set_label=label,
+                set_label=label,
                 pole_residues={"t=0": b1},
                 lambda1=None, a0=None, n=None,
-                admissible=admissible,
-                reason=None if admissible else "origin_exponent_nonpositive",
+                reason=None if b1 > 0 else "origin_exponent_nonpositive",
             ))
         return out
 
@@ -359,13 +357,11 @@ class TwoWallJacobiModel(PotentialModel):
         out = []
         for bp in plus.values:
             for bm in minus.values:
-                admissible = self._admissible(bp, bm)
                 out.append(ResidueAssignment(
-                    model_id=self.id, set_label=len(out) + 1,
+                    set_label=len(out) + 1,
                     pole_residues={"t=+1": bp, "t=-1": bm},
                     lambda1=None, a0=0, n=None,
-                    admissible=admissible,
-                    reason=None if admissible else self.reject_reason,
+                    reason=None if self._admissible(bp, bm) else self.reject_reason,
                 ))
         return out
 
@@ -659,10 +655,8 @@ class ScarfPeriodicModel(PotentialModel):
             else:
                 reason = None
             out.append(ResidueAssignment(
-                model_id=self.id, set_label=label,
-                pole_residues={},
-                lambda1=d1, a0=0, n=None,
-                admissible=reason is None, reason=reason,
+                set_label=label, pole_residues={},
+                lambda1=d1, a0=0, n=None, reason=reason,
             ))
         return out
 
@@ -678,11 +672,8 @@ class ScarfPeriodicModel(PotentialModel):
                     continue
                 b = (1 - lam) / 2
                 energy = lam * lam
-                out.append(replace(
-                    a,
-                    pole_residues={"t=+i": b, "t=-i": b},
-                    n=n, energy=energy, parity=parity_of(n),
-                ))
+                out.append(replace(a, pole_residues={"t=+i": b, "t=-i": b},
+                                   n=n, energy=energy))
         return out
 
     def classical_polynomial(self, assignment):
@@ -840,14 +831,11 @@ class AssociatedLameModel(PotentialModel):
         out = []
         for label, ((bsign, dsign), rel) in enumerate(zip(self.set_order, relations), start=1):
             b1, d1 = b1s[bsign], d1s[dsign]
-            admissible, reason, n = level_verdict(lam1 - 2 * b1 - 2 * d1)
+            reason, n = level_verdict(lam1 - 2 * b1 - 2 * d1)
             out.append(ResidueAssignment(
-                model_id=self.id, set_label=label,
+                set_label=label,
                 pole_residues={"t=+1": b1, "t=-1": b1, "t=+1/sqrt(m)": d1, "t=-1/sqrt(m)": d1},
-                lambda1=lam1, a0=0, n=n,
-                admissible=admissible, reason=reason,
-                qes_relation=rel,
-                parity=parity_of(n) if admissible else None,
+                lambda1=lam1, a0=0, n=n, reason=reason, qes_relation=rel,
             ))
         return out
 
@@ -1086,13 +1074,11 @@ class KhareMandalModel(PotentialModel):
         a0 = ExactComplex(Fraction(0), self.zeta / 2)
         out = []
         for label, ((b1, b1p), rel) in enumerate(zip(self._SETS, self.qes_relations), start=1):
-            admissible, reason, n = level_verdict(lam1 - b1 - b1p)
+            reason, n = level_verdict(lam1 - b1 - b1p)
             out.append(ResidueAssignment(
-                model_id=self.id, set_label=label,
+                set_label=label,
                 pole_residues={"t=+1": b1, "t=-1": b1p},
-                lambda1=lam1, a0=a0, n=n,
-                admissible=admissible, reason=reason,
-                qes_relation=rel,
+                lambda1=lam1, a0=a0, n=n, reason=reason, qes_relation=rel,
             ))
         return out
 

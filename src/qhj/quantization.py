@@ -37,21 +37,22 @@ class ResidueAssignment:
 
     Set-level assignments describe a whole family (n may still be symbolic
     for closed-form models); level-resolved ones carry a concrete n and
-    energy.  reason is the machine-readable rejection verdict when the set
-    is inadmissible.
+    energy.  reason is the machine-readable rejection verdict; a set is
+    admissible exactly when reason is None.
     """
 
-    model_id: str
     set_label: int
     pole_residues: Dict[str, object]
     lambda1: object
     a0: object
     n: Optional[object]
-    admissible: bool
     reason: Optional[str] = None
     qes_relation: Optional[str] = None
-    parity: Optional[str] = None
     energy: Optional[object] = None
+
+    @property
+    def admissible(self):
+        return self.reason is None
 
     def sum_rule_gap(self):
         """Σ residues + n − λ1 (exact zero for admissible resolved sets)."""
@@ -75,23 +76,19 @@ class QuantizationOutcome:
         return [a for a in self.assignments if a.admissible]
 
 
-def parity_of(n):
-    return "even" if n % 2 == 0 else "odd"
-
-
 def level_verdict(n_val):
-    """(admissible, reason, n) for a residue set whose sum rule gives n = n_val.
+    """(reason, n) for a residue set whose sum rule gives n = n_val.
 
     n_val is exact (λ1 − Σ b from rational parameters).  The level count
-    must be a nonnegative integer; a rejected set keeps n_val (non-integer)
-    or the negative integer as its n.
+    must be a nonnegative integer (reason None); a rejected set keeps n_val
+    (non-integer) or the negative integer as its n.
     """
     if n_val.denominator != 1:
-        return False, "non_integer_level", n_val
+        return "non_integer_level", n_val
     n_int = int(n_val)
     if n_int < 0:
-        return False, "negative_level", n_int
-    return True, None, n_int
+        return "negative_level", n_int
+    return None, n_int
 
 
 def enumerate_assignments(model):

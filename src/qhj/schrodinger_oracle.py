@@ -224,11 +224,10 @@ def solve_inverse_square_cell(model, k=4, points=1600, tol=None):
     """Band-edge (or bound) levels of the inverse-square cell potential.
 
     Each wall-exponent channel μ = 1/2 ± s is solved separately; for s > 1/2
-    only the normalizable μ = 1/2 + s channel exists.  Eigenvectors of both
-    resolutions are interpolated onto one common grid.
+    only the normalizable μ = 1/2 + s channel exists.  Eigenvectors are
+    reported on the cell midpoints of the fine grid.
     """
     s = float(model.s)
-    common = np.linspace(0.0, np.pi, 1201)[1:-1]
 
     def lowest(grid, mu):
         """Lowest k+1 levels of the sin^μ exponent channel on (0, π)."""
@@ -244,8 +243,7 @@ def solve_inverse_square_cell(model, k=4, points=1600, tol=None):
         eps, y = eigh_tridiagonal(diag, off, select="i",
                                   select_range=(0, min(k + 1, len(xs)) - 1))
         # the symmetrized eigenvector is y = w·φ, which is ψ on the grid already
-        return common, eps + (s * s - 0.25) + mu, np.column_stack(
-            [np.interp(common, xs, y[:, i]) for i in range(y.shape[1])])
+        return xs, eps + (s * s - 0.25) + mu, y
 
     channels = [("exponent_plus", 0.5 + s)]
     if s < 0.5:
@@ -262,33 +260,28 @@ def solve_pt(model, points=640, max_real=40.0, stability_tol=5e-3):
     """Complex spectrum of a PT-symmetric model, filtered for grid stability.
 
     An eigenvalue is kept only when the coarse and fine grids agree on it;
-    matched pairs are Richardson-combined.  On the bent contour
-    x(σ) = σ + i·bend·tanh(steepness·σ), for models whose eigenfunctions only
-    decay off the real axis, eigenfunctions are reported against x(σ).
+    matched pairs are Richardson-combined.  The operator acts along the
+    contour x(σ) = σ + i·bend·tanh(steepness·σ) and eigenfunctions are
+    reported against x(σ): bend = π/4 for models whose eigenfunctions only
+    decay off the real axis, bend = 0 (the real line) otherwise.
     """
     lo, hi = model.x_window()
     tag = "contour" if model.bent_contour else "dirichlet"
+    bend, steepness = (0.25 * np.pi if model.bent_contour else 0.0), 1.5
 
     def solve_at(npts):
         grid = GridSpec(lo, hi, npts, tag)
         sig = grid.interior()
         h = grid.step
-        if model.bent_contour:
-            bend, steepness = 0.25 * np.pi, 1.5
-            sech2 = 1.0 / np.cosh(steepness * sig) ** 2
-            xprime = 1.0 + 1j * bend * steepness * sech2
-            xsecond = -2j * bend * steepness ** 2 * sech2 * np.tanh(steepness * sig)
-            xs = sig + 1j * bend * np.tanh(steepness * sig)
-            inv2 = 1.0 / xprime ** 2
-            first = xsecond / xprime ** 3
-            mat = _dense(2.0 * inv2 / h ** 2 + np.asarray(model.potential(xs), dtype=complex),
-                         -inv2[1:] / h ** 2 - first[1:] / (2.0 * h),
-                         -inv2[:-1] / h ** 2 + first[:-1] / (2.0 * h))
-        else:
-            xs = sig
-            off = np.full(len(sig) - 1, -1.0 / h ** 2)
-            mat = _dense(2.0 / h ** 2 + np.asarray(model.potential(sig), dtype=complex),
-                         off, off)
+        sech2 = 1.0 / np.cosh(steepness * sig) ** 2
+        xprime = 1.0 + 1j * bend * steepness * sech2
+        xsecond = -2j * bend * steepness ** 2 * sech2 * np.tanh(steepness * sig)
+        xs = sig + 1j * bend * np.tanh(steepness * sig)
+        inv2 = 1.0 / xprime ** 2
+        first = xsecond / xprime ** 3
+        mat = _dense(2.0 * inv2 / h ** 2 + np.asarray(model.potential(xs), dtype=complex),
+                     -inv2[1:] / h ** 2 - first[1:] / (2.0 * h),
+                     -inv2[:-1] / h ** 2 + first[:-1] / (2.0 * h))
         vals, vecs = eig(mat)
         order = np.argsort(vals.real + 1e-9 * vals.imag)
         return xs, vals[order], vecs[:, order]

@@ -99,12 +99,16 @@ def overlap(a, b):
                              _unit(np.asarray(b, dtype=complex)))))
 
 
+def _project(vector, columns):
+    """(orthonormal basis q of the columns, coordinates of the unit vector in q)."""
+    q, _ = np.linalg.qr(np.asarray(columns, dtype=complex))
+    return q, q.conj().T @ _unit(np.asarray(vector, dtype=complex))
+
+
 def subspace_overlap(vector, basis_vectors):
     """Norm of the projection of a unit vector onto span(basis_vectors)."""
-    v = _unit(np.asarray(vector, dtype=complex))
-    basis = np.column_stack([np.asarray(b, dtype=complex) for b in basis_vectors])
-    q, _ = np.linalg.qr(basis)
-    return float(np.linalg.norm(q.conj().T @ v))
+    _, coef = _project(vector, np.column_stack(basis_vectors))
+    return float(np.linalg.norm(coef))
 
 
 @dataclass
@@ -131,22 +135,17 @@ def verify_against_oracle(recipe, oracle: OracleSpectrum, level,
     """Score one assembled wavefunction against one oracle eigenvector.
 
     For a degenerate oracle cluster pass all cluster indices: the score is
-    then the projection onto the cluster's span.  The report is invariant
-    under rescaling the recipe (e.g. by −3): only unit-normalized vectors
-    and sup-normalized moduli enter it.
+    then the projection onto the cluster's span (a single level is a
+    one-vector cluster).  The report is invariant under rescaling the recipe
+    (e.g. by −3): only unit-normalized vectors and sup-normalized moduli
+    enter it.
     """
     vals = np.asarray(recipe(oracle.xs), dtype=complex)
     if not np.all(np.isfinite(vals)):
         raise InvalidStateError("recipe not finite on the oracle grid")
-    v_oracle = oracle.eigenvectors[:, level]
-    if cluster_levels and len(cluster_levels) > 1:
-        q, _ = np.linalg.qr(oracle.eigenvectors[:, list(cluster_levels)].astype(complex))
-        coef = q.conj().T @ _unit(vals)
-        ov = float(np.linalg.norm(coef))
-        mod_ref = np.abs(q @ coef)
-    else:
-        ov = overlap(vals, v_oracle)
-        mod_ref = np.abs(_unit(v_oracle))
+    q, coef = _project(vals, oracle.eigenvectors[:, list(cluster_levels or [level])])
+    ov = float(np.linalg.norm(coef))
+    mod_ref = np.abs(q @ coef)
     mod_mine = np.abs(_unit(vals))
     denom = float(np.max(mod_ref)) or 1.0
     mod_dev = float(np.max(np.abs(mod_mine / (np.max(mod_mine) or 1.0)

@@ -7,6 +7,7 @@ the raw potential callable and finite differences, with no residue code.
 """
 
 import ast
+import dataclasses
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -149,6 +150,13 @@ class TestParameterValidation:
     def test_domain_violations(self, mid, params):
         with pytest.raises(ParameterError):
             get_model(mid, **params)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_parameter_errors(self, value):
+        with pytest.raises(ParameterError, match="must be rational"):
+            get_model("hydrogen", e2=value, l=0)
+        with pytest.raises(ParameterError, match="must be rational"):
+            get_model("lame", j=value, m=Fraction(1, 2))
 
     def test_schema_lists_every_model(self):
         assert set(PARAM_SCHEMAS) == set(MODEL_IDS)
@@ -347,6 +355,56 @@ def test_id_guard_sees_each_branch_form():
             "f = TABLE.get(model.id)\n"
             "print(model.id)\n")
     assert _id_branches(ast.parse(code)) == [1, 2, 3, 4, 5, 6]
+
+
+def _unread_fields(classes, trees):
+    """Dataclass fields of classes that no tree reads as an attribute."""
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return ["%s.%s" % (cls.__name__, f.name)
+            for cls in classes for f in dataclasses.fields(cls) if f.name not in read]
+
+
+def test_every_level_record_field_is_read():
+    # a field that is written at every construction but read nowhere is
+    # state the residue route carries for no consumer
+    from qhj.polynomial_system import BandEdgeSolution, SpectrumResult
+    from qhj.quantization import QuantizationOutcome, ResidueAssignment
+    package = Path(__file__).resolve().parents[1] / "src" / "qhj"
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))]
+    assert _unread_fields((ResidueAssignment, QuantizationOutcome,
+                           BandEdgeSolution, SpectrumResult), trees) == []
+
+
+def test_field_guard_sees_a_write_only_field():
+    @dataclasses.dataclass
+    class Level:
+        energy: float
+        note: str
+
+    code = ("lvl = Level(energy=1.0, note='x')\n"
+            "print(lvl.energy)\n"
+            "lvl.note = 'y'\n"
+            "other = replace(lvl, note='z')\n")
+    assert _unread_fields((Level,), [ast.parse(code)]) == ["Level.note"]
+
+
+def test_tracer_targets_exist():
+    # perfbench/tracer.py wraps these names from outside src/; a rename or an
+    # inlined function must fail the suite, not only a traced benchmark run
+    import importlib
+    import inspect
+    import types
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tracer = types.ModuleType("tracer")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracer.__dict__)
+    for module, function in tracer.SPAN_TARGETS:
+        target = getattr(importlib.import_module("qhj." + module), function, None)
+        assert inspect.isfunction(target), (module, function)
+    oracle = importlib.import_module("qhj.schrodinger_oracle")
+    assert all(hasattr(oracle, name) for name in tracer.EIG_TARGETS)
+    assert tracer.SPAN_TARGETS and tracer.EIG_TARGETS
 
 
 class TestRegistry:

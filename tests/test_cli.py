@@ -3,13 +3,14 @@
 import json
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
 
 from qhj.cli import (EXIT_NO_ASSIGNMENT, EXIT_OK, EXIT_USAGE,
                      EXIT_VERIFY_FAILED, main)
-from qhj.polynomial_system import solve_spectrum
+from qhj.polynomial_system import DefectivePencilWarning, solve_spectrum
 from qhj.potential_catalog import MODEL_IDS, get_model
 
 
@@ -213,6 +214,44 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert out == ""
+
+    @pytest.mark.parametrize("text", [
+        '{"model": "hydrogen", "params": {"e2": NaN, "l": 0}}',
+        '{"model": "hydrogen", "params": {"e2": Infinity, "l": 0}}',
+        '{"model": "hydrogen", "params": {"e2": 2, "l": -Infinity}}',
+        '{"model": "hydrogen", "params": {"e2": 2, "l": 0}, "levels": 1e400}'])
+    def test_non_finite_config_numbers_are_an_error_line(self, capsys, tmp_path, text):
+        code, out, err = run_cli(capsys, "solve", "--config", _write(tmp_path, text))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert out == ""
+
+    def test_config_floats_are_made_rational_by_the_catalog(self, capsys, tmp_path):
+        cfg = _write(tmp_path, '{"model": "scarf1", "params": '
+                               '{"A": 2.0, "B": 0.5, "alpha": 1}}')
+        _, from_config, _ = run_cli(capsys, "solve", "--config", cfg, "--format", "json")
+        _, from_flags, _ = run_cli(capsys, "solve", "scarf1", "--param", "A=2",
+                                   "--param", "B=1/2", "--param", "alpha=1",
+                                   "--format", "json")
+        assert from_config == from_flags
+
+
+class TestWarnings:
+    ARGV = ("solve", "khare_mandal", "--param", "zeta=1/2", "--param", "M=3")
+
+    def test_defective_pencil_is_one_warning_line(self, capsys):
+        code, out, err = run_cli(capsys, *self.ARGV)
+        assert code == EXIT_OK
+        assert err == ("warning: pencil eigenvalue (6.75+0j) has multiplicity 2 "
+                       "but kernel dimension 1\n")
+        assert out.splitlines()[2].split()[:3] == ["2", "0", "4.75"]
+
+    def test_the_library_still_warns_and_the_handler_is_restored(self, capsys):
+        handler = warnings.showwarning
+        with pytest.warns(DefectivePencilWarning, match="kernel dimension 1"):
+            solve_spectrum(get_model("khare_mandal", zeta=Fraction(1, 2), M=3))
+        run_cli(capsys, *self.ARGV)
+        assert warnings.showwarning is handler
 
 
 class TestWavefunction:
