@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (InvalidStateError, NoAdmissibleAssignmentError,
                      ParameterError, QhjError, UnknownModelError)
-from .exactmath import to_complex
+from .exactmath import real_or_complex, to_complex
 from .potential_catalog import MODEL_CLASSES, MODEL_IDS, PARAM_SCHEMAS, get_model
 from .polynomial_system import solve_spectrum
 from .wavefunction_assembly import assemble, verify
@@ -65,13 +65,6 @@ def canonical_json(obj):
     return _canon(obj) + "\n"
 
 
-def _residue_value(value):
-    z = to_complex(value)
-    if z.imag == 0.0:
-        return float(z.real)
-    return z
-
-
 def _rows(result):
     rows = []
     for sol in result.solutions:
@@ -85,9 +78,9 @@ def _rows(result):
             "energy_exact": str(sol.energy) if isinstance(sol.energy, Fraction) else None,
             "degeneracy": int(sol.degeneracy),
             "bc_class": sol.bc_class,
-            "residues": {label: _residue_value(v)
+            "residues": {label: real_or_complex(v)
                          for label, v in a.pole_residues.items()},
-            "leading_exponent": _residue_value(a.lambda1) if a.lambda1 is not None else None,
+            "leading_exponent": real_or_complex(a.lambda1) if a.lambda1 is not None else None,
             "qes_relation": a.qes_relation,
             "wavefunction_form": sol.recipe.form,
         })
@@ -172,11 +165,15 @@ def _collect_params(args):
         if not getattr(args, "model", None):
             args.model = cfg.get("model")
         if getattr(args, "levels", None) is None and "levels" in cfg:
+            levels = cfg["levels"]
             try:
-                args.levels = int(cfg["levels"])
+                # int() would truncate 2.5 and accept true as 1
+                if isinstance(levels, bool) or (isinstance(levels, float)
+                                                and not levels.is_integer()):
+                    raise ValueError(levels)
+                args.levels = int(levels)
             except (TypeError, ValueError, OverflowError):
-                raise ParameterError("config levels must be an integer, got %r"
-                                     % (cfg["levels"],))
+                raise ParameterError("config levels must be an integer, got %r" % (levels,))
     for text in args.param or []:
         name, value = _parse_param(text)
         params[name] = value

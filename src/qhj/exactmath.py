@@ -169,6 +169,12 @@ def to_complex(value):
     return complex(value)
 
 
+def real_or_complex(value):
+    """A float when value's imaginary part is exactly zero, else a complex."""
+    z = to_complex(value)
+    return z.real if z.imag == 0.0 else z
+
+
 def to_float(value):
     """Coerce a real-valued scalar to float (raises if meaningfully complex)."""
     z = to_complex(value)

@@ -6,15 +6,18 @@ the full algebraic data the solver needs:
 * the physical potential V(x) and the change of variable t = f(x) that makes
   the logarithmic-derivative Riccati equation rational in t,
 * u(t) = F(t)² with F = df/dx expressed in t (a polynomial),
-* the fixed poles of G(t) with their strengths g2 and the exponent offsets
-  the change of variable contributes at each pole,
+* the fixed poles of G(t) with their strengths g2,
 * the large-argument expansion coefficients (G0, G1, G2) of G,
 * the polynomials Πclear²·G = A(t) + E·B(t) (Πclear = product of pole
   monomials), which drive the polynomial-identity construction,
 * the residue sets with their admissibility verdicts, the closed-form levels
   where they exist, the classical-polynomial twin of the node polynomial and
   the periodicity class of each level,
-* prefactor builders that assemble wavefunctions from residue assignments,
+* the wavefunction prefactors f_j(x) and the mapped variable t at sample
+  points (prefactors), the exponents e_j a residue set gives them, the
+  change of variable's offset at each pole included (prefactor_exponents),
+  and a display template (recipe_form); one assembler, PotentialModel.recipe,
+  builds ψ = Π_j f_j^e_j · e^(a0·t) · P(t) for every family,
 * how the independent oracle solves the family and how `verify` scores it.
 
 The transformed Riccati equation is χ² + χ' + G(t) = 0 with
@@ -37,7 +40,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import ParameterError, SingularPointError, UnknownModelError
-from .exactmath import ExactComplex, to_complex
+from .exactmath import ExactComplex, real_or_complex, to_complex
 from .qmf_residues import FixedPole, InfinityExpansion, finite_pole_residues
 from .quantization import ResidueAssignment, level_verdict
 from .special_functions import elliptic_K, jacobi_polynomial, laguerre, sn_cn_dn
@@ -53,8 +56,7 @@ class WavefunctionRecipe:
 
     form is the display string (prefactors × polynomial in the mapped
     variable).  evaluator(xs) returns complex ψ values on physical points xs;
-    it is built by the model so branch choices stay consistent on complex
-    contours.
+    PotentialModel.recipe builds it from the model's prefactors.
     """
 
     form: str
@@ -72,19 +74,34 @@ def poly_eval(coeffs, t):
     return acc
 
 
+# Every parameter is a rational with |value| <= PARAM_BOUND and a denominator
+# of at most PARAM_DENOMINATOR (floats are rounded to one).  Larger values
+# overflow the float stages, and as orders (l, j, M, a, b) they set the
+# sizes of the polynomial systems; finer ones underflow them (1/m, 1 - m).
+PARAM_BOUND = 50
+PARAM_DENOMINATOR = 10**12
+
+
 def _fraction(value, name):
     try:
         if isinstance(value, float):
-            return Fraction(value).limit_denominator(10**12)
-        return Fraction(value)
+            f = Fraction(value).limit_denominator(PARAM_DENOMINATOR)
+        else:
+            f = Fraction(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError("parameter %s must be rational, got %r" % (name, value)) from exc
+    if abs(f) > PARAM_BOUND:
+        raise ParameterError("parameter %s must lie in [-%d, %d]"
+                             % (name, PARAM_BOUND, PARAM_BOUND))
+    if f.denominator > PARAM_DENOMINATOR:
+        raise ParameterError("parameter %s must have a denominator of at most 10^12" % name)
+    return f
 
 
 def _require_int(value, name):
     f = _fraction(value, name)
     if f.denominator != 1:
-        raise ParameterError("parameter %s must be an integer, got %r" % (name, value))
+        raise ParameterError("parameter %s must be an integer, got %s" % (name, value))
     return int(f)
 
 
@@ -112,6 +129,7 @@ class PotentialModel:
     oracle = "bound"               # bound | band_edges | inverse_square_cell | pt
     bent_contour = False           # pt oracle: eigenfunctions decay only off the real axis
     verify_tol = 2e-4              # default energy tolerance of verify()
+    recipe_form = None             # str.format: {0}, {1}, … exponents, {n} degree, {a0} slope
 
     def __init__(self):
         self.params: Dict[str, object] = {}
@@ -186,9 +204,27 @@ class PotentialModel:
         """
         raise NotImplementedError
 
-    def recipe(self, assignment, coeffs) -> WavefunctionRecipe:
-        """Build the sampled-wavefunction recipe from an assignment + kernel."""
+    def prefactors(self, xs):
+        """(t, (f_1, …)): the mapped variable and the prefactors at xs."""
         raise NotImplementedError
+
+    def recipe(self, assignment, coeffs) -> WavefunctionRecipe:
+        """ψ(x) = Π_j f_j(x)^{e_j} · e^{a0·t} · P(t) for an assignment and its kernel."""
+        exps = self.prefactor_exponents(assignment.pole_residues)
+        powers = tuple(real_or_complex(e) for e in exps)
+        a0 = to_complex(assignment.a0)
+        coeffs = tuple(complex(c) for c in coeffs)
+
+        def evaluator(xs):
+            t, factors = self.prefactors(xs)
+            psi = 1.0
+            for f, e in zip(factors, powers):
+                psi = psi * f ** e
+            return psi * np.exp(a0 * t) * poly_eval(coeffs, t)
+
+        return WavefunctionRecipe(
+            form=self.recipe_form.format(*exps, n=len(coeffs) - 1, a0=a0),
+            evaluator=evaluator)
 
     # -- misc -------------------------------------------------------------------
     def describe_params(self):
@@ -211,10 +247,11 @@ class HydrogenModel(PotentialModel):
 
     id = "hydrogen"
     summary = "radial Coulomb problem with centrifugal term"
-    param_doc = {"e2": "rational > 0 (charge-squared strength)",
-                 "l": "integer >= 0 (angular momentum)"}
+    param_doc = {"e2": "rational in (0, 50] (charge-squared strength)",
+                 "l": "integer in [0, 50] (angular momentum)"}
     spectrum_kind = "es_spectrum"
     energy_formula = "E_n = e2^2/(4(l+1)^2) - e2^2/(4(n+l+1)^2)"
+    recipe_form = "r^{0} * exp({a0.real:.6g}*r) * P{n}(r)"
 
     def __init__(self, e2, l):
         super().__init__()
@@ -246,8 +283,7 @@ class HydrogenModel(PotentialModel):
         return (0.0, 40.0 * (self.l + 5) / float(self.e2))
 
     def fixed_poles(self):
-        return (FixedPole(location=0.0, g2=Fraction(-self.l * (self.l + 1)),
-                          prefactor_offset=Fraction(0), label="t=0"),)
+        return (FixedPole(location=0.0, g2=Fraction(-self.l * (self.l + 1)), label="t=0"),)
 
     def infinity_expansion(self):
         kappa2 = self.kappa2
@@ -301,20 +337,9 @@ class HydrogenModel(PotentialModel):
     def prefactor_exponents(self, residues):
         return (residues["t=0"],)
 
-    def recipe(self, assignment, coeffs):
-        b1 = to_complex(assignment.pole_residues["t=0"])
-        a0 = to_complex(assignment.a0)
-        coeffs = tuple(complex(c) for c in coeffs)
-        n = len(coeffs) - 1
-
-        def evaluator(xs):
-            r = np.asarray(xs, dtype=float)
-            return r**b1 * np.exp(a0 * r) * poly_eval(coeffs, r)
-
-        return WavefunctionRecipe(
-            form="r^%s * exp(%.6g*r) * P%d(r)" % (assignment.pole_residues["t=0"], a0.real, n),
-            evaluator=evaluator,
-        )
+    def prefactors(self, xs):
+        r = self.to_t(xs)
+        return r, (r,)
 
 
 # ---------------------------------------------------------------------------
@@ -336,20 +361,12 @@ class TwoWallJacobiModel(PotentialModel):
     """
 
     spectrum_kind = "es_spectrum"
-    real_residues = False          # True: wall residues are real for every parameter
     reject_reason = None           # verdict of an inadmissible set
-    recipe_form = None             # % (e₊, e₋, degree)
-
-    def _scalar(self, value):
-        z = to_complex(value)
-        return z.real if self.real_residues else z
 
     def fixed_poles(self):
         return (
-            FixedPole(location=1.0, g2=self._g2(self.A + self.B),
-                      prefactor_offset=Fraction(1, 4), label="t=+1"),
-            FixedPole(location=-1.0, g2=self._g2(self.A - self.B),
-                      prefactor_offset=Fraction(1, 4), label="t=-1"),
+            FixedPole(location=1.0, g2=self._g2(self.A + self.B), label="t=+1"),
+            FixedPole(location=-1.0, g2=self._g2(self.A - self.B), label="t=-1"),
         )
 
     def assignments(self):
@@ -380,8 +397,8 @@ class TwoWallJacobiModel(PotentialModel):
 
     def classical_polynomial(self, assignment):
         n = int(assignment.n)
-        al = 2 * self._scalar(assignment.pole_residues["t=+1"]) - 1
-        be = 2 * self._scalar(assignment.pole_residues["t=-1"]) - 1
+        al = 2 * real_or_complex(assignment.pole_residues["t=+1"]) - 1
+        be = 2 * real_or_complex(assignment.pole_residues["t=-1"]) - 1
 
         def evaluator(t):
             return jacobi_polynomial(n, al, be, np.asarray(t, dtype=complex))
@@ -390,19 +407,9 @@ class TwoWallJacobiModel(PotentialModel):
     def prefactor_exponents(self, residues):
         return (residues["t=+1"] - Fraction(1, 4), residues["t=-1"] - Fraction(1, 4))
 
-    def recipe(self, assignment, coeffs):
-        e_plus, e_minus = self.prefactor_exponents(assignment.pole_residues)
-        ep, em = self._scalar(e_plus), self._scalar(e_minus)
-        coeffs = tuple(complex(c) for c in coeffs)
-
-        def evaluator(xs):
-            t = self.to_t(xs)
-            return (1.0 - t) ** ep * (1.0 + t) ** em * poly_eval(coeffs, t)
-
-        return WavefunctionRecipe(
-            form=self.recipe_form % (e_plus, e_minus, len(coeffs) - 1),
-            evaluator=evaluator,
-        )
+    def prefactors(self, xs):
+        t = self.to_t(xs)
+        return t, (1.0 - t, 1.0 + t)
 
 
 class ScarfOneModel(TwoWallJacobiModel):
@@ -417,13 +424,12 @@ class ScarfOneModel(TwoWallJacobiModel):
 
     id = "scarf1"
     summary = "trigonometric Scarf well on a finite interval"
-    param_doc = {"A": "rational > 0 (well depth scale)",
-                 "B": "rational (asymmetry strength)",
-                 "alpha": "rational > 0 (inverse width; default 1)"}
+    param_doc = {"A": "rational in (0, 50] (well depth scale)",
+                 "B": "rational in [-50, 50] (asymmetry strength)",
+                 "alpha": "rational in (0, 50] (inverse width; default 1)"}
     energy_formula = "E_n = alpha^2*(b1 + b1' + n - 1/2)^2 - A^2"
-    real_residues = True
     reject_reason = "wall_exponent_nonpositive"
-    recipe_form = "(1-sin)^%s * (1+sin)^%s * P%d(sin(alpha*x))"
+    recipe_form = "(1-sin)^{0} * (1+sin)^{1} * P{n}(sin(alpha*x))"
 
     def __init__(self, A, B, alpha=1):
         super().__init__()
@@ -500,14 +506,14 @@ class ComplexScarfModel(TwoWallJacobiModel):
 
     id = "complex_scarf"
     summary = "complex PT-symmetric Scarf well"
-    param_doc = {"A": "rational > 0 (real well depth)",
-                 "B": "rational (imaginary asymmetry)"}
+    param_doc = {"A": "rational in (0, 50] (real well depth)",
+                 "B": "rational in [-50, 50] (imaginary asymmetry)"}
     spectrum_kind = "pt_group"
     energy_formula = "E_n = -(b1 + b1' + n - 1/2)^2"
     oracle = "pt"
     verify_tol = 1e-3
     reject_reason = "not_square_integrable"
-    recipe_form = "(1-i*sinh)^%s * (1+i*sinh)^%s * P%d(i*sinh(x))"
+    recipe_form = "(1-i*sinh)^{0} * (1+i*sinh)^{1} * P{n}(i*sinh(x))"
 
     def __init__(self, A, B):
         super().__init__()
@@ -573,11 +579,12 @@ class ScarfPeriodicModel(PotentialModel):
 
     id = "scarf_periodic"
     summary = "inverse-square periodic cell (band edges or bound)"
-    param_doc = {"s": "rational > 0, s != 1/2 (wall-singularity index)"}
+    param_doc = {"s": "rational in (0, 50], s != 1/2 (wall-singularity index)"}
     parity_constraint = True
     energy_formula = "E_n = (n + 1/2 +/- s)^2"
     oracle = "inverse_square_cell"
     verify_tol = 5e-4
+    recipe_form = "sin(x)^{0} * P{n}(cot(x))"
 
     _SETS = (
         # (label, b-branch sign: -1 means b = (1−λ)/2, +1 means (1+λ)/2;  d1 choice sign)
@@ -624,8 +631,8 @@ class ScarfPeriodicModel(PotentialModel):
         def g2(E):
             return (1 - E) / 4
         return (
-            FixedPole(location=1j, g2=g2, prefactor_offset=Fraction(1, 2), label="t=+i"),
-            FixedPole(location=-1j, g2=g2, prefactor_offset=Fraction(1, 2), label="t=-i"),
+            FixedPole(location=1j, g2=g2, label="t=+i"),
+            FixedPole(location=-1j, g2=g2, label="t=-i"),
         )
 
     def infinity_expansion(self):
@@ -696,29 +703,11 @@ class ScarfPeriodicModel(PotentialModel):
         b = residues["t=+i"]
         return (1 - 2 * b,)
 
-    def recipe(self, assignment, coeffs):
-        lam = self.prefactor_exponents(assignment.pole_residues)[0]
-        lamf = to_complex(lam).real
-        coeffs = tuple(complex(c) for c in coeffs)
-        n = len(coeffs) - 1
-
-        def evaluator(xs):
-            x = np.asarray(xs, dtype=float)
-            sx = np.sin(x)
-            if np.any(np.abs(sx) < 1e-12):
-                raise SingularPointError("wavefunction sampled at a cell wall")
-            # sin^λ·P(cot) evaluated as sin^{λ−n}·Σ c_k cos^k sin^{n−k} to
-            # stay finite as cot blows up near the walls
-            cx = np.cos(x)
-            q = np.zeros_like(x, dtype=complex)
-            for k, c in enumerate(coeffs):
-                q = q + c * cx**k * sx ** (n - k)
-            return sx ** (lamf - n) * q
-
-        return WavefunctionRecipe(
-            form="sin(x)^%s * P%d(cot(x))" % (lam, n),
-            evaluator=evaluator,
-        )
+    def prefactors(self, xs):
+        sx = np.sin(np.asarray(xs, dtype=float))
+        if np.any(np.abs(sx) < 1e-12):
+            raise SingularPointError("wavefunction sampled at a cell wall")
+        return self.to_t(xs), (sx,)
 
 
 # ---------------------------------------------------------------------------
@@ -754,6 +743,7 @@ class AssociatedLameModel(PotentialModel):
     oracle = "band_edges"
     min_band_edges = 5             # the oracle solves at least this many edges
     verify_tol = 5e-4
+    recipe_form = "cn^{0} * dn^{1} * P{n}(sn(x|m))"
     # residue sets in label order as (b1, d1) branch signs: +1 takes
     # b1 = 3/4 or d1 = 3/4 + b/2, −1 takes b1 = 1/4 or d1 = 1/4 − b/2
     set_order = ((-1, -1), (+1, -1), (-1, +1), (+1, +1))
@@ -796,10 +786,10 @@ class AssociatedLameModel(PotentialModel):
         g2d = Fraction(3, 16) - self.b * (self.b + 1) / 4
         inv_sqrt_m = 1.0 / math.sqrt(float(self.m))
         return (
-            FixedPole(location=1.0, g2=Fraction(3, 16), prefactor_offset=Fraction(1, 4), label="t=+1"),
-            FixedPole(location=-1.0, g2=Fraction(3, 16), prefactor_offset=Fraction(1, 4), label="t=-1"),
-            FixedPole(location=inv_sqrt_m, g2=g2d, prefactor_offset=Fraction(1, 4), label="t=+1/sqrt(m)"),
-            FixedPole(location=-inv_sqrt_m, g2=g2d, prefactor_offset=Fraction(1, 4), label="t=-1/sqrt(m)"),
+            FixedPole(location=1.0, g2=Fraction(3, 16), label="t=+1"),
+            FixedPole(location=-1.0, g2=Fraction(3, 16), label="t=-1"),
+            FixedPole(location=inv_sqrt_m, g2=g2d, label="t=+1/sqrt(m)"),
+            FixedPole(location=-inv_sqrt_m, g2=g2d, label="t=-1/sqrt(m)"),
         )
 
     def infinity_expansion(self):
@@ -850,23 +840,9 @@ class AssociatedLameModel(PotentialModel):
         d1 = residues["t=+1/sqrt(m)"]
         return (2 * b1 - Fraction(1, 2), 2 * d1 - Fraction(1, 2))
 
-    def recipe(self, assignment, coeffs):
-        cn_exp, dn_exp = self.prefactor_exponents(assignment.pole_residues)
-        ce, de = to_complex(cn_exp).real, to_complex(dn_exp).real
-        coeffs = tuple(complex(c) for c in coeffs)
-        n = len(coeffs) - 1
-
-        def evaluator(xs):
-            sn, cn, dn = self._sn_cn_dn(xs)
-            cn = np.asarray(cn, dtype=float)
-            if ce < 0 and np.any(np.abs(cn) < 1e-12):
-                raise SingularPointError("cn prefactor with negative exponent hit a zero")
-            return (cn + 0j) ** ce * dn**de * poly_eval(coeffs, sn)
-
-        return WavefunctionRecipe(
-            form="cn^%s * dn^%s * P%d(sn(x|m))" % (cn_exp, dn_exp, n),
-            evaluator=evaluator,
-        )
+    def prefactors(self, xs):
+        sn, cn, dn = self._sn_cn_dn(xs)
+        return sn, (cn, dn)
 
 
 class IntegerLameModel(AssociatedLameModel):
@@ -897,9 +873,9 @@ class LameModel(IntegerLameModel):
 
     id = "lame"
     summary = "elliptic sn^2 band-edge potential"
-    param_doc = {"j": "integer >= 1 (band family order)",
+    param_doc = {"j": "integer in [1, 50] (band family order)",
                  "m": "rational in (0,1) (elliptic parameter)",
-                 "shift": "rational additive constant (optional)"}
+                 "shift": "rational in [-50, 50], additive constant (optional)"}
 
     def _default_shift(self):
         if self.j == 2:
@@ -917,9 +893,9 @@ class AssociatedLameESModel(IntegerLameModel):
 
     id = "assoc_lame_es"
     summary = "associated elliptic potential, exactly solvable slice"
-    param_doc = {"j": "integer >= 1 (a = b = j line)",
+    param_doc = {"j": "integer in [1, 50] (a = b = j line)",
                  "m": "rational in (0,1)",
-                 "shift": "rational additive constant (optional)"}
+                 "shift": "rational in [-50, 50], additive constant (optional)"}
     b_equals_j = True
 
     def _default_shift(self):
@@ -942,10 +918,10 @@ class AssociatedLameQESModel(AssociatedLameModel):
 
     id = "assoc_lame_qes"
     summary = "associated elliptic potential, quasi-exact slice"
-    param_doc = {"a": "rational > 0",
-                 "b": "rational",
+    param_doc = {"a": "rational in (0, 50]",
+                 "b": "rational in [-50, 50]",
                  "m": "rational in (0,1)",
-                 "shift": "rational additive constant (optional)"}
+                 "shift": "rational in [-50, 50], additive constant (optional)"}
     spectrum_kind = "qes_condition"
     qes_relations = QES_RELATIONS
     set_order = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
@@ -1007,8 +983,8 @@ class KhareMandalModel(PotentialModel):
 
     id = "khare_mandal"
     summary = "complex PT-symmetric cosh pair"
-    param_doc = {"zeta": "rational > 0 (hyperbolic strength)",
-                 "M": "integer >= 1 (imaginary offset)"}
+    param_doc = {"zeta": "rational in (0, 50] (hyperbolic strength)",
+                 "M": "integer in [1, 50] (imaginary offset)"}
     spectrum_kind = "pt_group"
     uses_pencil = True
     energy_formula = "levels from the (n+1)-term polynomial identity per set"
@@ -1018,6 +994,7 @@ class KhareMandalModel(PotentialModel):
     oracle = "pt"
     bent_contour = True
     verify_tol = 1e-3
+    recipe_form = "sinh^{0} * cosh^{1} * exp(i*zeta*cosh(2x)/2) * P{n}(cosh(2x))"
     # (b1, b1') per residue set, in label order
     _SETS = ((Fraction(1, 4), Fraction(1, 4)), (Fraction(3, 4), Fraction(3, 4)),
              (Fraction(3, 4), Fraction(1, 4)), (Fraction(1, 4), Fraction(3, 4)))
@@ -1045,8 +1022,8 @@ class KhareMandalModel(PotentialModel):
 
     def fixed_poles(self):
         return (
-            FixedPole(location=1.0, g2=Fraction(3, 16), prefactor_offset=Fraction(1, 4), label="t=+1"),
-            FixedPole(location=-1.0, g2=Fraction(3, 16), prefactor_offset=Fraction(1, 4), label="t=-1"),
+            FixedPole(location=1.0, g2=Fraction(3, 16), label="t=+1"),
+            FixedPole(location=-1.0, g2=Fraction(3, 16), label="t=-1"),
         )
 
     def infinity_expansion(self):
@@ -1085,23 +1062,9 @@ class KhareMandalModel(PotentialModel):
     def prefactor_exponents(self, residues):
         return (2 * residues["t=+1"] - Fraction(1, 2), 2 * residues["t=-1"] - Fraction(1, 2))
 
-    def recipe(self, assignment, coeffs):
-        p_sinh, p_cosh = self.prefactor_exponents(assignment.pole_residues)
-        ps, pc = int(p_sinh), int(p_cosh)
-        a0 = to_complex(assignment.a0)
-        coeffs = tuple(complex(c) for c in coeffs)
-        n = len(coeffs) - 1
-
-        def evaluator(xs):
-            z = np.asarray(xs, dtype=complex)
-            t = np.cosh(2 * z)
-            return (np.sinh(z) ** ps * np.cosh(z) ** pc
-                    * np.exp(a0 * t) * poly_eval(coeffs, t))
-
-        return WavefunctionRecipe(
-            form="sinh^%d * cosh^%d * exp(i*zeta*cosh(2x)/2) * P%d(cosh(2x))" % (ps, pc, n),
-            evaluator=evaluator,
-        )
+    def prefactors(self, xs):
+        z = np.asarray(xs, dtype=complex)
+        return self.to_t(z), (np.sinh(z), np.cosh(z))
 
 
 # ---------------------------------------------------------------------------

@@ -37,14 +37,13 @@ class FixedPole:
 
     g2 is the coefficient of 1/(y−location)²; it may be a plain scalar or a
     callable of the energy for models whose pole strength moves with E.
-    prefactor_offset is the exponent share the change of variable contributes
-    at this pole (it is subtracted from the residue when building the
-    wavefunction prefactor exponent).
+    label keys the pole's residue in ResidueAssignment.pole_residues; the
+    model's prefactor_exponents turns those residues into the exponents of
+    its wavefunction prefactors.
     """
 
     location: complex
     g2: Coefficient
-    prefactor_offset: Fraction = Fraction(0)
     label: str = ""
 
     def strength(self, energy=None):

@@ -18,8 +18,10 @@ from numpy.polynomial import polynomial as P
 
 from qhj.errors import ParameterError, SingularPointError, UnknownModelError
 from qhj.exactmath import to_complex
-from qhj.potential_catalog import (MODEL_IDS, PARAM_SCHEMAS,
-                                   evaluate_potential, get_model)
+from qhj.polynomial_system import solve_spectrum
+from qhj.potential_catalog import (MODEL_CLASSES, MODEL_IDS, PARAM_SCHEMAS,
+                                   PotentialModel, evaluate_potential,
+                                   get_model)
 
 ALL_CASES = [
     ("hydrogen", dict(e2=2, l=0), [0.7, 1.9, 3.3]),
@@ -158,6 +160,17 @@ class TestParameterValidation:
         with pytest.raises(ParameterError, match="must be rational"):
             get_model("lame", j=value, m=Fraction(1, 2))
 
+    @pytest.mark.parametrize("value,reason", [
+        (51, "must lie in [-50, 50]"), (-51, "must lie in [-50, 50]"),
+        (10**200, "must lie in [-50, 50]"), (1e300, "must lie in [-50, 50]"),
+        (Fraction(1, 10**13), "must have a denominator of at most 10^12"),
+        (Fraction(1, 10**400), "must have a denominator of at most 10^12")],
+        ids=["51", "-51", "1e200", "float-1e300", "1/10^13", "1/10^400"])
+    def test_magnitude_and_denominator_bounds_name_the_parameter(self, value, reason):
+        with pytest.raises(ParameterError) as exc:
+            get_model("scarf1", A=2, B=value)
+        assert str(exc.value) == "parameter B " + reason
+
     def test_schema_lists_every_model(self):
         assert set(PARAM_SCHEMAS) == set(MODEL_IDS)
 
@@ -183,6 +196,14 @@ class TestSingularPoints:
                 evaluate_potential(model, x)
         assert evaluate_potential(model, 1.0) == pytest.approx(
             (0.09 - 0.25) / math.sin(1.0) ** 2)
+
+    @pytest.mark.parametrize("s", [Fraction(3, 10), Fraction(3, 2)])
+    def test_periodic_wavefunctions_refuse_the_cell_walls(self, s):
+        sol = solve_spectrum(get_model("scarf_periodic", s=s), levels=2).solutions[0]
+        assert np.all(np.isfinite(sol.recipe(np.array([0.5, 1.5]))))
+        for wall in (0.0, math.pi):
+            with pytest.raises(SingularPointError, match="cell wall"):
+                sol.recipe(np.array([1.0, wall]))
 
     def test_finite_well_walls(self):
         model = get_model("scarf1", A=2, B=Fraction(1, 2), alpha=1)
@@ -369,12 +390,24 @@ def test_every_level_record_field_is_read():
     # a field that is written at every construction but read nowhere is
     # state the residue route carries for no consumer
     from qhj.polynomial_system import BandEdgeSolution, SpectrumResult
+    from qhj.potential_catalog import WavefunctionRecipe
+    from qhj.qmf_residues import FixedPole
     from qhj.quantization import QuantizationOutcome, ResidueAssignment
     package = Path(__file__).resolve().parents[1] / "src" / "qhj"
     trees = [ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))]
     assert _unread_fields((ResidueAssignment, QuantizationOutcome,
-                           BandEdgeSolution, SpectrumResult), trees) == []
+                           BandEdgeSolution, SpectrumResult, FixedPole,
+                           WavefunctionRecipe), trees) == []
+
+
+def test_one_wavefunction_assembler():
+    # families declare prefactors and a recipe_form; PotentialModel.recipe
+    # alone turns them into ψ = Π f_j^e_j · e^(a0·t) · P(t)
+    own = sorted({k.__name__ for cls in MODEL_CLASSES.values()
+                  for k in cls.__mro__
+                  if k is not PotentialModel and "recipe" in vars(k)})
+    assert own == []
 
 
 def test_field_guard_sees_a_write_only_field():

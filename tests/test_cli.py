@@ -226,6 +226,52 @@ class TestUsageErrors:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert out == ""
 
+    @pytest.mark.parametrize("levels", ["2.5", "true"])
+    def test_config_levels_must_be_an_integer(self, capsys, tmp_path, levels):
+        cfg = _write(tmp_path, '{"model": "hydrogen", "params": {"e2": 2, "l": 0}, '
+                               '"levels": %s}' % levels)
+        code, out, err = run_cli(capsys, "solve", "--config", cfg)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: config levels must be an integer, got ")
+        assert len(err.splitlines()) == 1
+
+    def test_non_integer_order_is_shown_as_a_fraction(self, capsys):
+        code, out, err = run_cli(capsys, "solve", *self.HYDROGEN[:3], "--param", "l=0.5")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: parameter l must be an integer, got 1/2\n"
+
+    @pytest.mark.parametrize("name,argv", [
+        ("e2", ("hydrogen", "--param", "e2=1e200", "--param", "l=0")),
+        ("A", ("scarf1", "--param", "A=1e200", "--param", "B=0")),
+        ("s", ("scarf_periodic", "--param", "s=1e300")),
+        ("zeta", ("khare_mandal", "--param", "zeta=1e300", "--param", "M=1")),
+        ("m", ("lame", "--param", "j=2", "--param", "m=1e-400"))])
+    def test_extreme_parameters_are_an_error_line(self, capsys, name, argv):
+        code, out, err = run_cli(capsys, "solve", *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: parameter %s must " % name)
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("hydrogen", "e2=50", "l=50"),
+        ("scarf1", "A=50", "B=-50", "alpha=50"),
+        ("scarf_periodic", "s=50"),
+        ("scarf_periodic", "s=1/1000000000000"),
+        ("lame", "j=50", "m=999999999999/1000000000000", "shift=-50"),
+        ("assoc_lame_es", "j=50", "m=1/2", "shift=50"),
+        ("assoc_lame_es", "j=1", "m=1/1000000000000"),
+        ("assoc_lame_qes", "a=50", "b=-50", "m=1/2", "shift=-50"),
+        ("khare_mandal", "zeta=50", "M=50"),
+        ("complex_scarf", "A=50", "B=50")])
+    def test_each_family_at_the_parameter_bounds(self, capsys, argv):
+        params = [arg for p in argv[1:] for arg in ("--param", p)]
+        code, out, err = run_cli(capsys, "solve", argv[0], *params)
+        if code == EXIT_OK:
+            assert err == "" and out
+        else:
+            assert code == EXIT_USAGE and out == ""
+            assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_config_floats_are_made_rational_by_the_catalog(self, capsys, tmp_path):
         cfg = _write(tmp_path, '{"model": "scarf1", "params": '
                                '{"A": 2.0, "B": 0.5, "alpha": 1}}')

@@ -8,12 +8,19 @@ import pytest
 
 from qhj import get_model
 from qhj.errors import InvalidStateError
+from qhj.exactmath import to_complex
 from qhj.polynomial_system import solve_spectrum
+from qhj.potential_catalog import (AssociatedLameModel, HydrogenModel,
+                                   KhareMandalModel, ScarfPeriodicModel,
+                                   TwoWallJacobiModel, poly_eval)
 from qhj.schrodinger_oracle import solve_band_edges, solve_bound
+from qhj.special_functions import sn_cn_dn
 from qhj.wavefunction_assembly import (L2_ONE, SUP_NORM_ONE, assemble,
                                        overlap, parity_deviation,
                                        subspace_overlap, verify,
                                        verify_against_oracle)
+
+from test_acceptance import ALL_CONFIGS
 
 HALF = Fraction(1, 2)
 
@@ -115,6 +122,61 @@ class TestOracleComparison:
         a = np.asarray(pair[0].recipe(xs), dtype=complex)
         b = np.asarray(pair[1].recipe(xs), dtype=complex)
         assert overlap(a, b) < 1e-8  # genuinely independent eigenfunctions
+
+
+# Each family's closed form written out on its own, as the catalog evaluated
+# it before one assembler served them all: the references for
+# PotentialModel.recipe.
+def _hydrogen_psi(model, a, c, xs):
+    b1 = to_complex(a.pole_residues["t=0"])
+    r = np.asarray(xs, dtype=float)
+    return r**b1 * np.exp(to_complex(a.a0) * r) * poly_eval(c, r)
+
+
+def _two_wall_psi(model, a, c, xs):
+    ep, em = (to_complex(e) for e in model.prefactor_exponents(a.pole_residues))
+    t = model.to_t(xs)
+    return (1.0 - t) ** ep * (1.0 + t) ** em * poly_eval(c, t)
+
+
+def _periodic_psi(model, a, c, xs):
+    # sin^λ·P(cot) as sin^(λ−n)·Σ c_k cos^k sin^(n−k)
+    lam = to_complex(model.prefactor_exponents(a.pole_residues)[0]).real
+    n = len(c) - 1
+    x = np.asarray(xs, dtype=float)
+    sx, cx = np.sin(x), np.cos(x)
+    return sx ** (lam - n) * sum(ck * cx**k * sx ** (n - k) for k, ck in enumerate(c))
+
+
+def _elliptic_psi(model, a, c, xs):
+    ce, de = (to_complex(e).real for e in model.prefactor_exponents(a.pole_residues))
+    sn, cn, dn = sn_cn_dn(xs, model.m)
+    return (cn + 0j) ** ce * dn**de * poly_eval(c, sn)
+
+
+def _khare_mandal_psi(model, a, c, xs):
+    ps, pc = (int(e) for e in model.prefactor_exponents(a.pole_residues))
+    z = np.asarray(xs, dtype=complex)
+    t = np.cosh(2 * z)
+    return (np.sinh(z) ** ps * np.cosh(z) ** pc
+            * np.exp(to_complex(a.a0) * t) * poly_eval(c, t))
+
+
+REFERENCE_PSI = ((HydrogenModel, _hydrogen_psi), (TwoWallJacobiModel, _two_wall_psi),
+                 (ScarfPeriodicModel, _periodic_psi), (AssociatedLameModel, _elliptic_psi),
+                 (KhareMandalModel, _khare_mandal_psi))
+
+
+@pytest.mark.parametrize("mid,params", ALL_CONFIGS)
+def test_the_assembler_matches_each_family_closed_form(mid, params):
+    model = get_model(mid, **params)
+    reference = next(f for cls, f in REFERENCE_PSI if isinstance(model, cls))
+    lo, hi = model.x_window()
+    xs = np.linspace(lo, hi, 203)[1:-1]
+    for sol in solve_spectrum(model).solutions:
+        want = reference(model, sol.assignment, sol.polynomial.coeffs, xs)
+        got = np.asarray(sol.recipe(xs), dtype=complex)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestParity:
