@@ -318,9 +318,12 @@ def _solution_samples(model, recipe):
     lo, hi = model.x_window()
     margin = 0.08 * (hi - lo)
     xs = np.linspace(lo + margin, hi - margin, 171)
-    vals = np.asarray(recipe(xs), dtype=complex)
-    norm = np.linalg.norm(vals)
-    return vals / norm if norm else vals
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(recipe(xs), dtype=complex)
+        vals = vals / np.max(np.abs(vals))
+    if not np.all(np.isfinite(vals)):
+        raise QhjError("eigenfunction samples overflow or vanish on the x window")
+    return vals / np.linalg.norm(vals)
 
 
 def _solution(model, assignment, coeffs):

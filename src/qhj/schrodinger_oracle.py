@@ -1,16 +1,17 @@
 """Independent grid diagonalization of −ψ'' + V ψ = E ψ.
 
 This module never touches the residue/quantization machinery: it builds
-finite-difference operators straight from the potential callable and
-diagonalizes them, providing the cross-check spectra.
+operators straight from the potential callable and diagonalizes them,
+providing the cross-check spectra.
 
 Techniques, chosen per boundary behaviour:
 
 * bound states — second-order tridiagonal Dirichlet operator, eigenvalues
   at two resolutions combined by Richardson extrapolation;
-* band edges of smooth periodic potentials — the lowest `keep` eigenpairs
-  of the periodic and antiperiodic operators over one cell (an index-range
-  eigensolve, never the full spectrum), merged and tagged;
+* band edges of smooth periodic potentials — Hill's method: the lowest
+  `keep` eigenpairs of real Fourier matrices (one FFT of V) of the periodic
+  and antiperiodic operators, merged and tagged; each error bar is the
+  measured change as the Fourier cutoff doubles, plus a rounding floor;
 * the inverse-square periodic cell — the naive operator only converges onto
   one wall behaviour, so each exponent channel is solved as a weighted
   Sturm–Liouville problem −(w²φ')' = ε w² φ with w = sin^μ x, whose natural
@@ -61,10 +62,6 @@ class GridSpec:
     def interior(self):
         h = self.step
         return self.lower + h * np.arange(1, self.points)
-
-    def cell(self):
-        h = self.step
-        return self.lower + h * np.arange(self.points)
 
     def midpoints(self):
         h = self.step
@@ -134,8 +131,8 @@ def _spectrum(xs, items, tol, node_counts=None):
     worst = max(item[3] for item in items)
     if tol is not None and worst > tol:
         raise GridTooCoarseError(
-            "Richardson error estimate %.3e exceeds tolerance %.3e; "
-            "increase the grid" % (worst, tol))
+            "error estimate %.3e exceeds tolerance %.3e; refine the "
+            "discretization" % (worst, tol))
     return OracleSpectrum(
         eigenvalues=tuple(item[0] for item in items),
         eigenvectors=np.column_stack([item[2] for item in items]),
@@ -143,14 +140,6 @@ def _spectrum(xs, items, tol, node_counts=None):
         bc_tags=tuple(item[1] for item in items),
         node_counts=node_counts,
         error_estimates=tuple(item[3] for item in items))
-
-
-def _dense(diag, lower, upper):
-    """Dense tridiagonal matrix from its three diagonals."""
-    mat = np.diag(diag)
-    np.fill_diagonal(mat[1:], lower)
-    np.fill_diagonal(mat[:, 1:], upper)
-    return mat
 
 
 def solve_bound(model, k, points=2400, tol=None):
@@ -173,44 +162,72 @@ def solve_bound(model, k, points=2400, tol=None):
 
 
 # ---------------------------------------------------------------------------
-# periodic cell (smooth potentials): lowest edges, periodic ∪ antiperiodic
+# periodic cell (smooth potentials): Hill's method, periodic ∪ antiperiodic
 # ---------------------------------------------------------------------------
 
-def solve_band_edges(model, k=6, points=480, tol=None, emax=None):
-    """Lowest band edges of a smooth periodic potential over one cell.
+_HILL_MODES, _HILL_MAX_MODES = 24, 384   # first and largest Fourier cutoff M
 
-    Computes the lowest ``keep`` eigenpairs of the periodic and of the
-    antiperiodic operator (keep = k + 2, or at least 40 with ``emax``; at
-    most the grid size), Richardson-combines two resolutions per operator,
-    and merges the results sorted by energy with their periodicity tags.
-    With ``emax`` the result keeps every edge up to that energy even when
-    there are more than k of them (needed when the algebraic levels are a
-    sparse subset of all edges).
+
+def _hill(vhat, theta, modes, length):
+    """Hill matrix of −d² + V on √2·cos(2πqx/L) (1 at q = 0), then √2·sin
+    (q > 0), q = n + θ, n ≤ M; vhat[−p] = conj V̂_p for real V."""
+    n, s = np.arange(modes + 1), int(theta == 0)
+    dif, tot = np.subtract.outer(n, n), np.add.outer(n, n) + 1 - s
+    re, im, w = vhat.real, vhat.imag, np.where(n < s, np.sqrt(0.5), 1.0)
+    cs = (-im[tot] - im[-dif]) * w[:, None]
+    return np.block([[(re[dif] + re[tot]) * np.outer(w, w), cs[:, s:]],
+                     [cs[:, s:].T, (re[dif] - re[tot])[s:, s:]]]) \
+        + np.diag((2.0 * np.pi / length * (np.concatenate([n, n[s:]]) + theta)) ** 2)
+
+
+def solve_band_edges(model, k=6, tol=None, emax=None):
+    """Lowest band edges of a smooth periodic potential over one cell, by Hill.
+
+    Keeps the lowest ``keep`` eigenpairs per operator (keep = k + 2, or at
+    least 40 with ``emax``; at most the matrix order), plus every edge up to
+    ``emax``.  Estimate: |E(M) − E(2M)| + 4·eps·‖H‖.  M starts at 24 and
+    doubles, to a cap, while one exceeds 1e-10·(1 + |E|) or the count ≤ emax
+    changes.  Vectors are sampled on cell midpoints: odd edges vanish at x = 0, L/2.
     """
-    keep = k + 2 if emax is None else max(k + 2, 40)
+    keep, top = (k + 2, -np.inf) if emax is None else (max(k + 2, 40), emax)
+    lo, hi = model.x_window()
+    length, samples = hi - lo, 4 * _HILL_MAX_MODES
+    vhat = np.fft.fft(np.asarray(model.potential(
+        lo + length * np.arange(samples) / samples), dtype=float)) / samples
+    xs = GridSpec(lo, hi, 960, "periodic").midpoints()
+    channels = (("periodic", 0.0), ("antiperiodic", 0.5))
 
-    def lowest(grid, sign):
-        xs = grid.cell()
-        h = grid.step
-        off = np.full(len(xs) - 1, -1.0 / h ** 2)
-        mat = _dense(2.0 / h ** 2 + np.asarray(model.potential(xs), dtype=float), off, off)
-        # wrap-around coupling keeps the off-diagonal sign for periodic
-        # closure and flips it for the antiperiodic one
-        mat[0, -1] = mat[-1, 0] = sign * (-1.0 / h ** 2)
-        vals, vecs = eigh(mat, subset_by_index=(0, min(keep, len(xs)) - 1))
-        return xs, vals, vecs
+    def lowest(theta, modes, vectors):
+        mat = _hill(vhat, theta, modes, length)
+        out = eigh(mat, subset_by_index=(0, min(keep, len(mat)) - 1), eigvals_only=not vectors)
+        return (*out, 4.0 * np.finfo(float).eps * np.linalg.norm(mat, 1)) if vectors else out
 
-    xs, merged = _two_grid(lowest, *model.x_window(), points,
-                           [("periodic", +1.0), ("antiperiodic", -1.0)])
-    cut = min(k, len(merged))
-    if emax is not None:
-        while cut < len(merged) and merged[cut][0] <= emax:
+    def synthesize(theta, vec):
+        # w·u·cos + v·sin summed = Re Σ (w·u − i·v)·e^{2πi(n+θ)(j+½)/N}: one inverse FFT
+        half, npts, s = (len(vec) + 1) // 2, len(xs), int(theta == 0)
+        coef = np.concatenate([vec[:s] * np.sqrt(0.5), vec[s:half] - 1j * vec[half:]])
+        return (np.exp(1j * np.pi * theta * (2 * np.arange(npts) + 1) / npts) * np.fft.ifft(
+            coef * np.exp(1j * np.pi * np.arange(half) / npts), npts)).real
+
+    modes, coarse = _HILL_MODES, [lowest(theta, _HILL_MODES, False) for _, theta in channels]
+    while True:
+        fine = [lowest(theta, 2 * modes, True) for _, theta in channels]
+        merged = sorted(((float(e), tag, (theta, vecs[:, i]),
+                          (abs(e - c[i]) if i < len(c) else np.inf) + floor)
+                         for (tag, theta), c, (vals, vecs, floor) in zip(channels, coarse, fine)
+                         for i, e in enumerate(vals)), key=lambda item: item[0])
+        cut = max(min(k, len(merged)), sum(item[0] <= top for item in merged))
+        # never truncate in the middle of a (near-)degenerate cluster
+        while cut < len(merged) and abs(merged[cut][0] - merged[cut - 1][0]) \
+                <= 1e-6 * (1.0 + abs(merged[cut][0])):
             cut += 1
-    # never truncate in the middle of a (near-)degenerate cluster
-    while cut < len(merged) and abs(merged[cut][0] - merged[cut - 1][0]) \
-            <= 1e-6 * (1.0 + abs(merged[cut][0])):
-        cut += 1
-    merged = merged[:cut]
+        merged = merged[:cut]
+        if 2 * modes >= _HILL_MAX_MODES or all(
+                item[3] <= 1e-10 * (1.0 + abs(item[0])) for item in merged) and \
+                sum(np.sum(c <= top) for c in coarse) == sum(np.sum(f[0] <= top) for f in fine):
+            break
+        modes, coarse = 2 * modes, [f[0] for f in fine]
+    merged = [(e, tag, synthesize(*vec), est) for e, tag, vec, est in merged]
     nodes = tuple(count_nodes(item[2]) for item in merged)
     return _spectrum(xs, merged, tol,
                      None if any(b < a for a, b in zip(nodes, nodes[1:])) else nodes)
@@ -279,9 +296,9 @@ def solve_pt(model, points=640, max_real=40.0, stability_tol=5e-3):
         xs = sig + 1j * bend * np.tanh(steepness * sig)
         inv2 = 1.0 / xprime ** 2
         first = xsecond / xprime ** 3
-        mat = _dense(2.0 * inv2 / h ** 2 + np.asarray(model.potential(xs), dtype=complex),
-                     -inv2[1:] / h ** 2 - first[1:] / (2.0 * h),
-                     -inv2[:-1] / h ** 2 + first[:-1] / (2.0 * h))
+        mat = np.diag(2.0 * inv2 / h ** 2 + np.asarray(model.potential(xs), dtype=complex))
+        np.fill_diagonal(mat[1:], -inv2[1:] / h ** 2 - first[1:] / (2.0 * h))
+        np.fill_diagonal(mat[:, 1:], -inv2[:-1] / h ** 2 + first[:-1] / (2.0 * h))
         vals, vecs = eig(mat)
         order = np.argsort(vals.real + 1e-9 * vals.imag)
         return xs, vals[order], vecs[:, order]

@@ -272,6 +272,14 @@ class TestUsageErrors:
             assert code == EXIT_USAGE and out == ""
             assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    def test_overflowing_eigenfunction_samples_are_an_error_line(self, capsys):
+        # r^51 on a window of 2.2e15: the samples that tell levels apart overflow
+        code, out, err = run_cli(capsys, "solve", "hydrogen", "--param",
+                                 "e2=1/1000000000000", "--param", "l=50")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and "overflow" in err
+        assert len(err.splitlines()) == 1
+
     def test_config_floats_are_made_rational_by_the_catalog(self, capsys, tmp_path):
         cfg = _write(tmp_path, '{"model": "scarf1", "params": '
                                '{"A": 2.0, "B": 0.5, "alpha": 1}}')

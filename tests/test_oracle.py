@@ -1,8 +1,10 @@
 """Grid-diagonalization reference solver, checked against textbook spectra.
 
 Free-particle boxes and cells have exact eigenvalues, which pins down the
-discretization, the boundary handling, and the Richardson extrapolation
-without any reference to the residue machinery being verified elsewhere.
+discretization, the boundary handling, the Richardson extrapolation and the
+Hill (Fourier) band-edge solver without any reference to the residue
+machinery being verified elsewhere; Mathieu characteristic values give the
+band-edge solver an independent reference with a nonzero potential.
 """
 
 import math
@@ -11,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -107,20 +110,22 @@ class TestBandEdges:
 
     def test_unreachable_tolerance_raises_with_the_estimate(self):
         with pytest.raises(GridTooCoarseError, match="exceeds tolerance 1.000e-30"):
-            solve_band_edges(_FlatCell(), k=3, points=128, tol=1e-30)
+            solve_band_edges(_FlatCell(), k=3, tol=1e-30)
 
     def test_lame_edges_match_the_pencil_values(self):
         spec = solve_band_edges(get_model("lame", j=2, m=Fraction(1, 2)), k=5)
         delta = math.sqrt(3) / 2
         assert spec.eigenvalues == pytest.approx(
             [0.0, 2 * delta - 1.5, 2 * delta, 2 * delta + 1.5, 4 * delta],
-            abs=5e-4)
+            abs=1e-10)
 
 
-def _full_eigh(mat, subset_by_index):
+def _full_eigh(mat, subset_by_index, eigvals_only=False):
     """Reference band-edge eigensolve: every eigenpair, then the index range."""
     vals, vecs = scipy.linalg.eigh(mat)
     lo, hi = subset_by_index
+    if eigvals_only:
+        return vals[lo:hi + 1]
     return vals[lo:hi + 1], vecs[:, lo:hi + 1]
 
 
@@ -159,20 +164,84 @@ class TestTargetedBandEdges:
                 v = fast.eigenvectors[:, i] / np.linalg.norm(fast.eigenvectors[:, i])
                 assert np.linalg.norm(basis.T @ v) >= 1.0 - 1e-10
 
-    def test_keep_beyond_the_grid_takes_every_pair(self, monkeypatch):
+    def test_keep_beyond_the_matrix_takes_every_pair(self, monkeypatch):
         pairs = []
 
-        def spy(mat, subset_by_index):
-            vals, vecs = scipy.linalg.eigh(mat, subset_by_index=subset_by_index)
-            pairs.append((len(mat), len(vals)))
-            return vals, vecs
+        def spy(mat, subset_by_index, eigvals_only=False):
+            out = scipy.linalg.eigh(mat, subset_by_index=subset_by_index,
+                                    eigvals_only=eigvals_only)
+            pairs.append((len(mat), len(out if eigvals_only else out[0])))
+            return out
 
         monkeypatch.setattr(schrodinger_oracle, "eigh", spy)
-        # keep = k + 2 = 72 exceeds the 64-point coarse grid
-        spec = solve_band_edges(_FlatCell(), k=70, points=64)
-        assert pairs == [(64, 64), (128, 72), (64, 64), (128, 72)]
+        # keep = k + 2 = 72 exceeds the order of both 24-mode matrices
+        # (49 periodic, 50 antiperiodic), not of the 48-mode ones
+        spec = solve_band_edges(_FlatCell(), k=70)
+        assert pairs == [(49, 49), (50, 50), (97, 72), (98, 72)]
         assert len(spec.eigenvalues) >= 70
         assert set(spec.bc_tags) == {"periodic", "antiperiodic"}
+
+
+class _MathieuCell:
+    """V = 2q·cos 2x on (0, π): Mathieu's equation y'' + (a − 2q cos 2x) y = 0.
+
+    The π-periodic edges are a_{2r} and b_{2r+2}, the π-antiperiodic ones
+    a_{2r+1} and b_{2r+1}.
+    """
+
+    id = "mathieu_cell"
+
+    def __init__(self, q):
+        self.q = q
+
+    def x_window(self):
+        return (0.0, math.pi)
+
+    def potential(self, x):
+        return 2.0 * self.q * np.cos(2.0 * np.asarray(x, dtype=float))
+
+
+def _mathieu_edges(q, count):
+    """The lowest characteristic values with their periodicity tags."""
+    tag = ("periodic", "antiperiodic")
+    edges = [(scipy.special.mathieu_a(r, q), tag[r % 2]) for r in range(2 * count)]
+    edges += [(scipy.special.mathieu_b(r, q), tag[r % 2]) for r in range(1, 2 * count)]
+    return sorted(edges)[:count]
+
+
+class TestHillBandEdges:
+    """The Fourier band-edge solver against independent references."""
+
+    @pytest.mark.parametrize("q", [0.5, 2.0, 6.0])
+    def test_mathieu_characteristic_values(self, q):
+        spec = solve_band_edges(_MathieuCell(q), k=10)
+        want = _mathieu_edges(q, 10)
+        assert spec.eigenvalues[:10] == pytest.approx([e for e, _ in want], abs=1e-9)
+        assert list(spec.bc_tags[:10]) == [t for _, t in want]
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(999, 1000),
+                          max_denominator=1000))
+    def test_estimates_bound_the_error_on_lame_j1(self, m):
+        # V = 2m·sn²: the edges are m (dn), 1 (cn) and 1 + m (sn)
+        spec = solve_band_edges(get_model("lame", j=1, m=m, shift=0), k=3)
+        mf = float(m)
+        for e, est, exact in zip(spec.eigenvalues, spec.error_estimates,
+                                 [mf, 1.0, 1.0 + mf]):
+            assert abs(e - exact) <= est <= 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(999, 1000),
+                          max_denominator=1000))
+    def test_estimates_bound_the_error_on_lame_j2(self, m):
+        # the closed forms of acceptance criterion 4 (lowest edge shifted to 0)
+        spec = solve_band_edges(get_model("lame", j=2, m=m), k=5)
+        mf = float(m)
+        delta = math.sqrt(1 - mf + mf * mf)
+        exact = [0.0, 2 * delta - mf - 1, 2 * delta + 2 * mf - 1,
+                 2 * delta - mf + 2, 4 * delta]
+        for e, est, want in zip(spec.eigenvalues, spec.error_estimates, exact):
+            assert abs(e - want) <= est <= 1e-9
 
 
 class TestWeightedChannels:
@@ -287,6 +356,19 @@ class TestNoWastedWork:
         solve_oracle(get_model("lame", j=2, m=Fraction(1, 2)))
         assert calls
         assert all("subset_by_index" in kwargs for kwargs in calls)
+
+    def test_band_edge_matrices_are_real_and_small(self, monkeypatch):
+        mats = []
+        real_eigh = schrodinger_oracle.eigh
+
+        def spy(mat, **kwargs):
+            mats.append(mat)
+            return real_eigh(mat, **kwargs)
+
+        monkeypatch.setattr(schrodinger_oracle, "eigh", spy)
+        solve_oracle(get_model("lame", j=2, m=Fraction(1, 2)))
+        assert mats
+        assert all(np.isrealobj(mat) and len(mat) < 200 for mat in mats)
 
     def test_elliptic_potential_makes_no_pointwise_calls(self, monkeypatch):
         calls = []

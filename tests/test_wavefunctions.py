@@ -13,7 +13,8 @@ from qhj.polynomial_system import solve_spectrum
 from qhj.potential_catalog import (AssociatedLameModel, HydrogenModel,
                                    KhareMandalModel, ScarfPeriodicModel,
                                    TwoWallJacobiModel, poly_eval)
-from qhj.schrodinger_oracle import solve_band_edges, solve_bound
+from qhj.schrodinger_oracle import (count_nodes, solve_band_edges, solve_bound,
+                                    solve_oracle)
 from qhj.special_functions import sn_cn_dn
 from qhj.wavefunction_assembly import (L2_ONE, SUP_NORM_ONE, assemble,
                                        overlap, parity_deviation,
@@ -221,3 +222,32 @@ class TestVerify:
         for check in outcome.checks:
             assert check.report is not None
             assert check.report.overlap >= 1 - 1e-3
+
+    def test_no_sample_sits_where_odd_edges_vanish(self):
+        # odd edges vanish at x = 0 and L/2; a sample there can pick up a
+        # rounding-size mixture of the pair near E = 9.105 (3e-4 apart) that
+        # crosses the node-count floor
+        model = get_model("assoc_lame_qes", a=Fraction(1, 4), b=Fraction(-15, 4),
+                          m=Fraction(1, 8))
+        result = verify(model)
+        assert result.passed
+        assert all(c.report.oracle_nodes is not None for c in result.checks)
+        lo, hi = model.x_window()
+        xs = solve_band_edges(model, k=5).xs
+        for wall in (lo, 0.5 * (lo + hi), hi):
+            assert np.min(np.abs(xs - wall)) > 1e-4 * (hi - lo)
+
+    def test_near_degenerate_pair_keeps_its_node_counts(self):
+        # the pair at E = 15.87043 (gap 1e-5) has 4 and 3 nodes on the cell;
+        # real eigenvectors keep them apart, so each matches its own recipe
+        model = get_model("assoc_lame_qes", a=Fraction(90, 97), b=Fraction(298, 97),
+                          m=Fraction(1, 7))
+        result = verify(model)
+        assert result.passed
+        tops = [c.solution.energy for c in result.checks]
+        oracle = solve_oracle(model, k=len(tops) + 2,
+                              emax=max(to_complex(e).real for e in tops) + 0.5)
+        counts = [(count_nodes(oracle.eigenvectors[:, c.oracle_index]),
+                   count_nodes(c.solution.recipe(oracle.xs))) for c in result.checks]
+        assert all(a == b for a, b in counts)
+        assert sorted(counts)[-2:] == [(3, 3), (4, 4)]
