@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -357,6 +358,14 @@ def solve_spectrum(model, levels=4):
     return SpectrumResult(outcome=outcome, solutions=solutions)
 
 
+def _same_energy(e, f):
+    """Exact energies are one level only when equal; floats within _DEDUP_TOL."""
+    if isinstance(e, Fraction) and isinstance(f, Fraction):
+        return e == f
+    e, f = to_complex(e), to_complex(f)
+    return abs(e - f) <= _DEDUP_TOL * max(1.0, abs(e))
+
+
 def _deduplicate(model, raw):
     """Merge identical eigenfunctions across sets; set energy multiplicities."""
     if not raw:
@@ -366,13 +375,10 @@ def _deduplicate(model, raw):
                                   to_complex(raw[i].energy).imag))
     groups: List[List[int]] = []
     for idx in order:
-        e = to_complex(raw[idx].energy)
-        if groups:
-            e_prev = to_complex(raw[groups[-1][-1]].energy)
-            if abs(e - e_prev) <= _DEDUP_TOL * max(1.0, abs(e)):
-                groups[-1].append(idx)
-                continue
-        groups.append([idx])
+        if groups and _same_energy(raw[idx].energy, raw[groups[-1][-1]].energy):
+            groups[-1].append(idx)
+        else:
+            groups.append([idx])
     kept: List[BandEdgeSolution] = []
     for group in groups:
         members = sorted(group, key=lambda i: (raw[i].assignment.set_label,

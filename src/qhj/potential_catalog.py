@@ -25,12 +25,14 @@ G = (E − Ṽ(t))/u + [−u''/(4u) + 3u'²/(16u²)], where Ṽ(t) = V(x(t)) and
 primes are d/dt.  Everything here is either exact rational data or plain
 polynomial coefficient arrays; no provenance strings, just math.
 
-A new family is one PotentialModel subclass here plus its entry in the
-class tuple behind MODEL_CLASSES; no other module knows the family ids.
+A new family is one PotentialModel subclass here plus its parameter
+declarations (param_decls) and its entry in the class tuple behind
+MODEL_CLASSES; no other module knows the family ids.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -98,11 +100,40 @@ def _fraction(value, name):
     return f
 
 
-def _require_int(value, name):
-    f = _fraction(value, name)
-    if f.denominator != 1:
-        raise ParameterError("parameter %s must be an integer, got %s" % (name, value))
-    return int(f)
+@dataclass(frozen=True)
+class Param:
+    """One declared parameter: its documented domain and its check.
+
+    kind is "integer" or "rational"; interval is written "(lo, hi]" with
+    open or closed ends; excluded values are refused inside it.  An omitted
+    parameter takes default: None lets the family derive it, and a default
+    of inspect.Parameter.empty, as in a signature, makes it required.
+    """
+
+    name: str
+    kind: str
+    interval: str
+    meaning: str
+    excluded: Tuple[Fraction, ...] = ()
+    default: object = inspect.Parameter.empty
+
+    def describe(self):
+        """The domain as `qhj list` prints it: kind, interval, exclusions (meaning; default)."""
+        default = "" if self.default is inspect.Parameter.empty else \
+            "; optional" if self.default is None else "; default %s" % self.default
+        return "%s in %s%s (%s%s)" % (
+            self.kind, self.interval, "".join(", %s != %s" % (self.name, v) for v in self.excluded),
+            self.meaning, default)
+
+    def admits(self, value):
+        lo, hi = (Fraction(end) for end in self.interval[1:-1].split(","))
+        return (lo <= value if self.interval[0] == "[" else lo < value) and \
+            (value <= hi if self.interval[-1] == "]" else value < hi) and \
+            value not in self.excluded
+
+
+_ELLIPTIC_M = Param("m", "rational", "(0, 1)", "elliptic parameter")
+_SHIFT = Param("shift", "rational", "[-50, 50]", "additive constant", default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +150,7 @@ class PotentialModel:
 
     id = None
     summary = ""                   # one line for `qhj list`
-    param_doc: Dict[str, str] = {}  # parameter name → documented domain
+    param_decls: Tuple[Param, ...] = ()   # the parameters, in order
     spectrum_kind = None           # es_spectrum | band_edge_group | qes_condition | pt_group
     parity_constraint = False
     uses_pencil = False            # energy stays an unknown in the identity
@@ -131,8 +162,28 @@ class PotentialModel:
     verify_tol = 2e-4              # default energy tolerance of verify()
     recipe_form = None             # str.format: {0}, {1}, … exponents, {n} degree, {a0} slope
 
-    def __init__(self):
+    def __init__(self, **params):
+        """Check params against param_decls and set each as an attribute."""
+        names = [p.name for p in self.param_decls]
+        unknown = [name for name in params if name not in names]
+        if unknown:
+            raise ParameterError("unknown parameter(s) %s for model %s (accepted: %s)"
+                                 % (", ".join(unknown), self.id, ", ".join(names)))
+        for p in self.param_decls:
+            if p.name not in params and p.default is inspect.Parameter.empty:
+                raise ParameterError("missing parameter %s for model %s: %s"
+                                     % (p.name, self.id, p.describe()))
+        values = {p: params.get(p.name, p.default) for p in self.param_decls}
+        values = {p: v if v is None else _fraction(v, p.name) for p, v in values.items()}
         self.params: Dict[str, object] = {}
+        for p, v in values.items():
+            if v is not None and not p.admits(v):
+                raise ParameterError("parameter %s must be %s %s, got %s" % (
+                    p.name, "an" if p.kind == "integer" else "a", p.describe(), v))
+            if p.kind == "integer" and v.denominator != 1:
+                raise ParameterError("parameter %s must be an integer, got %s" % (p.name, v))
+            self.params[p.name] = int(v) if p.kind == "integer" else v
+        vars(self).update(self.params)
 
     # -- geometry -----------------------------------------------------------
     def potential(self, x):
@@ -247,24 +298,15 @@ class HydrogenModel(PotentialModel):
 
     id = "hydrogen"
     summary = "radial Coulomb problem with centrifugal term"
-    param_doc = {"e2": "rational in (0, 50] (charge-squared strength)",
-                 "l": "integer in [0, 50] (angular momentum)"}
+    param_decls = (Param("e2", "rational", "(0, 50]", "charge-squared strength"),
+                   Param("l", "integer", "[0, 50]", "angular momentum"))
     spectrum_kind = "es_spectrum"
     energy_formula = "E_n = e2^2/(4(l+1)^2) - e2^2/(4(n+l+1)^2)"
     recipe_form = "r^{0} * exp({a0.real:.6g}*r) * P{n}(r)"
 
-    def __init__(self, e2, l):
-        super().__init__()
-        e2 = _fraction(e2, "e2")
-        l = _require_int(l, "l")
-        if e2 <= 0:
-            raise ParameterError("hydrogen needs e2 > 0, got %s" % e2)
-        if l < 0:
-            raise ParameterError("hydrogen needs l >= 0, got %s" % l)
-        self.e2 = e2
-        self.l = l
-        self.kappa2 = e2 * e2 / (4 * (l + 1) ** 2)
-        self.params = {"e2": e2, "l": l}
+    def __init__(self, **params):
+        super().__init__(**params)
+        self.kappa2 = self.e2 * self.e2 / (4 * (self.l + 1) ** 2)
 
     def potential(self, x):
         r = np.asarray(x, dtype=float)
@@ -424,24 +466,12 @@ class ScarfOneModel(TwoWallJacobiModel):
 
     id = "scarf1"
     summary = "trigonometric Scarf well on a finite interval"
-    param_doc = {"A": "rational in (0, 50] (well depth scale)",
-                 "B": "rational in [-50, 50] (asymmetry strength)",
-                 "alpha": "rational in (0, 50] (inverse width; default 1)"}
+    param_decls = (Param("A", "rational", "(0, 50]", "well depth scale"),
+                   Param("B", "rational", "[-50, 50]", "asymmetry strength"),
+                   Param("alpha", "rational", "(0, 50]", "inverse width", default=1))
     energy_formula = "E_n = alpha^2*(b1 + b1' + n - 1/2)^2 - A^2"
     reject_reason = "wall_exponent_nonpositive"
     recipe_form = "(1-sin)^{0} * (1+sin)^{1} * P{n}(sin(alpha*x))"
-
-    def __init__(self, A, B, alpha=1):
-        super().__init__()
-        A = _fraction(A, "A")
-        B = _fraction(B, "B")
-        alpha = _fraction(alpha, "alpha")
-        if alpha <= 0:
-            raise ParameterError("scarf1 needs alpha > 0, got %s" % alpha)
-        if A <= 0:
-            raise ParameterError("scarf1 needs A > 0, got %s" % A)
-        self.A, self.B, self.alpha = A, B, alpha
-        self.params = {"A": A, "B": B, "alpha": alpha}
 
     def potential(self, x):
         A, B, al = float(self.A), float(self.B), float(self.alpha)
@@ -506,23 +536,14 @@ class ComplexScarfModel(TwoWallJacobiModel):
 
     id = "complex_scarf"
     summary = "complex PT-symmetric Scarf well"
-    param_doc = {"A": "rational in (0, 50] (real well depth)",
-                 "B": "rational in [-50, 50] (imaginary asymmetry)"}
+    param_decls = (Param("A", "rational", "(0, 50]", "real well depth"),
+                   Param("B", "rational", "[-50, 50]", "imaginary asymmetry"))
     spectrum_kind = "pt_group"
     energy_formula = "E_n = -(b1 + b1' + n - 1/2)^2"
     oracle = "pt"
     verify_tol = 1e-3
     reject_reason = "not_square_integrable"
     recipe_form = "(1-i*sinh)^{0} * (1+i*sinh)^{1} * P{n}(i*sinh(x))"
-
-    def __init__(self, A, B):
-        super().__init__()
-        A = _fraction(A, "A")
-        B = _fraction(B, "B")
-        if A <= 0:
-            raise ParameterError("complex_scarf needs A > 0, got %s" % A)
-        self.A, self.B = A, B
-        self.params = {"A": A, "B": B}
 
     def potential(self, x):
         z = np.asarray(x, dtype=complex)
@@ -579,7 +600,8 @@ class ScarfPeriodicModel(PotentialModel):
 
     id = "scarf_periodic"
     summary = "inverse-square periodic cell (band edges or bound)"
-    param_doc = {"s": "rational in (0, 50], s != 1/2 (wall-singularity index)"}
+    param_decls = (Param("s", "rational", "(0, 50]", "wall-singularity index",
+                         excluded=(Fraction(1, 2),)),)
     parity_constraint = True
     energy_formula = "E_n = (n + 1/2 +/- s)^2"
     oracle = "inverse_square_cell"
@@ -593,16 +615,6 @@ class ScarfPeriodicModel(PotentialModel):
         (3, +1, -1),
         (4, +1, +1),
     )
-
-    def __init__(self, s):
-        super().__init__()
-        s = _fraction(s, "s")
-        if s <= 0:
-            raise ParameterError("scarf_periodic needs s > 0, got %s" % s)
-        if s == Fraction(1, 2):
-            raise ParameterError("s = 1/2 is the free boundary case; use s != 1/2")
-        self.s = s
-        self.params = {"s": s}
 
     @property
     def spectrum_kind(self):
@@ -748,21 +760,10 @@ class AssociatedLameModel(PotentialModel):
     # b1 = 3/4 or d1 = 3/4 + b/2, −1 takes b1 = 1/4 or d1 = 1/4 − b/2
     set_order = ((-1, -1), (+1, -1), (-1, +1), (+1, +1))
 
-    def __init__(self, a, b, m, shift=None):
-        super().__init__()
-        a = _fraction(a, "a")
-        b = _fraction(b, "b")
-        m = _fraction(m, "m")
-        if not (0 < m < 1):
-            raise ParameterError("elliptic parameter must satisfy 0 < m < 1, got %s" % m)
-        if a <= 0:
-            raise ParameterError("need a > 0, got %s" % a)
-        self.a, self.b, self.m = a, b, m
-        self.shift = self._default_shift() if shift is None else _fraction(shift, "shift")
-        self.params = {"a": a, "b": b, "m": m, "shift": self.shift}
-
-    def _default_shift(self):
-        return Fraction(0)
+    def __init__(self, **params):
+        super().__init__(**params)
+        if self.shift is None:
+            self.shift = self.params["shift"] = self._default_shift()
 
     # -- geometry ---------------------------------------------------------
     def _sn_cn_dn(self, x):
@@ -849,19 +850,16 @@ class IntegerLameModel(AssociatedLameModel):
     """Elliptic entry on an integer line a = j ≥ 1 (b = 0, or b = j).
 
     Its 2j+1 band edges are all algebraic, so the oracle solves at least
-    that many.
+    that many.  The default shifts read only j and m.
     """
 
     b_equals_j = False
 
-    def __init__(self, j, m, shift=None):
-        j = _require_int(j, "j")
-        if j < 1:
-            raise ParameterError("%s needs integer j >= 1, got %r" % (self.id, j))
-        self.j = j
-        self.min_band_edges = 2 * j + 1
-        super().__init__(a=j, b=j if self.b_equals_j else 0, m=m, shift=shift)
-        self.params = {"j": j, "m": self.m, "shift": self.shift}
+    def __init__(self, **params):
+        super().__init__(**params)
+        self.a = Fraction(self.j)
+        self.b = self.a if self.b_equals_j else Fraction(0)
+        self.min_band_edges = 2 * self.j + 1
 
 
 class LameModel(IntegerLameModel):
@@ -873,9 +871,7 @@ class LameModel(IntegerLameModel):
 
     id = "lame"
     summary = "elliptic sn^2 band-edge potential"
-    param_doc = {"j": "integer in [1, 50] (band family order)",
-                 "m": "rational in (0,1) (elliptic parameter)",
-                 "shift": "rational in [-50, 50], additive constant (optional)"}
+    param_decls = (Param("j", "integer", "[1, 50]", "band family order"), _ELLIPTIC_M, _SHIFT)
 
     def _default_shift(self):
         if self.j == 2:
@@ -893,9 +889,7 @@ class AssociatedLameESModel(IntegerLameModel):
 
     id = "assoc_lame_es"
     summary = "associated elliptic potential, exactly solvable slice"
-    param_doc = {"j": "integer in [1, 50] (a = b = j line)",
-                 "m": "rational in (0,1)",
-                 "shift": "rational in [-50, 50], additive constant (optional)"}
+    param_decls = (Param("j", "integer", "[1, 50]", "a = b = j line"), _ELLIPTIC_M, _SHIFT)
     b_equals_j = True
 
     def _default_shift(self):
@@ -918,10 +912,9 @@ class AssociatedLameQESModel(AssociatedLameModel):
 
     id = "assoc_lame_qes"
     summary = "associated elliptic potential, quasi-exact slice"
-    param_doc = {"a": "rational in (0, 50]",
-                 "b": "rational in [-50, 50]",
-                 "m": "rational in (0,1)",
-                 "shift": "rational in [-50, 50], additive constant (optional)"}
+    param_decls = (Param("a", "rational", "(0, 50]", "sn^2 strength index"),
+                   Param("b", "rational", "[-50, 50]", "cn^2/dn^2 strength index"),
+                   _ELLIPTIC_M, _SHIFT)
     spectrum_kind = "qes_condition"
     qes_relations = QES_RELATIONS
     set_order = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
@@ -983,8 +976,8 @@ class KhareMandalModel(PotentialModel):
 
     id = "khare_mandal"
     summary = "complex PT-symmetric cosh pair"
-    param_doc = {"zeta": "rational in (0, 50] (hyperbolic strength)",
-                 "M": "integer in [1, 50] (imaginary offset)"}
+    param_decls = (Param("zeta", "rational", "(0, 50]", "hyperbolic strength"),
+                   Param("M", "integer", "[1, 50]", "imaginary offset"))
     spectrum_kind = "pt_group"
     uses_pencil = True
     energy_formula = "levels from the (n+1)-term polynomial identity per set"
@@ -998,17 +991,6 @@ class KhareMandalModel(PotentialModel):
     # (b1, b1') per residue set, in label order
     _SETS = ((Fraction(1, 4), Fraction(1, 4)), (Fraction(3, 4), Fraction(3, 4)),
              (Fraction(3, 4), Fraction(1, 4)), (Fraction(1, 4), Fraction(3, 4)))
-
-    def __init__(self, zeta, M):
-        super().__init__()
-        zeta = _fraction(zeta, "zeta")
-        M = _require_int(M, "M")
-        if zeta <= 0:
-            raise ParameterError("khare_mandal needs zeta > 0, got %s" % zeta)
-        if M < 1:
-            raise ParameterError("khare_mandal needs integer M >= 1, got %r" % M)
-        self.zeta, self.M = zeta, M
-        self.params = {"zeta": zeta, "M": M}
 
     def potential(self, x):
         z = np.asarray(x, dtype=complex)
@@ -1078,27 +1060,20 @@ MODEL_CLASSES = {cls.id: cls for cls in (
 
 MODEL_IDS = tuple(MODEL_CLASSES)
 
-PARAM_SCHEMAS = {mid: cls.param_doc for mid, cls in MODEL_CLASSES.items()}
+PARAM_SCHEMAS = {mid: {p.name: p.describe() for p in cls.param_decls}
+                 for mid, cls in MODEL_CLASSES.items()}
 
 
 def get_model(model_id, **params):
-    """Instantiate a catalog entry by id, validating parameters.
+    """Instantiate a catalog entry by id.
 
-    Raises UnknownModelError for an unknown id and ParameterError for
-    missing/out-of-range parameters.
+    Raises UnknownModelError for an unknown id and ParameterError for an
+    unknown, missing or out-of-domain parameter (see PotentialModel).
     """
     if model_id not in MODEL_CLASSES:
         raise UnknownModelError("unknown model id %r; known ids: %s"
                                 % (model_id, ", ".join(MODEL_IDS)))
-    schema = PARAM_SCHEMAS[model_id]
-    unknown = set(params) - set(schema)
-    if unknown:
-        raise ParameterError("unknown parameter(s) %s for model %s (accepted: %s)"
-                             % (sorted(unknown), model_id, ", ".join(schema)))
-    try:
-        return MODEL_CLASSES[model_id](**params)
-    except TypeError as exc:
-        raise ParameterError("missing/invalid parameters for %s: %s" % (model_id, exc)) from exc
+    return MODEL_CLASSES[model_id](**params)
 
 
 def evaluate_potential(model, x):

@@ -36,15 +36,11 @@ _MIN_POINTS = 64
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid on (lower, upper) with a boundary-condition tag."""
+    """Uniform grid on (lower, upper)."""
 
     lower: float
     upper: float
     points: int
-    bc: str = "dirichlet"
-
-    _BCS = ("dirichlet", "periodic", "antiperiodic",
-            "exponent_plus", "exponent_minus", "contour")
 
     def __post_init__(self):
         if self.points < _MIN_POINTS:
@@ -52,8 +48,6 @@ class GridSpec:
                 "grid needs at least %d points, got %d" % (_MIN_POINTS, self.points))
         if not self.upper > self.lower:
             raise ParameterError("grid interval is empty")
-        if self.bc not in self._BCS:
-            raise ParameterError("unknown boundary condition %r" % (self.bc,))
 
     @property
     def step(self):
@@ -70,7 +64,11 @@ class GridSpec:
 
 @dataclass
 class OracleSpectrum:
-    """Grid spectrum: energies, vectors (columns), per-level metadata."""
+    """Grid spectrum: energies, vectors (columns), per-level metadata.
+
+    Node counts, where given, must not fall as the energy rises within one
+    bc tag; a grid that breaks this cannot resolve the levels.
+    """
 
     eigenvalues: Tuple[complex, ...]
     eigenvectors: np.ndarray
@@ -81,14 +79,22 @@ class OracleSpectrum:
 
     def __post_init__(self):
         if self.node_counts is not None:
-            if any(b < a for a, b in zip(self.node_counts, self.node_counts[1:])):
-                raise GridTooCoarseError(
-                    "node counts are not monotone — grid cannot resolve the "
-                    "requested levels")
+            for tag in set(self.bc_tags):
+                counts = [n for n, t in zip(self.node_counts, self.bc_tags) if t == tag]
+                if counts != sorted(counts):
+                    raise GridTooCoarseError(
+                        "node counts are not monotone — grid cannot resolve the "
+                        "requested levels")
 
 
-def count_nodes(values, rel_floor=1e-10):
-    """Interior sign changes of a (real up to phase) sampled function."""
+def count_nodes(values, rel_floor=1e-10, tag=None):
+    """Sign changes of a (real up to phase) sampled function.
+
+    On a "periodic" or "antiperiodic" tag the samples span one closed cell:
+    the step from the last sample back to the first counts too, with the
+    first sample's sign flipped on an antiperiodic level.  Otherwise only
+    interior sign changes count.
+    """
     vals = np.asarray(values)
     if vals.size < 2:
         return 0
@@ -101,21 +107,23 @@ def count_nodes(values, rel_floor=1e-10):
             vals = vals.real
     floor = rel_floor * (np.max(np.abs(vals)) or 1.0)
     positive = vals[np.abs(vals) > floor] > 0
+    if tag in ("periodic", "antiperiodic") and positive.size:
+        positive = np.append(positive, positive[0] != (tag == "antiperiodic"))
     return int(np.count_nonzero(positive[1:] != positive[:-1]))
 
 
 def _two_grid(solve, lo, hi, points, channels):
     """Richardson-combined levels of each channel, solved at two resolutions.
 
-    For each (tag, arg) channel, solve(GridSpec(lo, hi, npts, tag), arg)
-    returns (xs, energies, vectors) at points and at 2·points.  Returns the
+    For each (tag, arg) channel, solve(GridSpec(lo, hi, npts), arg) returns
+    (xs, energies, vectors) at points and at 2·points.  Returns the
     fine xs and the (energy, tag, fine vector, error estimate) items of all
     channels, sorted by energy.
     """
     items = []
     for tag, arg in channels:
-        _, vals_c, _ = solve(GridSpec(lo, hi, points, tag), arg)
-        xs, vals_f, vecs = solve(GridSpec(lo, hi, 2 * points, tag), arg)
+        _, vals_c, _ = solve(GridSpec(lo, hi, points), arg)
+        xs, vals_f, vecs = solve(GridSpec(lo, hi, 2 * points), arg)
         # second-order scheme: the error shrinks fourfold as h halves
         items += [(float((4.0 * f - c) / 3.0), tag, vecs[:, i], float(abs(f - c) / 3.0))
                   for i, (c, f) in enumerate(zip(vals_c, vals_f))]
@@ -188,13 +196,14 @@ def solve_band_edges(model, k=6, tol=None, emax=None):
     ``emax``.  Estimate: |E(M) − E(2M)| + 4·eps·‖H‖.  M starts at 24 and
     doubles, to a cap, while one exceeds 1e-10·(1 + |E|) or the count ≤ emax
     changes.  Vectors are sampled on cell midpoints: odd edges vanish at x = 0, L/2.
+    Node counts are taken on the closed cell, so each tag's counts rise with E.
     """
     keep, top = (k + 2, -np.inf) if emax is None else (max(k + 2, 40), emax)
     lo, hi = model.x_window()
     length, samples = hi - lo, 4 * _HILL_MAX_MODES
     vhat = np.fft.fft(np.asarray(model.potential(
         lo + length * np.arange(samples) / samples), dtype=float)) / samples
-    xs = GridSpec(lo, hi, 960, "periodic").midpoints()
+    xs = GridSpec(lo, hi, 960).midpoints()
     channels = (("periodic", 0.0), ("antiperiodic", 0.5))
 
     def lowest(theta, modes, vectors):
@@ -228,9 +237,7 @@ def solve_band_edges(model, k=6, tol=None, emax=None):
             break
         modes, coarse = 2 * modes, [f[0] for f in fine]
     merged = [(e, tag, synthesize(*vec), est) for e, tag, vec, est in merged]
-    nodes = tuple(count_nodes(item[2]) for item in merged)
-    return _spectrum(xs, merged, tol,
-                     None if any(b < a for a, b in zip(nodes, nodes[1:])) else nodes)
+    return _spectrum(xs, merged, tol, tuple(count_nodes(v, tag=tag) for _, tag, v, _ in merged))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +294,7 @@ def solve_pt(model, points=640, max_real=40.0, stability_tol=5e-3):
     bend, steepness = (0.25 * np.pi if model.bent_contour else 0.0), 1.5
 
     def solve_at(npts):
-        grid = GridSpec(lo, hi, npts, tag)
+        grid = GridSpec(lo, hi, npts)
         sig = grid.interior()
         h = grid.step
         sech2 = 1.0 / np.cosh(steepness * sig) ** 2

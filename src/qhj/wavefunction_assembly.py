@@ -153,7 +153,7 @@ def verify_against_oracle(recipe, oracle: OracleSpectrum, level,
     predicted = oracle_n = None
     nodes_ok = True
     if check_nodes and oracle.node_counts is not None:
-        predicted = count_nodes(vals)
+        predicted = count_nodes(vals, tag=oracle.bc_tags[level])
         oracle_n = oracle.node_counts[level]
         nodes_ok = predicted == oracle_n
     return WavefunctionReport(

@@ -448,3 +448,134 @@ class TestRegistry:
         assert list(PARAM_SCHEMAS) == list(MODEL_IDS)
         assert list(PARAM_SCHEMAS["lame"]) == ["j", "m", "shift"]
         assert list(PARAM_SCHEMAS["scarf1"]) == ["A", "B", "alpha"]
+
+
+# The parameter domains as the family constructors checked them before the
+# Param declarations: (kind, lo, hi, ends, excluded, default), where a
+# default of REQUIRED means the parameter must be given and None that the
+# family derives it.  Every value also had to pass _fraction's [-50, 50].
+REQUIRED = "required"
+_POSITIVE = ("rational", 0, 50, "(]", (), REQUIRED)
+_SIGNED = ("rational", -50, 50, "[]", (), REQUIRED)
+_M = ("rational", 0, 1, "()", (), REQUIRED)
+_SHIFT = ("rational", -50, 50, "[]", (), None)
+_ORDER = ("integer", 1, 50, "[]", (), REQUIRED)
+PARENT_DOMAINS = {
+    "hydrogen": {"e2": _POSITIVE, "l": ("integer", 0, 50, "[]", (), REQUIRED)},
+    "scarf1": {"A": _POSITIVE, "B": _SIGNED, "alpha": ("rational", 0, 50, "(]", (), 1)},
+    "scarf_periodic": {"s": ("rational", 0, 50, "(]", (Fraction(1, 2),), REQUIRED)},
+    "lame": {"j": _ORDER, "m": _M, "shift": _SHIFT},
+    "assoc_lame_es": {"j": _ORDER, "m": _M, "shift": _SHIFT},
+    "assoc_lame_qes": {"a": _POSITIVE, "b": _SIGNED, "m": _M, "shift": _SHIFT},
+    "khare_mandal": {"zeta": _POSITIVE, "M": _ORDER},
+    "complex_scarf": {"A": _POSITIVE, "B": _SIGNED},
+}
+# one admitted point per family; each probe replaces one of its values
+BASE_POINTS = {
+    "hydrogen": dict(e2=2, l=0),
+    "scarf1": dict(A=2, B=Fraction(1, 2), alpha=1),
+    "scarf_periodic": dict(s=Fraction(3, 10)),
+    "lame": dict(j=2, m=Fraction(1, 2)),
+    "assoc_lame_es": dict(j=1, m=Fraction(1, 2)),
+    "assoc_lame_qes": dict(a=2, b=1, m=Fraction(1, 2)),
+    "khare_mandal": dict(zeta=Fraction(1, 4), M=3),
+    "complex_scarf": dict(A=1, B=2),
+}
+
+
+def _admitted(domain, value):
+    kind, lo, hi, ends, excluded, _ = domain
+    above = value >= lo if ends[0] == "[" else value > lo
+    below = value <= hi if ends[1] == "]" else value < hi
+    return (above and below and value not in excluded
+            and (kind == "rational" or value.denominator == 1))
+
+
+def _probes(domain):
+    kind, lo, hi, _, excluded, _ = domain
+    step = Fraction(1, 97)
+    values = {Fraction(end) + d for end in (lo, hi) for d in (-step, 0, step)}
+    values.update(excluded)
+    if kind == "integer":
+        values.add(Fraction(2 * lo + 1, 2))
+    return sorted(values)
+
+
+_DOMAIN_CASES = [(mid, name) for mid, params in PARENT_DOMAINS.items() for name in params]
+
+
+@pytest.mark.parametrize("mid,name", _DOMAIN_CASES,
+                         ids=["%s-%s" % case for case in _DOMAIN_CASES])
+def test_declared_domains_match_the_parent_constructors(mid, name):
+    domain = PARENT_DOMAINS[mid][name]
+    kind, lo, hi, ends, excluded, default = domain
+    assert list(PARAM_SCHEMAS[mid]) == list(PARENT_DOMAINS[mid])
+    doc = PARAM_SCHEMAS[mid][name]
+    assert doc.startswith("%s in %s%s, %s%s" % (kind, ends[0], lo, hi, ends[1]))
+    for value in excluded:
+        assert "%s != %s" % (name, value) in doc
+    for value in _probes(domain):
+        params = dict(BASE_POINTS[mid], **{name: value})
+        try:
+            model = get_model(mid, **params)
+        except ParameterError:
+            accepted = False
+        else:
+            accepted = True
+            assert getattr(model, name) == value
+            assert isinstance(getattr(model, name), int if kind == "integer" else Fraction)
+        assert accepted == _admitted(domain, value), (mid, name, value)
+    params = {k: v for k, v in BASE_POINTS[mid].items() if k != name}
+    if default is REQUIRED:
+        with pytest.raises(ParameterError, match="missing parameter %s" % name):
+            get_model(mid, **params)
+    else:
+        model = get_model(mid, **params)
+        if default is None:
+            assert "optional" in doc and getattr(model, name) is not None
+        else:
+            assert "default %s" % default in doc and getattr(model, name) == default
+
+
+def _validating_classes(tree):
+    """Catalog classes, other than PotentialModel, that call _fraction or
+    raise ParameterError: parameter checks outside the one declared path."""
+    found = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef) or cls.name == "PotentialModel":
+            continue
+        for node in ast.walk(cls):
+            called = node.func if isinstance(node, ast.Call) else None
+            raised = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(raised, ast.Call):
+                raised = raised.func
+            if (isinstance(called, ast.Name) and called.id == "_fraction") or \
+                    (isinstance(raised, ast.Name) and raised.id == "ParameterError"):
+                found.add(cls.name)
+    return sorted(found)
+
+
+def test_only_the_base_class_checks_parameters():
+    # each family declares its parameters as Param records; only
+    # PotentialModel.__init__ turns them into checks
+    path = Path(__file__).resolve().parents[1] / "src" / "qhj" / "potential_catalog.py"
+    assert _validating_classes(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_validation_guard_sees_each_form():
+    code = ("class PotentialModel:\n"
+            "    def __init__(self, x):\n"
+            "        raise ParameterError('fine here')\n"
+            "class Converts(PotentialModel):\n"
+            "    def __init__(self, x):\n"
+            "        self.x = _fraction(x, 'x')\n"
+            "class Refuses(PotentialModel):\n"
+            "    def check(self):\n"
+            "        if self.x < 0:\n"
+            "            raise ParameterError\n"
+            "class Derives(PotentialModel):\n"
+            "    def __init__(self, **params):\n"
+            "        self.y = fraction(2)\n"
+            "def helper(x):\n"
+            "    raise ParameterError('not a class')\n")
+    assert _validating_classes(ast.parse(code)) == ["Converts", "Refuses"]

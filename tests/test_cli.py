@@ -11,7 +11,7 @@ import pytest
 from qhj.cli import (EXIT_NO_ASSIGNMENT, EXIT_OK, EXIT_USAGE,
                      EXIT_VERIFY_FAILED, main)
 from qhj.polynomial_system import DefectivePencilWarning, solve_spectrum
-from qhj.potential_catalog import MODEL_IDS, get_model
+from qhj.potential_catalog import MODEL_IDS, PARAM_SCHEMAS, get_model
 
 
 def run_cli(capsys, *argv):
@@ -52,6 +52,19 @@ class TestSolve:
         assert rows[0]["energy_exact"] == "0"
         assert rows[1]["energy_exact"] == "3/4"
         assert rows[2]["energy_exact"] == "8/9"
+
+    def test_distinct_exact_levels_are_never_merged(self, capsys):
+        # four rational levels within 2.4e-25 of each other: exact energies
+        # form one group only when equal, whatever their spacing
+        code, out, _ = run_cli(capsys, "solve", "hydrogen", "--param",
+                               "e2=1/1000000000000", "--param", "l=0",
+                               "--format", "json")
+        assert code == EXIT_OK
+        rows = json.loads(out)["levels"]
+        assert [r["energy_exact"] for r in rows] == [
+            "0", "3/16000000000000000000000000", "1/4500000000000000000000000",
+            "3/12800000000000000000000000"]
+        assert [r["degeneracy"] for r in rows] == [1, 1, 1, 1]
 
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "scarf1", "--param", "A=2",
@@ -165,6 +178,15 @@ class TestVerify:
         assert all(ln.endswith(" PASS") for ln in lines[:-1])
         assert lines[-1] == "verification PASSED for %s" % mid
 
+    def test_band_edges_check_node_counts_on_every_level(self, capsys):
+        # counted on the closed cell, the edges' nodes rise with energy in
+        # each periodicity class, so the oracle always has counts to compare
+        code, out, _ = run_cli(capsys, "verify", "lame", "--param", "j=2",
+                               "--param", "m=1/2")
+        assert code == EXIT_OK
+        nodes = [ln.split(" nodes=")[1].split()[0] for ln in out.splitlines()[:-1]]
+        assert nodes == ["0/0", "1/1", "1/1", "2/2", "2/2"]
+
 
 def _write(tmp_path, text):
     path = tmp_path / "run.json"
@@ -239,6 +261,27 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, "solve", *self.HYDROGEN[:3], "--param", "l=0.5")
         assert code == EXIT_USAGE and out == ""
         assert err == "error: parameter l must be an integer, got 1/2\n"
+
+    @pytest.mark.parametrize("name,argv", [
+        ("e2", ("hydrogen", "e2=0", "l=0")),
+        ("l", ("hydrogen", "e2=2", "l=-1")),
+        ("s", ("scarf_periodic", "s=1/2")),
+        ("m", ("lame", "j=2", "m=1")),
+        ("j", ("lame", "j=0", "m=1/2")),
+        ("M", ("khare_mandal", "zeta=1/4", "M=0")),
+        ("m", ("lame", "j=2")),
+        ("bogus", ("lame", "j=2", "m=1/2", "bogus=1"))])
+    def test_invalid_parameters_name_their_declared_domain(self, capsys, name, argv):
+        params = [arg for p in argv[1:] for arg in ("--param", p)]
+        code, out, err = run_cli(capsys, "solve", argv[0], *params)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert name in err and "__init__" not in err and "positional" not in err
+        domains = PARAM_SCHEMAS[argv[0]]
+        if name in domains:
+            assert domains[name] in err
+        else:
+            assert "accepted: %s" % ", ".join(domains) in err
 
     @pytest.mark.parametrize("name,argv", [
         ("e2", ("hydrogen", "--param", "e2=1e200", "--param", "l=0")),

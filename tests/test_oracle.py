@@ -49,18 +49,14 @@ class _FlatCell(_FlatBox):
 class TestGridSpec:
     def test_rejects_coarse_grids(self):
         with pytest.raises(GridTooCoarseError):
-            GridSpec(0.0, 1.0, 32, "dirichlet")
+            GridSpec(0.0, 1.0, 32)
 
     def test_rejects_empty_interval(self):
         with pytest.raises(ParameterError):
-            GridSpec(1.0, 1.0, 128, "dirichlet")
-
-    def test_rejects_unknown_boundary(self):
-        with pytest.raises(ParameterError):
-            GridSpec(0.0, 1.0, 128, "absorbing")
+            GridSpec(1.0, 1.0, 128)
 
     def test_interior_excludes_the_walls(self):
-        spec = GridSpec(0.0, 1.0, 100, "dirichlet")
+        spec = GridSpec(0.0, 1.0, 100)
         xs = spec.interior()
         assert 0.0 < xs[0] and xs[-1] < 1.0
         assert len(xs) == 99
@@ -304,6 +300,26 @@ class TestNodeBookkeeping:
     def test_complex_profile_uses_dominant_phase(self):
         xs = np.linspace(0.01, math.pi - 0.01, 400)
         assert count_nodes(np.exp(0.7j) * np.sin(2 * xs)) == 1
+
+    def test_closed_cell_counts_the_step_back_to_the_first_sample(self):
+        xs = (np.arange(400) + 0.5) * 2 * math.pi / 400     # midpoints of one cell
+        assert count_nodes(np.cos(xs)) == 2
+        assert count_nodes(np.cos(xs), tag="periodic") == 2
+        assert count_nodes(np.sin(xs / 2)) == 0
+        assert count_nodes(np.sin(xs / 2), tag="antiperiodic") == 1
+        assert count_nodes(np.cos(xs / 2), tag="antiperiodic") == 1
+        assert count_nodes(np.sin(xs), tag="dirichlet") == 1
+
+    def test_node_counts_rise_within_each_periodicity_class(self):
+        OracleSpectrum(eigenvalues=(0.0, 1.0, 1.5), eigenvectors=np.eye(3),
+                       xs=np.array([0.2, 0.5, 0.8]),
+                       bc_tags=("periodic", "antiperiodic", "periodic"),
+                       node_counts=(0, 3, 2))
+        with pytest.raises(GridTooCoarseError):
+            OracleSpectrum(eigenvalues=(0.0, 1.0, 1.5), eigenvectors=np.eye(3),
+                           xs=np.array([0.2, 0.5, 0.8]),
+                           bc_tags=("periodic", "antiperiodic", "antiperiodic"),
+                           node_counts=(0, 3, 2))
 
     def test_empty_and_single_samples_have_no_nodes(self):
         assert count_nodes(np.array([])) == 0

@@ -90,6 +90,16 @@ class TestOracleComparison:
             assert report.modulus_deviation < 1e-4
             assert report.predicted_nodes == report.oracle_nodes == level
 
+    def test_wrong_node_count_on_a_periodic_edge_fails(self):
+        model = get_model("lame", j=2, m=HALF)
+        ground = solve_spectrum(model, levels=6).solutions[0]
+        oracle = solve_band_edges(model, k=5)
+        edge = next(i for i, (tag, n) in enumerate(zip(oracle.bc_tags, oracle.node_counts))
+                    if tag == "periodic" and n != 0)
+        report = verify_against_oracle(ground.recipe, oracle, edge)
+        assert (report.predicted_nodes, report.oracle_nodes) == (0, 2)
+        assert not report.nodes_ok
+
     def test_report_is_scale_invariant(self, scarf_pair):
         spectrum, oracle = scarf_pair
         recipe = spectrum.solutions[1].recipe
