@@ -29,7 +29,7 @@ from .polynomial_system import (BandEdgeSolution, DefectivePencilWarning,
                                 build_fixed_system, build_pencil,
                                 closed_form_check, closed_form_deviation,
                                 solve_pencil, solve_spectrum)
-from .schrodinger_oracle import (GridSpec, OracleSpectrum, count_nodes,
+from .schrodinger_oracle import (OracleDomain, OracleSpectrum, count_nodes,
                                  solve_band_edges, solve_bound,
                                  solve_inverse_square_cell, solve_oracle,
                                  solve_pt)
@@ -44,10 +44,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BandEdgeSolution", "DefectivePencilWarning", "EnergyRequiredError",
-    "ExactComplex", "FixedPole", "GridSpec", "GridTooCoarseError",
+    "ExactComplex", "FixedPole", "GridTooCoarseError",
     "InfinityExpansion", "InvalidStateError", "JacobiTriple", "LevelCheck",
     "MODEL_CLASSES", "MODEL_IDS",
-    "NoAdmissibleAssignmentError", "NonlinearEnergyError", "OracleSpectrum",
+    "NoAdmissibleAssignmentError", "NonlinearEnergyError", "OracleDomain", "OracleSpectrum",
     "PARAM_SCHEMAS", "ParameterError", "PencilSystem", "PolynomialOnT",
     "QES_RELATIONS", "QhjError", "QuantizationOutcome", "ResidueAssignment",
     "ResidueBranch", "SampledWavefunction", "SingularPointError",

@@ -18,7 +18,7 @@ the full algebraic data the solver needs:
   change of variable's offset at each pole included (prefactor_exponents),
   and a display template (recipe_form); one assembler, PotentialModel.recipe,
   builds ψ = Π_j f_j^e_j · e^(a0·t) · P(t) for every family,
-* how the independent oracle solves the family and how `verify` scores it.
+* which oracle solves the family, on which domain, and how `verify` scores it.
 
 The transformed Riccati equation is χ² + χ' + G(t) = 0 with
 G = (E − Ṽ(t))/u + [−u''/(4u) + 3u'²/(16u²)], where Ṽ(t) = V(x(t)) and
@@ -45,6 +45,7 @@ from .errors import ParameterError, SingularPointError, UnknownModelError
 from .exactmath import ExactComplex, real_or_complex, to_complex
 from .qmf_residues import FixedPole, InfinityExpansion, finite_pole_residues
 from .quantization import ResidueAssignment, level_verdict
+from .schrodinger_oracle import OracleDomain
 from .special_functions import elliptic_K, jacobi_polynomial, laguerre, sn_cn_dn
 
 
@@ -158,7 +159,6 @@ class PotentialModel:
     notes: Tuple[str, ...] = ()
     qes_relations = None           # one level relation per residue set, or None
     oracle = "bound"               # bound | band_edges | inverse_square_cell | pt
-    bent_contour = False           # pt oracle: eigenfunctions decay only off the real axis
     verify_tol = 2e-4              # default energy tolerance of verify()
     recipe_form = None             # str.format: {0}, {1}, … exponents, {n} degree, {a0} slope
 
@@ -197,7 +197,11 @@ class PotentialModel:
         return None
 
     def x_window(self):
-        """Physical interval the oracle discretizes (one period if periodic)."""
+        """Physical interval where eigenfunctions are sampled (one period if periodic)."""
+        return self.oracle_domain().ends
+
+    def oracle_domain(self) -> OracleDomain:
+        """Ends, wall strengths, map scale and contour for the collocation oracle."""
         raise NotImplementedError
 
     # -- pole/expansion data --------------------------------------------------
@@ -323,6 +327,11 @@ class HydrogenModel(PotentialModel):
     def x_window(self):
         # far wall sized for the slowest decay among the first few levels
         return (0.0, 40.0 * (self.l + 5) / float(self.e2))
+
+    def oracle_domain(self):
+        # the map scale spans the radii 2(n+l+1)²/e2 of the first few levels
+        return OracleDomain((0.0, math.inf), walls=(self.l * (self.l + 1), 0.0),
+                            scale=2.0 * (self.l + 1) * (self.l + 5) / float(self.e2))
 
     def fixed_poles(self):
         return (FixedPole(location=0.0, g2=Fraction(-self.l * (self.l + 1)), label="t=0"),)
@@ -488,9 +497,11 @@ class ScarfOneModel(TwoWallJacobiModel):
             return "potential scarf1 is singular at its box walls"
         return None
 
-    def x_window(self):
+    def oracle_domain(self):
+        # V ≈ X(X − α)/(α d)² at the wall of t = ∓1, X = A ∓ B
         w = math.pi / (2 * float(self.alpha))
-        return (-w, w)
+        return OracleDomain((-w, w), walls=tuple(float(X * (X - self.alpha) / self.alpha ** 2)
+                                                 for X in (self.A - self.B, self.A + self.B)))
 
     def _g2(self, X):
         return Fraction(3, 16) - X * (X - self.alpha) / (4 * self.alpha**2)
@@ -555,6 +566,9 @@ class ComplexScarfModel(TwoWallJacobiModel):
 
     def x_window(self):
         return (-16.0, 16.0)
+
+    def oracle_domain(self):
+        return OracleDomain((-math.inf, math.inf), scale=4.0)
 
     def _g2(self, X):
         return Fraction(3, 16) - X / 4
@@ -636,8 +650,9 @@ class ScarfPeriodicModel(PotentialModel):
             return "potential scarf_periodic is singular at multiples of pi"
         return None
 
-    def x_window(self):
-        return (0.0, math.pi)
+    def oracle_domain(self):
+        c = float(self.s * self.s - Fraction(1, 4))
+        return OracleDomain((0.0, math.pi), walls=(c, c))
 
     def fixed_poles(self):
         def g2(E):
@@ -985,7 +1000,6 @@ class KhareMandalModel(PotentialModel):
              "the decay contour and is rejected by contour_decay",)
     qes_relations = ("n = (M - 1)/2", "n = (M - 3)/2", "n = M/2 - 1", "n = M/2 - 1")
     oracle = "pt"
-    bent_contour = True
     verify_tol = 1e-3
     recipe_form = "sinh^{0} * cosh^{1} * exp(i*zeta*cosh(2x)/2) * P{n}(cosh(2x))"
     # (b1, b1') per residue set, in label order
@@ -999,8 +1013,13 @@ class KhareMandalModel(PotentialModel):
     def to_t(self, x):
         return np.cosh(2 * np.asarray(x, dtype=complex))
 
-    def x_window(self):
-        return (-4.5, 4.5)
+    def oracle_domain(self):
+        # eigenfunctions decay only off the real axis: x(σ) = σ + i(π/4)·tanh(1.5σ)
+        def contour(sig):
+            th = np.tanh(1.5 * sig)
+            return (sig + 0.25j * np.pi * th, 1.0 + 0.375j * np.pi * (1.0 - th * th),
+                    -1.125j * np.pi * (1.0 - th * th) * th)
+        return OracleDomain((-4.5, 4.5), contour=contour)
 
     def fixed_poles(self):
         return (

@@ -1,65 +1,48 @@
 """Independent grid diagonalization of −ψ'' + V ψ = E ψ.
 
 This module never touches the residue/quantization machinery: it builds
-operators straight from the potential callable and diagonalizes them,
-providing the cross-check spectra.
+operators straight from the potential callable and the domain each family
+declares, and diagonalizes them, providing the cross-check spectra.
 
-Techniques, chosen per boundary behaviour:
-
-* bound states — second-order tridiagonal Dirichlet operator, eigenvalues
-  at two resolutions combined by Richardson extrapolation;
+* Chebyshev collocation (Trefethen, *Spectral Methods in MATLAB*, 2000;
+  Boyd, *Chebyshev and Fourier Spectral Methods*, 2001) for bound states,
+  inverse-square cells and complex potentials: ψ = W·φ, where the wall
+  factor W carries an exponent ρ with ρ(ρ−1) = c at each inverse-square
+  wall V ≈ c/d², and φ is collocated on N Gauss–Chebyshev nodes with no
+  endpoint rows.  A level's error estimate is the change from the solve at
+  N to the one at 2N plus a rounding floor, and it counts when that is
+  ≤ 1e-4·(1 + |E|).
 * band edges of smooth periodic potentials — Hill's method: the lowest
   `keep` eigenpairs of real Fourier matrices (one FFT of V) of the periodic
   and antiperiodic operators, merged and tagged; each error bar is the
-  measured change as the Fourier cutoff doubles, plus a rounding floor;
-* the inverse-square periodic cell — the naive operator only converges onto
-  one wall behaviour, so each exponent channel is solved as a weighted
-  Sturm–Liouville problem −(w²φ')' = ε w² φ with w = sin^μ x, whose natural
-  boundary conditions select that channel;
-* complex (PT-symmetric) potentials — dense non-Hermitian diagonalization,
-  on a bent contour when the eigenfunctions only decay off the real axis;
-  eigenvalues are kept only when stable across two resolutions.
+  measured change as the Fourier cutoff doubles, plus a rounding floor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import eig, eigh, eigh_tridiagonal
+# eigh_tridiagonal is unused here; perfbench/tracer.py wraps all three names
+from scipy.linalg import eig, eigh, eigh_tridiagonal  # noqa: F401
 
-from .errors import GridTooCoarseError, ParameterError
+from .errors import GridTooCoarseError
 
-_MIN_POINTS = 64
+_SAMPLES = 960              # output grid points: midpoints of the cell, or of s ∈ (−1, 1)
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Uniform grid on (lower, upper)."""
+class OracleDomain:
+    """Where a family is collocated: ends of the real coordinate σ (a finite
+    interval, (a, inf) or (−inf, inf)); wall strength c at each end, for
+    V ≈ c/d² (0 for a Dirichlet end); map scale L of an infinite end; and
+    σ ↦ (x, dx/dσ, d²x/dσ²) of a complex contour, or None for x = σ."""
 
-    lower: float
-    upper: float
-    points: int
-
-    def __post_init__(self):
-        if self.points < _MIN_POINTS:
-            raise GridTooCoarseError(
-                "grid needs at least %d points, got %d" % (_MIN_POINTS, self.points))
-        if not self.upper > self.lower:
-            raise ParameterError("grid interval is empty")
-
-    @property
-    def step(self):
-        return (self.upper - self.lower) / self.points
-
-    def interior(self):
-        h = self.step
-        return self.lower + h * np.arange(1, self.points)
-
-    def midpoints(self):
-        h = self.step
-        return self.lower + h * (np.arange(self.points) + 0.5)
+    ends: Tuple[float, float]
+    walls: Tuple[float, float] = (0.0, 0.0)
+    scale: float = 1.0
+    contour: Optional[Callable] = None
 
 
 @dataclass
@@ -112,25 +95,6 @@ def count_nodes(values, rel_floor=1e-10, tag=None):
     return int(np.count_nonzero(positive[1:] != positive[:-1]))
 
 
-def _two_grid(solve, lo, hi, points, channels):
-    """Richardson-combined levels of each channel, solved at two resolutions.
-
-    For each (tag, arg) channel, solve(GridSpec(lo, hi, npts), arg) returns
-    (xs, energies, vectors) at points and at 2·points.  Returns the
-    fine xs and the (energy, tag, fine vector, error estimate) items of all
-    channels, sorted by energy.
-    """
-    items = []
-    for tag, arg in channels:
-        _, vals_c, _ = solve(GridSpec(lo, hi, points), arg)
-        xs, vals_f, vecs = solve(GridSpec(lo, hi, 2 * points), arg)
-        # second-order scheme: the error shrinks fourfold as h halves
-        items += [(float((4.0 * f - c) / 3.0), tag, vecs[:, i], float(abs(f - c) / 3.0))
-                  for i, (c, f) in enumerate(zip(vals_c, vals_f))]
-    items.sort(key=lambda item: item[0])
-    return xs, items
-
-
 def _spectrum(xs, items, tol, node_counts=None):
     """OracleSpectrum of (energy, tag, vector, error estimate) items.
 
@@ -150,23 +114,143 @@ def _spectrum(xs, items, tol, node_counts=None):
         error_estimates=tuple(item[3] for item in items))
 
 
-def solve_bound(model, k, points=2400, tol=None):
-    """Lowest k Dirichlet levels with Richardson extrapolation.
+# ---------------------------------------------------------------------------
+# Chebyshev collocation: bound levels, wall-exponent channels, complex spectra
+# ---------------------------------------------------------------------------
 
-    Raises GridTooCoarseError when a requested tolerance exceeds the
-    Richardson error estimate.
-    """
-    def lowest(grid, count):
-        xs = grid.interior()
-        h = grid.step
-        diag = 2.0 / h ** 2 + np.asarray(model.potential(xs), dtype=float)
-        off = np.full(len(xs) - 1, -1.0 / h ** 2)
-        vals, vecs = eigh_tridiagonal(diag, off, select="i",
-                                      select_range=(0, min(count, len(xs)) - 1))
-        return xs, vals, vecs
+_FIRST_NODES, _MAX_NODES, _PT_NODES = 32, 256, 128   # bound solves' first N; cap on 2N
+_CONVERGED, _VECTORS_AGREE = 1e-4, 1e-2   # counting rule; bound solves' vector change
+_NODE_FLOOR, _PT_WINDOW = 1e-6, 40.0      # above collocation rounding; |Re E|, |Im E| kept
 
-    xs, items = _two_grid(lowest, *model.x_window(), points, [("dirichlet", k)])
-    return _spectrum(xs, items, tol, tuple(count_nodes(item[2]) for item in items))
+
+def _nodes(n):
+    """Gauss–Chebyshev nodes s_j = cos((2j+1)π/2n) and barycentric weights."""
+    theta = np.pi * (2 * np.arange(n) + 1) / (2 * n)
+    return np.cos(theta), (-1.0) ** np.arange(n) * np.sin(theta)
+
+
+def _geometry(domain, rho, s):
+    """x, dx/ds, d²x/ds², W, W'/W, W''/W at s, for the exponents rho at the ends:
+    W = sin(π(1+s)/4)^ρ₋·sin(π(1−s)/4)^ρ₊ on a finite interval, ((1+s)/2)^ρ₋ on
+    the half line and 1 on the line, so W ≤ 1."""
+    (lo, hi), scale, zero = domain.ends, domain.scale, np.zeros_like(s)
+    if np.isinf(lo):                       # line: σ = L·s/√(1−s²)
+        q = 1.0 - s * s
+        sig, d1, d2 = scale * s / np.sqrt(q), scale / q ** 1.5, 3.0 * scale * s / q ** 2.5
+        w, w1, w2 = zero + 1.0, zero, zero
+    elif np.isinf(hi):                     # half line: σ = lo + L(1+s)/(1−s)
+        r, m = rho[0], 1.0 - s
+        sig, d1, d2 = lo + scale * (1 + s) / m, 2 * scale / m ** 2, 4 * scale / m ** 3
+        w, w1, w2 = ((1 + s) / 2) ** r, r / (1 + s), r * (r - 1) / (1 + s) ** 2
+    else:                                  # finite interval: σ linear in s
+        u, v, k = 0.25 * np.pi * (1 + s), 0.25 * np.pi * (1 - s), 0.25 * np.pi
+        sig, d1, d2 = lo + 0.5 * (hi - lo) * (1 + s), zero + 0.5 * (hi - lo), zero
+        w = np.sin(u) ** rho[0] * np.sin(v) ** rho[1]
+        w1 = k * (rho[0] / np.tan(u) - rho[1] / np.tan(v))
+        w2 = w1 ** 2 - k * k * (rho[0] / np.sin(u) ** 2 + rho[1] / np.sin(v) ** 2)
+    if domain.contour is not None:
+        x, c1, c2 = domain.contour(sig)
+        sig, d1, d2 = x, c1 * d1, c2 * d1 ** 2 + c1 * d2
+    return sig, d1, d2, w, w1, w2
+
+
+def _operator(model, domain, rho, n):
+    """Collocation matrix of φ ↦ (−ψ'' + Vψ)/W, ψ = W·φ, on n nodes."""
+    s, bw = _nodes(n)
+    dif = np.subtract.outer(s, s) + np.eye(n)
+    d1 = np.outer(1.0 / bw, bw) / dif - np.eye(n)
+    d1 -= np.diag(d1.sum(axis=1))
+    d2 = 2.0 * d1 * (np.diag(d1)[:, None] - 1.0 / dif) * (1.0 - np.eye(n))
+    d2 -= np.diag(d2.sum(axis=1))
+    x, p, q, _, w1, w2 = _geometry(domain, rho, s)
+    a, b = 1.0 / p ** 2, q / p ** 3      # ψ_xx = a·ψ_ss − b·ψ_s
+    return -a[:, None] * d2 + (b - 2.0 * a * w1)[:, None] * d1 \
+        + np.diag(np.asarray(model.potential(x)) - a * w2 + b * w1)
+
+
+def _sample(domain, rho, vecs):
+    """(xs, W·φ) at the images of 960 midpoints in s, φ interpolated from its
+    node values (the columns of vecs) by the barycentric formula."""
+    t = (2.0 * np.arange(_SAMPLES) + 1.0) / _SAMPLES - 1.0
+    s, bw = _nodes(len(vecs))
+    c = bw / np.subtract.outer(t, s)
+    x, _, _, w, _, _ = _geometry(domain, rho, t)
+    return x, (w / c.sum(axis=1))[:, None] * (c @ vecs)
+
+
+def _collocate(model, domain, rho, n, pick):
+    """Levels of one wall-exponent channel from the solves at N = n and 2N.
+
+    N doubles until the eigenvalues pick(vals) chooses at 2N all count (their
+    estimate |E(2N) − E(N)| + 4·eps·‖H‖₁ is ≤ 1e-4·(1 + |E|)) and their
+    sup-normalized vectors change by ≤ 1e-2, or until 2N = 256.  Returns xs
+    and (E, ψ, estimate, vector change) for each chosen level that counts."""
+    coarse, rough = eig(_operator(model, domain, rho, n))
+    while True:
+        mat = _operator(model, domain, rho, 2 * n)
+        vals, vecs = eig(mat)
+        near = np.argmin(np.abs(np.subtract.outer(vals, coarse)), axis=1)
+        # the N/2N change plus the rounding floor of Hill's estimate, 4·eps·‖H‖₁
+        est = np.abs(vals - coarse[near]) + 4.0 * np.finfo(float).eps * np.linalg.norm(mat, 1)
+        sel = pick(vals)
+        counts = est[sel] <= _CONVERGED * (1.0 + np.abs(vals[sel]))
+        if counts.all() or 2 * n >= _MAX_NODES:
+            sel = sel[counts]
+            xs, psi = _sample(domain, rho, vecs[:, sel])
+            _, old = _sample(domain, rho, rough[:, near[sel]])
+            peak = (np.argmax(np.abs(psi), axis=0), np.arange(len(sel)))
+            change = np.max(np.abs(psi / psi[peak] - old / old[peak]), axis=0, initial=0.0)
+            if np.all(change <= _VECTORS_AGREE) or 2 * n >= _MAX_NODES:
+                return xs, [(vals[i], psi[:, j], float(est[i]), change[j])
+                            for j, i in enumerate(sel)]
+        n, coarse, rough = 2 * n, vals, vecs
+
+
+def _channels(model, tags, k, tol):
+    """OracleSpectrum of the lowest k counted levels of each channel: tags[0]
+    takes the principal root at every wall, tags[1] (if given) the secondary
+    one where that is positive at every wall.  Node counts skip samples below
+    the level's N/2N vector change and 1e-6 of its maximum (its noise)."""
+    domain = model.oracle_domain()
+    root = np.sqrt(0.25 + np.array(domain.walls))        # ρ(ρ−1) = c: ρ = 1/2 ± root
+    exponents = [0.5 + root, 0.5 - root] if min(0.5 - root) > 0 else [0.5 + root]
+    items = []
+    for tag, rho in zip(tags, exponents):
+        xs, levels = _collocate(model, domain, rho, _FIRST_NODES,
+                                lambda vals: np.argsort(vals.real)[:k])
+        items += [(e.real, tag, psi, est, change) for e, psi, est, change in levels]
+    if not items:
+        raise GridTooCoarseError("no level converged by N = %d" % (_MAX_NODES // 2))
+    items.sort(key=lambda item: item[0])
+    return _spectrum(xs, [item[:4] for item in items], tol, tuple(
+        count_nodes(psi, rel_floor=max(change, _NODE_FLOOR)) for *_, psi, _, change in items))
+
+
+def solve_bound(model, k, tol=None):
+    """Lowest k levels with the principal exponent at each wall.  Raises
+    GridTooCoarseError when none converges or an estimate exceeds tol."""
+    return _channels(model, ("dirichlet",), k, tol)
+
+
+def solve_inverse_square_cell(model, k=4, tol=None):
+    """Lowest k levels of each wall-exponent channel of an inverse-square cell:
+    exponent_plus (principal root) and, for c < 0, exponent_minus."""
+    return _channels(model, ("exponent_plus", "exponent_minus"), k, tol)
+
+
+def solve_pt(model):
+    """Every counted eigenvalue with |Re E|, |Im E| ≤ 40 from the solves at
+    N = 128 and 2N = 256, with eigenfunctions against x on the declared
+    contour.  Raises GridTooCoarseError when none counts."""
+    domain = model.oracle_domain()
+    xs, levels = _collocate(
+        model, domain, 0.5 + np.sqrt(0.25 + np.array(domain.walls)), _PT_NODES,
+        lambda vals: np.flatnonzero(np.maximum(abs(vals.real), abs(vals.imag)) <= _PT_WINDOW))
+    if not levels:
+        raise GridTooCoarseError("no eigenvalue agrees between N = 128 and 256")
+    levels.sort(key=lambda level: (level[0].real, level[0].imag))
+    tag = "contour" if domain.contour is not None else "dirichlet"
+    return _spectrum(xs, [(complex(e), tag, psi, est) for e, psi, est, _ in levels], None)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +287,7 @@ def solve_band_edges(model, k=6, tol=None, emax=None):
     length, samples = hi - lo, 4 * _HILL_MAX_MODES
     vhat = np.fft.fft(np.asarray(model.potential(
         lo + length * np.arange(samples) / samples), dtype=float)) / samples
-    xs = GridSpec(lo, hi, 960).midpoints()
+    xs = lo + length / _SAMPLES * (np.arange(_SAMPLES) + 0.5)
     channels = (("periodic", 0.0), ("antiperiodic", 0.5))
 
     def lowest(theta, modes, vectors):
@@ -238,93 +322,6 @@ def solve_band_edges(model, k=6, tol=None, emax=None):
         modes, coarse = 2 * modes, [f[0] for f in fine]
     merged = [(e, tag, synthesize(*vec), est) for e, tag, vec, est in merged]
     return _spectrum(xs, merged, tol, tuple(count_nodes(v, tag=tag) for _, tag, v, _ in merged))
-
-
-# ---------------------------------------------------------------------------
-# inverse-square periodic cell: weighted Sturm–Liouville per exponent channel
-# ---------------------------------------------------------------------------
-
-def solve_inverse_square_cell(model, k=4, points=1600, tol=None):
-    """Band-edge (or bound) levels of the inverse-square cell potential.
-
-    Each wall-exponent channel μ = 1/2 ± s is solved separately; for s > 1/2
-    only the normalizable μ = 1/2 + s channel exists.  Eigenvectors are
-    reported on the cell midpoints of the fine grid.
-    """
-    s = float(model.s)
-
-    def lowest(grid, mu):
-        """Lowest k+1 levels of the sin^μ exponent channel on (0, π)."""
-        xs = grid.midpoints()
-        h = grid.step
-        w2 = np.sin(xs) ** (2.0 * mu)
-        edges = grid.lower + h * np.arange(grid.points + 1)
-        w2_edge = np.sin(np.clip(edges, 0.0, np.pi)) ** (2.0 * mu)
-        w2_edge[0] = 0.0
-        w2_edge[-1] = 0.0
-        diag = (w2_edge[1:] + w2_edge[:-1]) / (h ** 2 * w2)
-        off = -w2_edge[1:-1] / (h ** 2 * np.sqrt(w2[:-1] * w2[1:]))
-        eps, y = eigh_tridiagonal(diag, off, select="i",
-                                  select_range=(0, min(k + 1, len(xs)) - 1))
-        # the symmetrized eigenvector is y = w·φ, which is ψ on the grid already
-        return xs, eps + (s * s - 0.25) + mu, y
-
-    channels = [("exponent_plus", 0.5 + s)]
-    if s < 0.5:
-        channels.append(("exponent_minus", 0.5 - s))
-    xs, merged = _two_grid(lowest, 0.0, np.pi, points, channels)
-    return _spectrum(xs, merged[:k * len(channels)], tol)
-
-
-# ---------------------------------------------------------------------------
-# complex potentials: dense non-Hermitian solves with stability filtering
-# ---------------------------------------------------------------------------
-
-def solve_pt(model, points=640, max_real=40.0, stability_tol=5e-3):
-    """Complex spectrum of a PT-symmetric model, filtered for grid stability.
-
-    An eigenvalue is kept only when the coarse and fine grids agree on it;
-    matched pairs are Richardson-combined.  The operator acts along the
-    contour x(σ) = σ + i·bend·tanh(steepness·σ) and eigenfunctions are
-    reported against x(σ): bend = π/4 for models whose eigenfunctions only
-    decay off the real axis, bend = 0 (the real line) otherwise.
-    """
-    lo, hi = model.x_window()
-    tag = "contour" if model.bent_contour else "dirichlet"
-    bend, steepness = (0.25 * np.pi if model.bent_contour else 0.0), 1.5
-
-    def solve_at(npts):
-        grid = GridSpec(lo, hi, npts)
-        sig = grid.interior()
-        h = grid.step
-        sech2 = 1.0 / np.cosh(steepness * sig) ** 2
-        xprime = 1.0 + 1j * bend * steepness * sech2
-        xsecond = -2j * bend * steepness ** 2 * sech2 * np.tanh(steepness * sig)
-        xs = sig + 1j * bend * np.tanh(steepness * sig)
-        inv2 = 1.0 / xprime ** 2
-        first = xsecond / xprime ** 3
-        mat = np.diag(2.0 * inv2 / h ** 2 + np.asarray(model.potential(xs), dtype=complex))
-        np.fill_diagonal(mat[1:], -inv2[1:] / h ** 2 - first[1:] / (2.0 * h))
-        np.fill_diagonal(mat[:, 1:], -inv2[:-1] / h ** 2 + first[:-1] / (2.0 * h))
-        vals, vecs = eig(mat)
-        order = np.argsort(vals.real + 1e-9 * vals.imag)
-        return xs, vals[order], vecs[:, order]
-
-    _, vals_c, _ = solve_at(points // 2)
-    xs, vals_f, vecs_f = solve_at(points)
-    kept = []
-    for i, v in enumerate(vals_f):
-        if abs(v.real) > max_real or abs(v.imag) > max_real:
-            continue
-        j = int(np.argmin(np.abs(vals_c - v)))
-        gap = abs(vals_c[j] - v)
-        if gap <= stability_tol * (1.0 + abs(v)):
-            kept.append((complex((4.0 * v - vals_c[j]) / 3.0), tag, vecs_f[:, i],
-                         float(gap / 3.0)))
-    kept.sort(key=lambda item: (item[0].real, item[0].imag))
-    if not kept:
-        raise GridTooCoarseError("no grid-stable complex eigenvalues found")
-    return _spectrum(xs, kept, None)
 
 
 def solve_oracle(model, k=4, emax=None):

@@ -28,11 +28,10 @@ from qhj.wavefunction_assembly import overlap, verify_against_oracle
 HALF = Fraction(1, 2)
 
 EXACT_TOL = 1e-10          # algebraic energies vs analytic closed forms
-ORACLE_TOL_BOUND = 2e-4    # Coulomb / trigonometric wells vs Dirichlet grid
+ORACLE_TOL_BOUND = 2e-4    # Coulomb / trigonometric wells vs collocation
 ORACLE_TOL_BAND = 5e-4     # band edges vs cell diagonalization
-ORACLE_TOL_PT = 1e-3       # complex spectra vs dense non-Hermitian grid
+ORACLE_TOL_PT = 1e-3       # complex spectra vs non-Hermitian collocation
 OVERLAP_TOL = 1e-6         # eigenfunction overlap shortfall
-PT_GRID_POINTS = 640       # dense complex solves stay under the 800 cap
 
 # every model configuration exercised by the sweep criteria
 ALL_CONFIGS = [
@@ -239,7 +238,7 @@ def test_criterion_7_pt_cosh_pair():
             assert [e.real for e in energies] == pytest.approx(expected,
                                                                abs=EXACT_TOL)
             assert all(abs(e.imag) <= EXACT_TOL for e in energies)
-            oracle = solve_pt(model, points=PT_GRID_POINTS)
+            oracle = solve_pt(model)
             for e in energies:
                 assert min(abs(e - complex(o)) for o in oracle.eigenvalues) \
                     <= ORACLE_TOL_PT
@@ -264,7 +263,7 @@ def test_criterion_8_pt_scarf_well():
         assert len(out.levels) == 1  # the admissibility range truncates here
         e0 = to_complex(out.levels[0].energy)
         assert abs(e0.imag) <= 1e-12
-        oracle = solve_pt(real_phase, points=PT_GRID_POINTS)
+        oracle = solve_pt(real_phase)
         assert min(abs(e0 - complex(o)) for o in oracle.eigenvalues) \
             <= ORACLE_TOL_PT
 

@@ -128,9 +128,11 @@ class TestExitCodes:
         assert "non_integer_level" in err
 
     def test_failed_verification_exits_three(self, capsys):
+        # the oracle matches these levels to ~1e-15, so only a tolerance far
+        # below rounding makes them fail
         code, out, _ = run_cli(capsys, "verify", "hydrogen", "--param", "e2=2",
                                "--param", "l=0", "--levels", "2",
-                               "--tol", "1e-14")
+                               "--tol", "1e-300")
         assert code == EXIT_VERIFY_FAILED
         assert "FAIL" in out
 
@@ -186,6 +188,37 @@ class TestVerify:
         assert code == EXIT_OK
         nodes = [ln.split(" nodes=")[1].split()[0] for ln in out.splitlines()[:-1]]
         assert nodes == ["0/0", "1/1", "1/1", "2/2", "2/2"]
+
+
+class TestFixedOraclePoints:
+    """Points whose finite-difference oracle failed `qhj verify`; the
+    collocation oracle verifies them at the default tolerance."""
+
+    @pytest.mark.parametrize("mid,params,levels", [
+        ("hydrogen", ("e2=2", "l=3"), "6"),
+        ("hydrogen", ("e2=7", "l=2"), "6"),
+        ("complex_scarf", ("A=6", "B=3"), "4"),
+        ("complex_scarf", ("A=1/4", "B=1"), "4"),
+        ("complex_scarf", ("A=1/2", "B=1"), "4"),
+        ("khare_mandal", ("zeta=3/2", "M=5"), "4"),
+        ("scarf1", ("A=1/2", "B=0", "alpha=1"), "4"),
+    ])
+    def test_verifies(self, capsys, mid, params, levels):
+        argv = ["verify", mid, "--levels", levels]
+        for p in params:
+            argv += ["--param", p]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[-1] == "verification PASSED for %s" % mid
+
+    def test_exceptional_point_verifies_and_still_warns(self, capsys):
+        # the coalesced level 6.75 is kept: N and 2N agree on it to 4e-6
+        code, out, err = run_cli(capsys, "verify", "khare_mandal", "--param",
+                                 "zeta=1/2", "--param", "M=3")
+        assert code == EXIT_OK
+        assert err == ("warning: pencil eigenvalue (6.75+0j) has multiplicity 2 "
+                       "but kernel dimension 1\n")
+        assert out.splitlines()[-1] == "verification PASSED for khare_mandal"
 
 
 def _write(tmp_path, text):

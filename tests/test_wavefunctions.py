@@ -222,8 +222,11 @@ class TestVerify:
                 float(check.solution.energy), abs=outcome.tol)
 
     def test_tolerance_override_fails_every_level(self):
-        outcome = verify(get_model("hydrogen", e2=2, l=0), levels=2, tol=1e-14)
-        assert not outcome.passed
+        # a tolerance below every level's gap fails every level
+        model = get_model("hydrogen", e2=2, l=0)
+        tol = 0.5 * min(c.gap for c in verify(model, levels=2).checks)
+        outcome = verify(model, levels=2, tol=tol)
+        assert outcome.tol == tol and not outcome.passed
         assert not any(c.passed for c in outcome.checks)
 
     def test_bent_contour_levels_score_their_eigenfunctions(self):
