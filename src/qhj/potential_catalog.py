@@ -568,7 +568,8 @@ class ComplexScarfModel(TwoWallJacobiModel):
         return (-16.0, 16.0)
 
     def oracle_domain(self):
-        return OracleDomain((-math.inf, math.inf), scale=4.0)
+        # V(−x) = conj V(x): the flip x ↦ −x conjugates the operator
+        return OracleDomain((-math.inf, math.inf), scale=4.0, mirror="pt")
 
     def _g2(self, X):
         return Fraction(3, 16) - X / 4
@@ -1019,7 +1020,8 @@ class KhareMandalModel(PotentialModel):
             th = np.tanh(1.5 * sig)
             return (sig + 0.25j * np.pi * th, 1.0 + 0.375j * np.pi * (1.0 - th * th),
                     -1.125j * np.pi * (1.0 - th * th) * th)
-        return OracleDomain((-4.5, 4.5), contour=contour)
+        # V is even and the contour odd: the flip σ ↦ −σ commutes with the operator
+        return OracleDomain((-4.5, 4.5), contour=contour, mirror="parity")
 
     def fixed_poles(self):
         return (

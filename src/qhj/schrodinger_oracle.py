@@ -11,7 +11,13 @@ declares, and diagonalizes them, providing the cross-check spectra.
   wall V ≈ c/d², and φ is collocated on N Gauss–Chebyshev nodes with no
   endpoint rows.  A level's error estimate is the change from the solve at
   N to the one at 2N plus a rounding floor, and it counts when that is
-  ≤ 1e-4·(1 + |E|).
+  ≤ 1e-4·(1 + |E|).  The nodes are mirror images, s_{N−1−j} = −s_j, so the
+  flip J of the node order carries a mirror symmetry of the potential over to
+  the matrix; a family that declares one is diagonalized in reduced form.
+  Parity (JHJ = H) splits H into an even and an odd block of order N/2; PT
+  symmetry (JHJ = conj H) makes S*HS real for the unitary S = (I + iJ)/√2
+  (Bender & Boettcher, PRL 80 (1998) 5243), so real levels come out exactly
+  real and broken pairs as exact conjugates.
 * band edges of smooth periodic potentials — Hill's method: the lowest
   `keep` eigenpairs of real Fourier matrices (one FFT of V) of the periodic
   and antiperiodic operators, merged and tagged; each error bar is the
@@ -36,13 +42,19 @@ _SAMPLES = 960              # output grid points: midpoints of the cell, or of s
 class OracleDomain:
     """Where a family is collocated: ends of the real coordinate σ (a finite
     interval, (a, inf) or (−inf, inf)); wall strength c at each end, for
-    V ≈ c/d² (0 for a Dirichlet end); map scale L of an infinite end; and
-    σ ↦ (x, dx/dσ, d²x/dσ²) of a complex contour, or None for x = σ."""
+    V ≈ c/d² (0 for a Dirichlet end); map scale L of an infinite end;
+    σ ↦ (x, dx/dσ, d²x/dσ²) of a complex contour, or None for x = σ; and the
+    mirror symmetry σ ↦ −σ of the problem, if it has one: "parity" when
+    V(x(−σ)) = V(x(σ)) with x(−σ) = −x(σ) and mirror-image ends and walls
+    (the operator commutes with the flip), "pt" when V(−x) = conj V(x) on the
+    real line (the flip conjugates it), or None.  The oracle then solves the
+    even and odd blocks, or one real matrix, instead of the full matrix."""
 
     ends: Tuple[float, float]
     walls: Tuple[float, float] = (0.0, 0.0)
     scale: float = 1.0
     contour: Optional[Callable] = None
+    mirror: Optional[str] = None
 
 
 @dataclass
@@ -178,17 +190,42 @@ def _sample(domain, rho, vecs):
     return x, (w / c.sum(axis=1))[:, None] * (c @ vecs)
 
 
-def _collocate(model, domain, rho, n, pick):
+def _eig(mat, mirror, vectors=True):
+    """Eigenvalues of mat and, when vectors is set, a map from column indices
+    to those eigenvectors, from the module-bound eig on the reduced form the
+    mirror symmetry allows (J is the flip mat[::-1, ::-1], h = N/2; N is even).
+
+    parity, JHJ = H: even block a + b and odd block a − b, a = H[:h, :h],
+    b = H[:h, h:]·J; the vectors are [u; Ju] and [u; −Ju].  pt, JHJ = conj H:
+    S*HS = Re H − (Im H)·J is real, S = (I + iJ)/√2; ψ ∝ v + i·Jv."""
+    if mirror == "parity":
+        h = len(mat) // 2
+        a, b, sign = mat[:h, :h], mat[:h, h:][:, ::-1], np.repeat([1.0, -1.0], h)
+        blocks, lift = [a + b, a - b], lambda v, cols: np.vstack([v, sign[cols] * v[::-1]])
+    elif mirror == "pt":
+        blocks, lift = [mat.real - mat.imag[:, ::-1]], lambda v, cols: v + 1j * v[::-1]
+    else:
+        blocks, lift = [mat], lambda v, cols: v
+    out = [eig(block, right=vectors) for block in blocks]
+    if not vectors:
+        return np.concatenate(out), None
+    vecs = np.hstack([v for _, v in out])
+    return np.concatenate([w for w, _ in out]), lambda cols: lift(vecs[:, cols], cols)
+
+
+def _collocate(model, domain, rho, n, pick, compare=True):
     """Levels of one wall-exponent channel from the solves at N = n and 2N.
 
     N doubles until the eigenvalues pick(vals) chooses at 2N all count (their
     estimate |E(2N) − E(N)| + 4·eps·‖H‖₁ is ≤ 1e-4·(1 + |E|)) and their
     sup-normalized vectors change by ≤ 1e-2, or until 2N = 256.  Returns xs
-    and (E, ψ, estimate, vector change) for each chosen level that counts."""
-    coarse, rough = eig(_operator(model, domain, rho, n))
+    and (E, ψ, estimate, vector change) for each chosen level that counts.
+    Without compare the solves at N give eigenvalues only and the vector
+    change reads 0."""
+    coarse, rough = _eig(_operator(model, domain, rho, n), domain.mirror, compare)
     while True:
         mat = _operator(model, domain, rho, 2 * n)
-        vals, vecs = eig(mat)
+        vals, vector = _eig(mat, domain.mirror)
         near = np.argmin(np.abs(np.subtract.outer(vals, coarse)), axis=1)
         # the N/2N change plus the rounding floor of Hill's estimate, 4·eps·‖H‖₁
         est = np.abs(vals - coarse[near]) + 4.0 * np.finfo(float).eps * np.linalg.norm(mat, 1)
@@ -196,14 +233,16 @@ def _collocate(model, domain, rho, n, pick):
         counts = est[sel] <= _CONVERGED * (1.0 + np.abs(vals[sel]))
         if counts.all() or 2 * n >= _MAX_NODES:
             sel = sel[counts]
-            xs, psi = _sample(domain, rho, vecs[:, sel])
-            _, old = _sample(domain, rho, rough[:, near[sel]])
-            peak = (np.argmax(np.abs(psi), axis=0), np.arange(len(sel)))
-            change = np.max(np.abs(psi / psi[peak] - old / old[peak]), axis=0, initial=0.0)
+            xs, psi = _sample(domain, rho, vector(sel))
+            change = np.zeros(len(sel))
+            if compare:
+                _, old = _sample(domain, rho, rough(near[sel]))
+                peak = (np.argmax(np.abs(psi), axis=0), np.arange(len(sel)))
+                change = np.max(np.abs(psi / psi[peak] - old / old[peak]), axis=0, initial=0.0)
             if np.all(change <= _VECTORS_AGREE) or 2 * n >= _MAX_NODES:
                 return xs, [(vals[i], psi[:, j], float(est[i]), change[j])
                             for j, i in enumerate(sel)]
-        n, coarse, rough = 2 * n, vals, vecs
+        n, coarse, rough = 2 * n, vals, vector
 
 
 def _channels(model, tags, k, tol):
@@ -245,7 +284,8 @@ def solve_pt(model):
     domain = model.oracle_domain()
     xs, levels = _collocate(
         model, domain, 0.5 + np.sqrt(0.25 + np.array(domain.walls)), _PT_NODES,
-        lambda vals: np.flatnonzero(np.maximum(abs(vals.real), abs(vals.imag)) <= _PT_WINDOW))
+        lambda vals: np.flatnonzero(np.maximum(abs(vals.real), abs(vals.imag)) <= _PT_WINDOW),
+        compare=False)
     if not levels:
         raise GridTooCoarseError("no eigenvalue agrees between N = 128 and 256")
     levels.sort(key=lambda level: (level[0].real, level[0].imag))

@@ -70,7 +70,8 @@ def _find_zeros(xs, values):
 def assemble(recipe, xs, normalization=SUP_NORM_ONE):
     """Evaluate a wavefunction recipe on a grid and normalize it."""
     xs = np.asarray(xs, dtype=float)
-    values = np.asarray(recipe(xs), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below, with a reason
+        values = np.asarray(recipe(xs), dtype=complex)
     if not np.all(np.isfinite(values)):
         raise InvalidStateError("wavefunction is not finite on the grid; "
                                 "the grid touches a singular point")
@@ -140,7 +141,8 @@ def verify_against_oracle(recipe, oracle: OracleSpectrum, level,
     (e.g. by −3): only unit-normalized vectors and sup-normalized moduli
     enter it.
     """
-    vals = np.asarray(recipe(oracle.xs), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below, with a reason
+        vals = np.asarray(recipe(oracle.xs), dtype=complex)
     if not np.all(np.isfinite(vals)):
         raise InvalidStateError("recipe not finite on the oracle grid")
     q, coef = _project(vals, oracle.eigenvectors[:, list(cluster_levels or [level])])

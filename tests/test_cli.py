@@ -212,7 +212,8 @@ class TestFixedOraclePoints:
         assert out.splitlines()[-1] == "verification PASSED for %s" % mid
 
     def test_exceptional_point_verifies_and_still_warns(self, capsys):
-        # the coalesced level 6.75 is kept: N and 2N agree on it to 4e-6
+        # the coalesced level 6.75 is kept: N and 2N agree on it to about
+        # 1e-5, the √eps size of a Jordan block
         code, out, err = run_cli(capsys, "verify", "khare_mandal", "--param",
                                  "zeta=1/2", "--param", "M=3")
         assert code == EXIT_OK
@@ -355,6 +356,14 @@ class TestUsageErrors:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ") and "overflow" in err
         assert len(err.splitlines()) == 1
+
+    def test_non_finite_recipe_is_one_error_line(self, capsys):
+        # r^51 overflows on the half-line output grid (r up to ~1e9); the
+        # refusal is the only stderr line, with no numpy warnings before it
+        code, out, err = run_cli(capsys, "verify", "hydrogen", "--param",
+                                 "e2=1/97", "--param", "l=50")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: recipe not finite on the oracle grid\n"
 
     def test_config_floats_are_made_rational_by_the_catalog(self, capsys, tmp_path):
         cfg = _write(tmp_path, '{"model": "scarf1", "params": '

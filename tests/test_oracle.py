@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -280,6 +281,101 @@ class TestComplexSpectra:
             solve_pt(_AliasedWell())
 
 
+def _rationals(lo, hi):
+    """Rationals in [lo, hi] over the denominators the benchmark draws."""
+    return st.sampled_from((1, 2, 3, 4, 5, 7, 8, 16, 31, 97)).flatmap(
+        lambda q: st.builds(Fraction, st.integers(lo * q, hi * q), st.just(q)))
+
+
+_PT_SCARF = st.builds(dict, A=_rationals(0, 6).filter(lambda v: v > 0), B=_rationals(-4, 4))
+_PT_COSH = st.builds(dict, zeta=_rationals(0, 2).filter(lambda v: v > 0), M=st.integers(1, 6))
+
+
+class _OddWell:
+    """V = x on (−1, 1), declared mirror-even: the flip negates V instead."""
+
+    id = "odd_well"
+
+    def oracle_domain(self):
+        return OracleDomain((-1.0, 1.0), mirror="parity")
+
+    def potential(self, x):
+        return np.asarray(x, dtype=complex)
+
+
+def _full_matrix(model, n):
+    domain = model.oracle_domain()
+    rho = 0.5 + np.sqrt(0.25 + np.array(domain.walls))
+    return schrodinger_oracle._operator(model, domain, rho, n)
+
+
+def _mirror_defect(model, n):
+    """max |JHJ − H| (parity) or max |JHJ − conj H| (pt), relative to max |H|."""
+    mat = _full_matrix(model, n)
+    image = mat.conj() if model.oracle_domain().mirror == "pt" else mat
+    return np.max(np.abs(mat[::-1, ::-1] - image)) / np.max(np.abs(mat))
+
+
+def _assert_matches_the_full_solve(model):
+    """solve_pt against full-matrix eigvals at N = 128 and 256 under the same
+    counting rule: the same levels, each within both estimates."""
+    coarse, mat = scipy.linalg.eigvals(_full_matrix(model, 128)), _full_matrix(model, 256)
+    vals = scipy.linalg.eigvals(mat)
+    vals = vals[np.maximum(abs(vals.real), abs(vals.imag)) <= 40.0]
+    est = np.min(np.abs(np.subtract.outer(vals, coarse)), axis=1) \
+        + 4.0 * np.finfo(float).eps * np.linalg.norm(mat, 1)
+    keep = est <= 1e-4 * (1.0 + np.abs(vals))
+    ref, ref_est = vals[keep], est[keep]
+    spec = solve_pt(model)
+    levels = np.array(spec.eigenvalues)
+    assert len(levels) == len(ref)
+    rows, cols = scipy.optimize.linear_sum_assignment(np.abs(np.subtract.outer(levels, ref)))
+    for i, j in zip(rows, cols):
+        assert abs(levels[i] - ref[j]) <= ref_est[j] + spec.error_estimates[i] \
+            + 1e-12 * (1.0 + abs(levels[i]))
+
+
+class TestMirrorReduction:
+    """The PT families are solved in reduced form: even and odd blocks for
+    khare_mandal, one real matrix for complex_scarf.  The reduction is exact
+    only if the declared mirror relation holds on the operator."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(mid_params=st.one_of(st.tuples(st.just("complex_scarf"), _PT_SCARF),
+                                st.tuples(st.just("khare_mandal"), _PT_COSH)))
+    def test_declared_relation_holds_on_the_operator(self, mid_params):
+        model = get_model(mid_params[0], **mid_params[1])
+        for n in (128, 256):
+            assert _mirror_defect(model, n) <= 1e-12
+
+    def test_a_wrong_declaration_is_caught(self):
+        assert _mirror_defect(_OddWell(), 128) > 1e-12
+
+    @settings(max_examples=10, deadline=None)
+    @given(params=_PT_SCARF)
+    def test_pt_scarf_matches_the_full_solve(self, params):
+        _assert_matches_the_full_solve(get_model("complex_scarf", **params))
+
+    @settings(max_examples=10, deadline=None)
+    @given(params=_PT_COSH)
+    def test_khare_mandal_matches_the_full_solve(self, params):
+        _assert_matches_the_full_solve(get_model("khare_mandal", **params))
+
+    def test_real_levels_come_out_exactly_real(self):
+        # the unbroken level of the PT Scarf well, E = −((√(1/4 + A + B) +
+        # √(1/4 + A − B))/2 − 1/2)², matched by an exactly real oracle level
+        exact = -((math.sqrt(1.75) + math.sqrt(0.75)) / 2 - 0.5) ** 2
+        spec = solve_pt(get_model("complex_scarf", A=1, B=Fraction(1, 2)))
+        found = [e for e in spec.eigenvalues if abs(e - exact) < 1e-8]
+        assert len(found) == 1 and found[0].imag == 0.0
+
+    def test_broken_pairs_come_out_as_exact_conjugates(self):
+        spec = solve_pt(get_model("complex_scarf", A=1, B=2))
+        complex_levels = {e for e in spec.eigenvalues if e.imag != 0.0}
+        assert complex_levels
+        assert {e.conjugate() for e in complex_levels} == complex_levels
+
+
 _SMALL_RATIONALS = st.integers(1, 97).flatmap(
     lambda q: st.builds(Fraction, st.integers(-4 * q, 4 * q), st.just(q)))
 
@@ -484,6 +580,41 @@ class TestNoWastedWork:
         solve_oracle(get_model("lame", j=2, m=Fraction(1, 2)))
         assert mats
         assert all(np.isrealobj(mat) and len(mat) < 200 for mat in mats)
+
+    @staticmethod
+    def _pt_solves(monkeypatch, model):
+        """(matrix, keyword arguments) of every eig call during solve_oracle."""
+        calls = []
+        real_eig = schrodinger_oracle.eig
+
+        def spy(mat, **kwargs):
+            calls.append((mat, kwargs))
+            return real_eig(mat, **kwargs)
+
+        monkeypatch.setattr(schrodinger_oracle, "eig", spy)
+        solve_oracle(model)
+        assert calls
+        return calls
+
+    def test_pt_scarf_matrices_are_real(self, monkeypatch):
+        calls = self._pt_solves(monkeypatch, get_model("complex_scarf", A=1, B=Fraction(1, 2)))
+        assert all(np.isrealobj(mat) for mat, _ in calls)
+
+    def test_pt_parity_blocks_are_half_size(self, monkeypatch):
+        calls = self._pt_solves(monkeypatch, get_model("khare_mandal", zeta=Fraction(1, 4), M=3))
+        assert all(len(mat) <= 128 for mat, _ in calls)
+
+    @pytest.mark.parametrize("mid,params", [
+        ("complex_scarf", {"A": 1, "B": Fraction(1, 2)}),
+        ("khare_mandal", {"zeta": Fraction(1, 4), "M": 3}),
+    ])
+    def test_pt_solves_at_n128_return_no_vectors(self, monkeypatch, mid, params):
+        # the N = 128 solves only give each level its estimate; the N = 256
+        # solves, of the largest order, give the vectors
+        calls = self._pt_solves(monkeypatch, get_model(mid, **params))
+        top = max(len(mat) for mat, _ in calls)
+        assert [kwargs.get("right", True) for mat, kwargs in calls] == \
+            [len(mat) == top for mat, _ in calls]
 
     def test_elliptic_potential_makes_no_pointwise_calls(self, monkeypatch):
         calls = []
