@@ -174,9 +174,13 @@ def _collect_params(args):
                 args.levels = int(levels)
             except (TypeError, ValueError, OverflowError):
                 raise ParameterError("config levels must be an integer, got %r" % (levels,))
+    flags = {}
     for text in args.param or []:
         name, value = _parse_param(text)
-        params[name] = value
+        if name in flags:
+            raise ParameterError("parameter %r given twice" % name)
+        flags[name] = value
+    params.update(flags)     # flags win over the config
     return params
 
 

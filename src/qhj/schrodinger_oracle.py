@@ -22,6 +22,13 @@ declares, and diagonalizes them, providing the cross-check spectra.
   `keep` eigenpairs of real Fourier matrices (one FFT of V) of the periodic
   and antiperiodic operators, merged and tagged; each error bar is the
   measured change as the Fourier cutoff doubles, plus a rounding floor.
+
+Every dense eigensolve goes through the module-level `eig` and `eigh`, which
+run numpy.linalg's LAPACK with scipy.linalg's signature and return types.
+The rest of the oracle's BLAS work is numpy's too, so one BLAS thread pool
+serves a solve: where numpy and scipy each ship their own OpenBLAS, mixing
+them leaves two pools spinning on the same cores.  `eigh_tridiagonal` is
+bound only for the benchmark tracer, which wraps all three names.
 """
 
 from __future__ import annotations
@@ -30,10 +37,30 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-# eigh_tridiagonal is unused here; perfbench/tracer.py wraps all three names
-from scipy.linalg import eig, eigh, eigh_tridiagonal  # noqa: F401
+# unused here: bound only so that perfbench/tracer.py can wrap it with eig, eigh
+from scipy.linalg import eigh_tridiagonal  # noqa: F401
 
 from .errors import GridTooCoarseError
+
+
+def eig(a, right=True):
+    """Eigenvalues of a, always complex as in scipy.linalg.eig, and with right
+    the unit-norm right eigenvectors (columns), left as LAPACK returns them."""
+    if not right:
+        return np.linalg.eigvals(a).astype(complex, copy=False)
+    w, v = np.linalg.eig(a)
+    return w.astype(complex, copy=False), v
+
+
+def eigh(a, subset_by_index, eigvals_only=False):
+    """Eigenvalues lo..hi (ascending, inclusive) of the symmetric a, and unless
+    eigvals_only their eigenvectors, from one full solve sliced to the range."""
+    lo, hi = subset_by_index
+    if eigvals_only:
+        return np.linalg.eigvalsh(a)[lo:hi + 1]
+    w, v = np.linalg.eigh(a)
+    return w[lo:hi + 1], v[:, lo:hi + 1]
+
 
 _SAMPLES = 960              # output grid points: midpoints of the cell, or of s ∈ (−1, 1)
 

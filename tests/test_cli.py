@@ -296,6 +296,21 @@ class TestUsageErrors:
         assert code == EXIT_USAGE and out == ""
         assert err == "error: parameter l must be an integer, got 1/2\n"
 
+    @pytest.mark.parametrize("command", ["solve", "verify", "wavefunction"])
+    def test_a_parameter_given_twice_is_refused(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "lame", "--param", "j=2", "--param",
+                                 "m=1/2", "--param", " m = 1/3")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: parameter 'm' given twice\n"
+
+    def test_a_flag_still_overrides_the_config(self, capsys, tmp_path):
+        cfg = _write(tmp_path, '{"model": "lame", "params": {"j": 2, "m": "1/3"}}')
+        _, from_config, _ = run_cli(capsys, "solve", "--config", cfg, "--param", "m=1/2",
+                                    "--format", "json")
+        code, from_flags, _ = run_cli(capsys, "solve", "lame", "--param", "j=2",
+                                      "--param", "m=1/2", "--format", "json")
+        assert code == EXIT_OK and from_config == from_flags
+
     @pytest.mark.parametrize("name,argv", [
         ("e2", ("hydrogen", "e2=0", "l=0")),
         ("l", ("hydrogen", "e2=2", "l=-1")),

@@ -22,7 +22,7 @@ import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qhj import get_model, potential_catalog, schrodinger_oracle, special_functions
+from qhj import get_model, potential_catalog, qes_family, schrodinger_oracle, special_functions
 from qhj.errors import GridTooCoarseError
 from qhj.schrodinger_oracle import (OracleDomain, OracleSpectrum, count_nodes,
                                     solve_band_edges, solve_bound,
@@ -376,6 +376,99 @@ class TestMirrorReduction:
         assert {e.conjugate() for e in complex_levels} == complex_levels
 
 
+def _positive(hi):
+    return _rationals(0, hi).filter(lambda v: v > 0)
+
+
+_ELLIPTIC_M = _rationals(0, 1).filter(lambda v: 0 < v <= Fraction(97, 98))
+# the benchmark's draw ranges, per family
+_DRAWS = {
+    "hydrogen": st.builds(dict, e2=_positive(8), l=st.integers(0, 4)),
+    "scarf1": st.builds(dict, A=_positive(4), B=_rationals(-4, 4), alpha=_positive(2)),
+    "scarf_periodic": st.builds(dict, s=_positive(3).filter(lambda v: v != Fraction(1, 2))),
+    "complex_scarf": _PT_SCARF,
+    "khare_mandal": _PT_COSH,
+    "lame": st.builds(dict, j=st.integers(1, 8), m=_ELLIPTIC_M),
+    "assoc_lame_qes": st.tuples(_positive(6), st.integers(0, 7), _ELLIPTIC_M).flatmap(
+        lambda anm: st.sampled_from(qes_family("assoc_lame_qes", anm[1], anm[0])).map(
+            lambda entry: {"a": anm[0], "b": entry["b"], "m": anm[2]})),
+}
+
+
+def _paired(vals, ref):
+    """Indices pairing vals to ref with the least total distance."""
+    return scipy.optimize.linear_sum_assignment(np.abs(np.subtract.outer(vals, ref)))
+
+
+class TestNumpyEigensolvers:
+    """The module-bound eig and eigh run on numpy.linalg; scipy.linalg, with
+    its return conventions, is the reference."""
+
+    @pytest.mark.parametrize("mid", ["hydrogen", "scarf1", "scarf_periodic",
+                                     "complex_scarf", "khare_mandal"])
+    @settings(max_examples=4, deadline=None)
+    @given(data=st.data())
+    def test_eig_matches_scipy_on_collocation_matrices(self, mid, data):
+        model = get_model(mid, **data.draw(_DRAWS[mid]))
+        for n in (64, 128, 256):
+            mat = _full_matrix(model, n)
+            norm = np.linalg.norm(mat, 1)
+            vals, vecs = schrodinger_oracle.eig(mat)
+            only = schrodinger_oracle.eig(mat, right=False)
+            assert vals.dtype.kind == only.dtype.kind == "c"
+            ref, left, right = scipy.linalg.eig(mat, left=True)
+            # a backward error of 1e-10·‖H‖₁ moves an eigenvalue by at most
+            # that times its condition number ‖y‖‖x‖/|y*x| (≥ 1)
+            cond = np.linalg.norm(left, axis=0) * np.linalg.norm(right, axis=0) \
+                / np.abs(np.sum(left.conj() * right, axis=0))
+            rows, cols = _paired(vals, ref)
+            assert len(rows) == len(vals) == len(ref)
+            assert np.all(np.abs(vals[rows] - ref[cols]) <= 1e-10 * norm * cond[cols])
+            assert np.all(np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
+                          <= 1e-10 * norm * np.linalg.norm(vecs, axis=0))
+            cond_of_vals = np.empty_like(cond)
+            cond_of_vals[rows] = cond[cols]
+            rows, cols = _paired(only, vals)
+            assert len(rows) == len(only) == len(vals)
+            assert np.all(np.abs(only[rows] - vals[cols]) <= 1e-10 * norm * cond_of_vals[cols])
+
+    @pytest.mark.parametrize("mid", ["lame", "assoc_lame_qes"])
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_eigh_matches_scipy_on_hill_matrices(self, mid, data):
+        calls, real_eigh = [], schrodinger_oracle.eigh
+
+        def spy(mat, **kwargs):
+            calls.append((mat, kwargs["subset_by_index"]))
+            return real_eigh(mat, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(schrodinger_oracle, "eigh", spy)
+            solve_oracle(get_model(mid, **data.draw(_DRAWS[mid])))
+        assert calls
+        for mat, (lo, hi) in calls:
+            vals, vecs = real_eigh(mat, subset_by_index=(lo, hi))
+            only = real_eigh(mat, subset_by_index=(lo, hi), eigvals_only=True)
+            # the reference reaches through any cluster that the slice cuts
+            top, full = hi, scipy.linalg.eigvalsh(mat)
+            while top + 1 < len(full) and full[top + 1] - full[top] <= 1e-8 * (1 + abs(full[top])):
+                top += 1
+            ref, ref_vecs = scipy.linalg.eigh(mat, subset_by_index=(lo, top))
+            assert len(vals) == len(only) == hi - lo + 1
+            # each library within the oracle's rounding floor 4·eps·‖H‖₁
+            floor = 8.0 * np.finfo(float).eps * np.linalg.norm(mat, 1)
+            for got in (vals, only):
+                assert np.all(np.abs(got - ref[:len(got)])
+                              <= 1e-12 * (1 + np.abs(ref[:len(got)])) + floor)
+            for e, v in zip(vals, vecs.T):
+                near = 1e-8 * (1 + abs(e))
+                span = ref_vecs[:, np.abs(ref - e) <= near]
+                # Davis–Kahan: the angle to the cluster's span is at most the
+                # perturbation over the gap to the rest of the spectrum
+                gap = np.min(np.abs(full - e)[np.abs(full - e) > near])
+                assert np.linalg.norm(v - span @ (span.T @ v)) <= floor / gap
+
+
 _SMALL_RATIONALS = st.integers(1, 97).flatmap(
     lambda q: st.builds(Fraction, st.integers(-4 * q, 4 * q), st.just(q)))
 
@@ -615,6 +708,31 @@ class TestNoWastedWork:
         top = max(len(mat) for mat, _ in calls)
         assert [kwargs.get("right", True) for mat, kwargs in calls] == \
             [len(mat) == top for mat, _ in calls]
+
+    @pytest.mark.parametrize("mid,params", [
+        ("hydrogen", {"e2": 2, "l": 0}),
+        ("scarf_periodic", {"s": Fraction(3, 10)}),
+        ("khare_mandal", {"zeta": Fraction(1, 4), "M": 3}),
+        ("complex_scarf", {"A": 1, "B": Fraction(1, 2)}),
+        ("lame", {"j": 2, "m": Fraction(1, 2)}),
+    ])
+    def test_every_eigensolve_runs_on_numpy(self, monkeypatch, mid, params):
+        # one BLAS library, numpy's, serves the whole oracle
+        numpy_calls, bound_calls = [], []
+
+        def counted(fn, calls):
+            def spy(*args, **kwargs):
+                calls.append(fn)
+                return fn(*args, **kwargs)
+            return spy
+
+        for name in ("eig", "eigvals", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), numpy_calls))
+        for name in ("eig", "eigh"):
+            monkeypatch.setattr(schrodinger_oracle, name,
+                                counted(getattr(schrodinger_oracle, name), bound_calls))
+        solve_oracle(get_model(mid, **params))
+        assert bound_calls and len(numpy_calls) == len(bound_calls)
 
     def test_elliptic_potential_makes_no_pointwise_calls(self, monkeypatch):
         calls = []
