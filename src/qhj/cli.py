@@ -15,6 +15,7 @@ import json
 import sys
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -192,10 +193,10 @@ def _build_model(args):
 
 
 def _levels(args):
-    """--levels (or the config's levels), default 4; at least one level."""
+    """--levels (or the config's levels), default 4; 1 to 100, as solve time grows steeply."""
     levels = args.levels if args.levels is not None else 4
-    if levels < 1:
-        raise ParameterError("levels must be at least 1, got %d" % levels)
+    if not 1 <= levels <= 100:
+        raise ParameterError("levels must lie in [1, 100], got %d" % levels)
     return levels
 
 
@@ -291,6 +292,7 @@ def _cmd_wavefunction(args, stream):
 
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)     # built in ~1 ms; an in-process caller may run main() many times
 def build_parser():
     parser = _Parser(prog="qhj",
                      description="residue-based spectra for a catalog of "

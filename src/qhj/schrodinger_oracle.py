@@ -17,7 +17,9 @@ declares, and diagonalizes them, providing the cross-check spectra.
   Parity (JHJ = H) splits H into an even and an odd block of order N/2; PT
   symmetry (JHJ = conj H) makes S*HS real for the unitary S = (I + iJ)/√2
   (Bender & Boettcher, PRL 80 (1998) 5243), so real levels come out exactly
-  real and broken pairs as exact conjugates.
+  real and broken pairs as exact conjugates.  The nodes, D1, D2 and the
+  960×N interpolation matrix depend on N alone: each is a read-only table
+  built once per N, and the four sizes N = 32..256 bound them at about 5 MB.
 * band edges of smooth periodic potentials — Hill's method: the lowest
   `keep` eigenpairs of real Fourier matrices (one FFT of V) of the periodic
   and antiperiodic operators, merged and tagged; each error bar is the
@@ -34,6 +36,7 @@ bound only for the benchmark tracer, which wraps all three names.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -162,10 +165,39 @@ _CONVERGED, _VECTORS_AGREE = 1e-4, 1e-2   # counting rule; bound solves' vector 
 _NODE_FLOOR, _PT_WINDOW = 1e-6, 40.0      # above collocation rounding; |Re E|, |Im E| kept
 
 
+def _frozen(*arrays):
+    """The arrays, made read-only: each table below is shared by every solve."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
 def _nodes(n):
     """Gauss–Chebyshev nodes s_j = cos((2j+1)π/2n) and barycentric weights."""
     theta = np.pi * (2 * np.arange(n) + 1) / (2 * n)
-    return np.cos(theta), (-1.0) ** np.arange(n) * np.sin(theta)
+    return _frozen(np.cos(theta), (-1.0) ** np.arange(n) * np.sin(theta))
+
+
+@lru_cache(maxsize=None)
+def _differentiation(n):
+    """First and second differentiation matrices D1, D2 on the n nodes."""
+    s, bw = _nodes(n)
+    dif = np.subtract.outer(s, s) + np.eye(n)
+    d1 = np.outer(1.0 / bw, bw) / dif - np.eye(n)
+    d1 -= np.diag(d1.sum(axis=1))
+    d2 = 2.0 * d1 * (np.diag(d1)[:, None] - 1.0 / dif) * (1.0 - np.eye(n))
+    d2 -= np.diag(d2.sum(axis=1))
+    return _frozen(d1, d2)
+
+
+@lru_cache(maxsize=None)
+def _interpolation(n):
+    """960 midpoints t in s, barycentric matrix c from n node values to t, c's row sums."""
+    t = (2.0 * np.arange(_SAMPLES) + 1.0) / _SAMPLES - 1.0
+    s, bw = _nodes(n)
+    c = bw / np.subtract.outer(t, s)
+    return _frozen(t, c, c.sum(axis=1))
 
 
 def _geometry(domain, rho, s):
@@ -195,12 +227,7 @@ def _geometry(domain, rho, s):
 
 def _operator(model, domain, rho, n):
     """Collocation matrix of φ ↦ (−ψ'' + Vψ)/W, ψ = W·φ, on n nodes."""
-    s, bw = _nodes(n)
-    dif = np.subtract.outer(s, s) + np.eye(n)
-    d1 = np.outer(1.0 / bw, bw) / dif - np.eye(n)
-    d1 -= np.diag(d1.sum(axis=1))
-    d2 = 2.0 * d1 * (np.diag(d1)[:, None] - 1.0 / dif) * (1.0 - np.eye(n))
-    d2 -= np.diag(d2.sum(axis=1))
+    (s, _), (d1, d2) = _nodes(n), _differentiation(n)
     x, p, q, _, w1, w2 = _geometry(domain, rho, s)
     a, b = 1.0 / p ** 2, q / p ** 3      # ψ_xx = a·ψ_ss − b·ψ_s
     return -a[:, None] * d2 + (b - 2.0 * a * w1)[:, None] * d1 \
@@ -210,11 +237,9 @@ def _operator(model, domain, rho, n):
 def _sample(domain, rho, vecs):
     """(xs, W·φ) at the images of 960 midpoints in s, φ interpolated from its
     node values (the columns of vecs) by the barycentric formula."""
-    t = (2.0 * np.arange(_SAMPLES) + 1.0) / _SAMPLES - 1.0
-    s, bw = _nodes(len(vecs))
-    c = bw / np.subtract.outer(t, s)
+    t, c, rows = _interpolation(len(vecs))
     x, _, _, w, _, _ = _geometry(domain, rho, t)
-    return x, (w / c.sum(axis=1))[:, None] * (c @ vecs)
+    return x, (w / rows)[:, None] * (c @ vecs)
 
 
 def _eig(mat, mirror, vectors=True):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from qhj.cli import (EXIT_NO_ASSIGNMENT, EXIT_OK, EXIT_USAGE,
-                     EXIT_VERIFY_FAILED, main)
+                     EXIT_VERIFY_FAILED, build_parser, main)
 from qhj.polynomial_system import DefectivePencilWarning, solve_spectrum
 from qhj.potential_catalog import MODEL_IDS, PARAM_SCHEMAS, get_model
 
@@ -248,6 +248,26 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert err.startswith("error: ") and "levels" in err
 
+    @pytest.mark.parametrize("command", ["solve", "verify", "wavefunction"])
+    def test_levels_above_one_hundred_are_refused(self, capsys, command):
+        code, out, err = run_cli(capsys, command, *self.HYDROGEN, "--levels", "101")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: levels must lie in [1, 100], got 101\n"
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "wavefunction"])
+    def test_config_levels_above_one_hundred_are_refused(self, capsys, tmp_path, command):
+        cfg = _write(tmp_path, json.dumps(
+            {"model": "hydrogen", "params": {"e2": 2, "l": 0}, "levels": 101}))
+        code, out, err = run_cli(capsys, command, "--config", cfg)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: levels must lie in [1, 100], got 101\n"
+
+    def test_one_hundred_levels_are_solved(self, capsys):
+        code, out, err = run_cli(capsys, "solve", *self.HYDROGEN, "--levels", "100",
+                                 "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        assert len(json.loads(out)["levels"]) == 100
+
     @pytest.mark.parametrize("case", [
         "missing_config", "invalid_json", "array_config", "params_not_object",
         "non_integer_levels", "zero_samples", "negative_samples"])
@@ -388,6 +408,43 @@ class TestUsageErrors:
                                    "--param", "B=1/2", "--param", "alpha=1",
                                    "--format", "json")
         assert from_config == from_flags
+
+
+class TestReusedParser:
+    """main() parses every call with the one parser built per process, so no
+    call may see the arguments or defaults of an earlier one."""
+
+    def test_the_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_a_config_run_takes_nothing_from_the_flag_run_before_it(self, capsys, tmp_path):
+        run_cli(capsys, "solve", "lame", "--param", "j=2", "--param", "m=1/2",
+                "--format", "json")
+        cfg = _write(tmp_path, '{"model": "lame", "params": {"j": 1, "m": "1/3"}}')
+        code, out, err = run_cli(capsys, "solve", "--config", cfg)
+        fresh = subprocess.run([sys.executable, "-m", "qhj.cli", "solve", "--config", cfg],
+                               capture_output=True, text=True, timeout=60)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert code == EXIT_OK
+        assert build_parser().parse_args(["solve", "--config", cfg]).param == []
+
+    def test_verify_without_tol_uses_the_family_default_again(self, capsys):
+        argv = ("verify", "hydrogen", "--param", "e2=2", "--param", "l=0", "--levels", "2")
+        code, out, _ = run_cli(capsys, *argv, "--tol", "1e-300")
+        assert code == EXIT_VERIFY_FAILED and " tol=1.0e-300 " in out
+        code, out, _ = run_cli(capsys, *argv)
+        default = " tol=%.1e " % get_model("hydrogen", e2=2, l=0).verify_tol
+        lines = out.splitlines()
+        assert code == EXIT_OK and len(lines) == 3
+        assert all(default in line for line in lines[:-1])
+
+    def test_a_usage_error_leaves_the_next_call_working(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "lame", "--levels", "x"])
+        assert exc.value.code == EXIT_USAGE
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, "solve", "lame", "--param", "j=2", "--param", "m=1/2")
+        assert (code, err) == (EXIT_OK, "") and out
 
 
 class TestWarnings:

@@ -28,6 +28,9 @@ from qhj.schrodinger_oracle import (OracleDomain, OracleSpectrum, count_nodes,
                                     solve_band_edges, solve_bound,
                                     solve_inverse_square_cell, solve_oracle,
                                     solve_pt)
+from qhj.wavefunction_assembly import verify
+
+from test_acceptance import ALL_CONFIGS
 
 
 class _FlatBox:
@@ -749,3 +752,79 @@ class TestNoWastedWork:
         values = model.potential(np.linspace(lo, hi, 960))
         assert values.shape == (960,) and np.all(np.isfinite(values))
         assert calls == []
+
+
+def _reference_operator(model, domain, rho, n):
+    """The collocation matrix built from scratch, as it was before the tables."""
+    theta = np.pi * (2 * np.arange(n) + 1) / (2 * n)
+    s, bw = np.cos(theta), (-1.0) ** np.arange(n) * np.sin(theta)
+    dif = np.subtract.outer(s, s) + np.eye(n)
+    d1 = np.outer(1.0 / bw, bw) / dif - np.eye(n)
+    d1 -= np.diag(d1.sum(axis=1))
+    d2 = 2.0 * d1 * (np.diag(d1)[:, None] - 1.0 / dif) * (1.0 - np.eye(n))
+    d2 -= np.diag(d2.sum(axis=1))
+    x, p, q, _, w1, w2 = schrodinger_oracle._geometry(domain, rho, s)
+    a, b = 1.0 / p ** 2, q / p ** 3
+    return -a[:, None] * d2 + (b - 2.0 * a * w1)[:, None] * d1 \
+        + np.diag(np.asarray(model.potential(x)) - a * w2 + b * w1)
+
+
+def _reference_sample(domain, rho, vecs):
+    """The barycentric samples built from scratch, as before the tables."""
+    t = (2.0 * np.arange(960) + 1.0) / 960 - 1.0
+    n = len(vecs)
+    theta = np.pi * (2 * np.arange(n) + 1) / (2 * n)
+    s, bw = np.cos(theta), (-1.0) ** np.arange(n) * np.sin(theta)
+    c = bw / np.subtract.outer(t, s)
+    x, _, _, w, _, _ = schrodinger_oracle._geometry(domain, rho, t)
+    return x, (w / c.sum(axis=1))[:, None] * (c @ vecs)
+
+
+class TestCachedTables:
+    """The nodes, D1, D2 and the interpolation matrix are built once per N and
+    shared by every solve, so they must be read-only and give the operator and
+    samples that building them afresh gives, to the last bit."""
+
+    SIZES = (32, 64, 128, 256)
+
+    @staticmethod
+    def _tables():
+        return (schrodinger_oracle._nodes, schrodinger_oracle._differentiation,
+                schrodinger_oracle._interpolation)
+
+    def test_every_table_is_read_only(self):
+        for table in self._tables():
+            for n in self.SIZES:
+                for arr in table(n):
+                    assert arr.flags.writeable is False
+                    with pytest.raises(ValueError):
+                        arr[0] = 0.0
+
+    @pytest.mark.parametrize("mid,params", [
+        ("hydrogen", {"e2": 2, "l": 1}),
+        ("scarf1", {"A": 2, "B": Fraction(1, 2), "alpha": 1}),
+        ("scarf_periodic", {"s": Fraction(3, 10)}),
+        ("khare_mandal", {"zeta": Fraction(1, 4), "M": 3}),
+        ("complex_scarf", {"A": 1, "B": Fraction(1, 2)}),
+    ])
+    def test_operator_and_samples_equal_a_fresh_build(self, mid, params):
+        model = get_model(mid, **params)
+        domain = model.oracle_domain()
+        root = np.sqrt(0.25 + np.array(domain.walls))
+        rng = np.random.default_rng(7)
+        for rho in (0.5 + root, 0.5 - root):
+            for n in self.SIZES:
+                assert np.array_equal(schrodinger_oracle._operator(model, domain, rho, n),
+                                      _reference_operator(model, domain, rho, n))
+                vecs = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+                for got, ref in zip(schrodinger_oracle._sample(domain, rho, vecs),
+                                    _reference_sample(domain, rho, vecs)):
+                    assert np.array_equal(got, ref)
+
+    def test_verifying_the_catalog_builds_at_most_four_sizes(self):
+        for table in self._tables():
+            table.cache_clear()
+        for mid, params in ALL_CONFIGS:
+            verify(get_model(mid, **params))
+        for table in self._tables():
+            assert 0 < table.cache_info().currsize <= 4
