@@ -90,12 +90,12 @@ def _rows(result):
 
 def _print_table(result, stream):
     rows = _rows(result)
-    header = "%-5s %-3s %-22s %-22s %-4s %-14s" % (
+    header = "%-5s %-3s %-22s %-22s %-4s %-19s" % (
         "set", "n", "energy_re", "energy_im", "deg", "bc_class")
     print(header, file=stream)
     print("-" * len(header), file=stream)
     for r in rows:
-        print("%-5s %-3d %-22.12g %-22.12g %-4d %-14s" % (
+        print("%-5s %-3d %-22.12g %-22.12g %-4d %-19s" % (
             r["set"], r["n"], r["energy_re"], r["energy_im"],
             r["degeneracy"], r["bc_class"] or "-"), file=stream)
     formula = result.outcome.energy_formula
@@ -121,17 +121,13 @@ def _print_csv(result, stream):
 def _parse_param(text):
     if "=" not in text:
         raise ParameterError("parameters take the form name=value, got %r" % text)
-    name, _, value = text.partition("=")
-    name = name.strip()
-    value = value.strip()
+    name, value = (part.strip() for part in text.split("=", 1))
     try:
         frac = Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise ParameterError("cannot parse value %r for parameter %r"
                              % (value, name))
-    if frac.denominator == 1:
-        return name, int(frac)
-    return name, frac
+    return name, int(frac) if frac.denominator == 1 else frac
 
 
 def _read_config(path):
@@ -272,8 +268,8 @@ def _cmd_verify(args, stream):
 def _cmd_wavefunction(args, stream):
     model = _build_model(args)
     levels = _levels(args)
-    if args.samples < 1:
-        raise ParameterError("--samples must be at least 1, got %d" % args.samples)
+    if not 1 <= args.samples <= 100000:     # the samples are held in memory
+        raise ParameterError("samples must lie in [1, 100000], got %d" % args.samples)
     result = solve_spectrum(model, levels=levels)
     if not (0 <= args.state < len(result.solutions)):
         raise InvalidStateError(

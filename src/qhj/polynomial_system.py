@@ -328,7 +328,7 @@ def _solution_samples(model, recipe):
 
 
 def _solution(model, assignment, coeffs):
-    """A solved level with its node polynomial, recipe and periodicity class."""
+    """A solved level with its node polynomial, recipe and oracle channel."""
     parity = _poly_parity(coeffs)
     poly = PolynomialOnT(tuple(coeffs.tolist()), parity)
     return BandEdgeSolution(

@@ -12,7 +12,7 @@ the full algebraic data the solver needs:
   monomials), which drive the polynomial-identity construction,
 * the residue sets with their admissibility verdicts, the closed-form levels
   where they exist, the classical-polynomial twin of the node polynomial and
-  the periodicity class of each level,
+  the oracle channel of each level (periodicity class or wall roots),
 * the wavefunction prefactors f_j(x) and the mapped variable t at sample
   points (prefactors), the exponents e_j a residue set gives them, the
   change of variable's offset at each pole included (prefactor_exponents),
@@ -45,7 +45,7 @@ from .errors import ParameterError, SingularPointError, UnknownModelError
 from .exactmath import ExactComplex, real_or_complex, to_complex
 from .qmf_residues import FixedPole, InfinityExpansion, finite_pole_residues
 from .quantization import ResidueAssignment, level_verdict
-from .schrodinger_oracle import OracleDomain
+from .schrodinger_oracle import OracleDomain, channel_tag
 from .special_functions import elliptic_K, jacobi_polynomial, laguerre, sn_cn_dn
 
 
@@ -247,7 +247,7 @@ class PotentialModel:
         return (-0.9, 0.9)
 
     def bc_class(self, assignment, parity):
-        """Periodicity class of a level over one cell, or None."""
+        """Tag of the oracle channel that checks a level, or None for any channel."""
         return None
 
     # -- wavefunction assembly -------------------------------------------------
@@ -506,6 +506,10 @@ class ScarfOneModel(TwoWallJacobiModel):
     def _g2(self, X):
         return Fraction(3, 16) - X * (X - self.alpha) / (4 * self.alpha**2)
 
+    def bc_class(self, assignment, parity):   # principal: the pole's first residue
+        return channel_tag([assignment.pole_residues[p.label] == finite_pole_residues(p).values[0]
+                            for p in reversed(self.fixed_poles())])
+
     def _admissible(self, bp, bm):
         exps = self.prefactor_exponents({"t=+1": bp, "t=-1": bm})
         return all(to_complex(e).real > 0 for e in exps)
@@ -689,10 +693,8 @@ class ScarfPeriodicModel(PotentialModel):
                 reason = "cell_wall_divergence"
             else:
                 reason = None
-            out.append(ResidueAssignment(
-                set_label=label, pole_residues={},
-                lambda1=d1, a0=0, n=None, reason=reason,
-            ))
+            out.append(ResidueAssignment(set_label=label, pole_residues={}, lambda1=d1,
+                                         a0=0, n=None, reason=reason))
         return out
 
     def levels(self, sets, count):
@@ -700,15 +702,13 @@ class ScarfPeriodicModel(PotentialModel):
         for a in sets:
             if not a.admissible:
                 continue
-            d1 = a.lambda1
             for n in range(count):
-                lam = n + 1 - d1
+                lam = n + 1 - a.lambda1
                 if lam < 0:
                     continue
                 b = (1 - lam) / 2
-                energy = lam * lam
                 out.append(replace(a, pole_residues={"t=+i": b, "t=-i": b},
-                                   n=n, energy=energy))
+                                   n=n, energy=lam * lam))
         return out
 
     def classical_polynomial(self, assignment):
@@ -720,10 +720,7 @@ class ScarfPeriodicModel(PotentialModel):
         return ("jacobi", (nu, nu), evaluator)
 
     def bc_class(self, assignment, parity):
-        if self.bound_phase:
-            return None
-        d1 = to_complex(assignment.lambda1).real
-        return "exponent_plus" if d1 < 0.5 else "exponent_minus"
+        return None if self.bound_phase else channel_tag([assignment.lambda1 < 0.5] * 2)
 
     def prefactor_exponents(self, residues):
         # (t∓i)^{b−1/2} pairs combine to (1+t²)^{b−1/2} = sin(x)^{−2(b−1/2)};

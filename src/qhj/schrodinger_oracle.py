@@ -4,16 +4,17 @@ This module never touches the residue/quantization machinery: it builds
 operators straight from the potential callable and the domain each family
 declares, and diagonalizes them, providing the cross-check spectra.
 
-* Chebyshev collocation (Trefethen, *Spectral Methods in MATLAB*, 2000;
-  Boyd, *Chebyshev and Fourier Spectral Methods*, 2001) for bound states,
-  inverse-square cells and complex potentials: ψ = W·φ, where the wall
-  factor W carries an exponent ρ with ρ(ρ−1) = c at each inverse-square
-  wall V ≈ c/d², and φ is collocated on N Gauss–Chebyshev nodes with no
-  endpoint rows.  A level's error estimate is the change from the solve at
-  N to the one at 2N plus a rounding floor, and it counts when that is
-  ≤ 1e-4·(1 + |E|).  The nodes are mirror images, s_{N−1−j} = −s_j, so the
-  flip J of the node order carries a mirror symmetry of the potential over to
-  the matrix; a family that declares one is diagonalized in reduced form.
+* Chebyshev collocation (Trefethen, *Spectral Methods in MATLAB*, 2000; Boyd,
+  *Chebyshev and Fourier Spectral Methods*, 2001) for bound states,
+  inverse-square cells and complex potentials: ψ = W·φ, where the wall factor
+  W carries a root ρ = 1/2 ± √(1/4 + c) of ρ(ρ−1) = c at each wall V ≈ c/d²
+  (one channel per choice of roots, see _channels), and φ is collocated on N
+  Gauss–Chebyshev nodes with no endpoint rows.  A level's error estimate is
+  the change from the solve at N to the one at 2N plus a rounding floor, and
+  it counts when that is ≤ 1e-4·(1 + |E|).  The nodes are mirror images,
+  s_{N−1−j} = −s_j, so the flip J of the node order carries a mirror symmetry
+  of the potential over to the matrix; a family that declares one is
+  diagonalized in reduced form.
   Parity (JHJ = H) splits H into an even and an odd block of order N/2; PT
   symmetry (JHJ = conj H) makes S*HS real for the unitary S = (I + iJ)/√2
   (Bender & Boettcher, PRL 80 (1998) 5243), so real levels come out exactly
@@ -35,6 +36,7 @@ bound only for the benchmark tracer, which wraps all three names.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Tuple
@@ -297,19 +299,26 @@ def _collocate(model, domain, rho, n, pick, compare=True):
         n, coarse, rough = 2 * n, vals, vector
 
 
-def _channels(model, tags, k, tol):
-    """OracleSpectrum of the lowest k counted levels of each channel: tags[0]
-    takes the principal root at every wall, tags[1] (if given) the secondary
-    one where that is positive at every wall.  Node counts skip samples below
-    the level's N/2N vector change and 1e-6 of its maximum (its noise)."""
+def channel_tag(principal):
+    """exponent_plus (minus) for the principal root at all (no) walls, else exponent_<lo>_<hi>."""
+    roots = ["plus" if p else "minus" for p in principal]
+    return "exponent_" + ("_".join(roots) if len(set(roots)) > 1 else roots[0])
+
+
+def _channels(model, k, tol):
+    """OracleSpectrum of the lowest k counted levels of each channel, one per
+    combination of roots: each wall takes the principal root, and the secondary
+    one if distinct and positive (−1/4 < c < 0; Everitt, 2005).  Node counts skip
+    samples below the level's N/2N vector change and 1e-6 of its maximum."""
     domain = model.oracle_domain()
-    root = np.sqrt(0.25 + np.array(domain.walls))        # ρ(ρ−1) = c: ρ = 1/2 ± root
-    exponents = [0.5 + root, 0.5 - root] if min(0.5 - root) > 0 else [0.5 + root]
+    roots = [[(True, 0.5 + r)] + ([(False, 0.5 - r)] if 0 < r < 0.5 else [])
+             for r in np.sqrt(0.25 + np.array(domain.walls))]
     items = []
-    for tag, rho in zip(tags, exponents):
-        xs, levels = _collocate(model, domain, rho, _FIRST_NODES,
+    for channel in itertools.product(*roots):
+        principal, rho = zip(*channel)
+        xs, levels = _collocate(model, domain, np.array(rho), _FIRST_NODES,
                                 lambda vals: np.argsort(vals.real)[:k])
-        items += [(e.real, tag, psi, est, change) for e, psi, est, change in levels]
+        items += [(e.real, channel_tag(principal), psi, est, ch) for e, psi, est, ch in levels]
     if not items:
         raise GridTooCoarseError("no level converged by N = %d" % (_MAX_NODES // 2))
     items.sort(key=lambda item: item[0])
@@ -318,15 +327,14 @@ def _channels(model, tags, k, tol):
 
 
 def solve_bound(model, k, tol=None):
-    """Lowest k levels with the principal exponent at each wall.  Raises
+    """Lowest k levels of each wall-exponent channel of a bound problem.  Raises
     GridTooCoarseError when none converges or an estimate exceeds tol."""
-    return _channels(model, ("dirichlet",), k, tol)
+    return _channels(model, k, tol)
 
 
 def solve_inverse_square_cell(model, k=4, tol=None):
-    """Lowest k levels of each wall-exponent channel of an inverse-square cell:
-    exponent_plus (principal root) and, for c < 0, exponent_minus."""
-    return _channels(model, ("exponent_plus", "exponent_minus"), k, tol)
+    """Lowest k levels of each wall-exponent channel of an inverse-square cell."""
+    return _channels(model, k, tol)
 
 
 def solve_pt(model):
@@ -341,7 +349,7 @@ def solve_pt(model):
     if not levels:
         raise GridTooCoarseError("no eigenvalue agrees between N = 128 and 256")
     levels.sort(key=lambda level: (level[0].real, level[0].imag))
-    tag = "contour" if domain.contour is not None else "dirichlet"
+    tag = channel_tag([True] * len(domain.walls))
     return _spectrum(xs, [(complex(e), tag, psi, est) for e, psi, est, _ in levels], None)
 
 

@@ -191,12 +191,9 @@ class Verification:
 
 
 def _oracle_candidates(solution, oracle):
-    """Candidate oracle levels compatible with the solution's channel tag."""
-    if solution.bc_class and any(t != "dirichlet" for t in oracle.bc_tags):
-        idx = [i for i, t in enumerate(oracle.bc_tags) if t == solution.bc_class]
-        if idx:
-            return idx
-    return list(range(len(oracle.eigenvalues)))
+    """Oracle levels tagged with the solution's bc_class, or all when none is."""
+    tags = oracle.bc_tags
+    return [i for i, t in enumerate(tags) if t == solution.bc_class] or list(range(len(tags)))
 
 
 def verify(model, levels=4, tol=None):

@@ -66,6 +66,16 @@ class TestSolve:
             "3/12800000000000000000000000"]
         assert [r["degeneracy"] for r in rows] == [1, 1, 1, 1]
 
+    def test_scarf1_sets_name_their_root_at_each_wall(self, capsys):
+        # exponent_<lower wall>_<upper wall>, plus for the principal root
+        code, out, _ = run_cli(capsys, "solve", "scarf1", "--param", "A=3/4",
+                               "--param", "B=0", "--param", "alpha=1",
+                               "--levels", "1", "--format", "json")
+        assert code == EXIT_OK
+        assert {r["set"]: r["bc_class"] for r in json.loads(out)["levels"]} == {
+            1: "exponent_plus", 2: "exponent_minus_plus",
+            3: "exponent_plus_minus", 4: "exponent_minus"}
+
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "scarf1", "--param", "A=2",
                                "--param", "B=1/2", "--param", "alpha=1",
@@ -191,7 +201,8 @@ class TestVerify:
 
 
 class TestFixedOraclePoints:
-    """Points whose finite-difference oracle failed `qhj verify`; the
+    """Points whose earlier oracles failed `qhj verify` (the finite-difference
+    ones, or one wall channel where a wall admits both roots); the
     collocation oracle verifies them at the default tolerance."""
 
     @pytest.mark.parametrize("mid,params,levels", [
@@ -202,6 +213,8 @@ class TestFixedOraclePoints:
         ("complex_scarf", ("A=1/2", "B=1"), "4"),
         ("khare_mandal", ("zeta=3/2", "M=5"), "4"),
         ("scarf1", ("A=1/2", "B=0", "alpha=1"), "4"),
+        ("scarf1", ("A=3/4", "B=0", "alpha=1"), "4"),
+        ("scarf1", ("A=2", "B=1/2", "alpha=2"), "4"),
     ])
     def test_verifies(self, capsys, mid, params, levels):
         argv = ["verify", mid, "--levels", levels]
@@ -270,7 +283,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("case", [
         "missing_config", "invalid_json", "array_config", "params_not_object",
-        "non_integer_levels", "zero_samples", "negative_samples"])
+        "non_integer_levels", "zero_samples", "negative_samples", "too_many_samples"])
     def test_bad_input_is_an_error_line_not_a_traceback(self, capsys, tmp_path, case):
         texts = {
             "invalid_json": "{\"model\": ",
@@ -284,12 +297,15 @@ class TestUsageErrors:
         elif case == "missing_config":
             argv = ["solve", "--config", str(tmp_path / "absent.json")]
         else:
-            samples = "0" if case == "zero_samples" else "-4"
+            samples = {"zero_samples": "0", "negative_samples": "-4",
+                       "too_many_samples": "100001"}[case]
             argv = ["wavefunction", *self.HYDROGEN, "--samples", samples]
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert out == ""
+        if case.endswith("samples"):
+            assert err == "error: samples must lie in [1, 100000], got %s\n" % samples
 
     @pytest.mark.parametrize("text", [
         '{"model": "hydrogen", "params": {"e2": NaN, "l": 0}}',

@@ -19,12 +19,12 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 import scipy.special
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhj import get_model, potential_catalog, qes_family, schrodinger_oracle, special_functions
 from qhj.errors import GridTooCoarseError
-from qhj.schrodinger_oracle import (OracleDomain, OracleSpectrum, count_nodes,
+from qhj.schrodinger_oracle import (OracleDomain, OracleSpectrum, channel_tag, count_nodes,
                                     solve_band_edges, solve_bound,
                                     solve_inverse_square_cell, solve_oracle,
                                     solve_pt)
@@ -237,13 +237,16 @@ class TestHillBandEdges:
 class TestWeightedChannels:
     def test_band_phase_gives_both_exponent_towers(self):
         model = get_model("scarf_periodic", s=Fraction(3, 10))
-        # k levels per exponent channel -> 2k eigenvalues in the band phase
+        # both roots at both walls: k levels per channel -> 4k eigenvalues in
+        # the band phase, the two mixed channels both giving (n + 1/2)²
         spec = solve_inverse_square_cell(model, k=3)
         towers = [(0.2 + n) ** 2 for n in range(3)]
         towers += [(0.8 + n) ** 2 for n in range(3)]
+        towers += 2 * [(0.5 + n) ** 2 for n in range(3)]
         assert spec.eigenvalues == pytest.approx(sorted(towers), abs=5e-4)
         assert spec.bc_tags[0] == "exponent_minus"
-        assert spec.bc_tags[1] == "exponent_plus"
+        assert sorted(spec.bc_tags[1:3]) == ["exponent_minus_plus", "exponent_plus_minus"]
+        assert spec.bc_tags[3] == "exponent_plus"
 
     def test_unreachable_tolerance_raises_with_the_estimate(self):
         model = get_model("scarf_periodic", s=Fraction(3, 10))
@@ -254,6 +257,24 @@ class TestWeightedChannels:
         model = get_model("scarf_periodic", s=Fraction(3, 2))
         spec = solve_inverse_square_cell(model, k=3)
         assert spec.eigenvalues == pytest.approx([4.0, 9.0, 16.0], abs=5e-4)
+        assert set(spec.bc_tags) == {"exponent_plus"}
+
+    def test_scarf1_limit_circle_walls_give_four_channels(self):
+        # c = −3/16 at both walls: ρ = 3/4 or 1/4 at each, and
+        # E = (n + (ρ_lo + ρ_hi)/2)² − 9/16 in each channel
+        spec = solve_bound(get_model("scarf1", A=Fraction(3, 4), B=0, alpha=1), k=4)
+        towers = {"exponent_plus": [0.0, 2.5, 7.0, 13.5],
+                  "exponent_minus_plus": [-0.3125, 1.6875, 5.6875, 11.6875],
+                  "exponent_plus_minus": [-0.3125, 1.6875, 5.6875, 11.6875],
+                  "exponent_minus": [-0.5, 1.0, 4.5, 10.0]}
+        assert set(spec.bc_tags) == set(towers)
+        for tag, want in towers.items():
+            got = [e for e, t in zip(spec.eigenvalues, spec.bc_tags) if t == tag]
+            assert got == pytest.approx(want, abs=1e-8)
+
+    def test_a_double_root_gives_one_channel(self):
+        spec = solve_bound(get_model("scarf1", A=Fraction(1, 2), B=0, alpha=1), k=4)
+        assert spec.eigenvalues == pytest.approx([0.0, 2.0, 6.0, 12.0], abs=1e-8)
         assert set(spec.bc_tags) == {"exponent_plus"}
 
 
@@ -476,12 +497,13 @@ _SMALL_RATIONALS = st.integers(1, 97).flatmap(
     lambda q: st.builds(Fraction, st.integers(-4 * q, 4 * q), st.just(q)))
 
 
-def _assert_estimates_bound_the_error(spec, exact_by_tag):
-    """Each oracle level against the nearest closed-form level of its tag."""
+def _assert_estimates_bound_the_error(spec, exact_by_tag, slack=None):
+    """Each oracle level against the nearest closed-form level of its tag:
+    slack[tag] (default 1) times the estimate bounds the error."""
     assert spec.eigenvalues
     for e, tag, est in zip(spec.eigenvalues, spec.bc_tags, spec.error_estimates):
         err = min(abs(e - x) for x in exact_by_tag[tag])
-        assert est + 1e-12 * (1.0 + abs(e)) >= err
+        assert (slack or {}).get(tag, 1.0) * est + 1e-12 * (1.0 + abs(e)) >= err
         assert est <= 1e-4 * (1.0 + abs(e))
 
 
@@ -494,38 +516,54 @@ class TestCollocationEstimates:
         k2 = e2 * e2 / (4 * (l + 1) ** 2)
         exact = [float(k2 - e2 * e2 / (4 * (n + l + 1) ** 2)) for n in range(12)]
         spec = solve_bound(get_model("hydrogen", e2=e2, l=l), k=6)
-        _assert_estimates_bound_the_error(spec, {"dirichlet": exact})
+        _assert_estimates_bound_the_error(spec, {"exponent_plus": exact})
 
     @settings(max_examples=30, deadline=None)
     @given(s=_SMALL_RATIONALS.filter(lambda v: 0 < v <= 3 and v != Fraction(1, 2)))
     def test_scarf_periodic(self, s):
         sf = float(s)
+        mixed = [(n + 0.5) ** 2 for n in range(12)]
         exact = {"exponent_plus": [(n + 0.5 + sf) ** 2 for n in range(12)],
-                 "exponent_minus": [(n + 0.5 - sf) ** 2 for n in range(12)]}
+                 "exponent_minus": [(n + 0.5 - sf) ** 2 for n in range(12)],
+                 "exponent_minus_plus": mixed, "exponent_plus_minus": mixed}
         spec = solve_inverse_square_cell(get_model("scarf_periodic", s=s), k=4)
         _assert_estimates_bound_the_error(spec, exact)
 
     @settings(max_examples=30, deadline=None)
     @given(A=_SMALL_RATIONALS.filter(lambda v: 0 < v), B=_SMALL_RATIONALS,
            alpha=_SMALL_RATIONALS.filter(lambda v: 0 < v <= 2))
-    def test_single_set_scarf1(self, A, B, alpha):
-        # one residue set: at each wall X/α ≥ 1 or X ≤ 0 (X = A ± B), so the
-        # secondary exponent 1/2 − |X/α − 1/2| is not positive
-        walls = [(A + B) / alpha, (A - B) / alpha]
-        assume(all(p >= 1 or p <= 0 for p in walls))
-        rho = [Fraction(1, 2) + abs(p - Fraction(1, 2)) for p in walls]
-        exact = [float(alpha ** 2 * (sum(rho) / 2 + n) ** 2 - A * A) for n in range(12)]
+    def test_scarf1(self, A, B, alpha):
+        # at each wall (lower X = A − B, upper X = A + B, p = X/α) the roots
+        # are ρ = 1/2 ± |p − 1/2|; the secondary one makes a channel too
+        # where it is distinct and positive, 0 < p < 1 and p ≠ 1/2
+        roots = []
+        for p in ((A - B) / alpha, (A + B) / alpha):
+            half = abs(p - Fraction(1, 2))
+            roots.append([(True, Fraction(1, 2) + half)]
+                         + ([(False, Fraction(1, 2) - half)] if 0 < p < 1 and half else []))
+        exact = {channel_tag((lo[0], hi[0])): [
+            float(alpha ** 2 * ((lo[1] + hi[1]) / 2 + n) ** 2 - A * A) for n in range(12)]
+            for lo in roots[0] for hi in roots[1]}
+        # Known limit: in a mixed channel (the secondary root at one wall, the
+        # principal one at the other) the N/2N change understated the error
+        # by up to 1.9x in 2400 two-root draws of this domain, always with a
+        # principal ρ ≥ 8 at the other wall and errors ≤ 1.4e-7·(1 + |E|);
+        # four times its estimate bounds the error with a margin.
+        slack = {"exponent_minus_plus": 4.0, "exponent_plus_minus": 4.0}
         spec = solve_bound(get_model("scarf1", A=A, B=B, alpha=alpha), k=4)
-        if max(rho) < 50:
-            _assert_estimates_bound_the_error(spec, {"dirichlet": exact})
+        assert set(spec.bc_tags) <= set(exact)
+        if max(rho for wall in roots for _, rho in wall) < 50:
+            _assert_estimates_bound_the_error(spec, exact, slack)
             return
         # Known limit: behind a wall exponent ρ ≳ 80 (α ≲ |A ± B|/80) the
         # error at N and 2N stalls at about the same size, and the estimate
-        # can fall below it by up to 8x (errors ≤ 5.5e-7 in 5000 draws of
-        # this domain, all at ρ ≥ 84).  Only a looser bound holds there.
-        for e, est in zip(spec.eigenvalues, spec.error_estimates):
+        # can fall below it by up to 8x (errors ≤ 5.5e-7 in 5000 single-set
+        # draws of this domain, all at ρ ≥ 84).  Only a looser bound holds
+        # there, or in a mixed channel four times the estimate.
+        for e, tag, est in zip(spec.eigenvalues, spec.bc_tags, spec.error_estimates):
             assert est <= 1e-4 * (1.0 + abs(e))
-            assert min(abs(e - x) for x in exact) <= 1e-6 * (1.0 + abs(e))
+            err = min(abs(e - x) for x in exact[tag])
+            assert err <= max(1e-6 * (1.0 + abs(e)), slack.get(tag, 0.0) * est)
 
 
 _RESIDUE_MODULES = ("quantization", "polynomial_system", "qmf_residues",
@@ -641,11 +679,12 @@ class TestNodeBookkeeping:
 class TestDispatcher:
     def test_each_family_routes_to_the_right_scheme(self):
         bound = solve_oracle(get_model("hydrogen", e2=2, l=0), k=2)
-        assert set(bound.bc_tags) == {"dirichlet"}
+        assert set(bound.bc_tags) == {"exponent_plus"}
         band = solve_oracle(get_model("lame", j=1, m=Fraction(1, 2)), k=3)
         assert set(band.bc_tags) <= {"periodic", "antiperiodic"}
         cell = solve_oracle(get_model("scarf_periodic", s=Fraction(3, 10)), k=2)
-        assert set(cell.bc_tags) <= {"exponent_plus", "exponent_minus"}
+        assert set(cell.bc_tags) == {"exponent_plus", "exponent_minus",
+                                     "exponent_minus_plus", "exponent_plus_minus"}
 
 
 class TestNoWastedWork:
