@@ -381,20 +381,16 @@ def _deduplicate(model, raw):
             groups.append([idx])
     kept: List[BandEdgeSolution] = []
     for group in groups:
-        members = sorted(group, key=lambda i: (raw[i].assignment.set_label,
-                                               int(raw[i].assignment.n)))
-        samples = {i: _solution_samples(model, raw[i].recipe) for i in members}
-        unique: List[int] = []
-        for i in members:
-            dup = any(abs(np.vdot(samples[j], samples[i])) > 1 - 1e-8 for j in unique)
-            if not dup:
-                unique.append(i)
-        if len(unique) > 1:
-            gram = np.array([[np.vdot(samples[i], samples[j]) for j in unique]
-                             for i in unique])
+        unique, rank = group, 1
+        if len(group) > 1:      # only levels that share an energy are sampled
+            samples = {i: _solution_samples(model, raw[i].recipe) for i in group}
+            unique = []
+            for i in sorted(group, key=lambda k: (raw[k].assignment.set_label,
+                                                  int(raw[k].assignment.n))):
+                if not any(abs(np.vdot(samples[j], samples[i])) > 1 - 1e-8 for j in unique):
+                    unique.append(i)
+            gram = np.array([[np.vdot(samples[i], samples[j]) for j in unique] for i in unique])
             rank = int(np.linalg.matrix_rank(gram, tol=1e-6))
-        else:
-            rank = 1
         for i in unique:
             sol = raw[i]
             sol.degeneracy = rank

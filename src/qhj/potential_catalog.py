@@ -10,9 +10,11 @@ the full algebraic data the solver needs:
 * the large-argument expansion coefficients (G0, G1, G2) of G,
 * the polynomials Πclear²·G = A(t) + E·B(t) (Πclear = product of pole
   monomials), which drive the polynomial-identity construction,
-* the residue sets with their admissibility verdicts, the closed-form levels
-  where they exist, the classical-polynomial twin of the node polynomial and
-  the oracle channel of each level (periodicity class or wall roots),
+* the residue sets with their admissibility verdicts (quantization turns
+  them into closed-form levels, or hands them to the pencil), where a level
+  tower stops (normalizable), the classical-polynomial twin of the node
+  polynomial and the oracle channel of each level (periodicity class or
+  wall roots),
 * the wavefunction prefactors f_j(x) and the mapped variable t at sample
   points (prefactors), the exponents e_j a residue set gives them, the
   change of variable's offset at each pole included (prefactor_exponents),
@@ -43,7 +45,8 @@ from numpy.polynomial import polynomial as P
 
 from .errors import ParameterError, SingularPointError, UnknownModelError
 from .exactmath import ExactComplex, real_or_complex, to_complex
-from .qmf_residues import FixedPole, InfinityExpansion, finite_pole_residues
+from .qmf_residues import (FixedPole, InfinityExpansion, finite_pole_residues,
+                           infinity_residues)
 from .quantization import ResidueAssignment, level_verdict
 from .schrodinger_oracle import OracleDomain, channel_tag
 from .special_functions import elliptic_K, jacobi_polynomial, laguerre, sn_cn_dn
@@ -234,9 +237,9 @@ class PotentialModel:
         """Every candidate residue set, in set-label order, with its verdict."""
         raise NotImplementedError
 
-    def levels(self, sets, count):
-        """Exact level rows from assignments() sets; [] for pencil families."""
-        return []
+    def normalizable(self, level):
+        """Whether a resolved level row is a bound state; its set stops at the first that is not."""
+        return True
 
     def classical_polynomial(self, assignment):
         """(family, indices, evaluator(t)) of the classical node polynomial, or None."""
@@ -352,26 +355,10 @@ class HydrogenModel(PotentialModel):
         return a, b
 
     def assignments(self):
-        branch = finite_pole_residues(self.fixed_poles()[0])
-        out = []
-        for label, b1 in enumerate(branch.values, start=1):
-            out.append(ResidueAssignment(
-                set_label=label,
-                pole_residues={"t=0": b1},
-                lambda1=None, a0=None, n=None,
-                reason=None if b1 > 0 else "origin_exponent_nonpositive",
-            ))
-        return out
-
-    def levels(self, sets, count):
-        origin = next(a for a in sets if a.admissible)     # residue l + 1
-        out = []
-        for n in range(count):
-            lam = Fraction(n + self.l + 1)
-            out.append(replace(
-                origin, lambda1=lam, a0=-self.e2 / (2 * lam), n=n,
-                energy=self.kappa2 - self.e2 * self.e2 / (4 * lam * lam)))
-        return out
+        return [ResidueAssignment(set_label=label, pole_residues={"t=0": b1},
+                                  lambda1=None, a0=None, n=None,
+                                  reason=None if b1 > 0 else "origin_exponent_nonpositive")
+                for label, b1 in enumerate(finite_pole_residues(self.fixed_poles()[0]).values, 1)]
 
     def classical_polynomial(self, assignment):
         n = int(assignment.n)
@@ -402,13 +389,13 @@ class TwoWallJacobiModel(PotentialModel):
 
     Fixed poles at t = ±1 with strengths g2(A ± B) and offsets 1/4; each
     wall takes one of its two residues, giving four sets.  Admissible sets
-    carry closed-form levels λ1 = b1 + b1' + n, their node polynomials are
-    Jacobi polynomials P_n^(2b1−1, 2b1'−1)(t), and ψ = (1−t)^e₊ (1+t)^e₋ P(t)
-    with e = b − 1/4.  Prefactor order: (1 − t, 1 + t).
+    carry closed-form levels λ1 = b1 + b1' + n with G2(E) = λ1 − λ1², their
+    node polynomials are Jacobi polynomials P_n^(2b1−1, 2b1'−1)(t), and
+    ψ = (1−t)^e₊ (1+t)^e₋ P(t) with e = b − 1/4.  Prefactor order:
+    (1 − t, 1 + t).
 
-    Subclasses give the wall strength _g2(X), the set filter
-    _admissible(b₊, b₋) and _energy(b₊ + b₋, n), which is None past the
-    last normalizable level.
+    Subclasses give the wall strength _g2(X) and the set filter
+    _admissible(set).
     """
 
     spectrum_kind = "es_spectrum"
@@ -425,25 +412,10 @@ class TwoWallJacobiModel(PotentialModel):
         out = []
         for bp in plus.values:
             for bm in minus.values:
-                out.append(ResidueAssignment(
-                    set_label=len(out) + 1,
-                    pole_residues={"t=+1": bp, "t=-1": bm},
-                    lambda1=None, a0=0, n=None,
-                    reason=None if self._admissible(bp, bm) else self.reject_reason,
-                ))
-        return out
-
-    def levels(self, sets, count):
-        out = []
-        for a in sets:
-            if not a.admissible:
-                continue
-            s_sum = a.pole_residues["t=+1"] + a.pole_residues["t=-1"]
-            for n in range(count):
-                energy = self._energy(s_sum, n)
-                if energy is None:
-                    break
-                out.append(replace(a, lambda1=s_sum + n, n=n, energy=energy))
+                a = ResidueAssignment(set_label=len(out) + 1,
+                                      pole_residues={"t=+1": bp, "t=-1": bm},
+                                      lambda1=None, a0=0, n=None)
+                out.append(replace(a, reason=None if self._admissible(a) else self.reject_reason))
         return out
 
     def classical_polynomial(self, assignment):
@@ -510,13 +482,8 @@ class ScarfOneModel(TwoWallJacobiModel):
         return channel_tag([assignment.pole_residues[p.label] == finite_pole_residues(p).values[0]
                             for p in reversed(self.fixed_poles())])
 
-    def _admissible(self, bp, bm):
-        exps = self.prefactor_exponents({"t=+1": bp, "t=-1": bm})
-        return all(to_complex(e).real > 0 for e in exps)
-
-    def _energy(self, s_sum, n):
-        root = self.alpha * (s_sum + n - Fraction(1, 2))     # = sqrt(E + A²)
-        return root * root - self.A * self.A
+    def _admissible(self, a):
+        return all(to_complex(e).real > 0 for e in self.prefactor_exponents(a.pole_residues))
 
     def infinity_expansion(self):
         A, al = self.A, self.alpha
@@ -578,17 +545,12 @@ class ComplexScarfModel(TwoWallJacobiModel):
     def _g2(self, X):
         return Fraction(3, 16) - X / 4
 
-    def _admissible(self, bp, bm):
-        # −(S − 1/2) is the decay margin; level n needs Re > n ≥ 0
-        return to_complex(Fraction(1, 2) - bp - bm).real > 0
+    def normalizable(self, level):
+        # 1/2 − λ1 is the decay margin at infinity: strict square-integrability cut
+        return to_complex(Fraction(1, 2) - level.lambda1).real > 0
 
-    def _energy(self, s_sum, n):
-        if not n < to_complex(Fraction(1, 2) - s_sum).real:   # strict square-integrability cut
-            return None
-        energy = -(to_complex(s_sum + n - Fraction(1, 2)) ** 2)
-        if abs(energy.imag) < 1e-13 * max(1.0, abs(energy.real)):
-            energy = energy.real
-        return energy
+    def _admissible(self, a):
+        return self.normalizable(replace(a, lambda1=sum(a.pole_residues.values()), n=0))
 
     def infinity_expansion(self):
         return InfinityExpansion(G0=Fraction(0), G1=Fraction(0),
@@ -681,12 +643,13 @@ class ScarfPeriodicModel(PotentialModel):
         return a, b
 
     def assignments(self):
+        roots = infinity_residues(self.infinity_expansion()).values     # 1/2 ± s
         out = []
         for label, bsign, dsign in self._SETS:
-            d1 = Fraction(1, 2) + dsign * self.s
-            # level formula: λ = n + 1 − d1 for the (1−λ)/2 branch,
-            #                λ = d1 − 1 − n for the (1+λ)/2 branch, whose
-            #                λ(0) = d1 − 1 > 0 already breaks d1 < 1
+            d1 = roots[0] if dsign > 0 else roots[1]
+            # the sum rule puts b = (d1 − n)/2 on each pole, so the sin exponent
+            # is λ = n + 1 − d1 on the (1−λ)/2 branch; the (1+λ)/2 branch has
+            # λ = d1 − 1 − n, whose λ(0) = d1 − 1 > 0 already breaks d1 < 1
             if bsign > 0 and not d1 - 1 > 0:
                 reason = "negative_energy_root"
             elif not d1 < 1 or (self.bound_phase and dsign > 0):
@@ -695,20 +658,6 @@ class ScarfPeriodicModel(PotentialModel):
                 reason = None
             out.append(ResidueAssignment(set_label=label, pole_residues={}, lambda1=d1,
                                          a0=0, n=None, reason=reason))
-        return out
-
-    def levels(self, sets, count):
-        out = []
-        for a in sets:
-            if not a.admissible:
-                continue
-            for n in range(count):
-                lam = n + 1 - a.lambda1
-                if lam < 0:
-                    continue
-                b = (1 - lam) / 2
-                out.append(replace(a, pole_residues={"t=+i": b, "t=-i": b},
-                                   n=n, energy=lam * lam))
         return out
 
     def classical_polynomial(self, assignment):
@@ -830,7 +779,7 @@ class AssociatedLameModel(PotentialModel):
     def assignments(self):
         b1s = {+1: Fraction(3, 4), -1: Fraction(1, 4)}
         d1s = {+1: Fraction(3, 4) + self.b / 2, -1: Fraction(1, 4) - self.b / 2}
-        lam1 = self.a + 1
+        lam1 = infinity_residues(self.infinity_expansion()).values[0]     # a + 1
         relations = self.qes_relations or (None,) * len(self.set_order)
         out = []
         for label, ((bsign, dsign), rel) in enumerate(zip(self.set_order, relations), start=1):
@@ -995,7 +944,7 @@ class KhareMandalModel(PotentialModel):
     uses_pencil = True
     energy_formula = "levels from the (n+1)-term polynomial identity per set"
     notes = ("lambda1 = -M/2 pairs with the exponential branch growing on "
-             "the decay contour and is rejected by contour_decay",)
+             "the decay contour and is not enumerated",)
     qes_relations = ("n = (M - 1)/2", "n = (M - 3)/2", "n = M/2 - 1", "n = M/2 - 1")
     oracle = "pt"
     verify_tol = 1e-3
@@ -1047,8 +996,8 @@ class KhareMandalModel(PotentialModel):
         return a_poly, b_poly
 
     def assignments(self):
-        lam1 = Fraction(self.M, 2)
-        a0 = ExactComplex(Fraction(0), self.zeta / 2)
+        branch = infinity_residues(self.infinity_expansion())
+        lam1, a0 = branch.values[0], branch.a0_values[0]     # M/2, iζ/2
         out = []
         for label, ((b1, b1p), rel) in enumerate(zip(self._SETS, self.qes_relations), start=1):
             reason, n = level_verdict(lam1 - b1 - b1p)

@@ -130,15 +130,17 @@ def infinity_residues(expansion, energy=None):
 
     Returns a ResidueBranch.  With G0 ≠ 0 the two entries are
     (a0, λ1) = (±sqrt(−G0), −G1/(2a0)); with G0 = G1 = 0 they are the two
-    roots of λ1² − λ1 + G2 = 0 (a0 = 0).  G0 = 0 with G1 ≠ 0 has no
+    roots of λ1² − λ1 + G2 = 0 (a0 = 0); G2 is read only then, so an
+    E-dependent G2 needs no energy when G0 ≠ 0.  G0 = 0 with G1 ≠ 0 has no
     expansion of the assumed form and raises UnsupportedExpansionError.
     """
-    g0, g1, g2 = expansion.coefficients(energy)
+    g0 = _eval_coefficient(expansion.G0, energy, "G0")
+    g1 = _eval_coefficient(expansion.G1, energy, "G1")
     if _is_zero(g0):
         if not _is_zero(g1):
             raise UnsupportedExpansionError(
                 "expansion with G0 = 0 but G1 != 0 is outside the supported form")
-        values = _quadratic_branch_pair(g2)
+        values = _quadratic_branch_pair(_eval_coefficient(expansion.G2, energy, "G2"))
         zero = Fraction(0)
         return ResidueBranch(values=values, origin=ORIGIN_INFINITY_A0_ZERO,
                              a0_values=(zero, zero))

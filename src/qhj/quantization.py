@@ -13,22 +13,24 @@ then passes a filter pipeline (level positivity/integrality → finiteness at
 walls → square-integrability/decay) and carries a machine-readable verdict.
 
 Where the filters leave a closed-form energy (hydrogen-like, trigonometric
-Scarf, inverse-sin² cell, complex Scarf), quantize() resolves levels exactly
-in rational arithmetic whenever the parameters are rational.  The remaining
-models keep the energy as a pencil unknown and are handed to the
-polynomial-identity solver.
+Scarf, inverse-sin² cell, complex Scarf), closed_form_levels() solves the
+sum rule for E from each family's pole strengths and expansion of G at
+infinity, exactly when the parameters are rational.  The remaining models
+keep the energy as a pencil unknown for the polynomial-identity solver.
 
-The per-family sets, filters and level formulas live on the catalog classes
-(PotentialModel.assignments and .levels); this module holds the shared
+The per-family sets and filters live on the catalog classes
+(PotentialModel.assignments and .normalizable); this module holds the shared
 records and the condition that ties them together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import NoAdmissibleAssignmentError
+from .exactmath import ExactComplex
 
 
 @dataclass(frozen=True)
@@ -101,12 +103,57 @@ def enumerate_assignments(model):
     return model.assignments()
 
 
+def _affine(coeff):
+    """(value at E = 0, slope) of a coefficient affine in E; slope 0 if E-free."""
+    if not callable(coeff):
+        return coeff, 0
+    at0 = coeff(Fraction(0))
+    return at0, coeff(Fraction(1)) - at0
+
+
+def closed_form_levels(model, sets, count):
+    """Rows n = 0 … count−1 of each admissible set, E solved from Σ b_i + n = λ1.
+
+    Exactly one of G0, G2 and the pole strengths depends on E.  With E-free
+    residues λ1 = Σ b_i + n, and G0(E) = −a0² with a0 = −G1/(2λ1), or, when
+    G0 = G1 = 0, G2(E) = λ1 − λ1².  E-dependent strengths keep the set's λ1
+    and put b = (λ1 − n)/k on each of the k paired poles, with g2(E) = b − b².
+    A set's rows stop at the first level model.normalizable refuses.
+    """
+    if model.uses_pencil:
+        return []
+    expansion = model.infinity_expansion()
+    (g0, d0), (g2, d2) = _affine(expansion.G0), _affine(expansion.G2)
+    paired = [p for p in model.fixed_poles() if callable(p.g2)]
+    gp, dp = _affine(paired[0].g2) if paired else (0, 0)
+    rows = []
+    for a in (a for a in sets if a.admissible):
+        for n in range(count):
+            a0, residues = a.a0, a.pole_residues
+            lam = a.lambda1 if paired else sum(residues.values()) + n
+            if paired:
+                b = (lam - n) / len(paired)
+                residues, energy = {p.label: b for p in paired}, (b - b * b - gp) / dp
+            elif d0:
+                a0 = -expansion.G1 / (2 * lam)
+                energy = (-a0 * a0 - g0) / d0
+            else:
+                energy = (lam - lam * lam - g2) / d2
+            if isinstance(energy, ExactComplex) and energy.is_real:
+                energy = energy.as_fraction()
+            level = replace(a, pole_residues=residues, lambda1=lam, a0=a0, n=n, energy=energy)
+            if not model.normalizable(level):
+                break
+            rows.append(level)
+    return rows
+
+
 def quantize(model, levels=4):
     """Apply the sum-of-residues condition and classify the outcome.
 
     Returns a QuantizationOutcome whose kind is one of es_spectrum,
     qes_condition, band_edge_group, pt_group.  Closed-form models get their
-    levels resolved here (exactly, for rational parameters); pencil models
+    levels from closed_form_levels (exact for rational parameters); pencil models
     keep E unknown and defer to the polynomial-identity solver.
     Raises NoAdmissibleAssignmentError when every set is rejected.
     """
@@ -119,7 +166,7 @@ def quantize(model, levels=4):
     return QuantizationOutcome(
         kind=model.spectrum_kind,
         assignments=assignments,
-        levels=model.levels(assignments, levels),
+        levels=closed_form_levels(model, assignments, levels),
         energy_formula=model.energy_formula,
         qes_relations=model.qes_relations,
         notes=model.notes,

@@ -73,8 +73,8 @@ def assemble(recipe, xs, normalization=SUP_NORM_ONE):
     with np.errstate(over="ignore", invalid="ignore"):   # refused below, with a reason
         values = np.asarray(recipe(xs), dtype=complex)
     if not np.all(np.isfinite(values)):
-        raise InvalidStateError("wavefunction is not finite on the grid; "
-                                "the grid touches a singular point")
+        raise InvalidStateError("wavefunction is not finite on the grid: it overflows "
+                                "or the grid touches a singular point")
     if normalization == SUP_NORM_ONE:
         scale = float(np.max(np.abs(values)))
     elif normalization == L2_ONE:

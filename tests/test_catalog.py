@@ -14,14 +14,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 from qhj.errors import ParameterError, SingularPointError, UnknownModelError
 from qhj.exactmath import to_complex
 from qhj.polynomial_system import solve_spectrum
-from qhj.potential_catalog import (MODEL_CLASSES, MODEL_IDS, PARAM_SCHEMAS,
-                                   PotentialModel, evaluate_potential,
-                                   get_model)
+from qhj.potential_catalog import (MODEL_CLASSES, MODEL_IDS, PARAM_DENOMINATOR,
+                                   PARAM_SCHEMAS, PotentialModel,
+                                   evaluate_potential, get_model)
 
 ALL_CASES = [
     ("hydrogen", dict(e2=2, l=0), [0.7, 1.9, 3.3]),
@@ -45,6 +47,16 @@ ALL_CASES = [
 ]
 
 ENERGIES = (0.37, 2.25, -1.5)
+
+
+def schema_points(mid):
+    """Hypothesis strategy: parameters drawn over a family's whole declared domain."""
+    def values(p):
+        lo, hi = (Fraction(end) for end in p.interval[1:-1].split(","))
+        if p.kind == "integer":
+            return st.integers(math.ceil(lo), math.floor(hi)).filter(p.admits)
+        return st.fractions(lo, hi, max_denominator=PARAM_DENOMINATOR).filter(p.admits)
+    return st.fixed_dictionaries({p.name: values(p) for p in MODEL_CLASSES[mid].param_decls})
 
 
 def _g_from_potential(model, x, energy):
@@ -97,6 +109,43 @@ class TestInfinityExpansionSampling:
             g = model.g_value(t, energy)
             remainder = (g - g0 - g1 / t) * t * t
             assert abs(remainder - g2) <= 1e-3 * (1.0 + abs(g2))
+
+    @pytest.mark.parametrize("mid", MODEL_IDS)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_over_the_whole_schema(self, mid, data):
+        # closed_form_levels and the pencil sets compute from these coefficients
+        model = get_model(mid, **data.draw(schema_points(mid)))
+        energy = 1.375
+        g0, g1, g2 = (to_complex(c)
+                      for c in model.infinity_expansion().coefficients(energy))
+        # well outside every pole; the mean over ±t cancels the G3/t term
+        t = 1.0e4 * max([1.0] + [abs(to_complex(p.location)) for p in model.fixed_poles()])
+        remainder = sum((model.g_value(y, energy) - g0 - g1 / y) * y * y for y in (t, -t)) / 2
+        assert abs(remainder - g2) <= 1e-3 * (1.0 + abs(g2))
+
+
+# the coefficients a closed-form family's sum rule solves for E; pencil families have none
+ENERGY_SLOT = {"hydrogen": ["G0"], "scarf1": ["G2"], "complex_scarf": ["G2"],
+               "scarf_periodic": ["pole strengths"]}
+
+
+@pytest.mark.parametrize("mid", MODEL_IDS)
+def test_the_energy_sits_in_one_affine_coefficient(mid):
+    """The sum rule reads G0, G1, the pole strengths, and G2 when G0 = G1 = 0."""
+    model = get_model(mid, **next(params for m, params, _ in ALL_CASES if m == mid))
+    expansion = model.infinity_expansion()
+    read = {"G0": [expansion.G0], "G1": [expansion.G1],
+            "pole strengths": [p.g2 for p in model.fixed_poles()]}
+    if expansion.G0 == 0 and expansion.G1 == 0:
+        read["G2"] = [expansion.G2]
+    moving = {name: [c for c in coeffs if callable(c)] for name, coeffs in read.items()}
+    assert sorted(name for name, cs in moving.items() if cs) == ENERGY_SLOT.get(mid, [])
+    assert model.uses_pencil == (mid not in ENERGY_SLOT)
+    for coeffs in moving.values():
+        # affine, and one strength shared by every E-dependent pole
+        assert all(c(Fraction(2)) - 2 * c(Fraction(1)) + c(Fraction(0)) == 0 for c in coeffs)
+        assert len({(c(Fraction(0)), c(Fraction(1))) for c in coeffs}) <= 1
 
 
 class TestFinitePoleStrengthSampling:

@@ -66,6 +66,12 @@ class TestSolve:
             "3/12800000000000000000000000"]
         assert [r["degeneracy"] for r in rows] == [1, 1, 1, 1]
 
+    def test_rational_complex_scarf_residues_give_an_exact_energy(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "complex_scarf", "--param", "A=2",
+                               "--param", "B=0", "--format", "json")
+        assert code == EXIT_OK
+        assert [r["energy_exact"] for r in json.loads(out)["levels"]] == ["-1"]
+
     def test_scarf1_sets_name_their_root_at_each_wall(self, capsys):
         # exponent_<lower wall>_<upper wall>, plus for the principal root
         code, out, _ = run_cli(capsys, "solve", "scarf1", "--param", "A=3/4",
@@ -400,13 +406,26 @@ class TestUsageErrors:
             assert code == EXIT_USAGE and out == ""
             assert err.startswith("error: ") and len(err.splitlines()) == 1
 
-    def test_overflowing_eigenfunction_samples_are_an_error_line(self, capsys):
-        # r^51 on a window of 2.2e15: the samples that tell levels apart overflow
-        code, out, err = run_cli(capsys, "solve", "hydrogen", "--param",
+    def test_lone_levels_are_not_sampled(self, capsys):
+        # r^51 overflows on the window of 2.2e15, but no two levels share an
+        # energy, so dedup never samples a recipe and the table is printed
+        params = ("--param", "e2=1/1000000000000", "--param", "l=50")
+        code, out, err = run_cli(capsys, "solve", "hydrogen", *params)
+        assert code == EXIT_OK and err == ""
+        rows = out.splitlines()[2:6]
+        assert [r.split()[:2] for r in rows] == [["1", str(n)] for n in range(4)]
+        assert out.splitlines()[6].startswith("energy formula: ")
+        _, out, _ = run_cli(capsys, "solve", "hydrogen", *params, "--format", "json")
+        e2 = Fraction(1, 10**12)
+        assert [r["energy_exact"] for r in json.loads(out)["levels"]] == [
+            str(e2 * e2 / (4 * 51**2) - e2 * e2 / (4 * (51 + n) ** 2)) for n in range(4)]
+
+    def test_overflowing_wavefunction_is_one_error_line(self, capsys):
+        code, out, err = run_cli(capsys, "wavefunction", "hydrogen", "--param",
                                  "e2=1/1000000000000", "--param", "l=50")
         assert code == EXIT_USAGE and out == ""
-        assert err.startswith("error: ") and "overflow" in err
-        assert len(err.splitlines()) == 1
+        assert err == ("error: wavefunction is not finite on the grid: it overflows "
+                       "or the grid touches a singular point\n")
 
     def test_non_finite_recipe_is_one_error_line(self, capsys):
         # r^51 overflows on the half-line output grid (r up to ~1e9); the

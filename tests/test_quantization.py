@@ -5,13 +5,18 @@ the quadratic branch pairs and the residue sum rule) and are cross-checked
 against the grid oracle in the acceptance tests.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhj import (QES_RELATIONS, NoAdmissibleAssignmentError,
                  enumerate_assignments, get_model, qes_family, quantize)
-from qhj.exactmath import to_complex
+from qhj.exactmath import ExactComplex, to_complex
+from qhj.qmf_residues import InfinityExpansion, infinity_residues
+from test_catalog import schema_points
 
 
 def _by_set(assignments):
@@ -229,3 +234,110 @@ class TestSumRuleEverywhere:
         for a in resolved:
             gap = a.sum_rule_gap()
             assert gap == 0 or abs(to_complex(gap)) < 1e-12
+
+
+# The level formulas the closed-form families once wrote by hand, kept as
+# references for the one sum-rule solve in quantize().
+def _hydrogen_levels(model, sets, count):
+    origin = next(a for a in sets if a.admissible)     # residue l + 1
+    out = []
+    for n in range(count):
+        lam = Fraction(n + model.l + 1)
+        out.append(replace(origin, lambda1=lam, a0=-model.e2 / (2 * lam), n=n,
+                           energy=model.kappa2 - model.e2 * model.e2 / (4 * lam * lam)))
+    return out
+
+
+def _scarf1_energy(model, s_sum, n):
+    root = model.alpha * (s_sum + n - Fraction(1, 2))     # = sqrt(E + A²)
+    return root * root - model.A * model.A
+
+
+def _complex_scarf_energy(model, s_sum, n):
+    if not n < to_complex(Fraction(1, 2) - s_sum).real:   # strict square-integrability cut
+        return None
+    energy = -(to_complex(s_sum + n - Fraction(1, 2)) ** 2)
+    if abs(energy.imag) < 1e-13 * max(1.0, abs(energy.real)):
+        energy = energy.real
+    return energy
+
+
+def _two_wall_levels(energy_of):
+    def levels(model, sets, count):
+        out = []
+        for a in sets:
+            if not a.admissible:
+                continue
+            s_sum = a.pole_residues["t=+1"] + a.pole_residues["t=-1"]
+            for n in range(count):
+                energy = energy_of(model, s_sum, n)
+                if energy is None:
+                    break
+                out.append(replace(a, lambda1=s_sum + n, n=n, energy=energy))
+        return out
+    return levels
+
+
+def _scarf_periodic_levels(model, sets, count):
+    out = []
+    for a, (_label, _bsign, dsign) in zip(sets, model._SETS):
+        assert a.lambda1 == Fraction(1, 2) + dsign * model.s
+        if not a.admissible:
+            continue
+        for n in range(count):
+            lam = n + 1 - a.lambda1
+            b = (1 - lam) / 2
+            out.append(replace(a, pole_residues={"t=+i": b, "t=-i": b},
+                               n=n, energy=lam * lam))
+    return out
+
+
+REFERENCE_LEVELS = {
+    "hydrogen": _hydrogen_levels,
+    "scarf1": _two_wall_levels(_scarf1_energy),
+    "complex_scarf": _two_wall_levels(_complex_scarf_energy),
+    "scarf_periodic": _scarf_periodic_levels,
+}
+
+
+class TestSumRuleSolve:
+    @pytest.mark.parametrize("mid", sorted(REFERENCE_LEVELS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_old_formulas_over_the_whole_schema(self, mid, data):
+        model = get_model(mid, **data.draw(schema_points(mid)))
+        sets = enumerate_assignments(model)
+        if mid == "complex_scarf":     # the old decay verdict of a set
+            assert [a.admissible for a in sets] == [
+                to_complex(Fraction(1, 2) - a.pole_residues["t=+1"]
+                           - a.pole_residues["t=-1"]).real > 0 for a in sets]
+        if not any(a.admissible for a in sets):
+            with pytest.raises(NoAdmissibleAssignmentError):
+                quantize(model)
+            return
+        got = quantize(model, levels=5).levels
+        want = REFERENCE_LEVELS[mid](model, sets, 5)
+        assert [(a.set_label, a.n, a.lambda1, a.a0, a.pole_residues) for a in got] == \
+            [(a.set_label, a.n, a.lambda1, a.a0, a.pole_residues) for a in want]
+        for a, b in zip(got, want):
+            if mid == "complex_scarf":
+                e = to_complex(a.energy)
+                assert abs(e - to_complex(b.energy)) <= 1e-15 * max(1.0, abs(e))
+            else:
+                assert isinstance(a.energy, Fraction) and a.energy == b.energy
+
+    def test_rational_complex_scarf_residues_give_an_exact_energy(self):
+        out = quantize(get_model("complex_scarf", A=2, B=0), levels=4)
+        assert [(a.n, a.energy) for a in out.levels] == [(0, Fraction(-1))]
+        assert isinstance(out.levels[0].energy, Fraction)
+
+    def test_infinity_residues_read_g2_only_when_g0_vanishes(self):
+        # a0 = ±2 and λ1 = −G1/(2a0); the E-dependent G2 is never evaluated
+        branch = infinity_residues(InfinityExpansion(G0=Fraction(-4), G1=Fraction(8),
+                                                     G2=lambda E: E))
+        assert branch.values == (Fraction(2), Fraction(-2))
+        assert branch.a0_values == (Fraction(-2), Fraction(2))
+        model = get_model("khare_mandal", zeta=Fraction(1, 4), M=3)
+        branch = infinity_residues(model.infinity_expansion())
+        assert (branch.values[0], branch.a0_values[0]) == (
+            Fraction(3, 2), ExactComplex(Fraction(0), Fraction(1, 8)))
