@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import zip_longest
 from numbers import Rational
 
 
@@ -194,6 +196,43 @@ def exact_sqrt(value):
         r = sqrt_fraction(-e)
         return None if r is None else ExactComplex(Fraction(0), r)
     return e.sqrt()
+
+
+# -- exact polynomials: ascending coefficient lists of Fraction/ExactComplex --
+
+def poly_add(*polys):
+    """Sum of ascending coefficient lists."""
+    return [sum(cs, Fraction(0)) for cs in zip_longest(*polys, fillvalue=0)]
+
+
+def poly_mul(p, q):
+    """Product of two ascending coefficient lists."""
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        for k, d in enumerate(q):
+            if c and d:
+                out[i + k] += c * d
+    return out
+
+
+def poly_der(p):
+    """Derivative of an ascending coefficient list."""
+    return [Fraction(k) * c for k, c in enumerate(p)][1:]
+
+
+def poly_at(p, t):
+    """Horner value of an ascending coefficient list at t."""
+    return reduce(lambda acc, c: acc * t + c, reversed(p), Fraction(0))
+
+
+def expansion_at_infinity(num, den, terms=3):
+    """c_0, c_1, … of num/den = Σ_k c_k·t^(−k) at |t| → ∞; den monic, deg num ≤ deg den."""
+    d = len(den) - 1
+    n, m = ([p[d - k] if k <= d < len(p) + k else 0 for k in range(terms)] for p in (num, den))
+    out = []
+    for k in range(terms):      # n_k = Σ_j m_j·c_(k−j), with m_0 = 1
+        out.append(n[k] - sum((m[j] * out[k - j] for j in range(1, k + 1)), Fraction(0)))
+    return out
 
 
 def sort_key(value):

@@ -367,7 +367,7 @@ def _same_energy(e, f):
 
 
 def _deduplicate(model, raw):
-    """Merge identical eigenfunctions across sets; set energy multiplicities."""
+    """Merge identical eigenfunctions across sets; one energy and multiplicity per energy group."""
     if not raw:
         return []
     order = sorted(range(len(raw)),
@@ -381,12 +381,12 @@ def _deduplicate(model, raw):
             groups.append([idx])
     kept: List[BandEdgeSolution] = []
     for group in groups:
+        group.sort(key=lambda k: (raw[k].assignment.set_label, int(raw[k].assignment.n)))
         unique, rank = group, 1
         if len(group) > 1:      # only levels that share an energy are sampled
             samples = {i: _solution_samples(model, raw[i].recipe) for i in group}
             unique = []
-            for i in sorted(group, key=lambda k: (raw[k].assignment.set_label,
-                                                  int(raw[k].assignment.n))):
+            for i in group:
                 if not any(abs(np.vdot(samples[j], samples[i])) > 1 - 1e-8 for j in unique):
                     unique.append(i)
             gram = np.array([[np.vdot(samples[i], samples[j]) for j in unique] for i in unique])
@@ -394,5 +394,7 @@ def _deduplicate(model, raw):
         for i in unique:
             sol = raw[i]
             sol.degeneracy = rank
+            # one energy per group, so float noise cannot reorder its levels
+            sol.energy = raw[group[0]].energy
             kept.append(sol)
     return kept

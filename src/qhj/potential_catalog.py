@@ -1,15 +1,19 @@
 """Catalog of solvable potentials and their quantum-momentum-function data.
 
-Every entry describes one potential family in units ħ = 1, 2m = 1 and carries
-the full algebraic data the solver needs:
+Every entry describes one potential family in units ħ = 1, 2m = 1.  The map
+t = f(x) makes the Riccati equation χ² + χ' + G(t) = 0 rational, with
+G = (E − Ṽ(t))/u + [−u''/(4u) + 3u'²/(16u²)], Ṽ(t) = V(x(t)), u = (dt/dx)²
+a polynomial in t (u_poly) and primes d/dt.
 
-* the physical potential V(x) and the change of variable t = f(x) that makes
-  the logarithmic-derivative Riccati equation rational in t,
-* u(t) = F(t)² with F = df/dx expressed in t (a polynomial),
-* the fixed poles of G(t) with their strengths g2,
-* the large-argument expansion coefficients (G0, G1, G2) of G,
-* the polynomials Πclear²·G = A(t) + E·B(t) (Πclear = product of pole
-  monomials), which drive the polynomial-identity construction,
+A family states G once, exactly (g_declaration): the roots of Πclear, the
+product of its pole monomials, and A(t), B(t) with Πclear²·G = A + E·B, in
+Fraction or ExactComplex coefficients.  PotentialModel derives from it, once
+per model, each pole's strength g2 = (A + E·B)/Πclear'² there (fixed_poles),
+G0, G1, G2 of G at infinity (infinity_expansion), each a constant or affine
+in E, the float arrays of A and B (pi2_g_polys) and G itself (g_value).
+Besides G a family declares:
+
+* the physical potential V(x), the map t(x) and u(t),
 * the residue sets with their admissibility verdicts (quantization turns
   them into closed-form levels, or hands them to the pencil), where a level
   tower stops (normalizable), the classical-polynomial twin of the node
@@ -22,11 +26,6 @@ the full algebraic data the solver needs:
   builds ψ = Π_j f_j^e_j · e^(a0·t) · P(t) for every family,
 * which oracle solves the family, on which domain, and how `verify` scores it.
 
-The transformed Riccati equation is χ² + χ' + G(t) = 0 with
-G = (E − Ṽ(t))/u + [−u''/(4u) + 3u'²/(16u²)], where Ṽ(t) = V(x(t)) and
-primes are d/dt.  Everything here is either exact rational data or plain
-polynomial coefficient arrays; no provenance strings, just math.
-
 A new family is one PotentialModel subclass here plus its parameter
 declarations (param_decls) and its entry in the class tuple behind
 MODEL_CLASSES; no other module knows the family ids.
@@ -34,17 +33,21 @@ MODEL_CLASSES; no other module knows the family ids.
 
 from __future__ import annotations
 
+import cmath
 import inspect
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
+from types import SimpleNamespace
 from typing import Callable, Dict, Tuple
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import ParameterError, SingularPointError, UnknownModelError
-from .exactmath import ExactComplex, real_or_complex, to_complex
+from .exactmath import (ExactComplex, as_exact, exact_sqrt, expansion_at_infinity,
+                        poly_add, poly_at, poly_der, poly_mul, real_or_complex,
+                        to_complex)
 from .qmf_residues import (FixedPole, InfinityExpansion, finite_pole_residues,
                            infinity_residues)
 from .quantization import ResidueAssignment, level_verdict
@@ -140,6 +143,12 @@ _ELLIPTIC_M = Param("m", "rational", "(0, 1)", "elliptic parameter")
 _SHIFT = Param("shift", "rational", "[-50, 50]", "additive constant", default=None)
 
 
+def _in_energy(at0, slope):
+    """The coefficient at0 + E·slope: a constant when E-free, else a callable of E."""
+    at0, slope = as_exact(at0), as_exact(slope)
+    return at0 if slope == 0 else (lambda E: at0 + E * slope)
+
+
 # ---------------------------------------------------------------------------
 # model base
 # ---------------------------------------------------------------------------
@@ -207,30 +216,63 @@ class PotentialModel:
         """Ends, wall strengths, map scale and contour for the collocation oracle."""
         raise NotImplementedError
 
-    # -- pole/expansion data --------------------------------------------------
-    def fixed_poles(self) -> Tuple[FixedPole, ...]:
+    # -- G, declared once -----------------------------------------------------
+    def g_declaration(self):
+        """(poles, A, B) with G = (A(t) + E·B(t))/Πclear(t)²: the family's one statement of G.
+
+        poles lists Πclear's roots in label order, each as (label, t0), or as
+        ((label+, label−), q) for the pair ±√q of an even Πclear²·G.  A and B
+        are ascending Fraction or ExactComplex coefficients.
+        """
         raise NotImplementedError
 
+    @cached_property
+    def _g(self):
+        """Pole strengths, expansion at infinity and float arrays of g_declaration."""
+        poles, a, b = self.g_declaration()
+        clear = [Fraction(1)]
+        for labels, root in poles:
+            clear = poly_mul(clear, (-root, 0, 1) if isinstance(labels, tuple) else (-root, 1))
+        slope2 = poly_mul(poly_der(clear), poly_der(clear))       # Πclear'²
+        fixed = []
+        for labels, root in poles:
+            if isinstance(labels, tuple):   # even polynomials: read them in t² = q
+                at, t0 = (lambda p: poly_at(p[::2], root)), exact_sqrt(root)
+                t0 = real_or_complex(cmath.sqrt(to_complex(root))) if t0 is None else t0
+                located = zip(labels, (t0, -t0))
+            else:
+                at, located = (lambda p: poly_at(p, root)), ((labels, root),)
+            g2 = _in_energy(at(a) / at(slope2), at(b) / at(slope2))
+            fixed += [FixedPole(location=t0, g2=g2, label=label) for label, t0 in located]
+        square = poly_mul(clear, clear)
+        expansion = InfinityExpansion(*map(_in_energy, expansion_at_infinity(a, square),
+                                           expansion_at_infinity(b, square)))
+        pi, a, b = (np.array([real_or_complex(c) for c in p]) for p in (clear, a, b))
+        for arr in (pi, a, b):
+            arr.flags.writeable = False
+        return SimpleNamespace(poles=tuple(fixed), expansion=expansion, pi=pi, a=a, b=b)
+
+    def fixed_poles(self) -> Tuple[FixedPole, ...]:
+        """Πclear's roots, each with its strength g2: lim (t − t0)²·G."""
+        return self._g.poles
+
     def infinity_expansion(self) -> InfinityExpansion:
-        raise NotImplementedError
+        """(G0, G1, G2) of G = G0 + G1/t + G2/t² + O(1/t³) at |t| → ∞."""
+        return self._g.expansion
+
+    def pi2_g_polys(self):
+        """(A, B) as read-only float arrays, ascending: Πclear²·G = A(t) + E·B(t)."""
+        return self._g.a, self._g.b
+
+    def g_value(self, t, energy):
+        """G(t) at scalar or array t: the one evaluator of the declared G."""
+        g, t = self._g, np.asarray(t, dtype=complex)
+        num = poly_eval(g.a, t) + to_complex(energy) * poly_eval(g.b, t)
+        return num / poly_eval(g.pi, t) ** 2
 
     def u_poly(self):
         """Ascending coefficients of u(t) = F²."""
         raise NotImplementedError
-
-    def pi2_g_polys(self):
-        """(A, B): ascending coefficient arrays with Πclear²·G = A(t) + E·B(t)."""
-        raise NotImplementedError
-
-    # -- derived helpers ------------------------------------------------------
-    def g_value(self, t, energy):
-        """G(t) evaluated from the stored polynomials (for diagnostics)."""
-        a, b = self.pi2_g_polys()
-        pi = P.polyfromroots([to_complex(p.location) for p in self.fixed_poles()])
-        t = np.asarray(t, dtype=complex)
-        num = poly_eval(a, t) + to_complex(energy) * poly_eval(b, t)
-        den = poly_eval(pi, t) ** 2
-        return num / den
 
     # -- residue sets and levels -----------------------------------------------
     def assignments(self):
@@ -336,23 +378,12 @@ class HydrogenModel(PotentialModel):
         return OracleDomain((0.0, math.inf), walls=(self.l * (self.l + 1), 0.0),
                             scale=2.0 * (self.l + 1) * (self.l + 5) / float(self.e2))
 
-    def fixed_poles(self):
-        return (FixedPole(location=0.0, g2=Fraction(-self.l * (self.l + 1)), label="t=0"),)
-
-    def infinity_expansion(self):
-        kappa2 = self.kappa2
-        return InfinityExpansion(G0=lambda E: E - kappa2,
-                                 G1=self.e2,
-                                 G2=Fraction(-self.l * (self.l + 1)))
+    def g_declaration(self):
+        # t²·G = −l(l+1) + e2·t + (E − κ²)·t²
+        return (("t=0", 0),), (-self.l * (self.l + 1), self.e2, -self.kappa2), (0, 0, 1)
 
     def u_poly(self):
         return np.array([1.0])
-
-    def pi2_g_polys(self):
-        lf = float(self.l)
-        a = np.array([-lf * (lf + 1), float(self.e2), -float(self.kappa2)])
-        b = np.array([0.0, 0.0, 1.0])
-        return a, b
 
     def assignments(self):
         return [ResidueAssignment(set_label=label, pole_residues={"t=0": b1},
@@ -384,6 +415,9 @@ class HydrogenModel(PotentialModel):
 # two-wall Jacobi wells: the trigonometric and the complex Scarf potential
 # ---------------------------------------------------------------------------
 
+_UNIT_POLES = (("t=+1", 1), ("t=-1", -1))
+
+
 class TwoWallJacobiModel(PotentialModel):
     """Shared algebra of the Scarf wells, parametrized by strengths A and B.
 
@@ -394,18 +428,12 @@ class TwoWallJacobiModel(PotentialModel):
     ψ = (1−t)^e₊ (1+t)^e₋ P(t) with e = b − 1/4.  Prefactor order:
     (1 − t, 1 + t).
 
-    Subclasses give the wall strength _g2(X) and the set filter
+    Subclasses declare G with the poles _UNIT_POLES and give the set filter
     _admissible(set).
     """
 
     spectrum_kind = "es_spectrum"
     reject_reason = None           # verdict of an inadmissible set
-
-    def fixed_poles(self):
-        return (
-            FixedPole(location=1.0, g2=self._g2(self.A + self.B), label="t=+1"),
-            FixedPole(location=-1.0, g2=self._g2(self.A - self.B), label="t=-1"),
-        )
 
     def assignments(self):
         plus, minus = (finite_pole_residues(p) for p in self.fixed_poles())
@@ -475,9 +503,6 @@ class ScarfOneModel(TwoWallJacobiModel):
         return OracleDomain((-w, w), walls=tuple(float(X * (X - self.alpha) / self.alpha ** 2)
                                                  for X in (self.A - self.B, self.A + self.B)))
 
-    def _g2(self, X):
-        return Fraction(3, 16) - X * (X - self.alpha) / (4 * self.alpha**2)
-
     def bc_class(self, assignment, parity):   # principal: the pole's first residue
         return channel_tag([assignment.pole_residues[p.label] == finite_pole_residues(p).values[0]
                             for p in reversed(self.fixed_poles())])
@@ -485,25 +510,16 @@ class ScarfOneModel(TwoWallJacobiModel):
     def _admissible(self, a):
         return all(to_complex(e).real > 0 for e in self.prefactor_exponents(a.pole_residues))
 
-    def infinity_expansion(self):
-        A, al = self.A, self.alpha
-        return InfinityExpansion(G0=Fraction(0), G1=Fraction(0),
-                                 G2=lambda E: Fraction(1, 4) - (E + A * A) / (al * al))
+    def g_declaration(self):
+        # Ṽ = (n0 + n1·t)/(1 − t²) − A²; Πclear²·G = ((E + A²)(1 − t²) − n0 − n1·t)/α² + 1/2 + t²/4
+        A, al2 = self.A, self.alpha ** 2
+        n0, n1 = A * A + self.B ** 2 - A * self.alpha, self.B * (2 * A - self.alpha)
+        return (_UNIT_POLES, ((A * A - n0) / al2 + Fraction(1, 2), -n1 / al2,
+                              Fraction(1, 4) - A * A / al2), (1 / al2, 0, -1 / al2))
 
     def u_poly(self):
         al2 = float(self.alpha) ** 2
         return np.array([al2, 0.0, -al2])
-
-    def pi2_g_polys(self):
-        A, B, al = self.A, self.B, self.alpha
-        al2 = float(al * al)
-        n0 = float(A * A + B * B - A * al)
-        n1 = float(B * (2 * A - al))
-        a = np.array([0.5 + (float(A * A) - n0) / al2,
-                      -n1 / al2,
-                      0.25 - float(A * A) / al2])
-        b = np.array([1.0 / al2, 0.0, -1.0 / al2])
-        return a, b
 
 
 class ComplexScarfModel(TwoWallJacobiModel):
@@ -542,9 +558,6 @@ class ComplexScarfModel(TwoWallJacobiModel):
         # V(−x) = conj V(x): the flip x ↦ −x conjugates the operator
         return OracleDomain((-math.inf, math.inf), scale=4.0, mirror="pt")
 
-    def _g2(self, X):
-        return Fraction(3, 16) - X / 4
-
     def normalizable(self, level):
         # 1/2 − λ1 is the decay margin at infinity: strict square-integrability cut
         return to_complex(Fraction(1, 2) - level.lambda1).real > 0
@@ -552,17 +565,12 @@ class ComplexScarfModel(TwoWallJacobiModel):
     def _admissible(self, a):
         return self.normalizable(replace(a, lambda1=sum(a.pole_residues.values()), n=0))
 
-    def infinity_expansion(self):
-        return InfinityExpansion(G0=Fraction(0), G1=Fraction(0),
-                                 G2=lambda E: E + Fraction(1, 4))
+    def g_declaration(self):
+        # Ṽ = (A + B·t)/(t² − 1):  Πclear²·G = E(t² − 1) − A − B·t + 1/2 + t²/4
+        return (_UNIT_POLES, (Fraction(1, 2) - self.A, -self.B, Fraction(1, 4)), (-1, 0, 1))
 
     def u_poly(self):
         return np.array([-1.0, 0.0, 1.0])
-
-    def pi2_g_polys(self):
-        a = np.array([complex(0.5 - float(self.A)), complex(-float(self.B)), complex(0.25)])
-        b = np.array([-1.0 + 0j, 0j, 1.0 + 0j])
-        return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -621,26 +629,13 @@ class ScarfPeriodicModel(PotentialModel):
         c = float(self.s * self.s - Fraction(1, 4))
         return OracleDomain((0.0, math.pi), walls=(c, c))
 
-    def fixed_poles(self):
-        def g2(E):
-            return (1 - E) / 4
-        return (
-            FixedPole(location=1j, g2=g2, label="t=+i"),
-            FixedPole(location=-1j, g2=g2, label="t=-i"),
-        )
-
-    def infinity_expansion(self):
-        return InfinityExpansion(G0=Fraction(0), G1=Fraction(0),
-                                 G2=Fraction(1, 4) - self.s * self.s)
+    def g_declaration(self):
+        # Ṽ = (s² − 1/4)(1 + t²), u = Πclear² = (1 + t²)²:  Πclear²·G = E − Ṽ − 1
+        c = Fraction(1, 4) - self.s * self.s
+        return ((("t=+i", "t=-i"), -1),), (c - 1, 0, c), (1, 0, 0)
 
     def u_poly(self):
         return np.array([1.0, 0.0, 2.0, 0.0, 1.0])
-
-    def pi2_g_polys(self):
-        c = float(Fraction(1, 4) - self.s * self.s)
-        a = np.array([-1.0 + c, 0.0, c])
-        b = np.array([1.0, 0.0, 0.0])
-        return a, b
 
     def assignments(self):
         roots = infinity_residues(self.infinity_expansion()).values     # 1/2 ± s
@@ -687,14 +682,6 @@ class ScarfPeriodicModel(PotentialModel):
 # ---------------------------------------------------------------------------
 # elliptic families (single and associated)
 # ---------------------------------------------------------------------------
-
-def _elliptic_clear_polys(m):
-    """Πclear = (t²−1)(t²−1/m) and u = m·Πclear for the sn-mapped families."""
-    mf = float(m)
-    pi = np.array([1.0 / mf, 0.0, -(1.0 + 1.0 / mf), 0.0, 1.0])
-    u = mf * pi
-    return pi, u
-
 
 class AssociatedLameModel(PotentialModel):
     """Elliptic sn²/cn²-dn² family on one period (0, 2K(m)).
@@ -745,36 +732,20 @@ class AssociatedLameModel(PotentialModel):
         return (0.0, 2.0 * elliptic_K(float(self.m)))
 
     # -- algebraic data -----------------------------------------------------
-    def fixed_poles(self):
-        g2d = Fraction(3, 16) - self.b * (self.b + 1) / 4
-        inv_sqrt_m = 1.0 / math.sqrt(float(self.m))
-        return (
-            FixedPole(location=1.0, g2=Fraction(3, 16), label="t=+1"),
-            FixedPole(location=-1.0, g2=Fraction(3, 16), label="t=-1"),
-            FixedPole(location=inv_sqrt_m, g2=g2d, label="t=+1/sqrt(m)"),
-            FixedPole(location=-inv_sqrt_m, g2=g2d, label="t=-1/sqrt(m)"),
-        )
-
-    def infinity_expansion(self):
-        return InfinityExpansion(G0=Fraction(0), G1=Fraction(0),
-                                 G2=-self.a * (self.a + 1))
+    def g_declaration(self):
+        # Π = Πclear = (t² − 1)(t² − w), w = 1/m, u = m·Π:
+        # Π²·G = (E − shift − a(a+1)m·t²)·w·Π − b(b+1)(1 − t²)²·w − Π''·Π/4 + 3Π'²/16
+        a, b, w = self.a, self.b, 1 / self.m
+        pi = (w, 0, -1 - w, 0, 1)
+        d = poly_der(pi)
+        A = poly_add(poly_mul((-self.shift * w, 0, -a * (a + 1)), pi),
+                     [-b * (b + 1) * w * c for c in (1, 0, -2, 0, 1)],
+                     [-c / 4 for c in poly_mul(poly_der(d), pi)],
+                     [3 * c / 16 for c in poly_mul(d, d)])
+        return ((("t=+1", "t=-1"), 1), (("t=+1/sqrt(m)", "t=-1/sqrt(m)"), w)), A, [w * c for c in pi]
 
     def u_poly(self):
-        return _elliptic_clear_polys(self.m)[1]
-
-    def pi2_g_polys(self):
-        pi, _u = _elliptic_clear_polys(self.m)
-        mf = float(self.m)
-        af, bf = float(self.a), float(self.b)
-        # (E − shift − a(a+1)m t²)·Π/m  − b(b+1)(1−t²)²/m  + [−Π''Π/4 + 3Π'²/16]
-        const_part = P.polymul(np.array([-float(self.shift), 0.0, -af * (af + 1) * mf]), pi) / mf
-        bterm = -bf * (bf + 1) / mf * P.polymul(np.array([1.0, 0.0, -1.0]),
-                                                np.array([1.0, 0.0, -1.0]))
-        d2 = P.polyder(pi, 2)
-        fpart = P.polyadd(-P.polymul(d2, pi) / 4.0, 3.0 * P.polymul(P.polyder(pi), P.polyder(pi)) / 16.0)
-        a_poly = P.polyadd(P.polyadd(const_part, bterm), fpart)
-        b_poly = pi / mf
-        return a_poly, b_poly
+        return np.array([1.0, 0.0, -float(1 + self.m), 0.0, float(self.m)])
 
     def assignments(self):
         b1s = {+1: Fraction(3, 4), -1: Fraction(1, 4)}
@@ -969,31 +940,16 @@ class KhareMandalModel(PotentialModel):
         # V is even and the contour odd: the flip σ ↦ −σ commutes with the operator
         return OracleDomain((-4.5, 4.5), contour=contour, mirror="parity")
 
-    def fixed_poles(self):
-        return (
-            FixedPole(location=1.0, g2=Fraction(3, 16), label="t=+1"),
-            FixedPole(location=-1.0, g2=Fraction(3, 16), label="t=-1"),
-        )
-
-    def infinity_expansion(self):
-        z, M = self.zeta, self.M
-        return InfinityExpansion(
-            G0=z * z / 4,
-            G1=ExactComplex(Fraction(0), -Fraction(M) * z / 2),
-            G2=lambda E: (E - M * M + z * z + 1) / 4,
-        )
+    def g_declaration(self):
+        # Π = Πclear = t² − 1, u = 4·Π:  Π²·G = (E + (ζt − iM)²)·Π/4 + (t² + 2)/4
+        v = (ExactComplex(0, -self.M), self.zeta)         # ζt − iM
+        pi = (-1, 0, 1)
+        A = poly_add([c / 4 for c in poly_mul(poly_mul(v, v), pi)],
+                     (Fraction(1, 2), 0, Fraction(1, 4)))
+        return _UNIT_POLES, A, [Fraction(c, 4) for c in pi]
 
     def u_poly(self):
         return np.array([-4.0, 0.0, 4.0])
-
-    def pi2_g_polys(self):
-        zf, M = float(self.zeta), self.M
-        pi = np.array([-1.0, 0.0, 1.0])
-        # (E + (ζt − iM)²)·Π/4 + (t² + 2)/4
-        vsq = np.array([complex(-M * M), complex(0, -2 * M * zf), complex(zf * zf)])
-        a_poly = P.polyadd(P.polymul(vsq, pi) / 4.0, np.array([0.5, 0.0, 0.25], dtype=complex))
-        b_poly = pi.astype(complex) / 4.0
-        return a_poly, b_poly
 
     def assignments(self):
         branch = infinity_residues(self.infinity_expansion())

@@ -1,9 +1,11 @@
 """Potential catalog invariants.
 
 Every model stores (a) a map x → t, (b) the squared derivative u = (dt/dx)²
-as a polynomial in t, and (c) the cleared polynomial pair behind the
-transformed coefficient function G.  These tests recompute everything from
-the raw potential callable and finite differences, with no residue code.
+as a polynomial in t, and (c) its one exact declaration of the transformed
+coefficient function G, from which the pole strengths and the expansion at
+infinity are derived.  These tests recompute G from the raw potential
+callable and finite differences, with no residue code, and compare the
+derived strengths and expansion with the hand-written formulas they replace.
 """
 
 import ast
@@ -19,10 +21,13 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 from qhj.errors import ParameterError, SingularPointError, UnknownModelError
-from qhj.exactmath import to_complex
+from qhj.exactmath import ExactComplex, to_complex
 from qhj.polynomial_system import solve_spectrum
 from qhj.potential_catalog import (MODEL_CLASSES, MODEL_IDS, PARAM_DENOMINATOR,
-                                   PARAM_SCHEMAS, PotentialModel,
+                                   PARAM_SCHEMAS, AssociatedLameModel,
+                                   ComplexScarfModel, HydrogenModel,
+                                   KhareMandalModel, PotentialModel,
+                                   ScarfOneModel, ScarfPeriodicModel,
                                    evaluate_potential, get_model)
 
 ALL_CASES = [
@@ -91,6 +96,8 @@ class TestStoredPolynomialsMatchPotential:
 
 
 class TestInfinityExpansionSampling:
+    """The derived (G0, G1, G2) against G sampled far out."""
+
     @pytest.mark.parametrize("mid,params", [
         ("hydrogen", dict(e2=2, l=1)),
         ("khare_mandal", dict(zeta=Fraction(1, 4), M=3)),
@@ -149,6 +156,8 @@ def test_the_energy_sits_in_one_affine_coefficient(mid):
 
 
 class TestFinitePoleStrengthSampling:
+    """Each derived g2 against a ring average of (t − t0)²·G."""
+
     @pytest.mark.parametrize("mid,params", [
         ("hydrogen", dict(e2=2, l=1)),
         ("scarf1", dict(A=2, B=Fraction(1, 2), alpha=1)),
@@ -169,6 +178,87 @@ class TestFinitePoleStrengthSampling:
             avg = np.mean((ring - t0) ** 2 * model.g_value(ring, energy))
             g2 = to_complex(pole.strength(energy))
             assert abs(avg - g2) <= 1e-5 * (1.0 + abs(g2))
+
+
+# The pole strengths and expansions each family wrote by hand before it
+# declared G once: (model, E) → ({label: g2}, (G0, G1, G2)) at energy E.
+def _hydrogen_g(model, E):
+    centrifugal = Fraction(-model.l * (model.l + 1))
+    kappa2 = model.e2 * model.e2 / (4 * (model.l + 1) ** 2)
+    return {"t=0": centrifugal}, (E - kappa2, model.e2, centrifugal)
+
+
+def _scarf1_g(model, E):
+    A, B, al = model.A, model.B, model.alpha
+    g2 = {label: Fraction(3, 16) - X * (X - al) / (4 * al**2)
+          for label, X in (("t=+1", A + B), ("t=-1", A - B))}
+    return g2, (Fraction(0), Fraction(0), Fraction(1, 4) - (E + A * A) / (al * al))
+
+
+def _complex_scarf_g(model, E):
+    g2 = {label: Fraction(3, 16) - X / 4
+          for label, X in (("t=+1", model.A + model.B), ("t=-1", model.A - model.B))}
+    return g2, (Fraction(0), Fraction(0), E + Fraction(1, 4))
+
+
+def _scarf_periodic_g(model, E):
+    return ({"t=+i": (1 - E) / 4, "t=-i": (1 - E) / 4},
+            (Fraction(0), Fraction(0), Fraction(1, 4) - model.s * model.s))
+
+
+def _elliptic_g(model, E):
+    g2d = Fraction(3, 16) - model.b * (model.b + 1) / 4
+    return ({"t=+1": Fraction(3, 16), "t=-1": Fraction(3, 16),
+             "t=+1/sqrt(m)": g2d, "t=-1/sqrt(m)": g2d},
+            (Fraction(0), Fraction(0), -model.a * (model.a + 1)))
+
+
+def _khare_mandal_g(model, E):
+    z, M = model.zeta, model.M
+    return ({"t=+1": Fraction(3, 16), "t=-1": Fraction(3, 16)},
+            (z * z / 4, ExactComplex(Fraction(0), -Fraction(M) * z / 2),
+             (E - M * M + z * z + 1) / 4))
+
+
+REFERENCE_G = ((HydrogenModel, _hydrogen_g), (ScarfOneModel, _scarf1_g),
+               (ComplexScarfModel, _complex_scarf_g), (ScarfPeriodicModel, _scarf_periodic_g),
+               (AssociatedLameModel, _elliptic_g), (KhareMandalModel, _khare_mandal_g))
+REFERENCE_ENERGIES = (Fraction(0), Fraction(1), Fraction(-7, 3))
+
+
+def _same(derived, reference):
+    return type(derived) is type(reference) and derived == reference
+
+
+@pytest.mark.parametrize("mid", MODEL_IDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_derived_strengths_and_expansion_equal_the_reference(mid, data):
+    # exact equality, types included: a real value is a Fraction, and an
+    # E-free coefficient is a constant, not a callable
+    model = get_model(mid, **data.draw(schema_points(mid)))
+    reference = next(f for cls, f in REFERENCE_G if isinstance(model, cls))
+    rows = [reference(model, E) for E in REFERENCE_ENERGIES]
+    poles = model.fixed_poles()
+    assert [p.label for p in poles] == list(rows[0][0])
+    derived = [(p.g2, [g2[p.label] for g2, _ in rows]) for p in poles]
+    expansion = model.infinity_expansion()
+    derived += [(c, [ex[k] for _, ex in rows])
+                for k, c in enumerate((expansion.G0, expansion.G1, expansion.G2))]
+    for coeff, want in derived:
+        assert callable(coeff) == (len(set(want)) > 1)
+        got = [coeff(E) for E in REFERENCE_ENERGIES] if callable(coeff) else [coeff] * 3
+        assert all(_same(g, w) for g, w in zip(got, want)), (got, want)
+
+
+@pytest.mark.parametrize("mid", MODEL_IDS)
+def test_each_family_declares_g_once_and_exactly(mid):
+    cls = MODEL_CLASSES[mid]
+    derived = ("fixed_poles", "infinity_expansion", "pi2_g_polys", "g_value")
+    assert [name for k in cls.__mro__ if k is not PotentialModel
+            for name in derived if name in vars(k)] == []
+    _poles, a, b = get_model(mid, **BASE_POINTS[mid]).g_declaration()
+    assert all(isinstance(c, (int, Fraction, ExactComplex)) for c in (*a, *b))
 
 
 class TestParameterValidation:

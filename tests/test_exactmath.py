@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhj.exactmath import (ExactComplex, as_exact, exact_sqrt, sort_key,
+from qhj.exactmath import (ExactComplex, as_exact, exact_sqrt, expansion_at_infinity,
+                           poly_add, poly_at, poly_der, poly_mul, sort_key,
                            sqrt_fraction, to_complex, to_float)
 
 rationals = st.fractions(min_value=-100, max_value=100)
@@ -84,3 +85,29 @@ class TestSortKey:
         assert to_complex(ordered[1]) == complex(1.5, 0)
         assert to_complex(ordered[2]) == complex(1.5, -1)
         assert to_complex(ordered[3]) == complex(0.5, 0)
+
+
+polys = st.lists(rationals, min_size=1, max_size=5)
+
+
+class TestExactPolynomials:
+    @settings(max_examples=100, deadline=None)
+    @given(p=polys, q=polys, t=rationals)
+    def test_sum_product_and_derivative_at_a_point(self, p, q, t):
+        assert poly_at(poly_add(p, q), t) == poly_at(p, t) + poly_at(q, t)
+        assert poly_at(poly_mul(p, q), t) == poly_at(p, t) * poly_at(q, t)
+        # d/dt (t − a)·p = p + (t − a)·p'
+        assert poly_der(poly_mul((-t, 1), p)) == poly_add(p, poly_mul((-t, 1), poly_der(p)))
+
+    def test_complex_coefficients_stay_exact(self):
+        i = ExactComplex(0, 1)
+        assert poly_mul((i, 1), (-i, 1)) == [1, 0, 1]         # (t + i)(t − i)
+        assert poly_at((1, 0, 1), i) == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=rationals, b=rationals, c=rationals)
+    def test_expansion_at_infinity(self, a, b, c):
+        # (b + c·t)/(t − a) = c + (b + ac)/t + a(b + ac)/t² + …
+        assert expansion_at_infinity([b, c], [-a, 1]) == [c, b + a * c, a * (b + a * c)]
+        # a lower-degree numerator starts the series later: 1/(t² − a) = 1/t² + …
+        assert expansion_at_infinity([1], [-a, 0, 1]) == [0, 0, 1]

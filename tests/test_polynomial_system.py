@@ -195,6 +195,18 @@ class TestSpectra:
         assert all(s.degeneracy == 2 for s in top)
         assert all(s.degeneracy == 1 for s in result.solutions[:-2])
 
+    def test_degenerate_pairs_share_one_energy_in_set_order(self):
+        # three pencil pairs of sets 2 (n 5) and 4 (n 6) agree to float noise
+        # only; each pair prints one energy, set 2 first
+        model = get_model("assoc_lame_qes", a=Fraction(5, 2), b=Fraction(7, 2),
+                          m=Fraction(30, 31))
+        pairs = [s for s in solve_spectrum(model).solutions if s.degeneracy == 2]
+        assert [(s.assignment.set_label, s.assignment.n) for s in pairs] == [(2, 5), (4, 6)] * 3
+        assert [float(np.real(s.energy)) for s in pairs[::2]] == pytest.approx(
+            [17.5179230045, 21.1635376083, 25.7862813227], abs=1e-9)
+        assert all(first.energy == second.energy
+                   for first, second in zip(pairs[::2], pairs[1::2]))
+
     def test_km_m3_level_set(self):
         z = 0.25
         result = solve_spectrum(
