@@ -78,6 +78,7 @@ def _rows(result):
             "energy_im": float(e.imag),
             "energy_exact": str(sol.energy) if isinstance(sol.energy, Fraction) else None,
             "degeneracy": int(sol.degeneracy),
+            "multiplicity": int(sol.multiplicity),
             "bc_class": sol.bc_class,
             "residues": {label: real_or_complex(v)
                          for label, v in a.pole_residues.items()},

@@ -76,7 +76,9 @@ class PencilSystem:
 
 @dataclass
 class BandEdgeSolution:
-    """One solved level: energy, node polynomial, recipe, multiplicity."""
+    """One solved level: energy, node polynomial, recipe, degeneracy (distinct
+    eigenfunctions at the energy) and the algebraic multiplicity of its
+    pencil eigenvalue (1 for a closed-form level)."""
 
     energy: object
     polynomial: PolynomialOnT
@@ -84,6 +86,7 @@ class BandEdgeSolution:
     recipe: WavefunctionRecipe
     degeneracy: int = 1
     bc_class: Optional[str] = None
+    multiplicity: int = 1
 
 
 # ---------------------------------------------------------------------------
@@ -327,30 +330,30 @@ def _solution_samples(model, recipe):
     return vals / np.linalg.norm(vals)
 
 
-def _solution(model, assignment, coeffs):
+def _solution(model, assignment, coeffs, multiplicity):
     """A solved level with its node polynomial, recipe and oracle channel."""
     parity = _poly_parity(coeffs)
     poly = PolynomialOnT(tuple(coeffs.tolist()), parity)
     return BandEdgeSolution(
         energy=assignment.energy, polynomial=poly, assignment=assignment,
         recipe=model.recipe(assignment, poly.coeffs),
-        bc_class=model.bc_class(assignment, parity))
+        bc_class=model.bc_class(assignment, parity), multiplicity=multiplicity)
 
 
 def solve_spectrum(model, levels=4):
     """Quantize, solve every admissible set, deduplicate, attach recipes."""
     outcome = quantize(model, levels=levels)
     if model.uses_pencil:
-        kernels = [(replace(a, energy=energy), coeffs)
+        kernels = [(replace(a, energy=energy), coeffs, mult)
                    for a in outcome.admissible_sets()
-                   for energy, coeffs, _mult in solve_pencil(build_pencil(model, a))]
+                   for energy, coeffs, mult in solve_pencil(build_pencil(model, a))]
     else:
         kernels = []
         for a in outcome.levels:
             sq, basis = build_fixed_system(model, a)
             vec = _kernel_vectors(sq)[0]     # one node polynomial per closed-form level
-            kernels.append((a, _normalize_leading(_expand_basis(vec, basis))))
-    solutions = _deduplicate(model, [_solution(model, a, coeffs) for a, coeffs in kernels])
+            kernels.append((a, _normalize_leading(_expand_basis(vec, basis)), 1))
+    solutions = _deduplicate(model, [_solution(model, *kernel) for kernel in kernels])
     solutions.sort(key=lambda s: (to_complex(s.energy).real,
                                   to_complex(s.energy).imag,
                                   s.assignment.set_label,

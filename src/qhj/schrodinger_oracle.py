@@ -267,13 +267,14 @@ def _eig(mat, mirror, vectors=True):
     return np.concatenate([w for w, _ in out]), lambda cols: lift(vecs[:, cols], cols)
 
 
-def _collocate(model, domain, rho, n, pick, compare=True):
+def _collocate(model, domain, rho, n, order, k=None, compare=True):
     """Levels of one wall-exponent channel from the solves at N = n and 2N.
 
-    N doubles until the eigenvalues pick(vals) chooses at 2N all count (their
-    estimate |E(2N) − E(N)| + 4·eps·‖H‖₁ is ≤ 1e-4·(1 + |E|)) and their
-    sup-normalized vectors change by ≤ 1e-2, or until 2N = 256.  Returns xs
-    and (E, ψ, estimate, vector change) for each chosen level that counts.
+    N doubles until the first k of the eigenvalues order(vals) lists at 2N
+    all count (their estimate |E(2N) − E(N)| + 4·eps·‖H‖₁ is
+    ≤ 1e-4·(1 + |E|)) and their sup-normalized vectors change by ≤ 1e-2, or
+    until 2N = 256, where the first k that count are kept (all, for k None).
+    Returns xs and (E, ψ, estimate, vector change) for each kept level.
     Without compare the solves at N give eigenvalues only and the vector
     change reads 0."""
     coarse, rough = _eig(_operator(model, domain, rho, n), domain.mirror, compare)
@@ -283,10 +284,10 @@ def _collocate(model, domain, rho, n, pick, compare=True):
         near = np.argmin(np.abs(np.subtract.outer(vals, coarse)), axis=1)
         # the N/2N change plus the rounding floor of Hill's estimate, 4·eps·‖H‖₁
         est = np.abs(vals - coarse[near]) + 4.0 * np.finfo(float).eps * np.linalg.norm(mat, 1)
-        sel = pick(vals)
-        counts = est[sel] <= _CONVERGED * (1.0 + np.abs(vals[sel]))
-        if counts.all() or 2 * n >= _MAX_NODES:
-            sel = sel[counts]
+        ranked = order(vals)
+        counts = est[ranked] <= _CONVERGED * (1.0 + np.abs(vals[ranked]))
+        if counts[:k].all() or 2 * n >= _MAX_NODES:
+            sel = ranked[counts][:k]
             xs, psi = _sample(domain, rho, vector(sel))
             change = np.zeros(len(sel))
             if compare:
@@ -306,10 +307,12 @@ def channel_tag(principal):
 
 
 def _channels(model, k, tol):
-    """OracleSpectrum of the lowest k counted levels of each channel, one per
-    combination of roots: each wall takes the principal root, and the secondary
-    one if distinct and positive (−1/4 < c < 0; Everitt, 2005).  Node counts skip
-    samples below the level's N/2N vector change and 1e-6 of its maximum."""
+    """OracleSpectrum of the lowest k counted levels of each channel (only
+    those k must converge for N to stop doubling), one channel per
+    combination of roots: each wall takes the principal root, and the
+    secondary one if distinct and positive (−1/4 < c < 0; Everitt, 2005).
+    Node counts skip samples below the level's N/2N vector change and 1e-6
+    of its maximum."""
     domain = model.oracle_domain()
     roots = [[(True, 0.5 + r)] + ([(False, 0.5 - r)] if 0 < r < 0.5 else [])
              for r in np.sqrt(0.25 + np.array(domain.walls))]
@@ -317,7 +320,7 @@ def _channels(model, k, tol):
     for channel in itertools.product(*roots):
         principal, rho = zip(*channel)
         xs, levels = _collocate(model, domain, np.array(rho), _FIRST_NODES,
-                                lambda vals: np.argsort(vals.real)[:k])
+                                lambda vals: np.argsort(vals.real), k)
         items += [(e.real, channel_tag(principal), psi, est, ch) for e, psi, est, ch in levels]
     if not items:
         raise GridTooCoarseError("no level converged by N = %d" % (_MAX_NODES // 2))
@@ -427,8 +430,11 @@ def solve_band_edges(model, k=6, tol=None, emax=None):
 def solve_oracle(model, k=4, emax=None):
     """Dispatch to the solver the model declares (model.oracle).
 
-    emax reaches only the band-edge solver, which then keeps every edge up
-    to it: the algebraic edges can be a sparse subset of all edges.
+    k counts levels per channel: the lowest k of each collocation channel,
+    or at least k band edges (and model.min_band_edges); solve_pt ignores
+    it.  verify() passes the most residue levels of any one channel.  emax
+    reaches only the band-edge solver, which then keeps every edge up to
+    it: the algebraic edges can be a sparse subset of all edges.
     """
     if model.oracle == "pt":
         return solve_pt(model)

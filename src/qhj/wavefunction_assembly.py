@@ -11,6 +11,7 @@ verify() runs both routes for one model and scores every solved level.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -199,6 +200,9 @@ def _oracle_candidates(solution, oracle):
 def verify(model, levels=4, tol=None):
     """Solve a model by residues and on the grid, and score each level.
 
+    The oracle is asked for k levels per channel, k the most residue levels
+    that share one bc_class (an untagged family is one channel), so each
+    collocation channel solves only the lowest levels that are paired.
     Each solved energy is paired with the nearest oracle level of the same
     channel and passes when the gap is within tol (default model.verify_tol)
     and its eigenfunction matches the oracle vector (overlap and node count).
@@ -209,7 +213,8 @@ def verify(model, levels=4, tol=None):
         raise ParameterError("tolerance must be positive and finite, got %r" % (tol,))
     result = solve_spectrum(model, levels=levels)
     tops = [to_complex(s.energy).real for s in result.solutions]
-    oracle = solve_oracle(model, k=len(result.solutions) + 2,
+    per_channel = Counter(s.bc_class for s in result.solutions).values()
+    oracle = solve_oracle(model, k=max(per_channel, default=2),
                           emax=(max(tops) if tops else 0.0) + 0.5)
     checks = []
     for sol in result.solutions:

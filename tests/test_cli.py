@@ -13,6 +13,8 @@ from qhj.cli import (EXIT_NO_ASSIGNMENT, EXIT_OK, EXIT_USAGE,
 from qhj.polynomial_system import DefectivePencilWarning, solve_spectrum
 from qhj.potential_catalog import MODEL_IDS, PARAM_SCHEMAS, get_model
 
+from test_acceptance import ALL_CONFIGS
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -106,6 +108,25 @@ class TestSolve:
         assert code == EXIT_OK
         rows = json.loads(out)["levels"]
         assert rows[1]["energy_exact"] == "3/4"  # l=0 spectrum, not l=1
+
+    def test_json_rows_carry_the_algebraic_multiplicity(self, capsys):
+        # at the exceptional point the pencil eigenvalue 6.75 is double but
+        # has one eigenfunction: multiplicity 2, degeneracy 1
+        code, out, _ = run_cli(capsys, "solve", "khare_mandal", "--param", "zeta=1/2",
+                               "--param", "M=3", "--format", "json")
+        assert code == EXIT_OK
+        assert [(r["energy_re"], r["degeneracy"], r["multiplicity"])
+                for r in json.loads(out)["levels"]] == [(4.75, 1, 1), (6.75, 1, 2)]
+
+    @pytest.mark.parametrize("mid,params", ALL_CONFIGS)
+    def test_simple_levels_have_multiplicity_one(self, capsys, mid, params):
+        argv = ["solve", mid, "--format", "json"]
+        for name, value in params.items():
+            argv += ["--param", "%s=%s" % (name, value)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        rows = json.loads(out)["levels"]
+        assert rows and all(r["multiplicity"] == 1 for r in rows)
 
     def test_complex_energies_serialize_as_re_im_pairs(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "complex_scarf", "--param",
@@ -208,8 +229,9 @@ class TestVerify:
 
 class TestFixedOraclePoints:
     """Points whose earlier oracles failed `qhj verify` (the finite-difference
-    ones, or one wall channel where a wall admits both roots); the
-    collocation oracle verifies them at the default tolerance."""
+    ones, one wall channel where a wall admits both roots, or levels beyond
+    the paired ones that the grid could not resolve); the collocation oracle
+    verifies them at the default tolerance."""
 
     @pytest.mark.parametrize("mid,params,levels", [
         ("hydrogen", ("e2=2", "l=3"), "6"),
@@ -221,6 +243,8 @@ class TestFixedOraclePoints:
         ("scarf1", ("A=1/2", "B=0", "alpha=1"), "4"),
         ("scarf1", ("A=3/4", "B=0", "alpha=1"), "4"),
         ("scarf1", ("A=2", "B=1/2", "alpha=2"), "4"),
+        ("hydrogen", ("e2=1187/77", "l=18"), "4"),
+        ("scarf1", ("A=3/4", "B=0", "alpha=1"), "30"),
     ])
     def test_verifies(self, capsys, mid, params, levels):
         argv = ["verify", mid, "--levels", levels]

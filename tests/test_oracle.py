@@ -22,7 +22,8 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qhj import get_model, potential_catalog, qes_family, schrodinger_oracle, special_functions
+from qhj import (get_model, potential_catalog, qes_family, schrodinger_oracle, special_functions,
+                 wavefunction_assembly)
 from qhj.errors import GridTooCoarseError
 from qhj.schrodinger_oracle import (OracleDomain, OracleSpectrum, channel_tag, count_nodes,
                                     solve_band_edges, solve_bound,
@@ -276,6 +277,17 @@ class TestWeightedChannels:
         spec = solve_bound(get_model("scarf1", A=Fraction(1, 2), B=0, alpha=1), k=4)
         assert spec.eigenvalues == pytest.approx([0.0, 2.0, 6.0, 12.0], abs=1e-8)
         assert set(spec.bc_tags) == {"exponent_plus"}
+
+    def test_a_channel_keeps_its_lowest_k_counted_levels(self):
+        # behind the secondary root ρ = 0.0097 two of the four lowest
+        # eigenvalues never count by N = 256; the next counted levels, the
+        # residue route's n = 2 and 3, take their place
+        model = get_model("scarf1", A=Fraction(110, 7), B=Fraction(341, 15),
+                          alpha=Fraction(893, 23))
+        spec = solve_bound(model, k=4)
+        got = [e for e, t in zip(spec.eigenvalues, spec.bc_tags) if t == "exponent_plus_minus"]
+        assert got == pytest.approx([287.2165812, 3589.363219, 9906.439914, 19238.44666],
+                                    abs=1e-3)
 
 
 class _AliasedWell:
@@ -771,6 +783,34 @@ class TestNoWastedWork:
         top = max(len(mat) for mat, _ in calls)
         assert [kwargs.get("right", True) for mat, kwargs in calls] == \
             [len(mat) == top for mat, _ in calls]
+
+    def test_verify_solves_hydrogen_no_finer_than_it_scores(self, monkeypatch):
+        # only the four paired levels must converge, and they do by 2N = 64
+        orders = []
+        real_eig = schrodinger_oracle.eig
+
+        def spy(mat, **kwargs):
+            orders.append(len(mat))
+            return real_eig(mat, **kwargs)
+
+        monkeypatch.setattr(schrodinger_oracle, "eig", spy)
+        assert verify(get_model("hydrogen", e2=2, l=0)).passed
+        assert orders and max(orders) <= 64
+
+    def test_verify_asks_each_channel_for_its_own_levels(self, monkeypatch):
+        # four sets, one per wall channel: each channel is asked for 4
+        # levels, not for the 16 of all channels
+        ks = []
+        real = wavefunction_assembly.solve_oracle
+
+        def spy(model, k=4, **kwargs):
+            ks.append(k)
+            return real(model, k=k, **kwargs)
+
+        monkeypatch.setattr(wavefunction_assembly, "solve_oracle", spy)
+        result = verify(get_model("scarf1", A=Fraction(3, 4), B=0, alpha=1))
+        assert result.passed and len(result.checks) == 16
+        assert ks == [4]
 
     @pytest.mark.parametrize("mid,params", [
         ("hydrogen", {"e2": 2, "l": 0}),
