@@ -3,12 +3,18 @@
 Residue branches and level indices obey exact algebraic identities (root sums,
 sum rules).  Where the inputs are rational these identities are checked and
 propagated in exact arithmetic: real rationals as fractions.Fraction, complex
-rationals as ExactComplex (a pair of Fractions).  Anything inexact falls back
-to ordinary floats/complex; helpers here normalize between the two worlds.
+rationals as ExactComplex (a pair of Fractions).  ExactComplex falls back to
+Python complex for inexact operands, and Fraction mixes with complex, so one
+formula serves both worlds under one rule, kept here:
+
+* sqrt: a square root is exact when it is rational, a complex float otherwise;
+* settle: a result is settled once: a real exact value becomes a Fraction,
+  and an inexact one drops an imaginary part below 1e-14 of its real part.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,26 +121,15 @@ class ExactComplex:
 
     def sqrt(self):
         """Exact principal square root, or None when irrational."""
-        if self.im == 0:
-            if self.re >= 0:
-                r = sqrt_fraction(self.re)
-                return None if r is None else ExactComplex(r, Fraction(0))
-            r = sqrt_fraction(-self.re)
-            return None if r is None else ExactComplex(Fraction(0), r)
-        # general case: need |z| to be rational, then half-angle algebra
-        mod2 = self.re * self.re + self.im * self.im
-        mod = sqrt_fraction(mod2)
+        # |z| must be rational; then half-angle algebra gives both parts
+        mod = sqrt_fraction(self.re * self.re + self.im * self.im)
         if mod is None:
             return None
-        u2 = (mod + self.re) / 2
-        v2 = (mod - self.re) / 2
-        u = sqrt_fraction(u2)
-        v = sqrt_fraction(v2)
+        u = sqrt_fraction((mod + self.re) / 2)
+        v = sqrt_fraction((mod - self.re) / 2)
         if u is None or v is None:
             return None
-        if self.im < 0:
-            v = -v
-        return ExactComplex(u, v)
+        return ExactComplex(u, -v if self.im < 0 else v)
 
     def __repr__(self):
         return "ExactComplex(%s, %s)" % (self.re, self.im)
@@ -190,12 +185,25 @@ def exact_sqrt(value):
     e = as_exact(value)
     if e is None:
         return None
-    if isinstance(e, Fraction):
-        if e >= 0:
-            return sqrt_fraction(e)
-        r = sqrt_fraction(-e)
-        return None if r is None else ExactComplex(Fraction(0), r)
-    return e.sqrt()
+    root = (e if isinstance(e, ExactComplex) else ExactComplex(e, 0)).sqrt()
+    return None if root is None else settle(root)
+
+
+def sqrt(value):
+    """Principal square root: exact when it is rational, else a complex float."""
+    root = exact_sqrt(value)
+    return cmath.sqrt(to_complex(value)) if root is None else root
+
+
+def settle(value):
+    """A result, settled once: a real exact value becomes a Fraction, and an
+    inexact value drops an imaginary part below 1e-14 of its real part."""
+    e = as_exact(value)
+    if e is not None:
+        return e
+    if isinstance(value, complex) and abs(value.imag) < 1e-14 * max(1.0, abs(value.real)):
+        return value.real
+    return value
 
 
 # -- exact polynomials: ascending coefficient lists of Fraction/ExactComplex --

@@ -16,9 +16,11 @@ division Π²R / Π is exact and asserted).  Reading off monomial coefficients y
 linear conditions on the coefficients of P.  For models whose pole data is
 energy-free the identity is linear in E: rows split as M0 + E·M1, the square
 block on the basis degrees is a generalized eigenvalue pencil, and the
-overflow rows vanish identically.  Models whose pole data depends on E get
-their energy from the closed-form quantization first; the square block is
-then evaluated at that energy and its kernel is the node polynomial.
+overflow rows vanish identically.  Closed-form models get their energy from
+the quantization first; the square block is then evaluated at that energy.
+It is upper triangular (Π·P'' and NS·P' do not raise the degree, and the sum
+rule cancels NR's top coefficient) and its last row vanishes, so the node
+polynomial is p_n = 1 plus one solve of the leading block for p_0 … p_(n−1).
 """
 
 from __future__ import annotations
@@ -194,15 +196,9 @@ def build_fixed_system(model, assignment, energy=None):
 
 
 def _kernel_vectors(mat, rtol=1e-7):
-    """Orthonormal kernel basis of a square matrix via SVD."""
-    u, s, vh = np.linalg.svd(mat)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        return [vh[i].conj() for i in range(vh.shape[0])]
-    kernel = [vh[i].conj() for i in range(len(s)) if s[i] <= rtol * smax]
-    if not kernel:
-        kernel = [vh[-1].conj()]
-    return kernel
+    """Orthonormal kernel basis of a square pencil matrix via SVD."""
+    _u, s, vh = np.linalg.svd(mat)
+    return [vh[i].conj() for i in range(len(s)) if s[i] <= rtol * s[0]] or [vh[-1].conj()]
 
 
 def _normalize_leading(coeffs):
@@ -350,9 +346,11 @@ def solve_spectrum(model, levels=4):
     else:
         kernels = []
         for a in outcome.levels:
+            # the block is upper triangular and its last row vanishes at the
+            # quantized energy: p_n = 1, and the leading block gives the rest
             sq, basis = build_fixed_system(model, a)
-            vec = _kernel_vectors(sq)[0]     # one node polynomial per closed-form level
-            kernels.append((a, _normalize_leading(_expand_basis(vec, basis)), 1))
+            lower = np.linalg.solve(sq[:-1, :-1], -sq[:-1, -1])
+            kernels.append((a, _expand_basis(np.append(lower, 1), basis), 1))
     solutions = _deduplicate(model, [_solution(model, *kernel) for kernel in kernels])
     solutions.sort(key=lambda s: (to_complex(s.energy).real,
                                   to_complex(s.energy).imag,

@@ -33,7 +33,6 @@ MODEL_CLASSES; no other module knows the family ids.
 
 from __future__ import annotations
 
-import cmath
 import inspect
 import math
 from dataclasses import dataclass, field, replace
@@ -45,9 +44,8 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from .errors import ParameterError, SingularPointError, UnknownModelError
-from .exactmath import (ExactComplex, as_exact, exact_sqrt, expansion_at_infinity,
-                        poly_add, poly_at, poly_der, poly_mul, real_or_complex,
-                        to_complex)
+from .exactmath import (ExactComplex, as_exact, expansion_at_infinity, poly_add, poly_at,
+                        poly_der, poly_mul, real_or_complex, settle, sqrt, to_complex)
 from .qmf_residues import (FixedPole, InfinityExpansion, finite_pole_residues,
                            infinity_residues)
 from .quantization import ResidueAssignment, level_verdict
@@ -237,8 +235,7 @@ class PotentialModel:
         fixed = []
         for labels, root in poles:
             if isinstance(labels, tuple):   # even polynomials: read them in t² = q
-                at, t0 = (lambda p: poly_at(p[::2], root)), exact_sqrt(root)
-                t0 = real_or_complex(cmath.sqrt(to_complex(root))) if t0 is None else t0
+                at, t0 = (lambda p: poly_at(p[::2], root)), settle(sqrt(root))
                 located = zip(labels, (t0, -t0))
             else:
                 at, located = (lambda p: poly_at(p, root)), ((labels, root),)

@@ -8,20 +8,21 @@ b² − b + g2 = 0.  At infinity, χ ~ a0 + λ1/y with a0² = −G0 and
 Moving poles (zeros of ψ) all carry residue exactly 1 in χ
 (equivalently −iħ in the momentum convention p = −iħχ).
 
-Wherever the inputs are rational the branch pairs are produced in exact
-arithmetic, with the second branch computed as (1 − first) so the root sum
-is exactly 1 by construction.
+Each pair is computed once, on exactmath's rule: a square root is exact when
+it is rational and a complex float otherwise, and each result is settled
+once.  So a pair is exact when its discriminant is a rational square, and the
+second branch is computed as (1 − first), so the root sum is exactly 1 by
+construction.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Tuple, Union
 
 from .errors import EnergyRequiredError, UnsupportedExpansionError
-from .exactmath import ExactComplex, as_exact, exact_sqrt, sort_key, to_complex
+from .exactmath import ExactComplex, settle, sort_key, sqrt
 
 Scalar = Union[int, float, complex, Fraction, ExactComplex]
 Coefficient = Union[Scalar, Callable[[Scalar], Scalar]]
@@ -86,37 +87,10 @@ def _eval_coefficient(coeff, energy, what):
     return coeff
 
 
-def _is_zero(value):
-    e = as_exact(value)
-    if e is not None:
-        return e == 0
-    return to_complex(value) == 0
-
-
 def _quadratic_branch_pair(q):
-    """Ordered roots (r, 1−r) of  b² − b + q = 0, exact when q is rational."""
-    e = as_exact(q)
-    if e is not None:
-        disc = 1 - 4 * e
-        root = exact_sqrt(disc)
-        if root is not None:
-            first = (1 + root) / 2
-            if isinstance(first, ExactComplex) and first.is_real:
-                first = first.as_fraction()
-            second = 1 - first
-            pair = [first, second]
-            pair.sort(key=sort_key)
-            return tuple(pair)
-        q = to_complex(e)
-    disc = 1 - 4 * to_complex(q)
-    root = cmath.sqrt(disc)
-    first = (1 + root) / 2
-    second = 1 - first
-    if abs(first.imag) < 1e-14 * max(1.0, abs(first.real)):
-        first, second = first.real, second.real
-    pair = [first, second]
-    pair.sort(key=sort_key)
-    return tuple(pair)
+    """Ordered roots (r, 1−r) of  b² − b + q = 0, exact when 1 − 4q is a rational square."""
+    first = settle((1 + sqrt(1 - 4 * q)) / 2)
+    return tuple(sorted((first, 1 - first), key=sort_key))
 
 
 def finite_pole_residues(pole, energy=None):
@@ -136,36 +110,17 @@ def infinity_residues(expansion, energy=None):
     """
     g0 = _eval_coefficient(expansion.G0, energy, "G0")
     g1 = _eval_coefficient(expansion.G1, energy, "G1")
-    if _is_zero(g0):
-        if not _is_zero(g1):
+    if g0 == 0:
+        if g1 != 0:
             raise UnsupportedExpansionError(
                 "expansion with G0 = 0 but G1 != 0 is outside the supported form")
         values = _quadratic_branch_pair(_eval_coefficient(expansion.G2, energy, "G2"))
         zero = Fraction(0)
         return ResidueBranch(values=values, origin=ORIGIN_INFINITY_A0_ZERO,
                              a0_values=(zero, zero))
-
-    # a0² = −G0 branch pair, exact when possible
-    pairs = []
-    e0 = as_exact(g0)
-    e1 = as_exact(g1)
-    a0_exact = exact_sqrt(-e0) if e0 is not None else None
-    if a0_exact is not None and e1 is not None:
-        for a0 in (a0_exact, -a0_exact):
-            lam = -e1 / (2 * a0) if isinstance(a0, ExactComplex) else Fraction(-e1, 1) / (2 * a0)
-            if isinstance(lam, ExactComplex) and lam.is_real:
-                lam = lam.as_fraction()
-            if isinstance(a0, ExactComplex) and a0.is_real:
-                a0 = a0.as_fraction()
-            pairs.append((lam, a0))
-    else:
-        root = cmath.sqrt(-to_complex(g0))
-        for a0 in (root, -root):
-            lam = -to_complex(g1) / (2 * a0)
-            if abs(lam.imag) < 1e-14 * max(1.0, abs(lam.real)):
-                lam = lam.real
-            pairs.append((lam, a0))
-    pairs.sort(key=lambda p: sort_key(p[0]) + sort_key(p[1]))
+    root = sqrt(-g0)
+    pairs = sorted(((settle(-g1 / (2 * a0)), settle(a0)) for a0 in (root, -root)),
+                   key=lambda p: sort_key(p[0]) + sort_key(p[1]))
     return ResidueBranch(values=(pairs[0][0], pairs[1][0]),
                          origin=ORIGIN_INFINITY_A0_NONZERO,
                          a0_values=(pairs[0][1], pairs[1][1]))

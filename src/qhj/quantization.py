@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import NoAdmissibleAssignmentError
-from .exactmath import ExactComplex
+from .exactmath import settle
 
 
 @dataclass(frozen=True)
@@ -139,9 +139,8 @@ def closed_form_levels(model, sets, count):
                 energy = (-a0 * a0 - g0) / d0
             else:
                 energy = (lam - lam * lam - g2) / d2
-            if isinstance(energy, ExactComplex) and energy.is_real:
-                energy = energy.as_fraction()
-            level = replace(a, pole_residues=residues, lambda1=lam, a0=a0, n=n, energy=energy)
+            level = replace(a, pole_residues=residues, lambda1=lam, a0=a0, n=n,
+                            energy=settle(energy))
             if not model.normalizable(level):
                 break
             rows.append(level)

@@ -139,16 +139,8 @@ def count_nodes(values, rel_floor=1e-10, tag=None):
     return int(np.count_nonzero(positive[1:] != positive[:-1]))
 
 
-def _spectrum(xs, items, tol, node_counts=None):
-    """OracleSpectrum of (energy, tag, vector, error estimate) items.
-
-    Raises GridTooCoarseError when an error estimate exceeds tol.
-    """
-    worst = max(item[3] for item in items)
-    if tol is not None and worst > tol:
-        raise GridTooCoarseError(
-            "error estimate %.3e exceeds tolerance %.3e; refine the "
-            "discretization" % (worst, tol))
+def _spectrum(xs, items, node_counts=None):
+    """OracleSpectrum of (energy, tag, vector, error estimate) items."""
     return OracleSpectrum(
         eigenvalues=tuple(item[0] for item in items),
         eigenvectors=np.column_stack([item[2] for item in items]),
@@ -306,7 +298,7 @@ def channel_tag(principal):
     return "exponent_" + ("_".join(roots) if len(set(roots)) > 1 else roots[0])
 
 
-def _channels(model, k, tol):
+def _channels(model, k):
     """OracleSpectrum of the lowest k counted levels of each channel (only
     those k must converge for N to stop doubling), one channel per
     combination of roots: each wall takes the principal root, and the
@@ -325,19 +317,19 @@ def _channels(model, k, tol):
     if not items:
         raise GridTooCoarseError("no level converged by N = %d" % (_MAX_NODES // 2))
     items.sort(key=lambda item: item[0])
-    return _spectrum(xs, [item[:4] for item in items], tol, tuple(
+    return _spectrum(xs, [item[:4] for item in items], tuple(
         count_nodes(psi, rel_floor=max(change, _NODE_FLOOR)) for *_, psi, _, change in items))
 
 
-def solve_bound(model, k, tol=None):
+def solve_bound(model, k):
     """Lowest k levels of each wall-exponent channel of a bound problem.  Raises
-    GridTooCoarseError when none converges or an estimate exceeds tol."""
-    return _channels(model, k, tol)
+    GridTooCoarseError when none converges."""
+    return _channels(model, k)
 
 
-def solve_inverse_square_cell(model, k=4, tol=None):
+def solve_inverse_square_cell(model, k=4):
     """Lowest k levels of each wall-exponent channel of an inverse-square cell."""
-    return _channels(model, k, tol)
+    return _channels(model, k)
 
 
 def solve_pt(model):
@@ -353,7 +345,7 @@ def solve_pt(model):
         raise GridTooCoarseError("no eigenvalue agrees between N = 128 and 256")
     levels.sort(key=lambda level: (level[0].real, level[0].imag))
     tag = channel_tag([True] * len(domain.walls))
-    return _spectrum(xs, [(complex(e), tag, psi, est) for e, psi, est, _ in levels], None)
+    return _spectrum(xs, [(complex(e), tag, psi, est) for e, psi, est, _ in levels])
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +367,7 @@ def _hill(vhat, theta, modes, length):
         + np.diag((2.0 * np.pi / length * (np.concatenate([n, n[s:]]) + theta)) ** 2)
 
 
-def solve_band_edges(model, k=6, tol=None, emax=None):
+def solve_band_edges(model, k=6, emax=None):
     """Lowest band edges of a smooth periodic potential over one cell, by Hill.
 
     Keeps the lowest ``keep`` eigenpairs per operator (keep = k + 2, or at
@@ -424,7 +416,7 @@ def solve_band_edges(model, k=6, tol=None, emax=None):
             break
         modes, coarse = 2 * modes, [f[0] for f in fine]
     merged = [(e, tag, synthesize(*vec), est) for e, tag, vec, est in merged]
-    return _spectrum(xs, merged, tol, tuple(count_nodes(v, tag=tag) for _, tag, v, _ in merged))
+    return _spectrum(xs, merged, tuple(count_nodes(v, tag=tag) for _, tag, v, _ in merged))
 
 
 def solve_oracle(model, k=4, emax=None):

@@ -506,6 +506,56 @@ def test_knob_guard_sees_each_form():
     assert _runtime_knobs(ast.parse(code)) == [1, 2, 3, 4, 5, 6]
 
 
+def _exactness_choices(tree):
+    """Lines that pick exact or float arithmetic themselves: import cmath, call
+    .as_fraction() or test isinstance(…, ExactComplex)."""
+    hits = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bad = any(a.name == "cmath" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            bad = node.module == "cmath"
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            bad = node.func.attr == "as_fraction"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance" and len(node.args) == 2):
+            bad = any(getattr(n, "id", getattr(n, "attr", None)) == "ExactComplex"
+                      for n in ast.walk(node.args[1]))
+        else:
+            bad = False
+        if bad:
+            hits.add(node.lineno)
+    return sorted(hits)
+
+
+def test_only_exactmath_chooses_between_exact_and_float():
+    # the rule "a root is exact when rational, a result is settled once"
+    # lives in exactmath.sqrt and exactmath.settle; a module that branches on
+    # number types itself starts a second copy of it
+    package = Path(__file__).resolve().parents[1] / "src" / "qhj"
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name == "exactmath.py":
+            continue
+        hits = _exactness_choices(ast.parse(path.read_text(encoding="utf-8")))
+        if hits:
+            found[path.name] = hits
+    assert found == {}
+
+
+def test_exactness_guard_sees_each_form():
+    code = ("import cmath\n"
+            "from cmath import sqrt\n"
+            "x = z.as_fraction()\n"
+            "if isinstance(z, ExactComplex): pass\n"
+            "ok = isinstance(z, (Fraction, exactmath.ExactComplex))\n"
+            "import math, os\n"
+            "y = isinstance(z, Fraction)\n"
+            "f = z.as_fraction\n"
+            "w = ExactComplex(1, 2)\n")
+    assert _exactness_choices(ast.parse(code)) == [1, 2, 3, 4, 5]
+
+
 def test_id_guard_sees_each_branch_form():
     code = ("if model.id == 'lame': pass\n"
             "if model.id in ('a', 'b'): pass\n"

@@ -265,6 +265,19 @@ class TestFixedOraclePoints:
         assert out.splitlines()[-1] == "verification PASSED for khare_mandal"
 
 
+class TestResidueSideFixes:
+    """Points whose residue route failed `qhj verify`: a hydrogen node
+    polynomial at small e2 has coefficients far below its leading one, and
+    a cut at 1e-9 of the largest truncated it (`P2` for n = 3, nodes 0/3);
+    the triangular solve with p_n = 1 keeps every coefficient."""
+
+    def test_small_coulomb_strength_at_high_l_verifies(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "hydrogen", "--param", "e2=1/97",
+                                 "--param", "l=5")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[-1] == "verification PASSED for hydrogen"
+
+
 def _write(tmp_path, text):
     path = tmp_path / "run.json"
     path.write_text(text)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhj.exactmath import (ExactComplex, as_exact, exact_sqrt, expansion_at_infinity,
-                           poly_add, poly_at, poly_der, poly_mul, sort_key,
+                           poly_add, poly_at, poly_der, poly_mul, settle, sort_key, sqrt,
                            sqrt_fraction, to_complex, to_float)
 
 rationals = st.fractions(min_value=-100, max_value=100)
@@ -75,6 +75,24 @@ class TestConversions:
         assert exact_sqrt(Fraction(16, 25)) == Fraction(4, 5)
         assert exact_sqrt(Fraction(-4)) == ExactComplex(Fraction(0), Fraction(2))
         assert exact_sqrt(Fraction(3)) is None
+
+
+class TestOneRule:
+    def test_sqrt_is_exact_when_rational_else_complex_float(self):
+        assert sqrt(Fraction(9, 4)) == Fraction(3, 2)
+        assert sqrt(-4) == ExactComplex(0, 2)
+        assert sqrt(ExactComplex(3, 4)) == ExactComplex(2, 1)
+        for value in (Fraction(2), 2.25, ExactComplex(1, 1)):
+            assert type(sqrt(value)) is complex
+        assert sqrt(Fraction(2)) == pytest.approx(2 ** 0.5)
+
+    def test_settle(self):
+        assert type(settle(ExactComplex(Fraction(1, 3), 0))) is Fraction
+        assert type(settle(3)) is Fraction
+        assert settle(ExactComplex(1, 2)) == ExactComplex(1, 2)
+        assert settle(complex(2.0, 1e-15)) == 2.0 and type(settle(complex(2.0, 1e-15))) is float
+        assert type(settle(complex(2.0, 1e-13))) is complex
+        assert type(settle(0.5)) is float
 
 
 class TestSortKey:

@@ -140,8 +140,13 @@ class TestFixedSystem:
         s_wrong = np.linalg.svd(sq_bad, compute_uv=False)
         assert s_wrong[-1] > 1e-3 * s_wrong[0]
 
-    def test_kernel_vector_reproduces_the_node_polynomial_degree(self):
-        model = get_model("scarf1", A=2, B=HALF, alpha=1)
+    @pytest.mark.parametrize("mid,params", [
+        ("scarf1", dict(A=2, B=HALF, alpha=1)),
+        # slope e2/(2(n+l+1)) puts the low coefficients 1e-9 below p_n
+        ("hydrogen", dict(e2=Fraction(1, 1000), l=5)),
+    ])
+    def test_kernel_vector_reproduces_the_node_polynomial_degree(self, mid, params):
+        model = get_model(mid, **params)
         result = solve_spectrum(model, levels=3)
         for n, sol in enumerate(result.solutions):
             coeffs = np.asarray(sol.polynomial.coeffs)

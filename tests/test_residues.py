@@ -6,6 +6,7 @@ of an ODE solution — computed before the library value is compared.
 """
 
 import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -103,6 +104,29 @@ class TestFinitePoleResidues:
             z = to_complex(b)
             assert abs(z * z - z + 0.25j) < 1e-12
 
+    def test_rational_complex_root_gives_an_exact_complex_pair(self):
+        # 1 − 4·g2 = 3 + 4i = (2 + i)²
+        g2 = ExactComplex(Fraction(-1, 2), Fraction(-1))
+        branch = finite_pole_residues(FixedPole(location=Fraction(0), g2=g2, label="t=0"))
+        assert branch.values == (ExactComplex(Fraction(3, 2), Fraction(1, 2)),
+                                 ExactComplex(Fraction(-1, 2), Fraction(-1, 2)))
+        assert all(type(b) is ExactComplex for b in branch.values)
+
+    def test_irrational_root_gives_floats(self):
+        # 1 − 4·g2 = 2: b = (1 ± √2)/2, real, so settled to float
+        pole = FixedPole(location=Fraction(0), g2=Fraction(-1, 4), label="t=0")
+        b1, b2 = finite_pole_residues(pole).values
+        assert (type(b1), type(b2)) == (float, float)
+        assert (b1, b2) == pytest.approx(((1 + math.sqrt(2)) / 2, (1 - math.sqrt(2)) / 2))
+        assert b1 + b2 == pytest.approx(1.0, abs=1e-15)
+
+    def test_float_strength_gives_floats(self):
+        pole = FixedPole(location=0.0, g2=0.1875, label="t=0")
+        assert finite_pole_residues(pole).values == (0.75, 0.25)
+        assert all(type(b) is float for b in finite_pole_residues(pole).values)
+        pole = FixedPole(location=0.0, g2=0.5, label="t=0")     # 1 − 4·g2 = −1
+        assert finite_pole_residues(pole).values == (0.5 + 0.5j, 0.5 - 0.5j)
+
     @settings(max_examples=150, deadline=None)
     @given(g2=rational_g2)
     def test_root_sum_is_exactly_one(self, g2):
@@ -154,6 +178,20 @@ class TestInfinityResidues:
         assert pairs == {(complex(M / 2), z), (complex(-M / 2), -z)}
         exact = [l for l in branch.values if isinstance(l, Fraction)]
         assert len(exact) == 2          # the exponents come out exactly rational
+
+    def test_irrational_slope_pair_is_float(self):
+        # a0² = −G0 = 2 has no rational root: a0 = ±√2 and λ1 = −G1/(2a0) = ∓1/√2
+        branch = infinity_residues(InfinityExpansion(G0=Fraction(-2), G1=Fraction(2)))
+        assert branch.origin == ORIGIN_INFINITY_A0_NONZERO
+        r = math.sqrt(2)
+        assert branch.values == pytest.approx((1 / r, -1 / r))
+        assert branch.a0_values == pytest.approx((-r, r))
+        assert all(type(v) is float for v in branch.values + branch.a0_values)
+
+    def test_float_leading_coefficient(self):
+        branch = infinity_residues(InfinityExpansion(G0=-1.0, G1=2.0))
+        assert list(zip(branch.values, branch.a0_values)) == [(1.0, -1.0), (-1.0, 1.0)]
+        assert all(type(v) is float for v in branch.values + branch.a0_values)
 
     def test_vanishing_leading_terms_give_quadratic_exponents(self):
         exp = InfinityExpansion(G0=Fraction(0), G1=Fraction(0), G2=Fraction(-6))
