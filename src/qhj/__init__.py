@@ -27,8 +27,8 @@ from .quantization import (QuantizationOutcome, ResidueAssignment,
 from .polynomial_system import (BandEdgeSolution, DefectivePencilWarning,
                                 PencilSystem, PolynomialOnT, SpectrumResult,
                                 build_fixed_system, build_pencil,
-                                closed_form_check, closed_form_deviation,
-                                solve_pencil, solve_spectrum)
+                                closed_form_deviation, solve_pencil,
+                                solve_spectrum)
 from .schrodinger_oracle import (OracleDomain, OracleSpectrum, count_nodes,
                                  solve_band_edges, solve_bound,
                                  solve_inverse_square_cell, solve_oracle,
@@ -53,9 +53,8 @@ __all__ = [
     "ResidueBranch", "SampledWavefunction", "SingularPointError",
     "SpectrumResult", "UnknownModelError", "UnsupportedExpansionError",
     "Verification", "WavefunctionRecipe", "WavefunctionReport", "as_exact", "assemble",
-    "build_fixed_system", "build_pencil", "closed_form_check",
-    "closed_form_deviation", "count_nodes", "elliptic_K",
-    "enumerate_assignments", "evaluate_potential", "exact_sqrt",
+    "build_fixed_system", "build_pencil", "closed_form_deviation",
+    "count_nodes", "elliptic_K", "enumerate_assignments", "evaluate_potential", "exact_sqrt",
     "finite_pole_residues", "get_model", "infinity_residues",
     "jacobi_elliptic", "jacobi_polynomial", "laguerre",
     "moving_pole_residue", "overlap", "parity_deviation", "qes_family",

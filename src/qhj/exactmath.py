@@ -228,6 +228,17 @@ def poly_der(p):
     return [Fraction(k) * c for k, c in enumerate(p)][1:]
 
 
+def poly_divmod(num, den):
+    """(quotient, remainder) of ascending coefficient lists; den monic."""
+    d, rem = len(den) - 1, list(num)
+    quo = [Fraction(0)] * max(len(num) - d, 1)
+    for k in range(len(num) - d - 1, -1, -1):
+        quo[k] = rem[k + d]
+        for i, c in enumerate(den):
+            rem[k + i] -= quo[k] * c
+    return quo, rem[:d]
+
+
 def poly_at(p, t):
     """Horner value of an ascending coefficient list at t."""
     return reduce(lambda acc, c: acc * t + c, reversed(p), Fraction(0))

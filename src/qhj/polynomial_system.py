@@ -9,18 +9,22 @@ equation becomes P'' + (2S/Π)·P' + R·P = 0, where Π(t) = Π_i (t−t_i) is t
         + 2·a0·Σ_i b_i/(t−t_i) + a0² + G(t).
 
 The b_i² terms and the cross terms of R make up (S/Π)², so
-Π²R = S² − Σ_i b_i·D_i² + Π²G.  Because each b_i is a root of
-b² − b + g2_i = 0 the double poles of R cancel, so clearing by Π gives the
-polynomial identity  Π·P'' + NS·P' + NR·P = 0  with NS = 2S and NR = Π·R (the
-division Π²R / Π is exact and asserted).  Reading off monomial coefficients yields
-linear conditions on the coefficients of P.  For models whose pole data is
-energy-free the identity is linear in E: rows split as M0 + E·M1, the square
-block on the basis degrees is a generalized eigenvalue pencil, and the
-overflow rows vanish identically.  Closed-form models get their energy from
-the quantization first; the square block is then evaluated at that energy.
-It is upper triangular (Π·P'' and NS·P' do not raise the degree, and the sum
-rule cancels NR's top coefficient) and its last row vanishes, so the node
-polynomial is p_n = 1 plus one solve of the leading block for p_0 … p_(n−1).
+Π²R = S² − Σ_i b_i·D_i² + Π²G, with Π²G = A + E·B as the model declares it.
+Because each b_i is a root of b² − b + g2_i = 0 the double poles of R cancel,
+so clearing by Π gives the identity  Π·P'' + NS·P' + NR·P = 0  with NS = 2S
+and NR = Π·R.  All three are built once, exactly, from the declared pole
+groups: a pair ±√q of cofactor D = Π/(t² − q) with equal residues b adds
+b·D·2t to S and b·D²·(2t² + 2q) to Σ b_i·D_i², so no surd enters, and NR is
+one exact division by the monic Π (a remainder is refused).  Monomial
+coefficients give linear conditions on P, in rows rounded once from these
+polynomials.  For models whose pole data is energy-free the identity is
+linear in E: rows split as M0 + E·M1, the square block on the basis degrees
+is a generalized eigenvalue pencil, and the overflow rows vanish identically.
+Closed-form models get their energy from the quantization first; the square
+block is then evaluated at that energy.  It is upper triangular (Π·P'' and
+NS·P' do not raise the degree, and the sum rule cancels NR's top coefficient)
+and its last row vanishes, so the node polynomial is p_n = 1 plus one solve
+of the leading block for p_0 … p_(n−1).
 """
 
 from __future__ import annotations
@@ -31,11 +35,10 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 from scipy import linalg
 
 from .errors import NonlinearEnergyError, QhjError
-from .exactmath import to_complex
+from .exactmath import poly_add, poly_divmod, poly_mul, to_complex
 from .potential_catalog import WavefunctionRecipe, poly_eval
 from .quantization import QuantizationOutcome, quantize
 
@@ -50,10 +53,9 @@ class DefectivePencilWarning(UserWarning):
 
 @dataclass(frozen=True)
 class PolynomialOnT:
-    """Node polynomial in the mapped variable: ascending coeffs + parity."""
+    """Node polynomial in the mapped variable: ascending coeffs."""
 
     coeffs: Tuple[complex, ...]
-    parity: str = "none"          # even | odd | none
 
     def __call__(self, t):
         return poly_eval(self.coeffs, t)
@@ -69,11 +71,8 @@ class PencilSystem:
     overflow: Tuple[np.ndarray, np.ndarray]
 
     def overflow_magnitude(self):
-        o0, o1 = self.overflow
-        scale = max(1.0, np.max(np.abs(self.M0)) if self.M0.size else 1.0,
-                    np.max(np.abs(self.M1)) if self.M1.size else 1.0)
-        mags = [np.max(np.abs(o)) if o.size else 0.0 for o in (o0, o1)]
-        return max(mags) / scale
+        scale = max(np.max(np.abs(m), initial=1.0) for m in (self.M0, self.M1))
+        return max(np.max(np.abs(o), initial=0.0) for o in self.overflow) / scale
 
 
 @dataclass
@@ -95,54 +94,47 @@ class BandEdgeSolution:
 # identity rows
 # ---------------------------------------------------------------------------
 
-def _exact_polydiv(num, den, what):
-    quo, rem = P.polydiv(np.asarray(num, dtype=complex), np.asarray(den, dtype=complex))
-    scale = max(1.0, float(np.max(np.abs(num))) if np.asarray(num).size else 1.0)
-    if rem.size and np.max(np.abs(rem)) > _DIV_TOL * scale:
-        raise QhjError("polynomial division for %s is not exact "
-                       "(remainder %.3e); inconsistent residue branch data"
-                       % (what, float(np.max(np.abs(rem)))))
-    return quo
+def _pole_sums(model, residues, a0):
+    """(S, Σ_i b_i·D_i²), exact, S = Σ_i b_i·D_i + a0·Π, by pole groups: a pair ±√q of cofactor
+    D carries one residue b and D_± = D·(t ± √q), so it adds b·D·2t and b·D²·(2t² + 2q)."""
+    pi, groups, _a, _b = model.g_polynomials()
+    s, sq = [a0 * c for c in pi], []
+    for labels, q, d in groups:
+        b = residues[labels[0]]
+        ds, dsq = ((0, 2 * b), (2 * b * q, 0, 2 * b)) if len(labels) == 2 else ((b,), (b,))
+        s = poly_add(s, poly_mul(d, ds))
+        sq = poly_add(sq, poly_mul(poly_mul(d, d), dsq))
+    return s, sq
 
 
-def _identity_parts(model, residues, a0):
-    """(Π, NS, Π²R without the G part) for numeric residues and slope a0.
-
-    With D_i = Π/(t−t_i) and S = Σ b_i·D_i + a0·Π: NS = 2S, Π²R = S² − Σ b_i·D_i².
-    """
-    poles = model.fixed_poles()
-    locs = [to_complex(p.location) for p in poles]
-    pi = P.polyfromroots(locs)
-    s = to_complex(a0) * pi
-    sq = np.zeros(1, dtype=complex)
-    for i, p in enumerate(poles):
-        b = to_complex(residues[p.label])
-        d = P.polyfromroots(locs[:i] + locs[i + 1:])
-        s = P.polyadd(s, b * d)
-        sq = P.polyadd(sq, b * P.polymul(d, d))
-    return pi, 2 * s, P.polysub(P.polymul(s, s), sq)
-
-
-def _identity(model, assignment, g_part, what):
-    """(basis, Π, NS, exact NR = (Π²R + g_part)/Π); what names g_part in errors."""
-    pi, ns, pi2_r = _identity_parts(model, assignment.pole_residues, assignment.a0)
-    nr = _exact_polydiv(P.polyadd(pi2_r, np.asarray(g_part, dtype=complex)), pi, what)
+def _identity(model, assignment, energy=None):
+    """(basis, Π, NS, NR), exact: NS = 2S, NR = (S² − Σ b_i·D_i² + A [+ E·B])/Π."""
+    pi, _groups, a, b = model.g_polynomials()
+    s, sq = _pole_sums(model, assignment.pole_residues, assignment.a0)
+    num = poly_add(poly_mul(s, s), [-c for c in sq], a,
+                   [] if energy is None else [energy * c for c in b])
+    nr, rem = poly_divmod(num, pi)
+    worst = max((abs(to_complex(c)) for c in rem), default=0.0)
+    if worst > _DIV_TOL * max([1.0] + [abs(to_complex(c)) for c in num]):
+        raise QhjError("polynomial division for the %s identity is not exact (remainder "
+                       "%.3e); inconsistent residue branch data" % (model.id, worst))
     n = int(assignment.n)
     basis = tuple(range(n % 2, n + 1, 2)) if model.parity_constraint else tuple(range(n + 1))
-    return basis, pi, ns, nr
+    return basis, pi, [2 * c for c in s], nr
 
 
 def _rows(basis, pi=(), ns=(), nr=()):
-    """Coefficient rows of Π·P'' + NS·P' + NR·P over the basis monomials.
+    """Coefficient rows of Π·P'' + NS·P' + NR·P over the basis monomials, in floats.
 
     Column j holds d(d−1)·Π·t^(d−2) + d·NS·t^(d−1) + NR·t^d for d = basis[j];
     returns (the square block on the basis degrees, every other row).
     """
+    pi, ns, nr = (np.array([to_complex(c) for c in p], dtype=complex) for p in (pi, ns, nr))
     mat = np.zeros((max(basis) + max(len(pi), len(ns), len(nr)), len(basis)), dtype=complex)
     for j, d in enumerate(basis):
         for coeffs, scale, low in ((pi, d * (d - 1), d - 2), (ns, d, d - 1), (nr, 1, d)):
             if scale:
-                mat[low:low + len(coeffs), j] += scale * np.asarray(coeffs)
+                mat[low:low + len(coeffs), j] += scale * coeffs
     return mat[list(basis)], np.delete(mat, basis, axis=0)
 
 
@@ -157,17 +149,15 @@ def build_pencil(model, assignment):
         raise NonlinearEnergyError(
             "assignment for %s has energy-dependent pole data; solve its "
             "closed-form energies first" % model.id)
-    a_poly, b_poly = model.pi2_g_polys()
+    pi, _groups, _a, b = model.g_polynomials()
     # E-part first: an energy-dependent set is refused as such, not as a remainder
-    pi = P.polyfromroots([to_complex(p.location) for p in model.fixed_poles()])
-    nr1, rem = P.polydiv(np.asarray(b_poly, dtype=complex), pi)
-    if rem.size and np.max(np.abs(rem)) > _DIV_TOL * max(1.0, np.max(np.abs(b_poly))):
+    nr1, rem = poly_divmod(b, pi)
+    if any(c != 0 for c in rem):
         raise NonlinearEnergyError(
             "energy enters the %s identity through the pole strengths; "
             "no linear pencil exists" % model.id)
-    basis, pi, ns, nr0 = _identity(model, assignment, a_poly,
-                                   "the energy-free identity part")
-    m0, o0 = _rows(basis, pi, ns, nr0)
+    basis, *identity = _identity(model, assignment)
+    m0, o0 = _rows(basis, *identity)
     m1, o1 = _rows(basis, nr=nr1)     # energy rows: only NR1·P contributes
     system = PencilSystem(M0=m0, M1=m1, basis=basis, overflow=(o0, o1))
     if system.overflow_magnitude() > _OVERFLOW_TOL:
@@ -182,11 +172,8 @@ def build_fixed_system(model, assignment, energy=None):
     energy = assignment.energy if energy is None else energy
     if energy is None:
         raise QhjError("fixed system needs a resolved energy")
-    a_poly, b_poly = model.pi2_g_polys()
-    g_poly = P.polyadd(np.asarray(a_poly, dtype=complex),
-                       to_complex(energy) * np.asarray(b_poly, dtype=complex))
-    basis, pi, ns, nr = _identity(model, assignment, g_poly, "the resolved identity")
-    sq, over = _rows(basis, pi, ns, nr)
+    basis, *identity = _identity(model, assignment, energy)
+    sq, over = _rows(basis, *identity)
     worst = float(np.max(np.abs(over), initial=0.0))
     if worst > 1e-7 * max(1.0, float(np.max(np.abs(sq))), worst):
         raise QhjError("identity rows above the node-polynomial degree do not "
@@ -261,19 +248,9 @@ def solve_pencil(system):
 # closed-form kernels
 # ---------------------------------------------------------------------------
 
-def closed_form_check(model, solution):
-    """Classical-polynomial family matching the kernel, or None.
-
-    Returns (family, indices, evaluator) where evaluator(t) reproduces the
-    node polynomial up to overall scale.  Elliptic-family kernels have no
-    classical closed form and return None.
-    """
-    return model.classical_polynomial(solution.assignment)
-
-
 def closed_form_deviation(model, solution, npoints=20):
     """Max deviation (relative) between kernel and classical form, or None."""
-    check = closed_form_check(model, solution)
+    check = model.classical_polynomial(solution.assignment)
     if check is None:
         return None
     _family, _indices, evaluator = check
@@ -300,20 +277,6 @@ class SpectrumResult:
     solutions: List[BandEdgeSolution]
 
 
-def _poly_parity(coeffs):
-    mags = np.abs(np.asarray(coeffs))
-    if not mags.any():
-        return "none"
-    tol = 1e-9 * mags.max()
-    even = np.any(mags[0::2] > tol)
-    odd = np.any(mags[1::2] > tol)
-    if even and not odd:
-        return "even"
-    if odd and not even:
-        return "odd"
-    return "none"
-
-
 def _solution_samples(model, recipe):
     lo, hi = model.x_window()
     margin = 0.08 * (hi - lo)
@@ -328,12 +291,11 @@ def _solution_samples(model, recipe):
 
 def _solution(model, assignment, coeffs, multiplicity):
     """A solved level with its node polynomial, recipe and oracle channel."""
-    parity = _poly_parity(coeffs)
-    poly = PolynomialOnT(tuple(coeffs.tolist()), parity)
+    poly = PolynomialOnT(tuple(coeffs.tolist()))
     return BandEdgeSolution(
         energy=assignment.energy, polynomial=poly, assignment=assignment,
         recipe=model.recipe(assignment, poly.coeffs),
-        bc_class=model.bc_class(assignment, parity), multiplicity=multiplicity)
+        bc_class=model.bc_class(assignment), multiplicity=multiplicity)
 
 
 def solve_spectrum(model, levels=4):

@@ -10,7 +10,8 @@ product of its pole monomials, and A(t), B(t) with Πclear²·G = A + E·B, in
 Fraction or ExactComplex coefficients.  PotentialModel derives from it, once
 per model, each pole's strength g2 = (A + E·B)/Πclear'² there (fixed_poles),
 G0, G1, G2 of G at infinity (infinity_expansion), each a constant or affine
-in E, the float arrays of A and B (pi2_g_polys) and G itself (g_value).
+in E, Πclear and each pole group's cofactor Πclear/factor, exactly, for the
+polynomial identity (g_polynomials), and G itself (g_value).
 Besides G a family declares:
 
 * the physical potential V(x), the map t(x) and u(t),
@@ -37,7 +38,7 @@ import inspect
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from types import SimpleNamespace
 from typing import Callable, Dict, Tuple
 
@@ -45,7 +46,7 @@ import numpy as np
 
 from .errors import ParameterError, SingularPointError, UnknownModelError
 from .exactmath import (ExactComplex, as_exact, expansion_at_infinity, poly_add, poly_at,
-                        poly_der, poly_mul, real_or_complex, settle, sqrt, to_complex)
+                        poly_der, poly_divmod, poly_mul, real_or_complex, to_complex)
 from .qmf_residues import (FixedPole, InfinityExpansion, finite_pole_residues,
                            infinity_residues)
 from .quantization import ResidueAssignment, level_verdict
@@ -226,28 +227,24 @@ class PotentialModel:
 
     @cached_property
     def _g(self):
-        """Pole strengths, expansion at infinity and float arrays of g_declaration."""
+        """Πclear with its pole groups, strengths, expansion at infinity and a float view of G."""
         poles, a, b = self.g_declaration()
-        clear = [Fraction(1)]
-        for labels, root in poles:
-            clear = poly_mul(clear, (-root, 0, 1) if isinstance(labels, tuple) else (-root, 1))
+        factors = [(-r, 0, 1) if isinstance(labels, tuple) else (-r, 1) for labels, r in poles]
+        clear = reduce(poly_mul, factors, [Fraction(1)])
         slope2 = poly_mul(poly_der(clear), poly_der(clear))       # Πclear'²
-        fixed = []
-        for labels, root in poles:
-            if isinstance(labels, tuple):   # even polynomials: read them in t² = q
-                at, t0 = (lambda p: poly_at(p[::2], root)), settle(sqrt(root))
-                located = zip(labels, (t0, -t0))
-            else:
-                at, located = (lambda p: poly_at(p, root)), ((labels, root),)
+        fixed, groups = [], []
+        for (labels, root), factor in zip(poles, factors):
+            labels = labels if isinstance(labels, tuple) else (labels,)
+            at = lambda p: poly_at(p[::len(labels)], root)    # a pair's: even, read in t² = q
             g2 = _in_energy(at(a) / at(slope2), at(b) / at(slope2))
-            fixed += [FixedPole(location=t0, g2=g2, label=label) for label, t0 in located]
+            fixed += [FixedPole(g2=g2, label=label) for label in labels]
+            groups.append((labels, root, poly_divmod(clear, factor)[0]))
         square = poly_mul(clear, clear)
         expansion = InfinityExpansion(*map(_in_energy, expansion_at_infinity(a, square),
                                            expansion_at_infinity(b, square)))
-        pi, a, b = (np.array([real_or_complex(c) for c in p]) for p in (clear, a, b))
-        for arr in (pi, a, b):
-            arr.flags.writeable = False
-        return SimpleNamespace(poles=tuple(fixed), expansion=expansion, pi=pi, a=a, b=b)
+        view = [np.array([real_or_complex(c) for c in p]) for p in (clear, a, b)]
+        return SimpleNamespace(poles=tuple(fixed), expansion=expansion, view=view,
+                               polynomials=(clear, tuple(groups), a, b))
 
     def fixed_poles(self) -> Tuple[FixedPole, ...]:
         """Πclear's roots, each with its strength g2: lim (t − t0)²·G."""
@@ -257,15 +254,14 @@ class PotentialModel:
         """(G0, G1, G2) of G = G0 + G1/t + G2/t² + O(1/t³) at |t| → ∞."""
         return self._g.expansion
 
-    def pi2_g_polys(self):
-        """(A, B) as read-only float arrays, ascending: Πclear²·G = A(t) + E·B(t)."""
-        return self._g.a, self._g.b
+    def g_polynomials(self):
+        """(Πclear, groups, A, B), exact; a group is (labels, root, Πclear/factor)."""
+        return self._g.polynomials
 
     def g_value(self, t, energy):
         """G(t) at scalar or array t: the one evaluator of the declared G."""
-        g, t = self._g, np.asarray(t, dtype=complex)
-        num = poly_eval(g.a, t) + to_complex(energy) * poly_eval(g.b, t)
-        return num / poly_eval(g.pi, t) ** 2
+        (pi, a, b), t = self._g.view, np.asarray(t, dtype=complex)
+        return (poly_eval(a, t) + to_complex(energy) * poly_eval(b, t)) / poly_eval(pi, t) ** 2
 
     def u_poly(self):
         """Ascending coefficients of u(t) = F²."""
@@ -288,7 +284,7 @@ class PotentialModel:
         """(lo, hi) of the t samples comparing a degree-n kernel with its twin."""
         return (-0.9, 0.9)
 
-    def bc_class(self, assignment, parity):
+    def bc_class(self, assignment):
         """Tag of the oracle channel that checks a level, or None for any channel."""
         return None
 
@@ -500,7 +496,7 @@ class ScarfOneModel(TwoWallJacobiModel):
         return OracleDomain((-w, w), walls=tuple(float(X * (X - self.alpha) / self.alpha ** 2)
                                                  for X in (self.A - self.B, self.A + self.B)))
 
-    def bc_class(self, assignment, parity):   # principal: the pole's first residue
+    def bc_class(self, assignment):   # principal: the pole's first residue
         return channel_tag([assignment.pole_residues[p.label] == finite_pole_residues(p).values[0]
                             for p in reversed(self.fixed_poles())])
 
@@ -660,7 +656,7 @@ class ScarfPeriodicModel(PotentialModel):
             return jacobi_polynomial(n, nu, nu, -1j * np.asarray(t, dtype=complex))
         return ("jacobi", (nu, nu), evaluator)
 
-    def bc_class(self, assignment, parity):
+    def bc_class(self, assignment):
         return None if self.bound_phase else channel_tag([assignment.lambda1 < 0.5] * 2)
 
     def prefactor_exponents(self, residues):
@@ -760,10 +756,10 @@ class AssociatedLameModel(PotentialModel):
             ))
         return out
 
-    def bc_class(self, assignment, parity):
+    def bc_class(self, assignment):
+        # the basis fixes P's parity to n's; the cn exponent is 0 or 1
         cn_exp, _dn = self.prefactor_exponents(assignment.pole_residues)
-        flips = int(2 * to_complex(cn_exp).real) // 2  # cn exponent is 0 or 1
-        flips += 1 if parity == "odd" else 0
+        flips = int(2 * to_complex(cn_exp).real) // 2 + int(assignment.n) % 2
         return "periodic" if flips % 2 == 0 else "antiperiodic"
 
     def prefactor_exponents(self, residues):

@@ -34,16 +34,15 @@ ORIGIN_INFINITY_A0_ZERO = "infinity_a0_zero"
 
 @dataclass(frozen=True)
 class FixedPole:
-    """A fixed double pole of G(y) at a parameter-determined location.
+    """A fixed double pole of G(y) at a location y0 the model declares.
 
-    g2 is the coefficient of 1/(y−location)²; it may be a plain scalar or a
+    g2 is the coefficient of 1/(y−y0)²; it may be a plain scalar or a
     callable of the energy for models whose pole strength moves with E.
     label keys the pole's residue in ResidueAssignment.pole_residues; the
     model's prefactor_exponents turns those residues into the exponents of
     its wavefunction prefactors.
     """
 
-    location: complex
     g2: Coefficient
     label: str = ""
 

@@ -9,6 +9,7 @@ derived strengths and expansion with the hand-written formulas they replace.
 """
 
 import ast
+import cmath
 import dataclasses
 import math
 from fractions import Fraction
@@ -62,6 +63,18 @@ def schema_points(mid):
             return st.integers(math.ceil(lo), math.floor(hi)).filter(p.admits)
         return st.fractions(lo, hi, max_denominator=PARAM_DENOMINATOR).filter(p.admits)
     return st.fixed_dictionaries({p.name: values(p) for p in MODEL_CLASSES[mid].param_decls})
+
+
+def _pole_locations(model):
+    """Each pole label with its location, from the roots g_declaration gives."""
+    out = {}
+    for labels, root in model.g_declaration()[0]:
+        if isinstance(labels, tuple):        # the pair ±√q
+            t0 = cmath.sqrt(to_complex(root))
+            out.update(zip(labels, (t0, -t0)))
+        else:
+            out[labels] = to_complex(root)
+    return out
 
 
 def _g_from_potential(model, x, energy):
@@ -127,7 +140,7 @@ class TestInfinityExpansionSampling:
         g0, g1, g2 = (to_complex(c)
                       for c in model.infinity_expansion().coefficients(energy))
         # well outside every pole; the mean over ±t cancels the G3/t term
-        t = 1.0e4 * max([1.0] + [abs(to_complex(p.location)) for p in model.fixed_poles()])
+        t = 1.0e4 * max([1.0] + [abs(t0) for t0 in _pole_locations(model).values()])
         remainder = sum((model.g_value(y, energy) - g0 - g1 / y) * y * y for y in (t, -t)) / 2
         assert abs(remainder - g2) <= 1e-3 * (1.0 + abs(g2))
 
@@ -173,7 +186,7 @@ class TestFinitePoleStrengthSampling:
         eps = 1e-3
         thetas = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
         for pole in model.fixed_poles():
-            t0 = to_complex(pole.location)
+            t0 = _pole_locations(model)[pole.label]
             ring = t0 + eps * np.exp(1j * thetas)
             avg = np.mean((ring - t0) ** 2 * model.g_value(ring, energy))
             g2 = to_complex(pole.strength(energy))
@@ -254,7 +267,7 @@ def test_derived_strengths_and_expansion_equal_the_reference(mid, data):
 @pytest.mark.parametrize("mid", MODEL_IDS)
 def test_each_family_declares_g_once_and_exactly(mid):
     cls = MODEL_CLASSES[mid]
-    derived = ("fixed_poles", "infinity_expansion", "pi2_g_polys", "g_value")
+    derived = ("fixed_poles", "infinity_expansion", "g_polynomials", "g_value")
     assert [name for k in cls.__mro__ if k is not PotentialModel
             for name in derived if name in vars(k)] == []
     _poles, a, b = get_model(mid, **BASE_POINTS[mid]).g_declaration()
@@ -541,6 +554,48 @@ def test_only_exactmath_chooses_between_exact_and_float():
         if hits:
             found[path.name] = hits
     assert found == {}
+
+
+def _numpy_polynomial_uses(tree):
+    """Lines that import numpy.polynomial or reach it as an attribute of numpy."""
+    hits = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bad = any(a.name.startswith("numpy.polynomial") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            bad = (node.module or "").startswith("numpy.polynomial") or (
+                node.module == "numpy" and any(a.name == "polynomial" for a in node.names))
+        elif isinstance(node, ast.Attribute):
+            bad = node.attr == "polynomial" and getattr(node.value, "id", None) in ("np", "numpy")
+        else:
+            bad = False
+        if bad:
+            hits.add(node.lineno)
+    return sorted(hits)
+
+
+def test_no_module_uses_numpy_polynomial():
+    # the identity is built once, exactly, with exactmath's polynomials; a
+    # float polynomial module in src/ is the start of a second build of Π
+    package = Path(__file__).resolve().parents[1] / "src" / "qhj"
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        hits = _numpy_polynomial_uses(ast.parse(path.read_text(encoding="utf-8")))
+        if hits:
+            found[path.name] = hits
+    assert found == {}
+
+
+def test_numpy_polynomial_guard_sees_each_form():
+    code = ("import numpy.polynomial\n"
+            "from numpy.polynomial import polynomial as P\n"
+            "from numpy import polynomial\n"
+            "import numpy.polynomial.polynomial as P\n"
+            "c = np.polynomial.polynomial.polyfromroots(r)\n"
+            "import numpy as np\n"
+            "from numpy import linalg\n"
+            "p = solution.polynomial\n")
+    assert _numpy_polynomial_uses(ast.parse(code)) == [1, 2, 3, 4, 5]
 
 
 def test_exactness_guard_sees_each_form():

@@ -339,6 +339,21 @@ def _mirror_defect(model, n):
     return np.max(np.abs(mat[::-1, ::-1] - image)) / np.max(np.abs(mat))
 
 
+def _assert_matches_the_threshold_levels(model):
+    """solve_pt at |B| = A + 1/4 against E_n = −(b + b' + n − 1/2)²: there
+    b' = 1/2 twice, b = (1 − √(2A + 1/2))/2, and level n is bound while
+    b + n < 0.  Each level is a defective pair whose mean lies within the
+    pair's estimates."""
+    spec = solve_pt(model)
+    levels, est = np.array(spec.eigenvalues), np.array(spec.error_estimates)
+    b = (1 - math.sqrt(2 * float(model.A) + 0.5)) / 2
+    for n in range(math.ceil(-b)):
+        exact = -(b + 0.5 + n - 0.5) ** 2
+        pair = np.argsort(np.abs(levels - exact))[:2]
+        assert len(pair) == 2
+        assert abs(levels[pair].mean() - exact) <= est[pair].min() + 1e-12 * (1.0 + abs(exact))
+
+
 def _assert_matches_the_full_solve(model):
     """solve_pt against full-matrix eigvals at N = 128 and 256 under the same
     counting rule: the same levels, each within both estimates."""
@@ -376,8 +391,15 @@ class TestMirrorReduction:
 
     @settings(max_examples=10, deadline=None)
     @given(params=_PT_SCARF)
+    @example(params={"A": Fraction(2), "B": Fraction(9, 4)})
     def test_pt_scarf_matches_the_full_solve(self, params):
-        _assert_matches_the_full_solve(get_model("complex_scarf", **params))
+        model = get_model("complex_scarf", **params)
+        if abs(params["B"]) == params["A"] + Fraction(1, 4):
+            # on the PT threshold each level is a defective pair, which the
+            # full-matrix reference splits √eps-wide: check the closed form
+            _assert_matches_the_threshold_levels(model)
+        else:
+            _assert_matches_the_full_solve(model)
 
     @settings(max_examples=10, deadline=None)
     @given(params=_PT_COSH)

@@ -5,10 +5,11 @@ below); the grid oracle cross-checks the same numbers independently in the
 acceptance suite.
 """
 
+import cmath
 import math
 from dataclasses import replace
 from fractions import Fraction
-from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,13 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
-from qhj import (NonlinearEnergyError, QhjError, enumerate_assignments,
-                 get_model, quantize)
-from qhj.polynomial_system import (PolynomialOnT, _identity_parts,
-                                   _kernel_vectors, _poly_parity,
+from qhj import (NoAdmissibleAssignmentError, NonlinearEnergyError, QhjError,
+                 enumerate_assignments, get_model, polynomial_system, quantize)
+from qhj.exactmath import ExactComplex, as_exact, poly_add, poly_mul, to_complex
+from qhj.polynomial_system import (PolynomialOnT, _kernel_vectors, _pole_sums,
                                    build_fixed_system, build_pencil,
-                                   closed_form_check, closed_form_deviation,
-                                   solve_pencil, solve_spectrum)
+                                   closed_form_deviation, solve_pencil,
+                                   solve_spectrum)
+from qhj.potential_catalog import MODEL_IDS, PotentialModel
+from test_acceptance import ALL_CONFIGS
+from test_catalog import schema_points
 
 HALF = Fraction(1, 2)
 
@@ -105,27 +109,101 @@ def _pairwise_identity(locs, bvals, a0):
     return pi, ns, r
 
 
-_small = st.floats(-3.0, 3.0)
-_complex = st.builds(complex, _small, _small)
+_small = st.fractions(-3, 3, max_denominator=8)
+
+
+class _Declared(PotentialModel):
+    """A model that declares only Πclear's roots, with G = 0."""
+
+    def __init__(self, poles):
+        super().__init__()
+        self.poles = poles
+
+    def g_declaration(self):
+        return self.poles, (0,), (0,)
+
+
+def _is_exact(poly):
+    return all(isinstance(c, (Fraction, ExactComplex)) for c in poly)
 
 
 class TestIdentityParts:
     @settings(max_examples=200, deadline=None)
-    @given(locs=st.lists(_complex, min_size=1, max_size=4),
-           data=st.data(),
-           a0=st.one_of(_small.map(complex), _complex))
-    def test_matches_the_pairwise_definition(self, locs, data, a0):
-        bvals = data.draw(st.lists(st.one_of(_small.map(complex), _complex),
-                                   min_size=len(locs), max_size=len(locs)))
-        model = SimpleNamespace(fixed_poles=lambda: tuple(
-            SimpleNamespace(label="p%d" % i, location=t) for i, t in enumerate(locs)))
-        residues = {"p%d" % i: b for i, b in enumerate(bvals)}
-        got = _identity_parts(model, residues, a0)
-        for mine, ref in zip(got, _pairwise_identity(locs, bvals, a0)):
-            width = max(len(mine), len(ref))
-            mine, ref = (np.pad(np.asarray(c, dtype=complex), (0, width - len(c)))
-                         for c in (mine, ref))
-            assert np.max(np.abs(mine - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+    @given(roots=st.lists(_small, min_size=1, max_size=4, unique=True), data=st.data(),
+           a0=st.one_of(_small, st.builds(ExactComplex, _small, _small)))
+    def test_group_build_matches_the_pairwise_definition(self, roots, data, a0):
+        # a root r is a single pole at r or the pair ±√r; no two locations coincide
+        paired = data.draw(st.lists(st.booleans(), min_size=len(roots), max_size=len(roots)))
+        singles = [r for r, pair in zip(roots, paired) if not pair or r == 0]
+        pairs = [q for q, pair in zip(roots, paired)
+                 if pair and q != 0 and all(t0 * t0 != q for t0 in singles)]
+        poles, locs, bvals = [], [], []
+        for i, t0 in enumerate(singles):
+            poles.append(("s%d" % i, t0))
+            locs.append(complex(t0))
+            bvals.append(data.draw(_small))
+        for i, q in enumerate(pairs):        # a pair's two labels carry one residue
+            poles.append((("q%d+" % i, "q%d-" % i), q))
+            locs += [cmath.sqrt(q), -cmath.sqrt(q)]
+            bvals += [data.draw(_small)] * 2
+        model = _Declared(tuple(poles))
+        labels = [label for group in model.g_polynomials()[1] for label in group[0]]
+        s, sq = _pole_sums(model, dict(zip(labels, bvals)), a0)
+        got = (model.g_polynomials()[0], [2 * c for c in s],
+               poly_add(poly_mul(s, s), [-c for c in sq]))
+        ref = _pairwise_identity(locs, [complex(b) for b in bvals], to_complex(a0))
+        for mine, want in zip(got, ref):
+            mine = np.array([to_complex(c) for c in mine])
+            width = max(len(mine), len(want))
+            mine, want = (np.pad(c, (0, width - len(c))) for c in (mine, want))
+            assert np.max(np.abs(mine - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        # no surd: rational poles and residues give an exact identity
+        assert all(_is_exact(poly) for poly in got)
+
+
+def _rounded_identities(model):
+    """(assignment, polynomials) per pencil set or closed-form level: every
+    identity polynomial its rows are rounded from."""
+    calls, rows = [], polynomial_system._rows
+
+    def spy(basis, *polys, **energy_part):
+        calls[-1][1].extend((*polys, *energy_part.values()))
+        return rows(basis, *polys, **energy_part)
+
+    outcome = quantize(model, levels=6)
+    with mock.patch.object(polynomial_system, "_rows", spy):
+        for a in outcome.admissible_sets() if model.uses_pencil else outcome.levels:
+            calls.append((a, []))
+            (build_pencil if model.uses_pencil else build_fixed_system)(model, a)
+    return calls
+
+
+def _assert_identities_are_exact(model):
+    # complex_scarf's residues, and so its energies, are floats where a
+    # discriminant is no rational square; every other input is exact
+    for a, polys in _rounded_identities(model):
+        inexact = [v for v in (*a.pole_residues.values(), a.energy)
+                   if v is not None and as_exact(v) is None]
+        assert not inexact or model.id == "complex_scarf"
+        assert len(polys) >= 3
+        assert all(_is_exact(poly) for poly in polys) == (not inexact)
+
+
+@pytest.mark.parametrize("mid,params", ALL_CONFIGS)
+def test_identity_polynomials_are_exact_at_catalog_points(mid, params):
+    _assert_identities_are_exact(get_model(mid, **params))
+
+
+@pytest.mark.parametrize("mid", MODEL_IDS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_identity_polynomials_are_exact_over_the_whole_schema(mid, data):
+    model = get_model(mid, **data.draw(schema_points(mid)))
+    try:
+        quantize(model)
+    except NoAdmissibleAssignmentError:
+        return
+    _assert_identities_are_exact(model)
 
 
 class TestFixedSystem:
@@ -249,7 +327,7 @@ class TestClosedFormCrossChecks:
         model = get_model(mid, **params)
         result = solve_spectrum(model, levels=3)
         sol = result.solutions[0]
-        name, idx = closed_form_check(model, sol)[:2]
+        name, idx = model.classical_polynomial(sol.assignment)[:2]
         assert name == family
         assert tuple(np.real_if_close(idx)) == pytest.approx(indices)
         for sol in result.solutions:
@@ -258,8 +336,8 @@ class TestClosedFormCrossChecks:
     def test_complex_indices_for_the_pt_well(self):
         model = get_model("complex_scarf", A=1, B=2)
         result = solve_spectrum(model, levels=6)
-        idx0 = closed_form_check(model, result.solutions[0])[1]
-        idx1 = closed_form_check(model, result.solutions[1])[1]
+        idx0 = model.classical_polynomial(result.solutions[0].assignment)[1]
+        idx1 = model.classical_polynomial(result.solutions[1].assignment)[1]
         assert complex(idx0[1]) == pytest.approx(
             complex(idx1[1]).conjugate(), abs=1e-12)
         for sol in result.solutions:
@@ -268,19 +346,12 @@ class TestClosedFormCrossChecks:
     def test_elliptic_models_have_no_classical_twin(self):
         model = get_model("lame", j=2, m=HALF)
         result = solve_spectrum(model, levels=6)
-        assert closed_form_check(model, result.solutions[0]) is None
+        assert model.classical_polynomial(result.solutions[0].assignment) is None
 
 
 class TestSmallHelpers:
     def test_polynomial_on_t_evaluates_by_horner(self):
-        poly = PolynomialOnT((1.0, 0.0, -2.0), "even")
-        assert poly(0.5) == pytest.approx(0.5)
-        assert poly.parity == "even"
-
-    def test_parity_labels(self):
-        assert _poly_parity([1.0, 0.0, 3.0]) == "even"
-        assert _poly_parity([0.0, 2.0]) == "odd"
-        assert _poly_parity([1.0, 1.0]) == "none"
+        assert PolynomialOnT((1.0, 0.0, -2.0))(0.5) == pytest.approx(0.5)
 
     def test_kernel_of_singular_matrix(self):
         mat = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)

@@ -77,27 +77,26 @@ class TestMovingPole:
 
 class TestFinitePoleResidues:
     def test_integer_pole_strength_gives_exact_pair(self):
-        pole = FixedPole(location=Fraction(0), g2=Fraction(-2), label="t=0")
+        pole = FixedPole(g2=Fraction(-2), label="t=0")
         branch = finite_pole_residues(pole)
         assert branch.origin == ORIGIN_FINITE
         assert branch.values == (Fraction(2), Fraction(-1))
 
     def test_second_root_is_one_minus_first_exactly(self):
-        pole = FixedPole(location=Fraction(1), g2=Fraction(3, 16), label="t=+1")
+        pole = FixedPole(g2=Fraction(3, 16), label="t=+1")
         branch = finite_pole_residues(pole)
         assert branch.values == (Fraction(3, 4), Fraction(1, 4))
         assert branch.values[0] + branch.values[1] == 1
 
     def test_energy_dependent_strength_requires_energy(self):
-        pole = FixedPole(location=Fraction(0),
-                         g2=lambda e: (1 - e) / 4, label="t=i")
+        pole = FixedPole(g2=lambda e: (1 - e) / 4, label="t=i")
         with pytest.raises(EnergyRequiredError):
             finite_pole_residues(pole)
         branch = finite_pole_residues(pole, energy=Fraction(9))
         assert branch.values == (Fraction(2), Fraction(-1))
 
     def test_complex_strength(self):
-        pole = FixedPole(location=Fraction(1), g2=ExactComplex(Fraction(0), Fraction(1, 4)),
+        pole = FixedPole(g2=ExactComplex(Fraction(0), Fraction(1, 4)),
                          label="t=+1")
         branch = finite_pole_residues(pole)
         for b in branch.values:
@@ -107,30 +106,30 @@ class TestFinitePoleResidues:
     def test_rational_complex_root_gives_an_exact_complex_pair(self):
         # 1 − 4·g2 = 3 + 4i = (2 + i)²
         g2 = ExactComplex(Fraction(-1, 2), Fraction(-1))
-        branch = finite_pole_residues(FixedPole(location=Fraction(0), g2=g2, label="t=0"))
+        branch = finite_pole_residues(FixedPole(g2=g2, label="t=0"))
         assert branch.values == (ExactComplex(Fraction(3, 2), Fraction(1, 2)),
                                  ExactComplex(Fraction(-1, 2), Fraction(-1, 2)))
         assert all(type(b) is ExactComplex for b in branch.values)
 
     def test_irrational_root_gives_floats(self):
         # 1 − 4·g2 = 2: b = (1 ± √2)/2, real, so settled to float
-        pole = FixedPole(location=Fraction(0), g2=Fraction(-1, 4), label="t=0")
+        pole = FixedPole(g2=Fraction(-1, 4), label="t=0")
         b1, b2 = finite_pole_residues(pole).values
         assert (type(b1), type(b2)) == (float, float)
         assert (b1, b2) == pytest.approx(((1 + math.sqrt(2)) / 2, (1 - math.sqrt(2)) / 2))
         assert b1 + b2 == pytest.approx(1.0, abs=1e-15)
 
     def test_float_strength_gives_floats(self):
-        pole = FixedPole(location=0.0, g2=0.1875, label="t=0")
+        pole = FixedPole(g2=0.1875, label="t=0")
         assert finite_pole_residues(pole).values == (0.75, 0.25)
         assert all(type(b) is float for b in finite_pole_residues(pole).values)
-        pole = FixedPole(location=0.0, g2=0.5, label="t=0")     # 1 − 4·g2 = −1
+        pole = FixedPole(g2=0.5, label="t=0")     # 1 − 4·g2 = −1
         assert finite_pole_residues(pole).values == (0.5 + 0.5j, 0.5 - 0.5j)
 
     @settings(max_examples=150, deadline=None)
     @given(g2=rational_g2)
     def test_root_sum_is_exactly_one(self, g2):
-        pole = FixedPole(location=Fraction(0), g2=g2, label="t=0")
+        pole = FixedPole(g2=g2, label="t=0")
         branch = finite_pole_residues(pole)
         b1, b2 = branch.values
         if isinstance(b1, Fraction) and isinstance(b2, Fraction):
@@ -141,7 +140,7 @@ class TestFinitePoleResidues:
     @settings(max_examples=150, deadline=None)
     @given(g2=rational_g2)
     def test_roots_satisfy_the_quadratic(self, g2):
-        pole = FixedPole(location=Fraction(0), g2=g2, label="t=0")
+        pole = FixedPole(g2=g2, label="t=0")
         for b in finite_pole_residues(pole).values:
             z = to_complex(b)
             assert abs(z * z - z + float(g2)) < 1e-10 * max(1.0, abs(float(g2)))
@@ -150,7 +149,7 @@ class TestFinitePoleResidues:
     @given(g2=rational_g2)
     def test_larger_real_part_listed_first(self, g2):
         branch = finite_pole_residues(
-            FixedPole(location=Fraction(0), g2=g2, label="t=0"))
+            FixedPole(g2=g2, label="t=0"))
         z1, z2 = (to_complex(v) for v in branch.values)
         assert z1.real >= z2.real - 1e-15
 
