@@ -10,6 +10,8 @@ package implements that pipeline for a catalog of eight potential families
 and cross-checks every spectrum against an independent grid solver.
 """
 
+from importlib import import_module
+
 from .errors import (EnergyRequiredError, GridTooCoarseError,
                      InvalidStateError, NoAdmissibleAssignmentError,
                      NonlinearEnergyError, ParameterError, QhjError,
@@ -29,16 +31,29 @@ from .polynomial_system import (BandEdgeSolution, DefectivePencilWarning,
                                 build_fixed_system, build_pencil,
                                 closed_form_deviation, solve_pencil,
                                 solve_spectrum)
-from .schrodinger_oracle import (OracleDomain, OracleSpectrum, count_nodes,
-                                 solve_band_edges, solve_bound,
-                                 solve_inverse_square_cell, solve_oracle,
-                                 solve_pt)
 from .special_functions import (JacobiTriple, elliptic_K, jacobi_elliptic,
                                 jacobi_polynomial, laguerre)
-from .wavefunction_assembly import (LevelCheck, SampledWavefunction,
-                                    Verification, WavefunctionReport, assemble,
-                                    overlap, parity_deviation, subspace_overlap,
-                                    verify, verify_against_oracle)
+from .domain import OracleDomain
+
+# the oracle and verification load scipy (see schrodinger_oracle), so their
+# names resolve on first access: `qhj list` and closed-form solves load none
+_LAZY = {name: module for module, names in (
+    ("schrodinger_oracle", "OracleSpectrum count_nodes solve_band_edges solve_bound "
+                           "solve_inverse_square_cell solve_oracle solve_pt"),
+    ("wavefunction_assembly", "LevelCheck SampledWavefunction Verification WavefunctionReport "
+                              "assemble overlap parity_deviation subspace_overlap verify "
+                              "verify_against_oracle")) for name in names.split()}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(import_module("." + _LAZY[name], __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"
 

@@ -24,7 +24,6 @@ from .errors import (InvalidStateError, NoAdmissibleAssignmentError,
 from .exactmath import real_or_complex, to_complex
 from .potential_catalog import MODEL_CLASSES, MODEL_IDS, PARAM_SCHEMAS, get_model
 from .polynomial_system import solve_spectrum
-from .wavefunction_assembly import assemble, verify
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -248,6 +247,7 @@ def _cmd_solve(args, stream):
 
 
 def _cmd_verify(args, stream):
+    from .wavefunction_assembly import verify     # loads the oracle, and with it scipy
     model = _build_model(args)
     outcome = verify(model, levels=_levels(args), tol=args.tol)
     for check in outcome.checks:
@@ -267,6 +267,7 @@ def _cmd_verify(args, stream):
 
 
 def _cmd_wavefunction(args, stream):
+    from .wavefunction_assembly import assemble
     model = _build_model(args)
     levels = _levels(args)
     if not 1 <= args.samples <= 100000:     # the samples are held in memory

@@ -35,7 +35,6 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy import linalg
 
 from .errors import NonlinearEnergyError, QhjError
 from .exactmath import poly_add, poly_divmod, poly_mul, to_complex
@@ -212,6 +211,7 @@ def solve_pencil(system):
     Emits DefectivePencilWarning when an eigenvalue's kernel is thinner than
     its multiplicity.
     """
+    from scipy import linalg     # the one user of scipy here: closed-form solves load none
     m0, m1 = system.M0, system.M1
     vals = linalg.eigvals(m0, -m1)
     finite = [v for v in vals if np.isfinite(v.real) and np.isfinite(v.imag)]

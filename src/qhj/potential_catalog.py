@@ -44,13 +44,13 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from .errors import ParameterError, SingularPointError, UnknownModelError
+from .domain import OracleDomain, channel_tag
+from .errors import ParameterError, QhjError, SingularPointError, UnknownModelError
 from .exactmath import (ExactComplex, as_exact, expansion_at_infinity, poly_add, poly_at,
                         poly_der, poly_divmod, poly_mul, real_or_complex, to_complex)
 from .qmf_residues import (FixedPole, InfinityExpansion, finite_pole_residues,
                            infinity_residues)
 from .quantization import ResidueAssignment, level_verdict
-from .schrodinger_oracle import OracleDomain, channel_tag
 from .special_functions import elliptic_K, jacobi_polynomial, laguerre, sn_cn_dn
 
 
@@ -231,7 +231,11 @@ class PotentialModel:
         poles, a, b = self.g_declaration()
         factors = [(-r, 0, 1) if isinstance(labels, tuple) else (-r, 1) for labels, r in poles]
         clear = reduce(poly_mul, factors, [Fraction(1)])
-        slope2 = poly_mul(poly_der(clear), poly_der(clear))       # Πclear'²
+        square, slope2 = poly_mul(clear, clear), poly_mul(poly_der(clear), poly_der(clear))
+        paired = any(isinstance(labels, tuple) for labels, _ in poles)
+        if paired and any(c != 0 for p in (square, a, b) for c in p[1::2]):  # a pair's g2 is read in t² = q
+            raise QhjError("%s declares a pole pair ±√q, but its Πclear²·G is not even in t"
+                           % (self.id or type(self).__name__))
         fixed, groups = [], []
         for (labels, root), factor in zip(poles, factors):
             labels = labels if isinstance(labels, tuple) else (labels,)
@@ -239,7 +243,6 @@ class PotentialModel:
             g2 = _in_energy(at(a) / at(slope2), at(b) / at(slope2))
             fixed += [FixedPole(g2=g2, label=label) for label in labels]
             groups.append((labels, root, poly_divmod(clear, factor)[0]))
-        square = poly_mul(clear, clear)
         expansion = InfinityExpansion(*map(_in_energy, expansion_at_infinity(a, square),
                                            expansion_at_infinity(b, square)))
         view = [np.array([real_or_complex(c) for c in p]) for p in (clear, a, b)]

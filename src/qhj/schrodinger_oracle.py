@@ -31,7 +31,9 @@ run numpy.linalg's LAPACK with scipy.linalg's signature and return types.
 The rest of the oracle's BLAS work is numpy's too, so one BLAS thread pool
 serves a solve: where numpy and scipy each ship their own OpenBLAS, mixing
 them leaves two pools spinning on the same cores.  `eigh_tridiagonal` is
-bound only for the benchmark tracer, which wraps all three names.
+bound only for the benchmark tracer, which wraps all three names; it is all
+that loads scipy on `qhj verify`, and stays while the traced benchmark reads
+scipy's import time from `qhj verify` children (a metric that must not read 0).
 """
 
 from __future__ import annotations
@@ -39,12 +41,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 # unused here: bound only so that perfbench/tracer.py can wrap it with eig, eigh
 from scipy.linalg import eigh_tridiagonal  # noqa: F401
 
+from .domain import OracleDomain, channel_tag  # noqa: F401  (re-exported)
 from .errors import GridTooCoarseError
 
 
@@ -68,25 +71,6 @@ def eigh(a, subset_by_index, eigvals_only=False):
 
 
 _SAMPLES = 960              # output grid points: midpoints of the cell, or of s ∈ (−1, 1)
-
-
-@dataclass(frozen=True)
-class OracleDomain:
-    """Where a family is collocated: ends of the real coordinate σ (a finite
-    interval, (a, inf) or (−inf, inf)); wall strength c at each end, for
-    V ≈ c/d² (0 for a Dirichlet end); map scale L of an infinite end;
-    σ ↦ (x, dx/dσ, d²x/dσ²) of a complex contour, or None for x = σ; and the
-    mirror symmetry σ ↦ −σ of the problem, if it has one: "parity" when
-    V(x(−σ)) = V(x(σ)) with x(−σ) = −x(σ) and mirror-image ends and walls
-    (the operator commutes with the flip), "pt" when V(−x) = conj V(x) on the
-    real line (the flip conjugates it), or None.  The oracle then solves the
-    even and odd blocks, or one real matrix, instead of the full matrix."""
-
-    ends: Tuple[float, float]
-    walls: Tuple[float, float] = (0.0, 0.0)
-    scale: float = 1.0
-    contour: Optional[Callable] = None
-    mirror: Optional[str] = None
 
 
 @dataclass
@@ -290,12 +274,6 @@ def _collocate(model, domain, rho, n, order, k=None, compare=True):
                 return xs, [(vals[i], psi[:, j], float(est[i]), change[j])
                             for j, i in enumerate(sel)]
         n, coarse, rough = 2 * n, vals, vector
-
-
-def channel_tag(principal):
-    """exponent_plus (minus) for the principal root at all (no) walls, else exponent_<lo>_<hi>."""
-    roots = ["plus" if p else "minus" for p in principal]
-    return "exponent_" + ("_".join(roots) if len(set(roots)) > 1 else roots[0])
 
 
 def _channels(model, k):

@@ -556,3 +556,48 @@ def test_console_script_is_wired():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == EXIT_OK
     assert "hydrogen" in proc.stdout
+
+
+_SCIPY_FREE = (["list"], ["list", "lame", "--json"],
+               ["solve", "hydrogen", "--param", "e2=2", "--param", "l=0", "--format", "json"])
+
+# run in a fresh interpreter: which scipy modules are loaded after `import qhj`
+# and after each request, made in turn in that one process
+_LOADED_AFTER_EACH = """
+import contextlib, io, json, sys
+scipy = lambda: sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+import qhj
+from qhj import cli
+seen = [["import qhj", 0, scipy()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append([" ".join(argv), cli.main(argv), scipy()])
+print(json.dumps(seen))
+"""
+
+
+class TestImportBoundary:
+    """Only the pencil's QZ solve and the oracle need scipy: listing the
+    catalog and solving a closed-form family load none of it."""
+
+    def test_list_and_closed_form_solve_load_no_scipy(self):
+        proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER_EACH, json.dumps(_SCIPY_FREE)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [["import qhj", 0, []]] + [
+            [" ".join(argv), EXIT_OK, []] for argv in _SCIPY_FREE]
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "lame", "--param", "j=2", "--param", "m=1/2"],
+        ["verify", "hydrogen", "--param", "e2=2", "--param", "l=0"]])
+    def test_pencil_solve_and_verify_still_run_from_a_fresh_process(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "qhj.cli", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_OK, proc.stderr
+
+    def test_every_public_name_resolves_and_is_listed(self):
+        import qhj
+        assert all(getattr(qhj, name) is not None for name in qhj.__all__)
+        assert set(qhj.__all__) <= set(dir(qhj))
+        with pytest.raises(AttributeError):
+            qhj.no_such_name

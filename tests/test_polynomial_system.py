@@ -135,6 +135,8 @@ class TestIdentityParts:
         # a root r is a single pole at r or the pair ±√r; no two locations coincide
         paired = data.draw(st.lists(st.booleans(), min_size=len(roots), max_size=len(roots)))
         singles = [r for r, pair in zip(roots, paired) if not pair or r == 0]
+        if len(singles) < len(roots):     # a pair reads an even Πclear²: singles at ±r or 0
+            singles = sorted({sign * r for r in singles for sign in (1, -1)})
         pairs = [q for q, pair in zip(roots, paired)
                  if pair and q != 0 and all(t0 * t0 != q for t0 in singles)]
         poles, locs, bvals = [], [], []
@@ -159,6 +161,14 @@ class TestIdentityParts:
             assert np.max(np.abs(mine - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
         # no surd: rational poles and residues give an exact identity
         assert all(_is_exact(poly) for poly in got)
+
+    def test_a_pair_beside_uneven_single_poles_is_refused(self):
+        # Πclear = (t − 7/3)(t − 5/2)(t² + 1) is neither even nor odd, so the
+        # pair's strength cannot be read in t² = q (it was 0/0 before the check)
+        model = _Declared((("s0", Fraction(7, 3)), ("s1", Fraction(5, 2)),
+                           (("q0+", "q0-"), -1)))
+        with pytest.raises(QhjError, match="_Declared declares a pole pair"):
+            model.g_polynomials()
 
 
 def _rounded_identities(model):
