@@ -26,18 +26,17 @@ from .qmf_residues import (FixedPole, InfinityExpansion, ResidueBranch,
                            moving_pole_residue)
 from .quantization import (QuantizationOutcome, ResidueAssignment,
                            enumerate_assignments, quantize)
-from .polynomial_system import (BandEdgeSolution, DefectivePencilWarning,
-                                PencilSystem, PolynomialOnT, SpectrumResult,
-                                build_fixed_system, build_pencil,
-                                closed_form_deviation, solve_pencil,
-                                solve_spectrum)
 from .special_functions import (JacobiTriple, elliptic_K, jacobi_elliptic,
                                 jacobi_polynomial, laguerre)
 from .domain import OracleDomain
 
-# the oracle and verification load scipy (see schrodinger_oracle), so their
-# names resolve on first access: `qhj list` and closed-form solves load none
+# the spectrum solve loads numpy, and the oracle and verification load scipy
+# (see schrodinger_oracle), so their names resolve on first access: `import
+# qhj` and `qhj list` load neither, and closed-form solves load no scipy
 _LAZY = {name: module for module, names in (
+    ("polynomial_system", "BandEdgeSolution DefectivePencilWarning PencilSystem PolynomialOnT "
+                          "SpectrumResult build_fixed_system build_pencil closed_form_deviation "
+                          "solve_pencil solve_spectrum"),
     ("schrodinger_oracle", "OracleSpectrum count_nodes solve_band_edges solve_bound "
                            "solve_inverse_square_cell solve_oracle solve_pt"),
     ("wavefunction_assembly", "LevelCheck SampledWavefunction Verification WavefunctionReport "

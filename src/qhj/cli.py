@@ -17,13 +17,10 @@ import warnings
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import (InvalidStateError, NoAdmissibleAssignmentError,
                      ParameterError, QhjError, UnknownModelError)
 from .exactmath import real_or_complex, to_complex
 from .potential_catalog import MODEL_CLASSES, MODEL_IDS, PARAM_SCHEMAS, get_model
-from .polynomial_system import solve_spectrum
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -226,6 +223,7 @@ def _cmd_list(args, stream):
 
 
 def _cmd_solve(args, stream):
+    from .polynomial_system import solve_spectrum     # loads numpy: `qhj list` loads none
     model = _build_model(args)
     result = solve_spectrum(model, levels=_levels(args))
     if args.format == "json":
@@ -267,6 +265,9 @@ def _cmd_verify(args, stream):
 
 
 def _cmd_wavefunction(args, stream):
+    import numpy as np
+
+    from .polynomial_system import solve_spectrum
     from .wavefunction_assembly import assemble
     model = _build_model(args)
     levels = _levels(args)

@@ -1,5 +1,6 @@
 """The domain and channel tags a family declares to the grid oracle, kept apart
-from the oracle so that `qhj list` and closed-form solves load no scipy."""
+from the oracle (which loads scipy) and free of numpy, so that importing the
+catalog, and with it `qhj list`, loads neither."""
 
 from __future__ import annotations
 

@@ -42,8 +42,6 @@ from functools import cached_property, reduce
 from types import SimpleNamespace
 from typing import Callable, Dict, Tuple
 
-import numpy as np
-
 from .domain import OracleDomain, channel_tag
 from .errors import ParameterError, QhjError, SingularPointError, UnknownModelError
 from .exactmath import (ExactComplex, as_exact, expansion_at_infinity, poly_add, poly_at,
@@ -51,7 +49,7 @@ from .exactmath import (ExactComplex, as_exact, expansion_at_infinity, poly_add,
 from .qmf_residues import (FixedPole, InfinityExpansion, finite_pole_residues,
                            infinity_residues)
 from .quantization import ResidueAssignment, level_verdict
-from .special_functions import elliptic_K, jacobi_polynomial, laguerre, sn_cn_dn
+from .special_functions import elliptic_K, jacobi_polynomial, laguerre, np, sn_cn_dn
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+
+class _Numpy:
+    """numpy, imported on the first attribute read: `import qhj` and `qhj list` load none."""
+
+    def __getattr__(self, name):
+        import numpy
+        value = self.__dict__[name] = getattr(numpy, name)     # later reads skip this hook
+        return value
+
+
+np = _Numpy()     # the catalog's np too
 
 _EPS = 1e-15
 

@@ -6,6 +6,8 @@ locates zeros, and scores it against an oracle eigenvector.  Scores are
 scale-free: overlap of unit vectors and sup-normalized modulus deviation,
 so any nonzero rescaling of either side gives the identical report.
 verify() runs both routes for one model and scores every solved level.
+The oracle, and with it scipy, is imported inside the functions that call
+it, so sampling a wavefunction (`qhj wavefunction`) loads no scipy.
 """
 
 from __future__ import annotations
@@ -13,14 +15,16 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InvalidStateError, ParameterError
 from .exactmath import to_complex
 from .polynomial_system import BandEdgeSolution, solve_spectrum
-from .schrodinger_oracle import OracleSpectrum, count_nodes, solve_oracle
+
+if TYPE_CHECKING:
+    from .schrodinger_oracle import OracleSpectrum
 
 SUP_NORM_ONE = "sup_norm_one"
 L2_ONE = "l2_one"
@@ -41,6 +45,7 @@ class SampledWavefunction:
         return float(np.max(np.abs(self.values.imag))) <= 1e-10 * scale
 
     def node_count(self):
+        from .schrodinger_oracle import count_nodes
         return count_nodes(self.values)
 
 
@@ -142,6 +147,7 @@ def verify_against_oracle(recipe, oracle: OracleSpectrum, level,
     (e.g. by −3): only unit-normalized vectors and sup-normalized moduli
     enter it.
     """
+    from .schrodinger_oracle import count_nodes
     with np.errstate(over="ignore", invalid="ignore"):   # refused below, with a reason
         vals = np.asarray(recipe(oracle.xs), dtype=complex)
     if not np.all(np.isfinite(vals)):
@@ -208,6 +214,7 @@ def verify(model, levels=4, tol=None):
     and its eigenfunction matches the oracle vector (overlap and node count).
     Raises ParameterError unless 0 < tol < inf.
     """
+    from .schrodinger_oracle import solve_oracle
     tol = model.verify_tol if tol is None else tol
     if not 0.0 < tol < math.inf:
         raise ParameterError("tolerance must be positive and finite, got %r" % (tol,))

@@ -558,34 +558,46 @@ def test_console_script_is_wired():
     assert "hydrogen" in proc.stdout
 
 
-_SCIPY_FREE = (["list"], ["list", "lame", "--json"],
+_NUMPY_FREE = (["list"], ["list", "--json"], ["list", "lame"]) + tuple(
+    ["list", mid, "--json"] for mid in MODEL_IDS)
+_SCIPY_FREE = (["wavefunction", "hydrogen", "--param", "e2=2", "--param", "l=0", "--samples", "8"],
                ["solve", "hydrogen", "--param", "e2=2", "--param", "l=0", "--format", "json"])
 
-# run in a fresh interpreter: which scipy modules are loaded after `import qhj`
-# and after each request, made in turn in that one process
+# run in a fresh interpreter: which numpy and scipy modules are loaded after
+# `import qhj` and after each request, made in turn in that one process
 _LOADED_AFTER_EACH = """
 import contextlib, io, json, sys
-scipy = lambda: sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+loaded = lambda pkg: sorted(m for m in sys.modules if m.partition(".")[0] == pkg)
 import qhj
 from qhj import cli
-seen = [["import qhj", 0, scipy()]]
+seen = [["import qhj", 0, loaded("numpy"), loaded("scipy")]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        seen.append([" ".join(argv), cli.main(argv), scipy()])
+        seen.append([" ".join(argv), cli.main(argv), loaded("numpy"), loaded("scipy")])
 print(json.dumps(seen))
 """
 
 
 class TestImportBoundary:
-    """Only the pencil's QZ solve and the oracle need scipy: listing the
-    catalog and solving a closed-form family load none of it."""
+    """Only the spectrum solve and sampling need numpy, and only the pencil's
+    QZ solve and the oracle need scipy: listing the catalog loads neither, and
+    solving or sampling a closed-form family loads no scipy."""
 
-    def test_list_and_closed_form_solve_load_no_scipy(self):
-        proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER_EACH, json.dumps(_SCIPY_FREE)],
+    @staticmethod
+    def loaded_after_each(requests):
+        proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER_EACH, json.dumps(requests)],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [["import qhj", 0, []]] + [
-            [" ".join(argv), EXIT_OK, []] for argv in _SCIPY_FREE]
+        return json.loads(proc.stdout)
+
+    def test_import_and_list_load_no_numpy(self):
+        assert self.loaded_after_each(_NUMPY_FREE) == [["import qhj", 0, [], []]] + [
+            [" ".join(argv), EXIT_OK, [], []] for argv in _NUMPY_FREE]
+
+    def test_closed_form_solve_and_sampling_load_no_scipy(self):
+        seen = self.loaded_after_each(_SCIPY_FREE)
+        assert [(label, code, scipy) for label, code, _, scipy in seen] == [
+            ("import qhj", 0, [])] + [(" ".join(argv), EXIT_OK, []) for argv in _SCIPY_FREE]
 
     @pytest.mark.parametrize("argv", [
         ["solve", "lame", "--param", "j=2", "--param", "m=1/2"],
@@ -599,5 +611,7 @@ class TestImportBoundary:
         import qhj
         assert all(getattr(qhj, name) is not None for name in qhj.__all__)
         assert set(qhj.__all__) <= set(dir(qhj))
+        from qhj import polynomial_system, solve_spectrum
+        assert qhj.solve_spectrum is solve_spectrum is polynomial_system.solve_spectrum
         with pytest.raises(AttributeError):
             qhj.no_such_name

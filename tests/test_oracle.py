@@ -22,8 +22,7 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qhj import (get_model, potential_catalog, qes_family, schrodinger_oracle, special_functions,
-                 wavefunction_assembly)
+from qhj import get_model, potential_catalog, qes_family, schrodinger_oracle, special_functions
 from qhj.errors import GridTooCoarseError
 from qhj.schrodinger_oracle import (OracleDomain, OracleSpectrum, channel_tag, count_nodes,
                                     solve_band_edges, solve_bound,
@@ -810,13 +809,13 @@ class TestNoWastedWork:
         # four sets, one per wall channel: each channel is asked for 4
         # levels, not for the 16 of all channels
         ks = []
-        real = wavefunction_assembly.solve_oracle
+        real = schrodinger_oracle.solve_oracle
 
         def spy(model, k=4, **kwargs):
             ks.append(k)
             return real(model, k=k, **kwargs)
 
-        monkeypatch.setattr(wavefunction_assembly, "solve_oracle", spy)
+        monkeypatch.setattr(schrodinger_oracle, "solve_oracle", spy)
         result = verify(get_model("scarf1", A=Fraction(3, 4), B=0, alpha=1))
         assert result.passed and len(result.checks) == 16
         assert ks == [4]
