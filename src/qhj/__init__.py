@@ -30,9 +30,9 @@ from .special_functions import (JacobiTriple, elliptic_K, jacobi_elliptic,
                                 jacobi_polynomial, laguerre)
 from .domain import OracleDomain
 
-# the spectrum solve loads numpy, and the oracle and verification load scipy
+# the pencil solve loads numpy and scipy, and so do the oracle and verification
 # (see schrodinger_oracle), so their names resolve on first access: `import
-# qhj` and `qhj list` load neither, and closed-form solves load no scipy
+# qhj`, `qhj list` and closed-form solves load neither
 _LAZY = {name: module for module, names in (
     ("polynomial_system", "BandEdgeSolution DefectivePencilWarning PencilSystem PolynomialOnT "
                           "SpectrumResult build_fixed_system build_pencil closed_form_deviation "

@@ -223,7 +223,7 @@ def _cmd_list(args, stream):
 
 
 def _cmd_solve(args, stream):
-    from .polynomial_system import solve_spectrum     # loads numpy: `qhj list` loads none
+    from .polynomial_system import solve_spectrum     # only a pencil solve loads numpy (and scipy)
     model = _build_model(args)
     result = solve_spectrum(model, levels=_levels(args))
     if args.format == "json":

@@ -157,6 +157,11 @@ def as_exact(value):
     return None
 
 
+def all_exact(values):
+    """Whether every value is exact, so that a check on them can ask for equality."""
+    return all(as_exact(v) is not None for v in values)
+
+
 def to_complex(value):
     """Coerce any scalar used by the package to a Python complex."""
     if isinstance(value, ExactComplex):

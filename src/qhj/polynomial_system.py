@@ -23,26 +23,31 @@ is a generalized eigenvalue pencil, and the overflow rows vanish identically.
 Closed-form models get their energy from the quantization first; the square
 block is then evaluated at that energy.  It is upper triangular (Π·P'' and
 NS·P' do not raise the degree, and the sum rule cancels NR's top coefficient)
-and its last row vanishes, so the node polynomial is p_n = 1 plus one solve
-of the leading block for p_0 … p_(n−1).
+and banded (a row of degree k reaches the degrees k … k+2 only), and its last
+row vanishes, so the node polynomial is p_n = 1 plus one back-substitution
+over the band for p_(n−1) … p_0.  Its rows are plain Python complex numbers,
+so a closed-form solve loads no numpy unless two of its levels share an energy
+(see _deduplicate).  The rows off the basis degrees must vanish: exactly when
+the identity is exact, within a tolerance when float residues enter it.
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from .errors import NonlinearEnergyError, QhjError
-from .exactmath import poly_add, poly_divmod, poly_mul, to_complex
+from .exactmath import all_exact, poly_add, poly_divmod, poly_mul, to_complex
 from .potential_catalog import WavefunctionRecipe, poly_eval
 from .quantization import QuantizationOutcome, quantize
+from .special_functions import np     # numpy on first use: the pencil and sampling need it
 
 _DIV_TOL = 1e-10
 _OVERFLOW_TOL = 1e-10
+_FIXED_TOL = 1e-7
 _DEDUP_TOL = 1e-8
 
 
@@ -122,19 +127,43 @@ def _identity(model, assignment, energy=None):
     return basis, pi, [2 * c for c in s], nr
 
 
-def _rows(basis, pi=(), ns=(), nr=()):
-    """Coefficient rows of Π·P'' + NS·P' + NR·P over the basis monomials, in floats.
-
-    Column j holds d(d−1)·Π·t^(d−2) + d·NS·t^(d−1) + NR·t^d for d = basis[j];
-    returns (the square block on the basis degrees, every other row).
-    """
-    pi, ns, nr = (np.array([to_complex(c) for c in p], dtype=complex) for p in (pi, ns, nr))
-    mat = np.zeros((max(basis) + max(len(pi), len(ns), len(nr)), len(basis)), dtype=complex)
+def _terms(basis, pi, ns, nr):
+    """(row, column, scale, coefficient) of each term of Π·P'' + NS·P' + NR·P over
+    the basis monomials: column j holds d(d−1)·Π·t^(d−2) + d·NS·t^(d−1) + NR·t^d
+    for d = basis[j], and the entry in row k adds scale·coefficient."""
     for j, d in enumerate(basis):
         for coeffs, scale, low in ((pi, d * (d - 1), d - 2), (ns, d, d - 1), (nr, 1, d)):
             if scale:
-                mat[low:low + len(coeffs), j] += scale * coeffs
-    return mat[list(basis)], np.delete(mat, basis, axis=0)
+                for k, c in enumerate(coeffs, low):
+                    yield k, j, scale, c
+
+
+def _rows(basis, pi=(), ns=(), nr=()):
+    """Coefficient rows of Π·P'' + NS·P' + NR·P over the basis monomials, in floats.
+
+    Returns (the square block on the basis degrees, every other row), each a
+    list of rows of Python complex numbers.
+    """
+    pi, ns, nr = ([to_complex(c) for c in p] for p in (pi, ns, nr))
+    mat = [[0j] * len(basis) for _ in range(max(basis) + max(len(pi), len(ns), len(nr)))]
+    for k, j, scale, c in _terms(basis, pi, ns, nr):
+        mat[k][j] += scale * c
+    on = set(basis)
+    return [mat[d] for d in basis], [row for k, row in enumerate(mat) if k not in on]
+
+
+def _off_basis(basis, pi, ns, nr):
+    """The nonzero entries of the rows off the basis degrees, in the identity's own
+    arithmetic: exact for an exact identity."""
+    on, entries = set(basis), {}
+    for k, j, scale, c in _terms(basis, pi, ns, nr):
+        if k not in on and c != 0:
+            entries[k, j] = entries.get((k, j), 0) + scale * c
+    return [v for v in entries.values() if v != 0]
+
+
+def _max_abs(rows):
+    return max((abs(v) for row in rows for v in row), default=0.0)
 
 
 def build_pencil(model, assignment):
@@ -156,8 +185,9 @@ def build_pencil(model, assignment):
             "energy enters the %s identity through the pole strengths; "
             "no linear pencil exists" % model.id)
     basis, *identity = _identity(model, assignment)
-    m0, o0 = _rows(basis, *identity)
-    m1, o1 = _rows(basis, nr=nr1)     # energy rows: only NR1·P contributes
+    as_array = lambda rows: np.array(rows, dtype=complex).reshape(-1, len(basis))
+    m0, o0 = map(as_array, _rows(basis, *identity))
+    m1, o1 = map(as_array, _rows(basis, nr=nr1))     # energy rows: only NR1·P contributes
     system = PencilSystem(M0=m0, M1=m1, basis=basis, overflow=(o0, o1))
     if system.overflow_magnitude() > _OVERFLOW_TOL:
         raise QhjError("overflow rows of the %s pencil do not vanish (%.2e); "
@@ -167,18 +197,41 @@ def build_pencil(model, assignment):
 
 
 def build_fixed_system(model, assignment, energy=None):
-    """Identity rows at a resolved energy (for closed-form-energy models)."""
+    """Identity rows at a resolved energy (for closed-form-energy models): the
+    square block on the basis degrees, as rows of Python complex numbers, and
+    the basis."""
     energy = assignment.energy if energy is None else energy
     if energy is None:
         raise QhjError("fixed system needs a resolved energy")
     basis, *identity = _identity(model, assignment, energy)
     sq, over = _rows(basis, *identity)
-    worst = float(np.max(np.abs(over), initial=0.0))
-    if worst > 1e-7 * max(1.0, float(np.max(np.abs(sq))), worst):
+    if all_exact(c for poly in identity for c in poly):
+        off = _off_basis(basis, *identity)     # an exact identity leaves exact zeros
+        worst = max((abs(to_complex(v)) for v in off), default=0.0)
+        refused = bool(off)
+    else:                                      # float residues (complex_scarf) leave noise
+        worst = _max_abs(over)
+        refused = worst > _FIXED_TOL * max(1.0, _max_abs(sq), worst)
+    if refused:
         raise QhjError("identity rows above the node-polynomial degree do not "
                        "vanish at the quantized energy (%.2e); closed form and "
                        "identity disagree" % worst)
     return sq, basis
+
+
+def _back_substitute(sq, basis):
+    """The node polynomial's full ascending coefficients, p_n = 1 first: the block is
+    upper triangular with a vanishing last row, and a row of degree k reaches
+    the degrees k … k+2 only, so each coefficient takes at most two products."""
+    p = [0j] * len(basis)
+    p[-1] = 1 + 0j
+    for i in range(len(basis) - 2, -1, -1):
+        row, acc = sq[i], -sq[i][-1]
+        top = min(bisect_right(basis, basis[i] + 2), len(basis) - 1)
+        for j in range(top - 1, i, -1):     # last column first, as LAPACK sums
+            acc -= row[j] * p[j]
+        p[i] = acc / row[i]
+    return _expand_basis(p, basis)
 
 
 def _kernel_vectors(mat, rtol=1e-7):
@@ -198,8 +251,9 @@ def _normalize_leading(coeffs):
 
 
 def _expand_basis(vec, basis):
-    full = np.zeros(max(basis) + 1, dtype=complex)
-    full[list(basis)] = vec
+    full = [0j] * (max(basis) + 1)
+    for d, c in zip(basis, vec):
+        full[d] = c
     return full
 
 
@@ -291,7 +345,7 @@ def _solution_samples(model, recipe):
 
 def _solution(model, assignment, coeffs, multiplicity):
     """A solved level with its node polynomial, recipe and oracle channel."""
-    poly = PolynomialOnT(tuple(coeffs.tolist()))
+    poly = PolynomialOnT(tuple(map(complex, coeffs)))
     return BandEdgeSolution(
         energy=assignment.energy, polynomial=poly, assignment=assignment,
         recipe=model.recipe(assignment, poly.coeffs),
@@ -306,13 +360,8 @@ def solve_spectrum(model, levels=4):
                    for a in outcome.admissible_sets()
                    for energy, coeffs, mult in solve_pencil(build_pencil(model, a))]
     else:
-        kernels = []
-        for a in outcome.levels:
-            # the block is upper triangular and its last row vanishes at the
-            # quantized energy: p_n = 1, and the leading block gives the rest
-            sq, basis = build_fixed_system(model, a)
-            lower = np.linalg.solve(sq[:-1, :-1], -sq[:-1, -1])
-            kernels.append((a, _expand_basis(np.append(lower, 1), basis), 1))
+        kernels = [(a, _back_substitute(*build_fixed_system(model, a)), 1)
+                   for a in outcome.levels]
     solutions = _deduplicate(model, [_solution(model, *kernel) for kernel in kernels])
     solutions.sort(key=lambda s: (to_complex(s.energy).real,
                                   to_complex(s.energy).imag,

@@ -225,7 +225,7 @@ class PotentialModel:
 
     @cached_property
     def _g(self):
-        """Πclear with its pole groups, strengths, expansion at infinity and a float view of G."""
+        """Πclear with its pole groups, strengths and expansion at infinity, exactly."""
         poles, a, b = self.g_declaration()
         factors = [(-r, 0, 1) if isinstance(labels, tuple) else (-r, 1) for labels, r in poles]
         clear = reduce(poly_mul, factors, [Fraction(1)])
@@ -243,8 +243,7 @@ class PotentialModel:
             groups.append((labels, root, poly_divmod(clear, factor)[0]))
         expansion = InfinityExpansion(*map(_in_energy, expansion_at_infinity(a, square),
                                            expansion_at_infinity(b, square)))
-        view = [np.array([real_or_complex(c) for c in p]) for p in (clear, a, b)]
-        return SimpleNamespace(poles=tuple(fixed), expansion=expansion, view=view,
+        return SimpleNamespace(poles=tuple(fixed), expansion=expansion,
                                polynomials=(clear, tuple(groups), a, b))
 
     def fixed_poles(self) -> Tuple[FixedPole, ...]:
@@ -259,9 +258,15 @@ class PotentialModel:
         """(Πclear, groups, A, B), exact; a group is (labels, root, Πclear/factor)."""
         return self._g.polynomials
 
+    @cached_property
+    def _g_view(self):
+        """Πclear, A and B as float arrays, for g_value alone: a solve loads no numpy."""
+        clear, _groups, a, b = self._g.polynomials
+        return [np.array([real_or_complex(c) for c in p]) for p in (clear, a, b)]
+
     def g_value(self, t, energy):
         """G(t) at scalar or array t: the one evaluator of the declared G."""
-        (pi, a, b), t = self._g.view, np.asarray(t, dtype=complex)
+        (pi, a, b), t = self._g_view, np.asarray(t, dtype=complex)
         return (poly_eval(a, t) + to_complex(energy) * poly_eval(b, t)) / poly_eval(pi, t) ** 2
 
     def u_poly(self):

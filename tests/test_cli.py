@@ -11,7 +11,7 @@ import pytest
 from qhj.cli import (EXIT_NO_ASSIGNMENT, EXIT_OK, EXIT_USAGE,
                      EXIT_VERIFY_FAILED, build_parser, main)
 from qhj.polynomial_system import DefectivePencilWarning, solve_spectrum
-from qhj.potential_catalog import MODEL_IDS, PARAM_SCHEMAS, get_model
+from qhj.potential_catalog import MODEL_CLASSES, MODEL_IDS, PARAM_SCHEMAS, get_model
 
 from test_acceptance import ALL_CONFIGS
 
@@ -562,6 +562,12 @@ _NUMPY_FREE = (["list"], ["list", "--json"], ["list", "lame"]) + tuple(
     ["list", mid, "--json"] for mid in MODEL_IDS)
 _SCIPY_FREE = (["wavefunction", "hydrogen", "--param", "e2=2", "--param", "l=0", "--samples", "8"],
                ["solve", "hydrogen", "--param", "e2=2", "--param", "l=0", "--format", "json"])
+# every closed-form acceptance config, in each output format
+_CLOSED_FORM_SOLVES = tuple(
+    ["solve", mid, *(arg for name, value in params.items()
+                     for arg in ("--param", "%s=%s" % (name, value))), "--format", fmt]
+    for mid, params in ALL_CONFIGS if not MODEL_CLASSES[mid].uses_pencil
+    for fmt in ("json", "table", "csv"))
 
 # run in a fresh interpreter: which numpy and scipy modules are loaded after
 # `import qhj` and after each request, made in turn in that one process
@@ -579,9 +585,9 @@ print(json.dumps(seen))
 
 
 class TestImportBoundary:
-    """Only the spectrum solve and sampling need numpy, and only the pencil's
-    QZ solve and the oracle need scipy: listing the catalog loads neither, and
-    solving or sampling a closed-form family loads no scipy."""
+    """Only the pencil solve, sampling and the oracle need numpy, and only the
+    pencil's QZ solve and the oracle need scipy: listing the catalog or solving
+    a closed-form family loads neither, and sampling one loads no scipy."""
 
     @staticmethod
     def loaded_after_each(requests):
@@ -593,6 +599,12 @@ class TestImportBoundary:
     def test_import_and_list_load_no_numpy(self):
         assert self.loaded_after_each(_NUMPY_FREE) == [["import qhj", 0, [], []]] + [
             [" ".join(argv), EXIT_OK, [], []] for argv in _NUMPY_FREE]
+
+    def test_closed_form_solve_loads_no_numpy(self):
+        assert {mid for mid, params in ALL_CONFIGS if not MODEL_CLASSES[mid].uses_pencil} == {
+            "hydrogen", "scarf1", "scarf_periodic", "complex_scarf"}
+        assert self.loaded_after_each(_CLOSED_FORM_SOLVES) == [["import qhj", 0, [], []]] + [
+            [" ".join(argv), EXIT_OK, [], []] for argv in _CLOSED_FORM_SOLVES]
 
     def test_closed_form_solve_and_sampling_load_no_scipy(self):
         seen = self.loaded_after_each(_SCIPY_FREE)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhj.exactmath import (ExactComplex, as_exact, exact_sqrt, expansion_at_infinity,
+from qhj.exactmath import (ExactComplex, all_exact, as_exact, exact_sqrt, expansion_at_infinity,
                            poly_add, poly_at, poly_der, poly_mul, settle, sort_key, sqrt,
                            sqrt_fraction, to_complex, to_float)
 
@@ -65,6 +65,12 @@ class TestConversions:
         assert as_exact(1 + 2j) is None       # same for float-backed complex
         z = ExactComplex(Fraction(1), Fraction(2))
         assert as_exact(z) is z
+
+    def test_all_exact(self):
+        assert all_exact([3, Fraction(1, 3), ExactComplex(1, 2)])
+        assert all_exact([])
+        assert not all_exact([Fraction(1, 3), 0.5])
+        assert not all_exact(iter([1, 1j]))
 
     def test_to_float_rejects_meaningful_imaginary(self):
         with pytest.raises(ValueError):

@@ -216,7 +216,50 @@ def test_identity_polynomials_are_exact_over_the_whole_schema(mid, data):
     _assert_identities_are_exact(model)
 
 
+_CLOSED_FORM_CONFIGS = [(mid, params) for mid, params in ALL_CONFIGS
+                        if not get_model(mid, **params).uses_pencil]
+
+
+def _assert_back_substitution_matches_a_dense_solve(model):
+    for a in quantize(model, levels=6).levels:
+        sq, basis = build_fixed_system(model, a)
+        got = polynomial_system._back_substitute(sq, basis)
+        block = np.array(sq)
+        dense = np.zeros(len(got), dtype=complex)
+        dense[list(basis)] = np.append(np.linalg.solve(block[:-1, :-1], -block[:-1, -1]), 1)
+        for mine, want in zip(got, dense):
+            if np.isfinite(mine) and np.isfinite(want):
+                assert abs(mine - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("mid,params", _CLOSED_FORM_CONFIGS)
+def test_back_substitution_matches_a_dense_solve_at_catalog_points(mid, params):
+    _assert_back_substitution_matches_a_dense_solve(get_model(mid, **params))
+
+
+@pytest.mark.parametrize("mid", sorted({mid for mid, _ in _CLOSED_FORM_CONFIGS}))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_back_substitution_matches_a_dense_solve_over_the_whole_schema(mid, data):
+    model = get_model(mid, **data.draw(schema_points(mid)))
+    try:
+        quantize(model)
+    except NoAdmissibleAssignmentError:
+        return
+    _assert_back_substitution_matches_a_dense_solve(model)
+
+
 class TestFixedSystem:
+    def test_rows_above_the_degree_vanish_exactly_when_the_identity_is_exact(self):
+        model = get_model("hydrogen", e2=2, l=0)
+        level = quantize(model, levels=3).levels[2]
+        slipped = level.energy + Fraction(1, 10**12)
+        with pytest.raises(QhjError, match="rows above the node-polynomial degree"):
+            build_fixed_system(model, level, energy=slipped)
+        # float residues (complex_scarf) leave rounding noise, so floats keep a tolerance
+        sq, basis = build_fixed_system(model, level, energy=float(slipped))
+        assert basis == (0, 1, 2)
+
     def test_square_block_is_singular_only_at_the_level_energy(self):
         model = get_model("scarf1", A=2, B=HALF, alpha=1)
         level1 = quantize(model, levels=2).levels[1]
