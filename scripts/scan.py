@@ -1,0 +1,70 @@
+"""Fixed-point scan: `qhj verify` and `qhj solve --format json` on 308 points.
+
+    python scripts/scan.py > scan.txt
+
+The points are the benchmark's: its ALL_CONFIGS, then one point per family
+from `perfbench.workloads.family_points` for each seed 1001–1040, in that
+order, each point once.  Every point runs through in-process `qhj verify`
+and `qhj solve --format json` at the default levels, and the script prints
+each command with its exit code, its stdout and its stderr.  The output is
+deterministic, so two checkouts can be compared with diff.
+
+The script exits 1 when a command raised a Python traceback or exited with
+a non-zero code, else 0.
+"""
+
+import contextlib
+import io
+import random
+import sys
+import traceback
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from perfbench.workloads import ALL_CONFIGS, family_points      # noqa: E402
+from qhj import cli                                              # noqa: E402
+
+SEEDS = range(1001, 1041)
+
+
+def points():
+    """ALL_CONFIGS, then family_points per seed, without repeats."""
+    out = []
+    drawn = [p for seed in SEEDS for p in family_points(random.Random(seed))]
+    for mid, params in [*ALL_CONFIGS, *drawn]:
+        if (mid, params) not in out:
+            out.append((mid, params))
+    return out
+
+
+def run(argv):
+    """(exit code or "traceback", stdout, stderr) of in-process `qhj argv`."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except SystemExit as exc:           # argparse refusals
+        code = exc.code
+    except Exception:
+        code = "traceback"
+        err.write(traceback.format_exc())
+    return code, out.getvalue(), err.getvalue()
+
+
+def main():
+    failed, pts = 0, points()
+    for mid, params in pts:
+        args = [mid] + [arg for item in params.items() for arg in ("--param", "%s=%s" % item)]
+        for argv in (["verify", *args], ["solve", *args, "--format", "json"]):
+            code, out, err = run(argv)
+            failed += code != 0
+            print("$ qhj %s\nexit %s" % (" ".join(argv), code))
+            sys.stdout.write(out + ("stderr:\n" + err if err else ""))
+    print("%d points, %d non-zero exits" % (len(pts), failed))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -157,11 +157,6 @@ def as_exact(value):
     return None
 
 
-def all_exact(values):
-    """Whether every value is exact, so that a check on them can ask for equality."""
-    return all(as_exact(v) is not None for v in values)
-
-
 def to_complex(value):
     """Coerce any scalar used by the package to a Python complex."""
     if isinstance(value, ExactComplex):
@@ -234,11 +229,11 @@ def poly_der(p):
 
 
 def poly_divmod(num, den):
-    """(quotient, remainder) of ascending coefficient lists; den monic."""
-    d, rem = len(den) - 1, list(num)
+    """(quotient, remainder) of ascending coefficient lists; den's leading coefficient exact."""
+    d, rem, lead = len(den) - 1, list(num), as_exact(den[-1])
     quo = [Fraction(0)] * max(len(num) - d, 1)
     for k in range(len(num) - d - 1, -1, -1):
-        quo[k] = rem[k + d]
+        quo[k] = rem[k + d] if lead == 1 else rem[k + d] / lead
         for i, c in enumerate(den):
             rem[k + i] -= quo[k] * c
     return quo, rem[:d]

@@ -27,8 +27,10 @@ and banded (a row of degree k reaches the degrees k … k+2 only), and its last
 row vanishes, so the node polynomial is p_n = 1 plus one back-substitution
 over the band for p_(n−1) … p_0.  Its rows are plain Python complex numbers,
 so a closed-form solve loads no numpy unless two of its levels share an energy
-(see _deduplicate).  The rows off the basis degrees must vanish: exactly when
-the identity is exact, within a tolerance when float residues enter it.
+(see _deduplicate).  The division's remainder and the rows off the basis
+degrees must vanish, under one rule (_refuted): an exact value must be zero,
+and only a float one, where float residues enter the identity, is held to a
+tolerance.
 """
 
 from __future__ import annotations
@@ -40,14 +42,13 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import NonlinearEnergyError, QhjError
-from .exactmath import all_exact, poly_add, poly_divmod, poly_mul, to_complex
+from .exactmath import as_exact, poly_add, poly_divmod, poly_mul, to_complex
 from .potential_catalog import WavefunctionRecipe, poly_eval
 from .quantization import QuantizationOutcome, quantize
 from .special_functions import np     # numpy on first use: the pencil and sampling need it
 
-_DIV_TOL = 1e-10
-_OVERFLOW_TOL = 1e-10
-_FIXED_TOL = 1e-7
+_DIV_TOL = 1e-10      # float residues: the remainder and the pencil's overflow rows
+_FIXED_TOL = 1e-7     # float residues: the closed-form rows off the basis, at a float energy
 _DEDUP_TOL = 1e-8
 
 
@@ -72,11 +73,6 @@ class PencilSystem:
     M0: np.ndarray
     M1: np.ndarray
     basis: Tuple[int, ...]
-    overflow: Tuple[np.ndarray, np.ndarray]
-
-    def overflow_magnitude(self):
-        scale = max(np.max(np.abs(m), initial=1.0) for m in (self.M0, self.M1))
-        return max(np.max(np.abs(o), initial=0.0) for o in self.overflow) / scale
 
 
 @dataclass
@@ -111,6 +107,14 @@ def _pole_sums(model, residues, a0):
     return s, sq
 
 
+def _refuted(values, tol, scale):
+    """The largest |value| among those that refute the identity, or None: an exact
+    value refutes it unless it is zero, a float one (float residues) above tol·scale."""
+    return max((abs(to_complex(v)) for v in values
+                if (v != 0 if as_exact(v) is not None else abs(to_complex(v)) > tol * scale)),
+               default=None)
+
+
 def _identity(model, assignment, energy=None):
     """(basis, Π, NS, NR), exact: NS = 2S, NR = (S² − Σ b_i·D_i² + A [+ E·B])/Π."""
     pi, _groups, a, b = model.g_polynomials()
@@ -118,8 +122,8 @@ def _identity(model, assignment, energy=None):
     num = poly_add(poly_mul(s, s), [-c for c in sq], a,
                    [] if energy is None else [energy * c for c in b])
     nr, rem = poly_divmod(num, pi)
-    worst = max((abs(to_complex(c)) for c in rem), default=0.0)
-    if worst > _DIV_TOL * max([1.0] + [abs(to_complex(c)) for c in num]):
+    worst = _refuted(rem, _DIV_TOL, max([1.0] + [abs(to_complex(c)) for c in num]))
+    if worst is not None:
         raise QhjError("polynomial division for the %s identity is not exact (remainder "
                        "%.3e); inconsistent residue branch data" % (model.id, worst))
     n = int(assignment.n)
@@ -139,20 +143,16 @@ def _terms(basis, pi, ns, nr):
 
 
 def _rows(basis, pi=(), ns=(), nr=()):
-    """Coefficient rows of Π·P'' + NS·P' + NR·P over the basis monomials, in floats.
-
-    Returns (the square block on the basis degrees, every other row), each a
-    list of rows of Python complex numbers.
-    """
+    """The square block of Π·P'' + NS·P' + NR·P on the basis degrees, in floats: a
+    list of rows of Python complex numbers.  The other rows vanish (_off_basis)."""
     pi, ns, nr = ([to_complex(c) for c in p] for p in (pi, ns, nr))
     mat = [[0j] * len(basis) for _ in range(max(basis) + max(len(pi), len(ns), len(nr)))]
     for k, j, scale, c in _terms(basis, pi, ns, nr):
         mat[k][j] += scale * c
-    on = set(basis)
-    return [mat[d] for d in basis], [row for k, row in enumerate(mat) if k not in on]
+    return [mat[d] for d in basis]
 
 
-def _off_basis(basis, pi, ns, nr):
+def _off_basis(basis, pi=(), ns=(), nr=()):
     """The nonzero entries of the rows off the basis degrees, in the identity's own
     arithmetic: exact for an exact identity."""
     on, entries = set(basis), {}
@@ -160,10 +160,6 @@ def _off_basis(basis, pi, ns, nr):
         if k not in on and c != 0:
             entries[k, j] = entries.get((k, j), 0) + scale * c
     return [v for v in entries.values() if v != 0]
-
-
-def _max_abs(rows):
-    return max((abs(v) for row in rows for v in row), default=0.0)
 
 
 def build_pencil(model, assignment):
@@ -185,15 +181,14 @@ def build_pencil(model, assignment):
             "energy enters the %s identity through the pole strengths; "
             "no linear pencil exists" % model.id)
     basis, *identity = _identity(model, assignment)
-    as_array = lambda rows: np.array(rows, dtype=complex).reshape(-1, len(basis))
-    m0, o0 = map(as_array, _rows(basis, *identity))
-    m1, o1 = map(as_array, _rows(basis, nr=nr1))     # energy rows: only NR1·P contributes
-    system = PencilSystem(M0=m0, M1=m1, basis=basis, overflow=(o0, o1))
-    if system.overflow_magnitude() > _OVERFLOW_TOL:
+    m0 = np.array(_rows(basis, *identity), dtype=complex)
+    m1 = np.array(_rows(basis, nr=nr1), dtype=complex)     # energy rows: only NR1·P contributes
+    worst = _refuted(_off_basis(basis, *identity) + _off_basis(basis, nr=nr1), _DIV_TOL,
+                     max(np.max(np.abs(m), initial=1.0) for m in (m0, m1)))
+    if worst is not None:
         raise QhjError("overflow rows of the %s pencil do not vanish (%.2e); "
-                       "the residue assignment is inconsistent"
-                       % (model.id, system.overflow_magnitude()))
-    return system
+                       "the residue assignment is inconsistent" % (model.id, worst))
+    return PencilSystem(M0=m0, M1=m1, basis=basis)
 
 
 def build_fixed_system(model, assignment, energy=None):
@@ -204,15 +199,10 @@ def build_fixed_system(model, assignment, energy=None):
     if energy is None:
         raise QhjError("fixed system needs a resolved energy")
     basis, *identity = _identity(model, assignment, energy)
-    sq, over = _rows(basis, *identity)
-    if all_exact(c for poly in identity for c in poly):
-        off = _off_basis(basis, *identity)     # an exact identity leaves exact zeros
-        worst = max((abs(to_complex(v)) for v in off), default=0.0)
-        refused = bool(off)
-    else:                                      # float residues (complex_scarf) leave noise
-        worst = _max_abs(over)
-        refused = worst > _FIXED_TOL * max(1.0, _max_abs(sq), worst)
-    if refused:
+    sq = _rows(basis, *identity)
+    worst = _refuted(_off_basis(basis, *identity), _FIXED_TOL,
+                     max(1.0, max((abs(v) for row in sq for v in row), default=0.0)))
+    if worst is not None:
         raise QhjError("identity rows above the node-polynomial degree do not "
                        "vanish at the quantized energy (%.2e); closed form and "
                        "identity disagree" % worst)

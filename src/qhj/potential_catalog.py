@@ -3,28 +3,27 @@
 Every entry describes one potential family in units ħ = 1, 2m = 1.  The map
 t = f(x) makes the Riccati equation χ² + χ' + G(t) = 0 rational, with
 G = (E − Ṽ(t))/u + [−u''/(4u) + 3u'²/(16u²)], Ṽ(t) = V(x(t)), u = (dt/dx)²
-a polynomial in t (u_poly) and primes d/dt.
+a polynomial in t and primes d/dt.
 
-A family states G once, exactly (g_declaration): the roots of Πclear, the
-product of its pole monomials, and A(t), B(t) with Πclear²·G = A + E·B, in
-Fraction or ExactComplex coefficients.  PotentialModel derives from it, once
-per model, each pole's strength g2 = (A + E·B)/Πclear'² there (fixed_poles),
-G0, G1, G2 of G at infinity (infinity_expansion), each a constant or affine
-in E, Πclear and each pole group's cofactor Πclear/factor, exactly, for the
-polynomial identity (g_polynomials), and G itself (g_value).
-Besides G a family declares:
+A family states Ṽ and u once, exactly (g_declaration), with the roots of
+Πclear, the product of its pole monomials.  PotentialModel derives from them,
+once per model and by exact division, A and B with Πclear²·G = A + E·B, each
+pole's strength g2 (fixed_poles), G0, G1, G2 of G at infinity
+(infinity_expansion), each a constant or affine in E, the exact polynomials
+of the identity (g_polynomials), G itself (g_value) and the prefactor
+exponents (prefactor_exponents).  Besides Ṽ and u a family declares:
 
-* the physical potential V(x), the map t(x) and u(t),
+* the physical potential V(x) and the map t(x),
 * the residue sets with their admissibility verdicts (quantization turns
   them into closed-form levels, or hands them to the pencil), where a level
   tower stops (normalizable), the classical-polynomial twin of the node
   polynomial and the oracle channel of each level (periodicity class or
   wall roots),
 * the wavefunction prefactors f_j(x) and the mapped variable t at sample
-  points (prefactors), the exponents e_j a residue set gives them, the
-  change of variable's offset at each pole included (prefactor_exponents),
-  and a display template (recipe_form); one assembler, PotentialModel.recipe,
-  builds ψ = Π_j f_j^e_j · e^(a0·t) · P(t) for every family,
+  points (prefactors), for each f_j a pole and the power p_j with f_j^p_j ∝
+  the factor of that pole's group (prefactor_poles), and a display template
+  (recipe_form); one assembler, PotentialModel.recipe, builds
+  ψ = Π_j f_j^e_j · e^(a0·t) · P(t) for every family,
 * which oracle solves the family, on which domain, and how `verify` scores it.
 
 A new family is one PotentialModel subclass here plus its parameter
@@ -146,6 +145,23 @@ def _in_energy(at0, slope):
     return at0 if slope == 0 else (lambda E: at0 + E * slope)
 
 
+def _quotient(num, den):
+    """num/den of exact ascending coefficients, trailing zeros dropped, or None when
+    den does not divide num."""
+    quo, rem = poly_divmod(num, den)
+    while len(quo) > 1 and quo[-1] == 0:
+        quo.pop()
+    return None if any(c != 0 for c in rem) else quo
+
+
+def _multiplicity(factor, poly):
+    """How many times factor divides the nonzero poly."""
+    k = 0
+    while (poly := _quotient(poly, factor)) is not None:
+        k += 1
+    return k
+
+
 # ---------------------------------------------------------------------------
 # model base
 # ---------------------------------------------------------------------------
@@ -167,6 +183,7 @@ class PotentialModel:
     energy_formula = None
     notes: Tuple[str, ...] = ()
     qes_relations = None           # one level relation per residue set, or None
+    prefactor_poles: Tuple[Tuple[str, int], ...] = ()   # (label, p) per f_j: prefactor_exponents
     oracle = "bound"               # bound | band_edges | inverse_square_cell | pt
     verify_tol = 2e-4              # default energy tolerance of verify()
     recipe_form = None             # str.format: {0}, {1}, … exponents, {n} degree, {a0} slope
@@ -215,35 +232,52 @@ class PotentialModel:
 
     # -- G, declared once -----------------------------------------------------
     def g_declaration(self):
-        """(poles, A, B) with G = (A(t) + E·B(t))/Πclear(t)²: the family's one statement of G.
+        """(poles, (Ṽ numerator, Ṽ denominator), u): the family's one statement of G.
 
         poles lists Πclear's roots in label order, each as (label, t0), or as
-        ((label+, label−), q) for the pair ±√q of an even Πclear²·G.  A and B
-        are ascending Fraction or ExactComplex coefficients.
+        ((label+, label−), q) for the pair ±√q of an even Πclear²·G.  Ṽ(t) =
+        V(x(t)) and u(t) = (dt/dx)² are ascending Fraction or ExactComplex
+        coefficients; _g derives G = (A + E·B)/Πclear² from them.
         """
         raise NotImplementedError
 
     @cached_property
     def _g(self):
-        """Πclear with its pole groups, strengths and expansion at infinity, exactly."""
-        poles, a, b = self.g_declaration()
+        """Πclear with its pole groups, A and B, the strengths, the expansion at infinity
+        and the prefactor exponent rule, exactly."""
+        poles, (v_num, v_den), u = self.g_declaration()
+        name = self.id or type(self).__name__
         factors = [(-r, 0, 1) if isinstance(labels, tuple) else (-r, 1) for labels, r in poles]
         clear = reduce(poly_mul, factors, [Fraction(1)])
         square, slope2 = poly_mul(clear, clear), poly_mul(poly_der(clear), poly_der(clear))
+        # Πclear²·G = A + E·B:  B = Πclear²/u, A = B·(3u'² − 4u·u'' − 16u·Ṽ)/(16u)
+        b = _quotient(square, u)
+        if b is None:
+            raise QhjError("%s declares poles and u whose Πclear²/u is not a polynomial" % name)
+        du, u16 = poly_der(u), [16 * c for c in u]
+        curvature = poly_add(poly_mul([3 * c for c in du], du), poly_mul([-4 * c for c in u], poly_der(du)))
+        a = _quotient(poly_mul(b, poly_add(poly_mul(curvature, v_den), [-c for c in poly_mul(u16, v_num)])),
+                      poly_mul(u16, v_den))
+        if a is None:
+            raise QhjError("%s declares poles, Ṽ and u whose Πclear²·(−Ṽ/u − u''/(4u) + "
+                           "3u'²/(16u²)) is not a polynomial" % name)
         paired = any(isinstance(labels, tuple) for labels, _ in poles)
         if paired and any(c != 0 for p in (square, a, b) for c in p[1::2]):  # a pair's g2 is read in t² = q
-            raise QhjError("%s declares a pole pair ±√q, but its Πclear²·G is not even in t"
-                           % (self.id or type(self).__name__))
-        fixed, groups = [], []
+            raise QhjError("%s declares a pole pair ±√q, but its Πclear²·G is not even in t" % name)
+        fixed, groups, factor_of = [], [], {}
         for (labels, root), factor in zip(poles, factors):
             labels = labels if isinstance(labels, tuple) else (labels,)
             at = lambda p: poly_at(p[::len(labels)], root)    # a pair's: even, read in t² = q
             g2 = _in_energy(at(a) / at(slope2), at(b) / at(slope2))
             fixed += [FixedPole(g2=g2, label=label) for label in labels]
             groups.append((labels, root, poly_divmod(clear, factor)[0]))
+            factor_of.update(dict.fromkeys(labels, factor))
         expansion = InfinityExpansion(*map(_in_energy, expansion_at_infinity(a, square),
                                            expansion_at_infinity(b, square)))
-        return SimpleNamespace(poles=tuple(fixed), expansion=expansion,
+        # f_j^p ∝ the factor of its pole's group, which divides u k times
+        exponents = tuple((label, p, Fraction(_multiplicity(factor_of[label], u), 4))
+                          for label, p in self.prefactor_poles)
+        return SimpleNamespace(poles=tuple(fixed), expansion=expansion, exponents=exponents,
                                polynomials=(clear, tuple(groups), a, b))
 
     def fixed_poles(self) -> Tuple[FixedPole, ...]:
@@ -269,10 +303,6 @@ class PotentialModel:
         (pi, a, b), t = self._g_view, np.asarray(t, dtype=complex)
         return (poly_eval(a, t) + to_complex(energy) * poly_eval(b, t)) / poly_eval(pi, t) ** 2
 
-    def u_poly(self):
-        """Ascending coefficients of u(t) = F²."""
-        raise NotImplementedError
-
     # -- residue sets and levels -----------------------------------------------
     def assignments(self):
         """Every candidate residue set, in set-label order, with its verdict."""
@@ -296,12 +326,13 @@ class PotentialModel:
 
     # -- wavefunction assembly -------------------------------------------------
     def prefactor_exponents(self, residues):
-        """Exponents of the natural x-space prefactors for given pole residues.
+        """Exponents e_j = p_j·(b − k/4) of the prefactors f_j, in prefactor_poles order.
 
-        residues: mapping pole label → residue value.  Returns a tuple in the
-        model's prefactor order (see each subclass docstring).
+        residues maps pole label → residue b.  f_j^p_j ∝ the factor of the
+        pole group of f_j's label, and k is how many times that factor
+        divides u: near a simple root of u, t − t0 ∝ (x − x0)².
         """
-        raise NotImplementedError
+        return tuple(p * (residues[label] - offset) for label, p, offset in self._g.exponents)
 
     def prefactors(self, xs):
         """(t, (f_1, …)): the mapped variable and the prefactors at xs."""
@@ -351,6 +382,7 @@ class HydrogenModel(PotentialModel):
     spectrum_kind = "es_spectrum"
     energy_formula = "E_n = e2^2/(4(l+1)^2) - e2^2/(4(n+l+1)^2)"
     recipe_form = "r^{0} * exp({a0.real:.6g}*r) * P{n}(r)"
+    prefactor_poles = (("t=0", 1),)       # r = t
 
     def __init__(self, **params):
         super().__init__(**params)
@@ -378,11 +410,8 @@ class HydrogenModel(PotentialModel):
                             scale=2.0 * (self.l + 1) * (self.l + 5) / float(self.e2))
 
     def g_declaration(self):
-        # t²·G = −l(l+1) + e2·t + (E − κ²)·t²
-        return (("t=0", 0),), (-self.l * (self.l + 1), self.e2, -self.kappa2), (0, 0, 1)
-
-    def u_poly(self):
-        return np.array([1.0])
+        # Ṽ = (l(l+1) − e2·t + κ²·t²)/t², u = 1
+        return (("t=0", 0),), ((self.l * (self.l + 1), -self.e2, self.kappa2), (0, 0, 1)), (1,)
 
     def assignments(self):
         return [ResidueAssignment(set_label=label, pole_residues={"t=0": b1},
@@ -401,9 +430,6 @@ class HydrogenModel(PotentialModel):
 
     def classical_range(self, n):
         return (0.5, 2.0 * (n + self.l + 2))
-
-    def prefactor_exponents(self, residues):
-        return (residues["t=0"],)
 
     def prefactors(self, xs):
         r = self.to_t(xs)
@@ -433,6 +459,7 @@ class TwoWallJacobiModel(PotentialModel):
 
     spectrum_kind = "es_spectrum"
     reject_reason = None           # verdict of an inadmissible set
+    prefactor_poles = (("t=+1", 1), ("t=-1", 1))       # 1 − t, 1 + t
 
     def assignments(self):
         plus, minus = (finite_pole_residues(p) for p in self.fixed_poles())
@@ -453,9 +480,6 @@ class TwoWallJacobiModel(PotentialModel):
         def evaluator(t):
             return jacobi_polynomial(n, al, be, np.asarray(t, dtype=complex))
         return ("jacobi", (al, be), evaluator)
-
-    def prefactor_exponents(self, residues):
-        return (residues["t=+1"] - Fraction(1, 4), residues["t=-1"] - Fraction(1, 4))
 
     def prefactors(self, xs):
         t = self.to_t(xs)
@@ -510,15 +534,10 @@ class ScarfOneModel(TwoWallJacobiModel):
         return all(to_complex(e).real > 0 for e in self.prefactor_exponents(a.pole_residues))
 
     def g_declaration(self):
-        # Ṽ = (n0 + n1·t)/(1 − t²) − A²; Πclear²·G = ((E + A²)(1 − t²) − n0 − n1·t)/α² + 1/2 + t²/4
+        # Ṽ = (n0 + n1·t)/(1 − t²) − A², u = α²(1 − t²)
         A, al2 = self.A, self.alpha ** 2
         n0, n1 = A * A + self.B ** 2 - A * self.alpha, self.B * (2 * A - self.alpha)
-        return (_UNIT_POLES, ((A * A - n0) / al2 + Fraction(1, 2), -n1 / al2,
-                              Fraction(1, 4) - A * A / al2), (1 / al2, 0, -1 / al2))
-
-    def u_poly(self):
-        al2 = float(self.alpha) ** 2
-        return np.array([al2, 0.0, -al2])
+        return _UNIT_POLES, ((n0 - A * A, n1, A * A), (1, 0, -1)), (al2, 0, -al2)
 
 
 class ComplexScarfModel(TwoWallJacobiModel):
@@ -565,11 +584,8 @@ class ComplexScarfModel(TwoWallJacobiModel):
         return self.normalizable(replace(a, lambda1=sum(a.pole_residues.values()), n=0))
 
     def g_declaration(self):
-        # Ṽ = (A + B·t)/(t² − 1):  Πclear²·G = E(t² − 1) − A − B·t + 1/2 + t²/4
-        return (_UNIT_POLES, (Fraction(1, 2) - self.A, -self.B, Fraction(1, 4)), (-1, 0, 1))
-
-    def u_poly(self):
-        return np.array([-1.0, 0.0, 1.0])
+        # Ṽ = (A + B·t)/(t² − 1), u = t² − 1
+        return _UNIT_POLES, ((self.A, self.B), (-1, 0, 1)), (-1, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +611,7 @@ class ScarfPeriodicModel(PotentialModel):
     oracle = "inverse_square_cell"
     verify_tol = 5e-4
     recipe_form = "sin(x)^{0} * P{n}(cot(x))"
+    prefactor_poles = (("t=+i", -2),)      # sin⁻² = 1 + t²
 
     _SETS = (
         # (label, b-branch sign: -1 means b = (1−λ)/2, +1 means (1+λ)/2;  d1 choice sign)
@@ -629,12 +646,9 @@ class ScarfPeriodicModel(PotentialModel):
         return OracleDomain((0.0, math.pi), walls=(c, c))
 
     def g_declaration(self):
-        # Ṽ = (s² − 1/4)(1 + t²), u = Πclear² = (1 + t²)²:  Πclear²·G = E − Ṽ − 1
-        c = Fraction(1, 4) - self.s * self.s
-        return ((("t=+i", "t=-i"), -1),), (c - 1, 0, c), (1, 0, 0)
-
-    def u_poly(self):
-        return np.array([1.0, 0.0, 2.0, 0.0, 1.0])
+        # Ṽ = (s² − 1/4)(1 + t²), u = (1 + t²)²
+        c = self.s * self.s - Fraction(1, 4)
+        return ((("t=+i", "t=-i"), -1),), ((c, 0, c), (1,)), (1, 0, 2, 0, 1)
 
     def assignments(self):
         roots = infinity_residues(self.infinity_expansion()).values     # 1/2 ± s
@@ -664,12 +678,6 @@ class ScarfPeriodicModel(PotentialModel):
 
     def bc_class(self, assignment):
         return None if self.bound_phase else channel_tag([assignment.lambda1 < 0.5] * 2)
-
-    def prefactor_exponents(self, residues):
-        # (t∓i)^{b−1/2} pairs combine to (1+t²)^{b−1/2} = sin(x)^{−2(b−1/2)};
-        # with b = (1−λ)/2 the sin exponent is λ ± 0 — return that exponent.
-        b = residues["t=+i"]
-        return (1 - 2 * b,)
 
     def prefactors(self, xs):
         sx = np.sin(np.asarray(xs, dtype=float))
@@ -704,6 +712,7 @@ class AssociatedLameModel(PotentialModel):
     min_band_edges = 5             # the oracle solves at least this many edges
     verify_tol = 5e-4
     recipe_form = "cn^{0} * dn^{1} * P{n}(sn(x|m))"
+    prefactor_poles = (("t=+1", 2), ("t=+1/sqrt(m)", 2))     # cn² = 1 − t², dn² = 1 − m·t²
     # residue sets in label order as (b1, d1) branch signs: +1 takes
     # b1 = 3/4 or d1 = 3/4 + b/2, −1 takes b1 = 1/4 or d1 = 1/4 − b/2
     set_order = ((-1, -1), (+1, -1), (-1, +1), (+1, +1))
@@ -732,19 +741,12 @@ class AssociatedLameModel(PotentialModel):
 
     # -- algebraic data -----------------------------------------------------
     def g_declaration(self):
-        # Π = Πclear = (t² − 1)(t² − w), w = 1/m, u = m·Π:
-        # Π²·G = (E − shift − a(a+1)m·t²)·w·Π − b(b+1)(1 − t²)²·w − Π''·Π/4 + 3Π'²/16
-        a, b, w = self.a, self.b, 1 / self.m
-        pi = (w, 0, -1 - w, 0, 1)
-        d = poly_der(pi)
-        A = poly_add(poly_mul((-self.shift * w, 0, -a * (a + 1)), pi),
-                     [-b * (b + 1) * w * c for c in (1, 0, -2, 0, 1)],
-                     [-c / 4 for c in poly_mul(poly_der(d), pi)],
-                     [3 * c / 16 for c in poly_mul(d, d)])
-        return ((("t=+1", "t=-1"), 1), (("t=+1/sqrt(m)", "t=-1/sqrt(m)"), w)), A, [w * c for c in pi]
-
-    def u_poly(self):
-        return np.array([1.0, 0.0, -float(1 + self.m), 0.0, float(self.m)])
+        # t = sn:  Ṽ = a(a+1)m·t² + shift + b(b+1)m·cn²/dn², u = cn²·dn²
+        a, b, m = self.a, self.b, self.m
+        cn2, dn2 = (1, 0, -1), (1, 0, -m)
+        v = poly_add(poly_mul((self.shift, 0, a * (a + 1) * m), dn2), [b * (b + 1) * m * c for c in cn2])
+        poles = (("t=+1", "t=-1"), 1), (("t=+1/sqrt(m)", "t=-1/sqrt(m)"), 1 / m)
+        return poles, (v, dn2), poly_mul(cn2, dn2)
 
     def assignments(self):
         b1s = {+1: Fraction(3, 4), -1: Fraction(1, 4)}
@@ -767,11 +769,6 @@ class AssociatedLameModel(PotentialModel):
         cn_exp, _dn = self.prefactor_exponents(assignment.pole_residues)
         flips = int(2 * to_complex(cn_exp).real) // 2 + int(assignment.n) % 2
         return "periodic" if flips % 2 == 0 else "antiperiodic"
-
-    def prefactor_exponents(self, residues):
-        b1 = residues["t=+1"]
-        d1 = residues["t=+1/sqrt(m)"]
-        return (2 * b1 - Fraction(1, 2), 2 * d1 - Fraction(1, 2))
 
     def prefactors(self, xs):
         sn, cn, dn = self._sn_cn_dn(xs)
@@ -919,6 +916,7 @@ class KhareMandalModel(PotentialModel):
     oracle = "pt"
     verify_tol = 1e-3
     recipe_form = "sinh^{0} * cosh^{1} * exp(i*zeta*cosh(2x)/2) * P{n}(cosh(2x))"
+    prefactor_poles = (("t=+1", 2), ("t=-1", 2))     # sinh² = (t − 1)/2, cosh² = (t + 1)/2
     # (b1, b1') per residue set, in label order
     _SETS = ((Fraction(1, 4), Fraction(1, 4)), (Fraction(3, 4), Fraction(3, 4)),
              (Fraction(3, 4), Fraction(1, 4)), (Fraction(1, 4), Fraction(3, 4)))
@@ -940,15 +938,9 @@ class KhareMandalModel(PotentialModel):
         return OracleDomain((-4.5, 4.5), contour=contour, mirror="parity")
 
     def g_declaration(self):
-        # Π = Πclear = t² − 1, u = 4·Π:  Π²·G = (E + (ζt − iM)²)·Π/4 + (t² + 2)/4
-        v = (ExactComplex(0, -self.M), self.zeta)         # ζt − iM
-        pi = (-1, 0, 1)
-        A = poly_add([c / 4 for c in poly_mul(poly_mul(v, v), pi)],
-                     (Fraction(1, 2), 0, Fraction(1, 4)))
-        return _UNIT_POLES, A, [Fraction(c, 4) for c in pi]
-
-    def u_poly(self):
-        return np.array([-4.0, 0.0, 4.0])
+        # t = cosh 2x:  Ṽ = −(ζt − iM)² = M² + 2iMζ·t − ζ²t², u = 4(t² − 1)
+        v = (Fraction(self.M ** 2), ExactComplex(0, 2 * self.M * self.zeta), -self.zeta ** 2)
+        return _UNIT_POLES, (v, (1,)), (-4, 0, 4)
 
     def assignments(self):
         branch = infinity_residues(self.infinity_expansion())
@@ -962,9 +954,6 @@ class KhareMandalModel(PotentialModel):
                 lambda1=lam1, a0=a0, n=n, reason=reason, qes_relation=rel,
             ))
         return out
-
-    def prefactor_exponents(self, residues):
-        return (2 * residues["t=+1"] - Fraction(1, 2), 2 * residues["t=-1"] - Fraction(1, 2))
 
     def prefactors(self, xs):
         z = np.asarray(xs, dtype=complex)

@@ -38,9 +38,10 @@ class FixedPole:
 
     g2 is the coefficient of 1/(y−y0)²; it may be a plain scalar or a
     callable of the energy for models whose pole strength moves with E.
-    label keys the pole's residue in ResidueAssignment.pole_residues; the
-    model's prefactor_exponents turns those residues into the exponents of
-    its wavefunction prefactors.
+    label keys the pole's residue b in ResidueAssignment.pole_residues; the
+    catalog's one rule, PotentialModel.prefactor_exponents, turns b into the
+    exponent p·(b − k/4) of a wavefunction prefactor f with f^p ∝ the pole's
+    factor, k being how many times that factor divides u = (dy/dx)².
     """
 
     g2: Coefficient

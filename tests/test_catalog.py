@@ -1,11 +1,12 @@
 """Potential catalog invariants.
 
-Every model stores (a) a map x → t, (b) the squared derivative u = (dt/dx)²
-as a polynomial in t, and (c) its one exact declaration of the transformed
-coefficient function G, from which the pole strengths and the expansion at
-infinity are derived.  These tests recompute G from the raw potential
-callable and finite differences, with no residue code, and compare the
-derived strengths and expansion with the hand-written formulas they replace.
+Every model stores (a) a map x → t and (b) its one exact declaration of
+Ṽ(t) = V(x(t)) and of the squared derivative u = (dt/dx)² as a polynomial
+in t, from which G, the pole strengths, the expansion at infinity and the
+prefactor exponents are derived.  These tests recompute G from the raw
+potential callable, the declared u and finite differences, with no residue
+code, and compare the derived strengths, expansion and exponents with the
+hand-written formulas they replace.
 """
 
 import ast
@@ -29,7 +30,8 @@ from qhj.potential_catalog import (MODEL_CLASSES, MODEL_IDS, PARAM_DENOMINATOR,
                                    ComplexScarfModel, HydrogenModel,
                                    KhareMandalModel, PotentialModel,
                                    ScarfOneModel, ScarfPeriodicModel,
-                                   evaluate_potential, get_model)
+                                   TwoWallJacobiModel, evaluate_potential,
+                                   get_model)
 
 ALL_CASES = [
     ("hydrogen", dict(e2=2, l=0), [0.7, 1.9, 3.3]),
@@ -77,10 +79,15 @@ def _pole_locations(model):
     return out
 
 
+def _declared_u(model):
+    """The declared exact u(t), as complex coefficients."""
+    return np.array([to_complex(c) for c in model.g_declaration()[2]])
+
+
 def _g_from_potential(model, x, energy):
     """G straight from the definition, using only V, the map, and u."""
     t = model.to_t(x)
-    u = np.asarray(model.u_poly(), dtype=complex)
+    u = _declared_u(model)
     uv = P.polyval(t, u)
     upv = P.polyval(t, P.polyder(u))
     uppv = P.polyval(t, P.polyder(u, 2))
@@ -104,7 +111,7 @@ class TestStoredPolynomialsMatchPotential:
         h = 1e-6
         for x in xs:
             dtdx = (model.to_t(x + h) - model.to_t(x - h)) / (2 * h)
-            uval = P.polyval(model.to_t(x), np.asarray(model.u_poly(), dtype=complex))
+            uval = P.polyval(model.to_t(x), _declared_u(model))
             assert abs(dtdx ** 2 - uval) <= 5e-6 * max(1.0, abs(uval))
 
 
@@ -264,14 +271,46 @@ def test_derived_strengths_and_expansion_equal_the_reference(mid, data):
         assert all(_same(g, w) for g, w in zip(got, want)), (got, want)
 
 
+# The prefactor exponents each family wrote by hand before the base class
+# derived them from u: residues → exponents, in prefactor order.
+REFERENCE_EXPONENTS = (
+    (HydrogenModel, lambda r: (r["t=0"],)),
+    (TwoWallJacobiModel, lambda r: (r["t=+1"] - Fraction(1, 4), r["t=-1"] - Fraction(1, 4))),
+    (ScarfPeriodicModel, lambda r: (1 - 2 * r["t=+i"],)),
+    (AssociatedLameModel, lambda r: (2 * r["t=+1"] - Fraction(1, 2),
+                                     2 * r["t=+1/sqrt(m)"] - Fraction(1, 2))),
+    (KhareMandalModel, lambda r: (2 * r["t=+1"] - Fraction(1, 2), 2 * r["t=-1"] - Fraction(1, 2))),
+)
+
+
+def reference_exponents(model, residues):
+    return next(f for cls, f in REFERENCE_EXPONENTS if isinstance(model, cls))(residues)
+
+
+@pytest.mark.parametrize("mid", MODEL_IDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_derived_exponents_equal_the_reference(mid, data):
+    # each set's own residues, then one drawn residue per pole group
+    model = get_model(mid, **data.draw(schema_points(mid)))
+    sets = [a.pole_residues for a in model.assignments() if a.pole_residues]
+    drawn = {}
+    for labels, _root, _cofactor in model.g_polynomials()[1]:
+        drawn.update(dict.fromkeys(labels, data.draw(st.fractions(-50, 50, max_denominator=97))))
+    for residues in sets + [drawn]:
+        got, want = model.prefactor_exponents(residues), reference_exponents(model, residues)
+        assert [type(e) for e in got] == [type(e) for e in want] and got == want
+
+
 @pytest.mark.parametrize("mid", MODEL_IDS)
 def test_each_family_declares_g_once_and_exactly(mid):
     cls = MODEL_CLASSES[mid]
-    derived = ("fixed_poles", "infinity_expansion", "g_polynomials", "g_value")
+    derived = ("fixed_poles", "infinity_expansion", "g_polynomials", "g_value",
+               "prefactor_exponents")
     assert [name for k in cls.__mro__ if k is not PotentialModel
             for name in derived if name in vars(k)] == []
-    _poles, a, b = get_model(mid, **BASE_POINTS[mid]).g_declaration()
-    assert all(isinstance(c, (int, Fraction, ExactComplex)) for c in (*a, *b))
+    _poles, (v_num, v_den), u = get_model(mid, **BASE_POINTS[mid]).g_declaration()
+    assert all(isinstance(c, (int, Fraction, ExactComplex)) for c in (*v_num, *v_den, *u))
 
 
 class TestParameterValidation:

@@ -3,12 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qhj.exactmath import (ExactComplex, all_exact, as_exact, exact_sqrt, expansion_at_infinity,
-                           poly_add, poly_at, poly_der, poly_mul, settle, sort_key, sqrt,
-                           sqrt_fraction, to_complex, to_float)
+from qhj.exactmath import (ExactComplex, as_exact, exact_sqrt, expansion_at_infinity,
+                           poly_add, poly_at, poly_der, poly_divmod, poly_mul, settle, sort_key,
+                           sqrt, sqrt_fraction, to_complex, to_float)
 
 rationals = st.fractions(min_value=-100, max_value=100)
 
@@ -66,12 +66,6 @@ class TestConversions:
         z = ExactComplex(Fraction(1), Fraction(2))
         assert as_exact(z) is z
 
-    def test_all_exact(self):
-        assert all_exact([3, Fraction(1, 3), ExactComplex(1, 2)])
-        assert all_exact([])
-        assert not all_exact([Fraction(1, 3), 0.5])
-        assert not all_exact(iter([1, 1j]))
-
     def test_to_float_rejects_meaningful_imaginary(self):
         with pytest.raises(ValueError):
             to_float(1 + 1j)
@@ -122,6 +116,15 @@ class TestExactPolynomials:
         assert poly_at(poly_mul(p, q), t) == poly_at(p, t) * poly_at(q, t)
         # d/dt (t − a)·p = p + (t − a)·p'
         assert poly_der(poly_mul((-t, 1), p)) == poly_add(p, poly_mul((-t, 1), poly_der(p)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=polys, q=polys, r=polys)
+    def test_division_by_an_exact_leading_coefficient(self, p, q, r):
+        # (p·q + r) ÷ q = p with remainder r, whatever q's nonzero leading coefficient
+        assume(q[-1] != 0)
+        r = r[:len(q) - 1]
+        quo, rem = poly_divmod(poly_add(poly_mul(p, q), r), q)
+        assert quo == p and rem == r + [0] * (len(q) - 1 - len(r))
 
     def test_complex_coefficients_stay_exact(self):
         i = ExactComplex(0, 1)

@@ -20,8 +20,8 @@ from numpy.polynomial import polynomial as P
 from qhj import (NoAdmissibleAssignmentError, NonlinearEnergyError, QhjError,
                  enumerate_assignments, get_model, polynomial_system, quantize)
 from qhj.exactmath import ExactComplex, as_exact, poly_add, poly_mul, to_complex
-from qhj.polynomial_system import (PolynomialOnT, _kernel_vectors, _pole_sums,
-                                   build_fixed_system, build_pencil,
+from qhj.polynomial_system import (PolynomialOnT, _identity, _kernel_vectors, _off_basis,
+                                   _pole_sums, build_fixed_system, build_pencil,
                                    closed_form_deviation, solve_pencil,
                                    solve_spectrum)
 from qhj.potential_catalog import MODEL_IDS, PotentialModel
@@ -44,8 +44,8 @@ class TestPencilAssembly:
     def test_lame_overflow_rows_vanish(self):
         model = get_model("lame", j=2, m=HALF)
         for a in _admissible(model).values():
-            system = build_pencil(model, a)
-            assert system.overflow_magnitude() < 1e-10
+            basis, *identity = _identity(model, a)
+            assert _off_basis(basis, *identity) == []       # exactly
 
     def test_lame_set1_block_shape_and_roots(self):
         model = get_model("lame", j=2, m=HALF)
@@ -93,6 +93,17 @@ class TestSafetyChecks:
         with pytest.raises(QhjError, match="overflow rows .* do not vanish"):
             build_pencil(model, bad)
 
+    @pytest.mark.parametrize("field,match", [("residue", "division .* is not exact"),
+                                             ("a0", "overflow rows .* do not vanish")])
+    def test_an_exact_identity_refuses_any_nonzero_value(self, field, match):
+        # off by 1e-30, far below any float tolerance: an exact identity must vanish exactly
+        model, a = self._set1()
+        tiny = Fraction(1, 10**30)
+        bad = replace(a, a0=tiny) if field == "a0" else \
+            replace(a, pole_residues={**a.pole_residues, "t=+1": a.pole_residues["t=+1"] + tiny})
+        with pytest.raises(QhjError, match=match):
+            build_pencil(model, bad)
+
 
 def _pairwise_identity(locs, bvals, a0):
     """(Π, NS, Π²R − Π²G) summed term by term from the pole expansion of S and R."""
@@ -113,14 +124,14 @@ _small = st.fractions(-3, 3, max_denominator=8)
 
 
 class _Declared(PotentialModel):
-    """A model that declares only Πclear's roots, with G = 0."""
+    """A model that declares Πclear's roots, with Ṽ = 0 and u = 1 unless given."""
 
-    def __init__(self, poles):
+    def __init__(self, poles, v=((0,), (1,)), u=(1,)):
         super().__init__()
-        self.poles = poles
+        self.poles, self.v, self.u = poles, v, u
 
     def g_declaration(self):
-        return self.poles, (0,), (0,)
+        return self.poles, self.v, self.u
 
 
 def _is_exact(poly):
@@ -169,6 +180,15 @@ class TestIdentityParts:
                            (("q0+", "q0-"), -1)))
         with pytest.raises(QhjError, match="_Declared declares a pole pair"):
             model.g_polynomials()
+
+    @pytest.mark.parametrize("declared,match", [
+        (dict(u=(1, 1)), r"Πclear²/u is not a polynomial"),            # t²/(1 + t)
+        (dict(v=((1,), (1, 1))), r"Πclear²·\(−Ṽ/u .*\) is not a polynomial"),  # Ṽ = 1/(1 + t)
+    ])
+    def test_a_declaration_that_leaves_a_remainder_is_refused_by_name(self, declared, match):
+        # Πclear = t: u and Ṽ may have poles only at Πclear's roots
+        with pytest.raises(QhjError, match="_Declared declares .*" + match):
+            _Declared((("s0", 0),), **declared).g_polynomials()
 
 
 def _rounded_identities(model):

@@ -22,6 +22,7 @@ from qhj.wavefunction_assembly import (L2_ONE, SUP_NORM_ONE, assemble,
                                        verify_against_oracle)
 
 from test_acceptance import ALL_CONFIGS
+from test_catalog import reference_exponents
 
 HALF = Fraction(1, 2)
 
@@ -145,14 +146,14 @@ def _hydrogen_psi(model, a, c, xs):
 
 
 def _two_wall_psi(model, a, c, xs):
-    ep, em = (to_complex(e) for e in model.prefactor_exponents(a.pole_residues))
+    ep, em = (to_complex(e) for e in reference_exponents(model, a.pole_residues))
     t = model.to_t(xs)
     return (1.0 - t) ** ep * (1.0 + t) ** em * poly_eval(c, t)
 
 
 def _periodic_psi(model, a, c, xs):
     # sin^λ·P(cot) as sin^(λ−n)·Σ c_k cos^k sin^(n−k)
-    lam = to_complex(model.prefactor_exponents(a.pole_residues)[0]).real
+    lam = to_complex(reference_exponents(model, a.pole_residues)[0]).real
     n = len(c) - 1
     x = np.asarray(xs, dtype=float)
     sx, cx = np.sin(x), np.cos(x)
@@ -160,13 +161,13 @@ def _periodic_psi(model, a, c, xs):
 
 
 def _elliptic_psi(model, a, c, xs):
-    ce, de = (to_complex(e).real for e in model.prefactor_exponents(a.pole_residues))
+    ce, de = (to_complex(e).real for e in reference_exponents(model, a.pole_residues))
     sn, cn, dn = sn_cn_dn(xs, model.m)
     return (cn + 0j) ** ce * dn**de * poly_eval(c, sn)
 
 
 def _khare_mandal_psi(model, a, c, xs):
-    ps, pc = (int(e) for e in model.prefactor_exponents(a.pole_residues))
+    ps, pc = (int(e) for e in reference_exponents(model, a.pole_residues))
     z = np.asarray(xs, dtype=complex)
     t = np.cosh(2 * z)
     return (np.sinh(z) ** ps * np.cosh(z) ** pc
