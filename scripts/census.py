@@ -59,6 +59,12 @@ def draw_point(rng, mid):
     return params
 
 
+def draws(seed, mid, count):
+    """The census's first count draws of family mid at one seed."""
+    rng = random.Random("%d:%s" % (seed, mid))
+    return [draw_point(rng, mid) for _ in range(count)]
+
+
 def verify_exit(mid, params):
     """(exit code or "traceback", the traceback, the FAIL count or the first stderr line)."""
     argv = ["verify", mid]
@@ -86,10 +92,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     counts, findings = {}, []
     for mid in MODEL_CLASSES:
-        rng = random.Random("%d:%s" % (args.seed, mid))
         counts[mid] = dict.fromkeys(COLUMNS, 0)
-        for _ in range(args.draws):
-            params = draw_point(rng, mid)
+        for params in draws(args.seed, mid, args.draws):
             code, detail = verify_exit(mid, params)
             counts[mid][code] = counts[mid].get(code, 0) + 1
             if code != 0:

@@ -43,14 +43,18 @@ class ExactComplex:
     im: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        if type(self.re) is not Fraction or type(self.im) is not Fraction:
+            object.__setattr__(self, "re", Fraction(self.re))
+            object.__setattr__(self, "im", Fraction(self.im))
+
+    def __bool__(self):
+        return bool(self.re or self.im)
 
     # -- arithmetic -------------------------------------------------------
     def _coerce(self, other):
         if isinstance(other, ExactComplex):
             return other
-        if isinstance(other, Rational):
+        if type(other) in (Fraction, int) or isinstance(other, Rational):  # the ABC check is slow
             return ExactComplex(Fraction(other), Fraction(0))
         return None
 
@@ -66,8 +70,7 @@ class ExactComplex:
         return ExactComplex(-self.re, -self.im)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, ExactComplex) else -Fraction(other)
-                       if isinstance(other, Rational) else -other)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -75,11 +75,8 @@ _SAMPLES = 960              # output grid points: midpoints of the cell, or of s
 
 @dataclass
 class OracleSpectrum:
-    """Grid spectrum: energies, vectors (columns), per-level metadata.
-
-    Node counts, where given, must not fall as the energy rises within one
-    bc tag; a grid that breaks this cannot resolve the levels.
-    """
+    """Grid spectrum: energies, vectors (columns), per-level metadata; node
+    counts come from the oscillation theorem (Sturm's, or Hill's edge order)."""
 
     eigenvalues: Tuple[complex, ...]
     eigenvectors: np.ndarray
@@ -87,15 +84,6 @@ class OracleSpectrum:
     bc_tags: Tuple[str, ...]
     node_counts: Optional[Tuple[int, ...]] = None
     error_estimates: Optional[Tuple[float, ...]] = None
-
-    def __post_init__(self):
-        if self.node_counts is not None:
-            for tag in set(self.bc_tags):
-                counts = [n for n, t in zip(self.node_counts, self.bc_tags) if t == tag]
-                if counts != sorted(counts):
-                    raise GridTooCoarseError(
-                        "node counts are not monotone — grid cannot resolve the "
-                        "requested levels")
 
 
 def count_nodes(values, rel_floor=1e-10, tag=None):
@@ -123,15 +111,11 @@ def count_nodes(values, rel_floor=1e-10, tag=None):
     return int(np.count_nonzero(positive[1:] != positive[:-1]))
 
 
-def _spectrum(xs, items, node_counts=None):
-    """OracleSpectrum of (energy, tag, vector, error estimate) items."""
-    return OracleSpectrum(
-        eigenvalues=tuple(item[0] for item in items),
-        eigenvectors=np.column_stack([item[2] for item in items]),
-        xs=xs,
-        bc_tags=tuple(item[1] for item in items),
-        node_counts=node_counts,
-        error_estimates=tuple(item[3] for item in items))
+def _spectrum(xs, items):
+    """OracleSpectrum of (energy, tag, vector, error estimate, node count or None) items."""
+    energies, tags, vectors, estimates, nodes = zip(*items)
+    return OracleSpectrum(energies, np.column_stack(vectors), xs, tags,
+                          node_counts=None if None in nodes else nodes, error_estimates=estimates)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +124,7 @@ def _spectrum(xs, items, node_counts=None):
 
 _FIRST_NODES, _MAX_NODES, _PT_NODES = 32, 256, 128   # bound solves' first N; cap on 2N
 _CONVERGED, _VECTORS_AGREE = 1e-4, 1e-2   # counting rule; bound solves' vector change
-_NODE_FLOOR, _PT_WINDOW = 1e-6, 40.0      # above collocation rounding; |Re E|, |Im E| kept
+_PT_WINDOW = 40.0                         # |Re E|, |Im E| kept
 
 
 def _frozen(*arrays):
@@ -250,9 +234,9 @@ def _collocate(model, domain, rho, n, order, k=None, compare=True):
     all count (their estimate |E(2N) − E(N)| + 4·eps·‖H‖₁ is
     ≤ 1e-4·(1 + |E|)) and their sup-normalized vectors change by ≤ 1e-2, or
     until 2N = 256, where the first k that count are kept (all, for k None).
-    Returns xs and (E, ψ, estimate, vector change) for each kept level.
-    Without compare the solves at N give eigenvalues only and the vector
-    change reads 0."""
+    Returns xs, (E, ψ, estimate) for each kept level, and the eigenvalues
+    at 2N that do not count, as order(vals) lists them.  Without compare the
+    solves at N give eigenvalues only and the vectors are not compared."""
     coarse, rough = _eig(_operator(model, domain, rho, n), domain.mirror, compare)
     while True:
         mat = _operator(model, domain, rho, 2 * n)
@@ -271,8 +255,8 @@ def _collocate(model, domain, rho, n, order, k=None, compare=True):
                 peak = (np.argmax(np.abs(psi), axis=0), np.arange(len(sel)))
                 change = np.max(np.abs(psi / psi[peak] - old / old[peak]), axis=0, initial=0.0)
             if np.all(change <= _VECTORS_AGREE) or 2 * n >= _MAX_NODES:
-                return xs, [(vals[i], psi[:, j], float(est[i]), change[j])
-                            for j, i in enumerate(sel)]
+                return xs, [(vals[i], psi[:, j], float(est[i]))
+                            for j, i in enumerate(sel)], vals[ranked[~counts]]
         n, coarse, rough = 2 * n, vals, vector
 
 
@@ -281,22 +265,29 @@ def _channels(model, k):
     those k must converge for N to stop doubling), one channel per
     combination of roots: each wall takes the principal root, and the
     secondary one if distinct and positive (−1/4 < c < 0; Everitt, 2005).
-    Node counts skip samples below the level's N/2N vector change and 1e-6
-    of its maximum."""
+    By Sturm, level j of a channel has j interior zeros; its matrix is real,
+    so a conjugate pair is a mode of the grid, not a level.  A real
+    eigenvalue at 2N that fails the counting rule at or below a kept level
+    could shift the ranks: that raises GridTooCoarseError."""
     domain = model.oracle_domain()
     roots = [[(True, 0.5 + r)] + ([(False, 0.5 - r)] if 0 < r < 0.5 else [])
              for r in np.sqrt(0.25 + np.array(domain.walls))]
     items = []
     for channel in itertools.product(*roots):
         principal, rho = zip(*channel)
-        xs, levels = _collocate(model, domain, np.array(rho), _FIRST_NODES,
-                                lambda vals: np.argsort(vals.real), k)
-        items += [(e.real, channel_tag(principal), psi, est, ch) for e, psi, est, ch in levels]
+        tag = channel_tag(principal)
+        xs, levels, loose = _collocate(model, domain, np.array(rho), _FIRST_NODES,
+                                       lambda vals: np.argsort(vals.real), k)
+        loose = loose.real[loose.imag == 0]          # in ascending order
+        if levels and np.any(loose <= levels[-1][0].real):
+            raise GridTooCoarseError(
+                "channel %s (rho = %s): the eigenvalue at E = %.6g fails the counting rule below "
+                "a kept level, so the levels' node counts are unknown"
+                % (tag, ", ".join("%.4g" % r for r in rho), loose[0]))
+        items += [(e.real, tag, psi, est, rank) for rank, (e, psi, est) in enumerate(levels)]
     if not items:
         raise GridTooCoarseError("no level converged by N = %d" % (_MAX_NODES // 2))
-    items.sort(key=lambda item: item[0])
-    return _spectrum(xs, [item[:4] for item in items], tuple(
-        count_nodes(psi, rel_floor=max(change, _NODE_FLOOR)) for *_, psi, _, change in items))
+    return _spectrum(xs, sorted(items, key=lambda item: item[0]))
 
 
 def solve_bound(model, k):
@@ -315,7 +306,7 @@ def solve_pt(model):
     N = 128 and 2N = 256, with eigenfunctions against x on the declared
     contour.  Raises GridTooCoarseError when none counts."""
     domain = model.oracle_domain()
-    xs, levels = _collocate(
+    xs, levels, _ = _collocate(
         model, domain, 0.5 + np.sqrt(0.25 + np.array(domain.walls)), _PT_NODES,
         lambda vals: np.flatnonzero(np.maximum(abs(vals.real), abs(vals.imag)) <= _PT_WINDOW),
         compare=False)
@@ -323,7 +314,7 @@ def solve_pt(model):
         raise GridTooCoarseError("no eigenvalue agrees between N = 128 and 256")
     levels.sort(key=lambda level: (level[0].real, level[0].imag))
     tag = channel_tag([True] * len(domain.walls))
-    return _spectrum(xs, [(complex(e), tag, psi, est) for e, psi, est, _ in levels])
+    return _spectrum(xs, [(complex(e), tag, psi, est, None) for e, psi, est in levels])
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +344,8 @@ def solve_band_edges(model, k=6, emax=None):
     ``emax``.  Estimate: |E(M) − E(2M)| + 4·eps·‖H‖.  M starts at 24 and
     doubles, to a cap, while one exceeds 1e-10·(1 + |E|) or the count ≤ emax
     changes.  Vectors are sampled on cell midpoints: odd edges vanish at x = 0, L/2.
-    Node counts are taken on the closed cell, so each tag's counts rise with E.
+    Edge i of its operator has 2⌈i/2⌉ zeros per cell if periodic, 2⌊i/2⌋ + 1
+    if antiperiodic (Magnus & Winkler, *Hill's Equation*, 1966, Thm 2.1).
     """
     keep, top = (k + 2, -np.inf) if emax is None else (max(k + 2, 40), emax)
     lo, hi = model.x_window()
@@ -379,7 +371,8 @@ def solve_band_edges(model, k=6, emax=None):
     while True:
         fine = [lowest(theta, 2 * modes, True) for _, theta in channels]
         merged = sorted(((float(e), tag, (theta, vecs[:, i]),
-                          (abs(e - c[i]) if i < len(c) else np.inf) + floor)
+                          (abs(e - c[i]) if i < len(c) else np.inf) + floor,
+                          2 * ((i + 1) // 2) if theta == 0 else 2 * (i // 2) + 1)
                          for (tag, theta), c, (vals, vecs, floor) in zip(channels, coarse, fine)
                          for i, e in enumerate(vals)), key=lambda item: item[0])
         cut = max(min(k, len(merged)), sum(item[0] <= top for item in merged))
@@ -393,8 +386,7 @@ def solve_band_edges(model, k=6, emax=None):
                 sum(np.sum(c <= top) for c in coarse) == sum(np.sum(f[0] <= top) for f in fine):
             break
         modes, coarse = 2 * modes, [f[0] for f in fine]
-    merged = [(e, tag, synthesize(*vec), est) for e, tag, vec, est in merged]
-    return _spectrum(xs, merged, tuple(count_nodes(v, tag=tag) for _, tag, v, _ in merged))
+    return _spectrum(xs, [(e, tag, synthesize(*vec), est, n) for e, tag, vec, est, n in merged])
 
 
 def solve_oracle(model, k=4, emax=None):

@@ -1,10 +1,12 @@
 """Command-line interface: formats, exit codes, deterministic output."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -218,8 +220,8 @@ class TestVerify:
         assert lines[-1] == "verification PASSED for %s" % mid
 
     def test_band_edges_check_node_counts_on_every_level(self, capsys):
-        # counted on the closed cell, the edges' nodes rise with energy in
-        # each periodicity class, so the oracle always has counts to compare
+        # the oracle's count is the zeros per cell that Hill's index rule
+        # gives each edge: 2⌈i/2⌉ periodic, 2⌊i/2⌋ + 1 antiperiodic
         code, out, _ = run_cli(capsys, "verify", "lame", "--param", "j=2",
                                "--param", "m=1/2")
         assert code == EXIT_OK
@@ -276,6 +278,77 @@ class TestResidueSideFixes:
                                  "--param", "l=5")
         assert (code, err) == (EXIT_OK, "")
         assert out.splitlines()[-1] == "verification PASSED for hydrogen"
+
+
+def _verify(capsys, mid, params):
+    argv = ["verify", mid]
+    for p in params:
+        argv += ["--param", p]
+    return run_cli(capsys, *argv)
+
+
+class TestOscillationTheoremNodeCounts:
+    """Points whose oracle node counts were sign changes of sampled vectors:
+    rounding noise in a hydrogen tail counted as nodes, and counts that fell
+    with energy raised "node counts are not monotone".  The counts now come
+    from the oscillation theorem, so these points verify or reach a verdict.
+    A channel with an uncounted real eigenvalue below a kept level is
+    refused; a conjugate pair of the grid below every level is not a level
+    (`scarf_periodic s=19/39`, whose secondary root ρ = 0.0128 puts one
+    near −3e6)."""
+
+    @pytest.mark.parametrize("mid,params", [
+        ("hydrogen", ("e2=1049/22", "l=13")),
+        ("assoc_lame_qes", ("a=143/3", "b=-140/3", "m=25/32")),
+        ("scarf_periodic", ("s=19/39",)),
+    ])
+    def test_verifies(self, capsys, mid, params):
+        code, out, err = _verify(capsys, mid, params)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[-1] == "verification PASSED for %s" % mid
+
+    @pytest.mark.parametrize("mid,params", [
+        ("hydrogen", ("e2=1/10", "l=20")),          # FAILs on the oracle vector's overlap
+        ("assoc_lame_es", ("j=42", "m=59/67")),      # FAILs on the float pencil's energies
+    ])
+    def test_reaches_a_verdict(self, capsys, mid, params):
+        code, out, err = _verify(capsys, mid, params)
+        assert code in (EXIT_OK, EXIT_VERIFY_FAILED) and err == ""
+        assert out.splitlines()[-1].startswith("verification ")
+
+    def test_an_unresolved_channel_is_an_error_line(self, capsys):
+        # behind the secondary root ρ = 0.0081 the lowest level never counts
+        code, out, err = _verify(capsys, "scarf1", ("A=195/11", "B=1207/69", "alpha=550/19"))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: channel exponent_minus_plus (rho = 0.008102, 1.217): "
+                              "the eigenvalue at E = ")
+        assert err.endswith(" fails the counting rule below a kept level, so the levels' "
+                            "node counts are unknown\n")
+
+
+def _load_census():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "census.py"
+    spec = importlib.util.spec_from_file_location("census", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSchemaSweep:
+    """`qhj verify` on the draws of the reference censuses
+    (`scripts/census.py --draws 30` at seeds 2026 and 7) of each family that
+    exits 0 on all of them.  That is scarf_periodic alone, 60 draws in about
+    1 s on a 2-core machine (budget: 2 s).  scarf1 stays out: seed 7 draws
+    `A=110/7 B=341/15 alpha=893/23`, which FAILs (exit 3) because the
+    oracle's levels behind its secondary root ρ = 0.0097 are off by 4.8e-4.
+    The seeds are the censuses', not chosen to let a family in."""
+
+    @pytest.mark.parametrize("mid", ["scarf_periodic"])
+    def test_every_census_draw_verifies(self, mid):
+        census = _load_census()
+        outcomes = [(seed, params, census.verify_exit(mid, params))
+                    for seed in (2026, 7) for params in census.draws(seed, mid, 30)]
+        assert [o for o in outcomes if o[2][0] != 0] == []
 
 
 def _write(tmp_path, text):

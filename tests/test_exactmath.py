@@ -56,6 +56,27 @@ class TestExactComplex:
     def test_sqrt_inexact_case_is_none(self):
         assert ExactComplex(Fraction(1), Fraction(1)).sqrt() is None
 
+    def test_only_zero_is_false(self):
+        assert not ExactComplex(0, 0)
+        assert ExactComplex(0, Fraction(1, 3)) and ExactComplex(-2, 0)
+
+    def test_parts_are_fractions_and_fractions_are_kept(self):
+        half = Fraction(1, 2)
+        z = ExactComplex(half, Fraction(0))
+        assert z.re is half
+        w = ExactComplex(1, 2)
+        assert (type(w.re), type(w.im)) == (Fraction, Fraction)
+
+    @pytest.mark.parametrize("other", [3, Fraction(3), True])
+    def test_exact_real_operands_stay_exact(self, other):
+        z = ExactComplex(Fraction(1, 2), Fraction(-1))
+        value = int(other)
+        for got, want in [(z + other, (Fraction(1, 2) + value, -1)),
+                          (other - z, (value - Fraction(1, 2), 1)),
+                          (z * other, (Fraction(value, 2), -value))]:
+            assert isinstance(got, ExactComplex) and (got.re, got.im) == want
+        assert ExactComplex(value, 0) == other
+
 
 class TestConversions:
     def test_as_exact(self):
@@ -130,6 +151,12 @@ class TestExactPolynomials:
         i = ExactComplex(0, 1)
         assert poly_mul((i, 1), (-i, 1)) == [1, 0, 1]         # (t + i)(t − i)
         assert poly_at((1, 0, 1), i) == 0
+
+    def test_exact_complex_zeros_are_skipped(self):
+        # a zero coefficient adds no term, so its slot keeps the Fraction 0
+        zero, i = ExactComplex(0, 0), ExactComplex(0, 1)
+        out = poly_mul((zero, 1), (i, zero))
+        assert out == [0, i, 0] and [type(c) for c in out] == [Fraction, ExactComplex, Fraction]
 
     @settings(max_examples=100, deadline=None)
     @given(a=rationals, b=rationals, c=rationals)

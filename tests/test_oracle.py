@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from qhj import get_model, potential_catalog, qes_family, schrodinger_oracle, special_functions
 from qhj.errors import GridTooCoarseError
-from qhj.schrodinger_oracle import (OracleDomain, OracleSpectrum, channel_tag, count_nodes,
+from qhj.schrodinger_oracle import (OracleDomain, channel_tag, count_nodes,
                                     solve_band_edges, solve_bound,
                                     solve_inverse_square_cell, solve_oracle,
                                     solve_pt)
@@ -266,14 +266,17 @@ class TestWeightedChannels:
 
     def test_a_channel_keeps_its_lowest_k_counted_levels(self):
         # behind the secondary root ρ = 0.0097 two of the four lowest
-        # eigenvalues never count by N = 256; the next counted levels, the
-        # residue route's n = 2 and 3, take their place
+        # eigenvalues, a conjugate pair of the grid near −5e9, never count by
+        # N = 256; they are not levels, so the residue route's n = 0–3 keep
+        # their ranks and node counts
         model = get_model("scarf1", A=Fraction(110, 7), B=Fraction(341, 15),
                           alpha=Fraction(893, 23))
         spec = solve_bound(model, k=4)
-        got = [e for e, t in zip(spec.eigenvalues, spec.bc_tags) if t == "exponent_plus_minus"]
-        assert got == pytest.approx([287.2165812, 3589.363219, 9906.439914, 19238.44666],
-                                    abs=1e-3)
+        got = [(e, n) for e, t, n in zip(spec.eigenvalues, spec.bc_tags, spec.node_counts)
+               if t == "exponent_plus_minus"]
+        assert [e for e, _ in got] == pytest.approx(
+            [287.2165812, 3589.363219, 9906.439914, 19238.44666], abs=1e-3)
+        assert [n for _, n in got] == [0, 1, 2, 3]
 
 
 class _AliasedWell:
@@ -680,16 +683,13 @@ class TestNodeBookkeeping:
         assert count_nodes(np.cos(xs / 2), tag="antiperiodic") == 1
         assert count_nodes(np.sin(xs), tag="dirichlet") == 1
 
-    def test_node_counts_rise_within_each_periodicity_class(self):
-        OracleSpectrum(eigenvalues=(0.0, 1.0, 1.5), eigenvectors=np.eye(3),
-                       xs=np.array([0.2, 0.5, 0.8]),
-                       bc_tags=("periodic", "antiperiodic", "periodic"),
-                       node_counts=(0, 3, 2))
-        with pytest.raises(GridTooCoarseError):
-            OracleSpectrum(eigenvalues=(0.0, 1.0, 1.5), eigenvectors=np.eye(3),
-                           xs=np.array([0.2, 0.5, 0.8]),
-                           bc_tags=("periodic", "antiperiodic", "antiperiodic"),
-                           node_counts=(0, 3, 2))
+    @pytest.mark.parametrize("mid,params", [("hydrogen", dict(e2=2, l=l)) for l in range(4)]
+                             + [(mid, params) for mid, params in ALL_CONFIGS if mid == "scarf1"])
+    def test_bound_node_counts_are_the_oscillation_theorem(self, mid, params):
+        # Sturm: the levels of each channel have 0, 1, 2, ... interior zeros
+        spec = solve_bound(get_model(mid, **params), k=4)
+        for tag in set(spec.bc_tags):
+            assert [n for n, t in zip(spec.node_counts, spec.bc_tags) if t == tag] == [0, 1, 2, 3]
 
     def test_empty_and_single_samples_have_no_nodes(self):
         assert count_nodes(np.array([])) == 0
@@ -707,14 +707,6 @@ class TestNodeBookkeeping:
         if phase is not None:
             vals = vals * np.exp(1j * phase)
         assert count_nodes(vals) == _count_nodes_reference(vals)
-
-    def test_non_monotone_node_counts_are_rejected(self):
-        with pytest.raises(GridTooCoarseError):
-            OracleSpectrum(eigenvalues=(1.0, 2.0),
-                           eigenvectors=np.eye(2),
-                           xs=np.array([0.4, 0.6]),
-                           bc_tags=("dirichlet", "dirichlet"),
-                           node_counts=(1, 0))
 
 
 class TestDispatcher:
