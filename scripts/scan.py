@@ -1,13 +1,14 @@
-"""Fixed-point scan: `qhj verify` and `qhj solve --format json` on 308 points.
+"""Fixed-point scan: `qhj verify`, `solve` and `wavefunction` on 308 points.
 
     python scripts/scan.py > scan.txt
 
 The points are the benchmark's: its ALL_CONFIGS, then one point per family
 from `perfbench.workloads.family_points` for each seed 1001–1040, in that
 order, each point once.  Every point runs through in-process `qhj verify`
-and `qhj solve --format json` at the default levels, and the script prints
-each command with its exit code, its stdout and its stderr.  The output is
-deterministic, so two checkouts can be compared with diff.
+and `qhj solve --format json` at the default levels, each ALL_CONFIGS
+point also through `qhj wavefunction --samples 32` (state 0), and the
+script prints each command with its exit code, its stdout and its stderr.
+The output is deterministic, so two checkouts can be compared with diff.
 
 The script exits 1 when a command raised a Python traceback or exited with
 a non-zero code, else 0.
@@ -27,6 +28,7 @@ from perfbench.workloads import ALL_CONFIGS, family_points      # noqa: E402
 from qhj import cli                                              # noqa: E402
 
 SEEDS = range(1001, 1041)
+WAVEFUNCTION_SAMPLES = 32
 
 
 def points():
@@ -57,7 +59,10 @@ def main():
     failed, pts = 0, points()
     for mid, params in pts:
         args = [mid] + [arg for item in params.items() for arg in ("--param", "%s=%s" % item)]
-        for argv in (["verify", *args], ["solve", *args, "--format", "json"]):
+        commands = [["verify", *args], ["solve", *args, "--format", "json"]]
+        if (mid, params) in ALL_CONFIGS:
+            commands.append(["wavefunction", *args, "--samples", str(WAVEFUNCTION_SAMPLES)])
+        for argv in commands:
             code, out, err = run(argv)
             failed += code != 0
             print("$ qhj %s\nexit %s" % (" ".join(argv), code))

@@ -17,17 +17,15 @@ from .errors import (EnergyRequiredError, GridTooCoarseError,
                      NonlinearEnergyError, ParameterError, QhjError,
                      SingularPointError, UnknownModelError,
                      UnsupportedExpansionError)
-from .exactmath import ExactComplex, as_exact, exact_sqrt, to_complex, to_float
+from .exactmath import ExactComplex, as_exact, exact_sqrt, to_complex
 from .potential_catalog import (MODEL_CLASSES, MODEL_IDS, PARAM_SCHEMAS,
-                                QES_RELATIONS, WavefunctionRecipe,
-                                evaluate_potential, get_model, qes_family)
+                                QES_RELATIONS, WavefunctionRecipe, get_model,
+                                qes_family)
 from .qmf_residues import (FixedPole, InfinityExpansion, ResidueBranch,
-                           finite_pole_residues, infinity_residues,
-                           moving_pole_residue)
+                           finite_pole_residues, infinity_residues)
 from .quantization import (QuantizationOutcome, ResidueAssignment,
                            enumerate_assignments, quantize)
-from .special_functions import (JacobiTriple, elliptic_K, jacobi_elliptic,
-                                jacobi_polynomial, laguerre)
+from .special_functions import elliptic_K, jacobi_polynomial, laguerre
 from .domain import OracleDomain
 
 # the pencil solve loads numpy and scipy, and so do the oracle and verification
@@ -37,10 +35,10 @@ _LAZY = {name: module for module, names in (
     ("polynomial_system", "BandEdgeSolution DefectivePencilWarning PencilSystem PolynomialOnT "
                           "SpectrumResult build_fixed_system build_pencil closed_form_deviation "
                           "solve_pencil solve_spectrum"),
-    ("schrodinger_oracle", "OracleSpectrum count_nodes solve_band_edges solve_bound "
+    ("schrodinger_oracle", "OracleSpectrum solve_band_edges solve_bound "
                            "solve_inverse_square_cell solve_oracle solve_pt"),
-    ("wavefunction_assembly", "LevelCheck SampledWavefunction Verification WavefunctionReport "
-                              "assemble overlap parity_deviation subspace_overlap verify "
+    ("wavefunction_assembly", "LevelCheck Verification WavefunctionReport assemble "
+                              "count_nodes overlap parity_deviation verify "
                               "verify_against_oracle")) for name in names.split()}
 
 
@@ -59,21 +57,20 @@ __version__ = "0.1.0"
 __all__ = [
     "BandEdgeSolution", "DefectivePencilWarning", "EnergyRequiredError",
     "ExactComplex", "FixedPole", "GridTooCoarseError",
-    "InfinityExpansion", "InvalidStateError", "JacobiTriple", "LevelCheck",
+    "InfinityExpansion", "InvalidStateError", "LevelCheck",
     "MODEL_CLASSES", "MODEL_IDS",
     "NoAdmissibleAssignmentError", "NonlinearEnergyError", "OracleDomain", "OracleSpectrum",
     "PARAM_SCHEMAS", "ParameterError", "PencilSystem", "PolynomialOnT",
     "QES_RELATIONS", "QhjError", "QuantizationOutcome", "ResidueAssignment",
-    "ResidueBranch", "SampledWavefunction", "SingularPointError",
+    "ResidueBranch", "SingularPointError",
     "SpectrumResult", "UnknownModelError", "UnsupportedExpansionError",
     "Verification", "WavefunctionRecipe", "WavefunctionReport", "as_exact", "assemble",
     "build_fixed_system", "build_pencil", "closed_form_deviation",
-    "count_nodes", "elliptic_K", "enumerate_assignments", "evaluate_potential", "exact_sqrt",
+    "count_nodes", "elliptic_K", "enumerate_assignments", "exact_sqrt",
     "finite_pole_residues", "get_model", "infinity_residues",
-    "jacobi_elliptic", "jacobi_polynomial", "laguerre",
-    "moving_pole_residue", "overlap", "parity_deviation", "qes_family",
+    "jacobi_polynomial", "laguerre", "overlap", "parity_deviation", "qes_family",
     "quantize", "solve_band_edges", "solve_bound",
     "solve_inverse_square_cell", "solve_oracle", "solve_pencil", "solve_pt",
-    "solve_spectrum", "subspace_overlap", "to_complex", "to_float", "verify",
+    "solve_spectrum", "to_complex", "verify",
     "verify_against_oracle",
 ]

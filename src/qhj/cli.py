@@ -282,9 +282,9 @@ def _cmd_wavefunction(args, stream):
     lo, hi = model.x_window()
     margin = 0.02 * (hi - lo)
     xs = np.linspace(lo + margin, hi - margin, args.samples)
-    sampled = assemble(sol.recipe, xs)
+    values = assemble(sol.recipe, xs)
     print("x,psi_re,psi_im", file=stream)
-    for x, v in zip(sampled.xs, sampled.values):
+    for x, v in zip(xs, values):
         print("%.17g,%.17g,%.17g" % (x, v.real, v.imag), file=stream)
     return EXIT_OK
 

@@ -175,14 +175,6 @@ def real_or_complex(value):
     return z.real if z.imag == 0.0 else z
 
 
-def to_float(value):
-    """Coerce a real-valued scalar to float (raises if meaningfully complex)."""
-    z = to_complex(value)
-    if abs(z.imag) > 1e-12 * max(1.0, abs(z.real)):
-        raise ValueError("value has a nonnegligible imaginary part: %r" % (value,))
-    return z.real
-
-
 def exact_sqrt(value):
     """Exact sqrt of a Fraction/ExactComplex if representable, else None."""
     e = as_exact(value)

@@ -224,10 +224,11 @@ def _back_substitute(sq, basis):
     return _expand_basis(p, basis)
 
 
-def _kernel_vectors(mat, rtol=1e-7):
-    """Orthonormal kernel basis of a square pencil matrix via SVD."""
+def _kernel_vectors(mat):
+    """Orthonormal kernel basis of a square pencil matrix via SVD: the right
+    singular vectors with σ ≤ 1e-7·σ_max, or the last one when none is."""
     _u, s, vh = np.linalg.svd(mat)
-    return [vh[i].conj() for i in range(len(s)) if s[i] <= rtol * s[0]] or [vh[-1].conj()]
+    return [vh[i].conj() for i in range(len(s)) if s[i] <= 1e-7 * s[0]] or [vh[-1].conj()]
 
 
 def _normalize_leading(coeffs):
@@ -292,13 +293,14 @@ def solve_pencil(system):
 # closed-form kernels
 # ---------------------------------------------------------------------------
 
-def closed_form_deviation(model, solution, npoints=20):
-    """Max deviation (relative) between kernel and classical form, or None."""
+def closed_form_deviation(model, solution):
+    """Max deviation (relative) between kernel and classical form at 20
+    points of the classical range, or None."""
     check = model.classical_polynomial(solution.assignment)
     if check is None:
         return None
     _family, _indices, evaluator = check
-    ts = np.linspace(*model.classical_range(int(solution.assignment.n)), npoints)
+    ts = np.linspace(*model.classical_range(int(solution.assignment.n)), 20)
     kernel_vals = solution.polynomial(ts)
     ref_vals = np.asarray(evaluator(ts), dtype=complex)
     idx = int(np.argmax(np.abs(ref_vals)))

@@ -218,10 +218,6 @@ class PotentialModel:
     def to_t(self, x):
         raise NotImplementedError
 
-    def singular(self, xs):
-        """Why V cannot be evaluated at some of xs (walls, r ≤ 0), or None."""
-        return None
-
     def x_window(self):
         """Physical interval where eigenfunctions are sampled (one period if periodic)."""
         return self.oracle_domain().ends
@@ -395,11 +391,6 @@ class HydrogenModel(PotentialModel):
     def to_t(self, x):
         return np.asarray(x, dtype=float)
 
-    def singular(self, xs):
-        if np.any(np.real(xs) < 1e-12):
-            return "radial coordinate must be positive"
-        return None
-
     def x_window(self):
         # far wall sized for the slowest decay among the first few levels
         return (0.0, 40.0 * (self.l + 5) / float(self.e2))
@@ -514,11 +505,6 @@ class ScarfOneModel(TwoWallJacobiModel):
 
     def to_t(self, x):
         return np.sin(float(self.alpha) * np.asarray(x, dtype=float))
-
-    def singular(self, xs):
-        if np.any(np.abs(np.cos(float(self.alpha) * xs)) < 1e-12):
-            return "potential scarf1 is singular at its box walls"
-        return None
 
     def oracle_domain(self):
         # V ≈ X(X − α)/(α d)² at the wall of t = ∓1, X = A ∓ B
@@ -635,11 +621,6 @@ class ScarfPeriodicModel(PotentialModel):
 
     def to_t(self, x):
         return 1.0 / np.tan(np.asarray(x, dtype=float))
-
-    def singular(self, xs):
-        if np.any(np.abs(np.sin(xs)) < 1e-12):
-            return "potential scarf_periodic is singular at multiples of pi"
-        return None
 
     def oracle_domain(self):
         c = float(self.s * self.s - Fraction(1, 4))
@@ -985,12 +966,3 @@ def get_model(model_id, **params):
         raise UnknownModelError("unknown model id %r; known ids: %s"
                                 % (model_id, ", ".join(MODEL_IDS)))
     return MODEL_CLASSES[model_id](**params)
-
-
-def evaluate_potential(model, x):
-    """V(x) with an explicit singular-point check for scalar arguments."""
-    xs = np.asarray(x, dtype=float) if not np.iscomplexobj(np.asarray(x)) else np.asarray(x)
-    reason = model.singular(xs)
-    if reason:
-        raise SingularPointError(reason)
-    return model.potential(x)

@@ -124,12 +124,3 @@ def infinity_residues(expansion, energy=None):
     return ResidueBranch(values=(pairs[0][0], pairs[1][0]),
                          origin=ORIGIN_INFINITY_A0_NONZERO,
                          a0_values=(pairs[0][1], pairs[1][1]))
-
-
-def moving_pole_residue(convention="chi"):
-    """Residue at a moving pole (node of ψ): 1 for χ, −i for p = −iħχ (ħ=1)."""
-    if convention == "chi":
-        return 1
-    if convention == "p":
-        return complex(0.0, -1.0)
-    raise ValueError("unknown convention %r (use 'chi' or 'p')" % (convention,))

@@ -86,31 +86,6 @@ class OracleSpectrum:
     error_estimates: Optional[Tuple[float, ...]] = None
 
 
-def count_nodes(values, rel_floor=1e-10, tag=None):
-    """Sign changes of a (real up to phase) sampled function.
-
-    On a "periodic" or "antiperiodic" tag the samples span one closed cell:
-    the step from the last sample back to the first counts too, with the
-    first sample's sign flipped on an antiperiodic level.  Otherwise only
-    interior sign changes count.
-    """
-    vals = np.asarray(values)
-    if vals.size < 2:
-        return 0
-    if np.iscomplexobj(vals):
-        # rotate the dominant phase away; genuine bound states are real
-        idx = int(np.argmax(np.abs(vals)))
-        if abs(vals[idx]) > 0:
-            vals = (vals * np.exp(-1j * np.angle(vals[idx]))).real
-        else:
-            vals = vals.real
-    floor = rel_floor * (np.max(np.abs(vals)) or 1.0)
-    positive = vals[np.abs(vals) > floor] > 0
-    if tag in ("periodic", "antiperiodic") and positive.size:
-        positive = np.append(positive, positive[0] != (tag == "antiperiodic"))
-    return int(np.count_nonzero(positive[1:] != positive[:-1]))
-
-
 def _spectrum(xs, items):
     """OracleSpectrum of (energy, tag, vector, error estimate, node count or None) items."""
     energies, tags, vectors, estimates, nodes = zip(*items)
@@ -296,7 +271,7 @@ def solve_bound(model, k):
     return _channels(model, k)
 
 
-def solve_inverse_square_cell(model, k=4):
+def solve_inverse_square_cell(model, k):
     """Lowest k levels of each wall-exponent channel of an inverse-square cell."""
     return _channels(model, k)
 

@@ -11,7 +11,6 @@ and for complex polynomial indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 class _Numpy:
@@ -46,15 +45,6 @@ def elliptic_K(m):
     while abs(a - b) > _EPS * a:
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     return math.pi / (a + b)
-
-
-@dataclass(frozen=True)
-class JacobiTriple:
-    """Values (sn, cn, dn) of the Jacobi elliptic functions at one point."""
-
-    sn: float
-    cn: float
-    dn: float
 
 
 def sn_cn_dn(x, m):
@@ -94,11 +84,6 @@ def sn_cn_dn(x, m):
     sn = np.sin(phi)
     dn = np.sqrt(np.maximum(0.0, 1.0 - m * sn * sn))
     return sn[()], np.cos(phi)[()], dn[()]
-
-
-def jacobi_elliptic(x, m):
-    """sn, cn, dn at one point x as a JacobiTriple (see sn_cn_dn)."""
-    return JacobiTriple(*(float(v) for v in sn_cn_dn(float(x), m)))
 
 
 def jacobi_polynomial(n, alpha, beta, t):

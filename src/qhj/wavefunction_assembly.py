@@ -1,8 +1,8 @@
 """Sampling assembled eigenfunctions and comparing them with grid vectors.
 
 The residue machinery produces a multiplicative recipe (prefactors ×
-polynomial × exponential); this module evaluates it on grids, normalizes,
-locates zeros, and scores it against an oracle eigenvector.  Scores are
+polynomial × exponential); this module evaluates it on grids, sup-normalizes
+it, counts its nodes, and scores it against an oracle eigenvector.  Scores are
 scale-free: overlap of unit vectors and sup-normalized modulus deviation,
 so any nonzero rescaling of either side gives the identical report.
 verify() runs both routes for one model and scores every solved level.
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
@@ -26,73 +26,43 @@ from .polynomial_system import BandEdgeSolution, solve_spectrum
 if TYPE_CHECKING:
     from .schrodinger_oracle import OracleSpectrum
 
-SUP_NORM_ONE = "sup_norm_one"
-L2_ONE = "l2_one"
-
-
-@dataclass
-class SampledWavefunction:
-    """A wavefunction evaluated on a grid, normalized, with its zero set."""
-
-    xs: np.ndarray
-    values: np.ndarray
-    normalization: str
-    zero_locations: Tuple[float, ...]
-
-    @property
-    def is_real(self):
-        scale = float(np.max(np.abs(self.values))) or 1.0
-        return float(np.max(np.abs(self.values.imag))) <= 1e-10 * scale
-
-    def node_count(self):
-        from .schrodinger_oracle import count_nodes
-        return count_nodes(self.values)
-
-
-def _find_zeros(xs, values):
-    """Interior zeros: sign changes for real data, |ψ| dips for complex."""
-    scale = float(np.max(np.abs(values)))
-    if scale == 0.0:
-        return ()
-    if np.max(np.abs(values.imag)) <= 1e-10 * scale:
-        re = values.real
-        zeros = []
-        floor = 1e-12 * scale
-        for i in range(len(re) - 1):
-            a, b = re[i], re[i + 1]
-            if abs(a) <= floor and (i == 0 or abs(re[i - 1]) > floor):
-                zeros.append(float(xs[i]))
-            elif a * b < 0 and abs(a) > floor and abs(b) > floor:
-                zeros.append(float(xs[i] - a * (xs[i + 1] - xs[i]) / (b - a)))
-        return tuple(zeros)
-    mags = np.abs(values)
-    zeros = []
-    for i in range(1, len(mags) - 1):
-        if mags[i] < mags[i - 1] and mags[i] <= mags[i + 1] and mags[i] < 1e-8 * scale:
-            zeros.append(float(xs[i]))
-    return tuple(zeros)
-
-
-def assemble(recipe, xs, normalization=SUP_NORM_ONE):
-    """Evaluate a wavefunction recipe on a grid and normalize it."""
-    xs = np.asarray(xs, dtype=float)
+def assemble(recipe, xs):
+    """The recipe's values on the grid xs, divided by their largest modulus."""
     with np.errstate(over="ignore", invalid="ignore"):   # refused below, with a reason
-        values = np.asarray(recipe(xs), dtype=complex)
+        values = np.asarray(recipe(np.asarray(xs, dtype=float)), dtype=complex)
     if not np.all(np.isfinite(values)):
         raise InvalidStateError("wavefunction is not finite on the grid: it overflows "
                                 "or the grid touches a singular point")
-    if normalization == SUP_NORM_ONE:
-        scale = float(np.max(np.abs(values)))
-    elif normalization == L2_ONE:
-        scale = float(np.linalg.norm(values) * np.sqrt(xs[1] - xs[0])) if len(xs) > 1 \
-            else float(np.linalg.norm(values))
-    else:
-        raise InvalidStateError("unknown normalization %r" % (normalization,))
+    scale = float(np.max(np.abs(values)))
     if scale == 0.0:
         raise InvalidStateError("wavefunction vanishes identically on the grid")
-    values = values / scale
-    return SampledWavefunction(xs=xs, values=values, normalization=normalization,
-                               zero_locations=_find_zeros(xs, values))
+    return values / scale
+
+
+def count_nodes(values, tag=None):
+    """Sign changes of a (real up to phase) sampled function.
+
+    A sample of modulus ≤ 1e-10 of the largest has no sign.  On a
+    "periodic" or "antiperiodic" tag the samples span one closed cell:
+    the step from the last sample back to the first counts too, with the
+    first sample's sign flipped on an antiperiodic level.  Otherwise only
+    interior sign changes count.
+    """
+    vals = np.asarray(values)
+    if vals.size < 2:
+        return 0
+    if np.iscomplexobj(vals):
+        # rotate the dominant phase away; genuine bound states are real
+        idx = int(np.argmax(np.abs(vals)))
+        if abs(vals[idx]) > 0:
+            vals = (vals * np.exp(-1j * np.angle(vals[idx]))).real
+        else:
+            vals = vals.real
+    floor = 1e-10 * (np.max(np.abs(vals)) or 1.0)
+    positive = vals[np.abs(vals) > floor] > 0
+    if tag in ("periodic", "antiperiodic") and positive.size:
+        positive = np.append(positive, positive[0] != (tag == "antiperiodic"))
+    return int(np.count_nonzero(positive[1:] != positive[:-1]))
 
 
 def _unit(v):
@@ -110,12 +80,6 @@ def _project(vector, columns):
     """(orthonormal basis q of the columns, coordinates of the unit vector in q)."""
     q, _ = np.linalg.qr(np.asarray(columns, dtype=complex))
     return q, q.conj().T @ _unit(np.asarray(vector, dtype=complex))
-
-
-def subspace_overlap(vector, basis_vectors):
-    """Norm of the projection of a unit vector onto span(basis_vectors)."""
-    _, coef = _project(vector, np.column_stack(basis_vectors))
-    return float(np.linalg.norm(coef))
 
 
 @dataclass
@@ -137,8 +101,7 @@ class WavefunctionReport:
 
 def verify_against_oracle(recipe, oracle: OracleSpectrum, level,
                           cluster_levels: Optional[Sequence[int]] = None,
-                          overlap_tol=1e-4, modulus_tol=5e-3,
-                          check_nodes=True):
+                          overlap_tol=1e-4, modulus_tol=5e-3):
     """Score one assembled wavefunction against one oracle eigenvector.
 
     For a degenerate oracle cluster pass all cluster indices: the score is
@@ -147,7 +110,6 @@ def verify_against_oracle(recipe, oracle: OracleSpectrum, level,
     (e.g. by −3): only unit-normalized vectors and sup-normalized moduli
     enter it.
     """
-    from .schrodinger_oracle import count_nodes
     with np.errstate(over="ignore", invalid="ignore"):   # refused below, with a reason
         vals = np.asarray(recipe(oracle.xs), dtype=complex)
     if not np.all(np.isfinite(vals)):
@@ -161,7 +123,7 @@ def verify_against_oracle(recipe, oracle: OracleSpectrum, level,
                                   - mod_ref / denom)))
     predicted = oracle_n = None
     nodes_ok = True
-    if check_nodes and oracle.node_counts is not None:
+    if oracle.node_counts is not None:
         predicted = count_nodes(vals, tag=oracle.bc_tags[level])
         oracle_n = oracle.node_counts[level]
         nodes_ok = predicted == oracle_n
@@ -245,9 +207,9 @@ def verify(model, levels=4, tol=None):
     return Verification(tol=tol, checks=checks)
 
 
-def parity_deviation(recipe, center, half_width, parity, samples=201):
-    """Max |ψ(2c−x) ∓ ψ(x)| (sup-normalized) for even/odd symmetry checks."""
-    offs = np.linspace(-half_width, half_width, samples)
+def parity_deviation(recipe, center, half_width, parity):
+    """Max |ψ(2c−x) ∓ ψ(x)| (sup-normalized) over 201 points, for even/odd symmetry checks."""
+    offs = np.linspace(-half_width, half_width, 201)
     left = np.asarray(recipe(center + offs), dtype=complex)
     right = np.asarray(recipe(center - offs), dtype=complex)
     scale = float(np.max(np.abs(left))) or 1.0

@@ -22,7 +22,7 @@ from qhj.polynomial_system import solve_spectrum
 from qhj.qmf_residues import finite_pole_residues
 from qhj.schrodinger_oracle import (solve_band_edges, solve_bound,
                                     solve_inverse_square_cell, solve_pt)
-from qhj.special_functions import elliptic_K, jacobi_elliptic
+from qhj.special_functions import elliptic_K, sn_cn_dn
 from qhj.wavefunction_assembly import overlap, verify_against_oracle
 
 HALF = Fraction(1, 2)
@@ -183,8 +183,7 @@ def test_criterion_5_associated_elliptic_es():
         top = max(got)
         oracle = solve_band_edges(model, k=3, emax=top + 0.5)
         for sol, idx in _match_oracle_levels(result, oracle, ORACLE_TOL_BAND):
-            report = verify_against_oracle(sol.recipe, oracle, idx,
-                                           check_nodes=False)
+            report = verify_against_oracle(sol.recipe, oracle, idx)
             assert report.overlap >= 1 - OVERLAP_TOL
 
 
@@ -336,9 +335,9 @@ def test_criterion_9_property_sweep():
         # elliptic function identities at strict tolerance
         for m in (0.1, 0.5, 0.9):
             for u in np.linspace(-3 * elliptic_K(m), 3 * elliptic_K(m), 61):
-                tri = jacobi_elliptic(u, m)
-                assert abs(tri.sn ** 2 + tri.cn ** 2 - 1) <= 1e-12
-                assert abs(tri.dn ** 2 + m * tri.sn ** 2 - 1) <= 1e-12
+                sn, cn, dn = sn_cn_dn(u, m)
+                assert abs(sn ** 2 + cn ** 2 - 1) <= 1e-12
+                assert abs(dn ** 2 + m * sn ** 2 - 1) <= 1e-12
 
         # oscillation theorem: node counts rise one by one
         for mid, params in [("scarf1", dict(A=2, B=HALF, alpha=1)),

@@ -12,6 +12,8 @@ hand-written formulas they replace.
 import ast
 import cmath
 import dataclasses
+import importlib
+import inspect
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -30,8 +32,8 @@ from qhj.potential_catalog import (MODEL_CLASSES, MODEL_IDS, PARAM_DENOMINATOR,
                                    ComplexScarfModel, HydrogenModel,
                                    KhareMandalModel, PotentialModel,
                                    ScarfOneModel, ScarfPeriodicModel,
-                                   TwoWallJacobiModel, evaluate_potential,
-                                   get_model)
+                                   TwoWallJacobiModel, get_model)
+from qhj.schrodinger_oracle import solve_oracle
 
 ALL_CASES = [
     ("hydrogen", dict(e2=2, l=0), [0.7, 1.9, 3.3]),
@@ -372,21 +374,45 @@ class TestParameterValidation:
         assert model.b == Fraction(1, 2)
 
 
+def _wall_strengths(model, d=1e-6):
+    """d²·V(x) at distance d inside each finite end of the oracle domain."""
+    lo, hi = model.oracle_domain().ends
+    return [d * d * float(model.potential(np.array([x]))[0])
+            for x in (lo + d, hi - d) if math.isfinite(x)]
+
+
 class TestSingularPoints:
-    def test_hydrogen_origin(self):
-        model = get_model("hydrogen", e2=2, l=0)
-        with pytest.raises(SingularPointError):
-            evaluate_potential(model, 0.0)
-        with pytest.raises(SingularPointError):
-            evaluate_potential(model, -1.0)
+    """Each wall's strength c of V ≈ c/d², which the oracle's wall exponents
+    are built from, is the potential's own limit at that wall."""
+
+    @pytest.mark.parametrize("e2,l", [(2, 0), (2, 1), (Fraction(3, 2), 2)])
+    def test_hydrogen_origin(self, e2, l):
+        model = get_model("hydrogen", e2=e2, l=l)
+        assert model.oracle_domain().walls[0] == l * (l + 1)
+        assert _wall_strengths(model) == pytest.approx([l * (l + 1)], abs=1e-5)
 
     def test_periodic_cell_walls(self):
         model = get_model("scarf_periodic", s=Fraction(3, 10))
-        for x in (0.0, math.pi, 2 * math.pi):
-            with pytest.raises(SingularPointError):
-                evaluate_potential(model, x)
-        assert evaluate_potential(model, 1.0) == pytest.approx(
-            (0.09 - 0.25) / math.sin(1.0) ** 2)
+        assert model.oracle_domain().walls == pytest.approx((0.09 - 0.25,) * 2)
+        assert _wall_strengths(model) == pytest.approx([0.09 - 0.25] * 2, abs=1e-8)
+        assert model.potential(1.0) == pytest.approx((0.09 - 0.25) / math.sin(1.0) ** 2)
+        assert model.potential(1.0 + math.pi) == pytest.approx(model.potential(1.0))
+
+    def test_finite_well_walls(self):
+        model = get_model("scarf1", A=2, B=Fraction(1, 2), alpha=1)
+        assert model.oracle_domain().walls == pytest.approx((0.75, 3.75))
+        assert _wall_strengths(model) == pytest.approx([0.75, 3.75], abs=1e-8)
+
+    @pytest.mark.parametrize("mid,params", [
+        ("hydrogen", dict(e2=2, l=1)),
+        ("scarf1", dict(A=2, B=Fraction(1, 2), alpha=1)),
+        ("scarf_periodic", dict(s=Fraction(3, 10)))])
+    def test_oracle_grid_stays_off_the_walls(self, mid, params):
+        model = get_model(mid, **params)
+        lo, hi = model.oracle_domain().ends
+        xs = solve_oracle(model).xs
+        assert lo < xs.min() and xs.max() < hi
+        assert np.all(np.isfinite(model.potential(xs)))
 
     @pytest.mark.parametrize("s", [Fraction(3, 10), Fraction(3, 2)])
     def test_periodic_wavefunctions_refuse_the_cell_walls(self, s):
@@ -395,16 +421,6 @@ class TestSingularPoints:
         for wall in (0.0, math.pi):
             with pytest.raises(SingularPointError, match="cell wall"):
                 sol.recipe(np.array([1.0, wall]))
-
-    def test_finite_well_walls(self):
-        model = get_model("scarf1", A=2, B=Fraction(1, 2), alpha=1)
-        with pytest.raises(SingularPointError):
-            evaluate_potential(model, math.pi / 2)
-
-    def test_hydrogen_refuses_points_within_the_wall_band(self):
-        model = get_model("hydrogen", e2=2, l=0)
-        with pytest.raises(SingularPointError):
-            evaluate_potential(model, 1e-13)
 
 
 class TestStructuralSymmetries:
@@ -667,6 +683,58 @@ def _unread_fields(classes, trees):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     return ["%s.%s" % (cls.__name__, f.name)
             for cls in classes for f in dataclasses.fields(cls) if f.name not in read]
+
+
+def _uncalled_functions(modules, outside):
+    """Non-dunder functions and methods of modules whose name nothing loads.
+
+    A name is loaded when it appears as a Name or an Attribute read in one
+    of the modules (a string, such as an entry of `__init__.py`'s export
+    lists, does not count), or in one of the outside trees as a Name, an
+    Attribute or a string constant: the benchmark tracer names its targets
+    by string.  Matching is by bare name, so a dead method that shares a
+    live attribute's name, like `overlap`, passes.  A method that overrides
+    one of a base class from outside the package is called by that library
+    (argparse calls `_Parser.error`) and is not listed.
+    """
+    trees = {module: ast.parse(inspect.getsource(module)) for module in modules}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    used |= {node.id if isinstance(node, ast.Name) else
+             node.attr if isinstance(node, ast.Attribute) else node.value
+             for tree in outside for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))
+             or isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    dead = []
+    for module, tree in trees.items():
+        owners = {id(f): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                  for f in c.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef) or node.name in used \
+                    or node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            owner = owners.get(id(node))
+            if owner is None:
+                dead.append(node.name)
+            elif not any(hasattr(base, node.name)
+                         for base in getattr(module, owner.name).__mro__[1:]
+                         if not base.__module__.startswith("qhj")):
+                dead.append("%s.%s" % (owner.name, node.name))
+    return sorted(dead)
+
+
+def test_no_function_only_tests_call():
+    # a function or method that only tests call is code the program carries
+    # for no consumer; the four listed probe other live code for tests
+    root = Path(__file__).resolve().parents[1]
+    modules = [importlib.import_module("qhj" if path.stem == "__init__" else "qhj." + path.stem)
+               for path in sorted((root / "src" / "qhj").glob("*.py"))]
+    outside = [ast.parse(path.read_text(encoding="utf-8")) for folder in ("scripts", "perfbench")
+               for path in sorted((root / folder).rglob("*.py"))]
+    assert _uncalled_functions(modules, outside) == [
+        "InfinityExpansion.coefficients", "PotentialModel.g_value",
+        "closed_form_deviation", "parity_deviation"]
 
 
 def test_every_level_record_field_is_read():

@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qhj.exactmath import (ExactComplex, as_exact, exact_sqrt, expansion_at_infinity,
-                           poly_add, poly_at, poly_der, poly_divmod, poly_mul, settle, sort_key,
-                           sqrt, sqrt_fraction, to_complex, to_float)
+                           poly_add, poly_at, poly_der, poly_divmod, poly_mul, real_or_complex,
+                           settle, sort_key, sqrt, sqrt_fraction, to_complex)
 
 rationals = st.fractions(min_value=-100, max_value=100)
 
@@ -87,10 +87,13 @@ class TestConversions:
         z = ExactComplex(Fraction(1), Fraction(2))
         assert as_exact(z) is z
 
-    def test_to_float_rejects_meaningful_imaginary(self):
-        with pytest.raises(ValueError):
-            to_float(1 + 1j)
-        assert to_float(Fraction(1, 4)) == 0.25
+    def test_real_or_complex_drops_only_an_exactly_zero_imaginary_part(self):
+        for value, want in [(Fraction(1, 4), 0.25), (ExactComplex(-3, 0), -3.0), (2 + 0j, 2.0)]:
+            got = real_or_complex(value)
+            assert type(got) is float and got == want
+        for value in (ExactComplex(1, Fraction(1, 10 ** 20)), 1 + 1e-300j):
+            got = real_or_complex(value)
+            assert type(got) is complex and got.imag != 0.0
 
     def test_exact_sqrt(self):
         assert exact_sqrt(Fraction(16, 25)) == Fraction(4, 5)

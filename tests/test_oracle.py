@@ -24,11 +24,10 @@ from hypothesis import strategies as st
 
 from qhj import get_model, potential_catalog, qes_family, schrodinger_oracle, special_functions
 from qhj.errors import GridTooCoarseError
-from qhj.schrodinger_oracle import (OracleDomain, channel_tag, count_nodes,
-                                    solve_band_edges, solve_bound,
-                                    solve_inverse_square_cell, solve_oracle,
-                                    solve_pt)
-from qhj.wavefunction_assembly import verify
+from qhj.schrodinger_oracle import (OracleDomain, channel_tag, solve_band_edges,
+                                    solve_bound, solve_inverse_square_cell,
+                                    solve_oracle, solve_pt)
+from qhj.wavefunction_assembly import count_nodes, verify
 
 from test_acceptance import ALL_CONFIGS
 
@@ -839,19 +838,18 @@ class TestNoWastedWork:
 
     def test_elliptic_potential_makes_no_pointwise_calls(self, monkeypatch):
         calls = []
-        scalar = special_functions.jacobi_elliptic
+        vectorized = special_functions.sn_cn_dn
 
         def spy(x, m):
-            calls.append(x)
-            return scalar(x, m)
+            calls.append(np.shape(x))
+            return vectorized(x, m)
 
-        monkeypatch.setattr(special_functions, "jacobi_elliptic", spy)
-        monkeypatch.setattr(potential_catalog, "jacobi_elliptic", spy, raising=False)
+        monkeypatch.setattr(potential_catalog, "sn_cn_dn", spy)
         model = get_model("lame", j=2, m=Fraction(1, 2))
         lo, hi = model.x_window()
         values = model.potential(np.linspace(lo, hi, 960))
         assert values.shape == (960,) and np.all(np.isfinite(values))
-        assert calls == []
+        assert calls == [(960,)]
 
 
 def _reference_operator(model, domain, rho, n):

@@ -20,7 +20,7 @@ from qhj.exactmath import ExactComplex, to_complex
 from qhj.qmf_residues import (ORIGIN_FINITE, ORIGIN_INFINITY_A0_NONZERO,
                               ORIGIN_INFINITY_A0_ZERO, FixedPole,
                               InfinityExpansion, finite_pole_residues,
-                              infinity_residues, moving_pole_residue)
+                              infinity_residues)
 
 rational_g2 = st.fractions(min_value=-50, max_value=50)
 
@@ -69,10 +69,6 @@ class TestMovingPole:
     def test_contour_oracle_and_convention(self):
         winding = _winding_around_node()
         assert abs(winding - 1.0) < 1e-6
-        assert moving_pole_residue("chi") == 1
-        assert moving_pole_residue("p") == complex(0.0, -1.0)
-        # library value equals the measured winding
-        assert abs(moving_pole_residue("chi") - winding) < 1e-6
 
 
 class TestFinitePoleResidues:

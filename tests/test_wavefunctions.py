@@ -13,12 +13,11 @@ from qhj.polynomial_system import solve_spectrum
 from qhj.potential_catalog import (AssociatedLameModel, HydrogenModel,
                                    KhareMandalModel, ScarfPeriodicModel,
                                    TwoWallJacobiModel, poly_eval)
-from qhj.schrodinger_oracle import (count_nodes, solve_band_edges, solve_bound,
+from qhj.schrodinger_oracle import (OracleSpectrum, solve_band_edges, solve_bound,
                                     solve_oracle)
 from qhj.special_functions import sn_cn_dn
-from qhj.wavefunction_assembly import (L2_ONE, SUP_NORM_ONE, assemble,
-                                       overlap, parity_deviation,
-                                       subspace_overlap, verify,
+from qhj.wavefunction_assembly import (assemble, count_nodes, overlap,
+                                       parity_deviation, verify,
                                        verify_against_oracle)
 
 from test_acceptance import ALL_CONFIGS
@@ -36,25 +35,20 @@ def scarf_pair():
 class TestAssemble:
     def test_sup_normalization_and_zeros(self):
         xs = np.linspace(0.1, math.pi - 0.1, 801)
-        wf = assemble(lambda x: np.sin(3 * x), xs)
-        assert wf.normalization == SUP_NORM_ONE
-        assert np.max(np.abs(wf.values)) == pytest.approx(1.0)
-        assert wf.is_real
-        assert wf.node_count() == 2
-        assert list(wf.zero_locations) == pytest.approx(
-            [math.pi / 3, 2 * math.pi / 3], abs=1e-5)
-
-    def test_l2_normalization(self):
-        xs = np.linspace(0.0, math.pi, 2001)
-        wf = assemble(lambda x: np.sin(x), xs, normalization=L2_ONE)
-        norm = np.sqrt(np.trapezoid(np.abs(wf.values) ** 2, xs))
-        assert norm == pytest.approx(1.0, abs=1e-6)
+        values = assemble(lambda x: -2.0 * np.sin(3 * x), xs)
+        assert np.max(np.abs(values)) == pytest.approx(1.0)
+        assert values == pytest.approx(-np.sin(3 * xs) / np.max(np.abs(np.sin(3 * xs))))
+        assert count_nodes(values) == 2
 
     def test_complex_profile_zero_at_grid_point(self):
         xs = np.linspace(0.0, 2.0, 201)  # hits x = 1 exactly
-        wf = assemble(lambda x: np.exp(1j * x) * (x - 1.0), xs)
-        assert not wf.is_real
-        assert list(wf.zero_locations) == pytest.approx([1.0], abs=1e-9)
+        values = assemble(lambda x: np.exp(0.7j) * (x - 1.0), xs)
+        assert np.max(np.abs(values)) == pytest.approx(1.0)
+        assert values[100] == 0
+        # a profile real up to one phase: the phase is rotated away and the
+        # sample at the zero has no sign, so the zero counts once
+        assert count_nodes(values) == 1
+        assert count_nodes(values[:101]) == 0 and count_nodes(values[100:]) == 0
 
     def test_rejects_identically_zero_profiles(self):
         xs = np.linspace(0.0, 1.0, 101)
@@ -73,12 +67,26 @@ class TestOverlapHelpers:
         xs = np.linspace(0.0, math.pi, 4001)
         assert overlap(np.sin(xs), np.sin(2 * xs)) < 1e-10
 
-    def test_subspace_overlap_inside_the_span(self):
+    def test_overlap_is_scale_and_phase_free(self):
         xs = np.linspace(0.0, math.pi, 4001)
-        basis = [np.sin(xs), np.sin(2 * xs)]
-        mix = 0.6 * np.sin(xs) - 0.8 * np.sin(2 * xs)
-        assert subspace_overlap(mix, basis) == pytest.approx(1.0, abs=1e-10)
-        assert subspace_overlap(np.sin(3 * xs), basis) < 1e-10
+        assert overlap(np.sin(xs), -3j * np.sin(xs)) == pytest.approx(1.0, abs=1e-12)
+        assert overlap(np.sin(xs), 2.0 * np.sin(xs) + np.sin(2 * xs)) == pytest.approx(
+            2.0 / math.sqrt(5.0), abs=1e-6)
+
+    def test_subspace_overlap_inside_the_span(self):
+        # verify_against_oracle scores a degenerate cluster by projection onto its span
+        xs = np.linspace(0.0, math.pi, 4001)
+        oracle = OracleSpectrum(eigenvalues=(1.0, 1.0),
+                                eigenvectors=np.column_stack([np.sin(xs), np.sin(2 * xs)]),
+                                xs=xs, bc_tags=("dirichlet",) * 2)
+        mix = verify_against_oracle(lambda x: 0.6 * np.sin(x) - 0.8 * np.sin(2 * x),
+                                    oracle, 0, cluster_levels=[0, 1])
+        assert mix.overlap == pytest.approx(1.0, abs=1e-10) and mix.overlap_ok
+        assert verify_against_oracle(lambda x: 0.6 * np.sin(x) - 0.8 * np.sin(2 * x),
+                                     oracle, 0).overlap == pytest.approx(0.6, abs=1e-6)
+        outside = verify_against_oracle(lambda x: np.sin(3 * x), oracle, 0,
+                                        cluster_levels=[0, 1])
+        assert outside.overlap < 1e-10 and not outside.overlap_ok
 
 
 class TestOracleComparison:
@@ -127,8 +135,7 @@ class TestOracleComparison:
         pair = spectrum.solutions[-2:]
         for sol in pair:
             report = verify_against_oracle(sol.recipe, oracle, 7,
-                                           cluster_levels=[7, 8],
-                                           check_nodes=False)
+                                           cluster_levels=[7, 8])
             assert report.overlap > 1 - 1e-6
         xs = oracle.xs
         a = np.asarray(pair[0].recipe(xs), dtype=complex)
