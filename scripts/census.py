@@ -65,11 +65,10 @@ def draws(seed, mid, count):
     return [draw_point(rng, mid) for _ in range(count)]
 
 
-def verify_exit(mid, params):
-    """(exit code or "traceback", the traceback, the FAIL count or the first stderr line)."""
-    argv = ["verify", mid]
-    for name, value in params.items():
-        argv += ["--param", "%s=%s" % (name, value)]
+def run(argv):
+    """(exit code or "traceback", stdout, stderr) of in-process `qhj argv`.
+
+    A raised exception's traceback is appended to stderr."""
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -77,12 +76,25 @@ def verify_exit(mid, params):
     except SystemExit as exc:           # argparse refusals
         code = exc.code
     except Exception:
-        return "traceback", traceback.format_exc()
+        code = "traceback"
+        err.write(traceback.format_exc())
+    return code, out.getvalue(), err.getvalue()
+
+
+def verify_exit(mid, params):
+    """(exit code or "traceback", detail): the detail is the stderr ending in the
+    traceback, the FAIL count, or the first stderr line."""
+    argv = ["verify", mid]
+    for name, value in params.items():
+        argv += ["--param", "%s=%s" % (name, value)]
+    code, out, err = run(argv)
+    if code == "traceback":
+        return code, err
     if code == 3:
-        verdicts = [line.rsplit(" ", 1)[-1] for line in out.getvalue().splitlines()
+        verdicts = [line.rsplit(" ", 1)[-1] for line in out.splitlines()
                     if line.startswith("set=")]
         return code, "%d of %d levels FAIL" % (verdicts.count("FAIL"), len(verdicts))
-    return code, (err.getvalue().splitlines() or [""])[0]
+    return code, (err.splitlines() or [""])[0]
 
 
 def main(argv=None):

@@ -14,18 +14,15 @@ The script exits 1 when a command raised a Python traceback or exited with
 a non-zero code, else 0.
 """
 
-import contextlib
-import io
 import random
 import sys
-import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
+from census import run                                           # noqa: E402
 from perfbench.workloads import ALL_CONFIGS, family_points      # noqa: E402
-from qhj import cli                                              # noqa: E402
 
 SEEDS = range(1001, 1041)
 WAVEFUNCTION_SAMPLES = 32
@@ -39,20 +36,6 @@ def points():
         if (mid, params) not in out:
             out.append((mid, params))
     return out
-
-
-def run(argv):
-    """(exit code or "traceback", stdout, stderr) of in-process `qhj argv`."""
-    out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-    except SystemExit as exc:           # argparse refusals
-        code = exc.code
-    except Exception:
-        code = "traceback"
-        err.write(traceback.format_exc())
-    return code, out.getvalue(), err.getvalue()
 
 
 def main():

@@ -327,11 +327,10 @@ def _solution_samples(model, recipe):
     lo, hi = model.x_window()
     margin = 0.08 * (hi - lo)
     xs = np.linspace(lo + margin, hi - margin, 171)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.asarray(recipe(xs), dtype=complex)
-        vals = vals / np.max(np.abs(vals))
-    if not np.all(np.isfinite(vals)):
-        raise QhjError("eigenfunction samples overflow or vanish on the x window")
+    vals = recipe(xs)
+    if not np.any(vals):
+        raise QhjError("eigenfunction samples vanish on the x window")
+    vals = vals / np.max(np.abs(vals))
     return vals / np.linalg.norm(vals)
 
 

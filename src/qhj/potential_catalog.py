@@ -9,9 +9,12 @@ A family states Ṽ and u once, exactly (g_declaration), with the roots of
 Πclear, the product of its pole monomials.  PotentialModel derives from them,
 once per model and by exact division, A and B with Πclear²·G = A + E·B, each
 pole's strength g2 (fixed_poles), G0, G1, G2 of G at infinity
-(infinity_expansion), each a constant or affine in E, the exact polynomials
-of the identity (g_polynomials), G itself (g_value) and the prefactor
-exponents (prefactor_exponents).  Besides Ṽ and u a family declares:
+(infinity_expansion), each as its exact value at E = 0 plus its exact slope
+in E, the exact polynomials of the identity (g_polynomials), G itself
+(g_value) and the prefactor exponents (prefactor_exponents).  Two flags
+follow from that data, not from the family: uses_pencil, when no
+coefficient the sum rule reads moves with E, and parity_constraint, when
+the family declares ± pole pairs.  Besides Ṽ and u a family declares:
 
 * the physical potential V(x) and the map t(x),
 * the residue sets with their admissibility verdicts (quantization turns
@@ -42,7 +45,8 @@ from types import SimpleNamespace
 from typing import Callable, Dict, Tuple
 
 from .domain import OracleDomain, channel_tag
-from .errors import ParameterError, QhjError, SingularPointError, UnknownModelError
+from .errors import InvalidStateError, ParameterError, QhjError, SingularPointError
+from .errors import UnknownModelError
 from .exactmath import (ExactComplex, as_exact, expansion_at_infinity, poly_add, poly_at,
                         poly_der, poly_divmod, poly_mul, real_or_complex, to_complex)
 from .qmf_residues import (FixedPole, InfinityExpansion, finite_pole_residues,
@@ -61,14 +65,20 @@ class WavefunctionRecipe:
 
     form is the display string (prefactors × polynomial in the mapped
     variable).  evaluator(xs) returns complex ψ values on physical points xs;
-    PotentialModel.recipe builds it from the model's prefactors.
+    PotentialModel.recipe builds it from the model's prefactors.  A call
+    refuses any value that overflows or is undefined (InvalidStateError).
     """
 
     form: str
     evaluator: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
 
     def __call__(self, xs):
-        return self.evaluator(np.asarray(xs))
+        with np.errstate(over="ignore", invalid="ignore"):   # refused below, with a reason
+            values = np.asarray(self.evaluator(np.asarray(xs)), dtype=complex)
+        if not np.all(np.isfinite(values)):
+            raise InvalidStateError("wavefunction is not finite on the grid: it overflows "
+                                    "or the grid touches a singular point")
+        return values
 
 
 def poly_eval(coeffs, t):
@@ -139,12 +149,6 @@ _ELLIPTIC_M = Param("m", "rational", "(0, 1)", "elliptic parameter")
 _SHIFT = Param("shift", "rational", "[-50, 50]", "additive constant", default=None)
 
 
-def _in_energy(at0, slope):
-    """The coefficient at0 + E·slope: a constant when E-free, else a callable of E."""
-    at0, slope = as_exact(at0), as_exact(slope)
-    return at0 if slope == 0 else (lambda E: at0 + E * slope)
-
-
 def _quotient(num, den):
     """num/den of exact ascending coefficients, trailing zeros dropped, or None when
     den does not divide num."""
@@ -178,8 +182,6 @@ class PotentialModel:
     summary = ""                   # one line for `qhj list`
     param_decls: Tuple[Param, ...] = ()   # the parameters, in order
     spectrum_kind = None           # es_spectrum | band_edge_group | qes_condition | pt_group
-    parity_constraint = False
-    uses_pencil = False            # energy stays an unknown in the identity
     energy_formula = None
     notes: Tuple[str, ...] = ()
     qes_relations = None           # one level relation per residue set, or None
@@ -245,7 +247,7 @@ class PotentialModel:
         name = self.id or type(self).__name__
         factors = [(-r, 0, 1) if isinstance(labels, tuple) else (-r, 1) for labels, r in poles]
         clear = reduce(poly_mul, factors, [Fraction(1)])
-        square, slope2 = poly_mul(clear, clear), poly_mul(poly_der(clear), poly_der(clear))
+        square, dclear2 = poly_mul(clear, clear), poly_mul(poly_der(clear), poly_der(clear))
         # Πclear²·G = A + E·B:  B = Πclear²/u, A = B·(3u'² − 4u·u'' − 16u·Ṽ)/(16u)
         b = _quotient(square, u)
         if b is None:
@@ -264,24 +266,40 @@ class PotentialModel:
         for (labels, root), factor in zip(poles, factors):
             labels = labels if isinstance(labels, tuple) else (labels,)
             at = lambda p: poly_at(p[::len(labels)], root)    # a pair's: even, read in t² = q
-            g2 = _in_energy(at(a) / at(slope2), at(b) / at(slope2))
-            fixed += [FixedPole(g2=g2, label=label) for label in labels]
+            g2, slope = (as_exact(at(p) / at(dclear2)) for p in (a, b))
+            fixed += [FixedPole(g2=g2, label=label, slope=slope) for label in labels]
             groups.append((labels, root, poly_divmod(clear, factor)[0]))
             factor_of.update(dict.fromkeys(labels, factor))
-        expansion = InfinityExpansion(*map(_in_energy, expansion_at_infinity(a, square),
-                                           expansion_at_infinity(b, square)))
+        values, slopes = (tuple(map(as_exact, expansion_at_infinity(p, square))) for p in (a, b))
+        expansion = InfinityExpansion(*values, slopes=slopes)
         # f_j^p ∝ the factor of its pole's group, which divides u k times
         exponents = tuple((label, p, Fraction(_multiplicity(factor_of[label], u), 4))
                           for label, p in self.prefactor_poles)
         return SimpleNamespace(poles=tuple(fixed), expansion=expansion, exponents=exponents,
-                               polynomials=(clear, tuple(groups), a, b))
+                               polynomials=(clear, tuple(groups), a, b), paired=paired)
+
+    @property
+    def parity_constraint(self):
+        """Whether the family declares ± pole pairs: one branch per pair, and P of n's parity."""
+        return self._g.paired
+
+    @property
+    def uses_pencil(self):
+        """Whether E stays a pencil unknown: no coefficient the sum rule reads (G0, G1,
+        the pole strengths, and G2 when G0 ≡ G1 ≡ 0) has a nonzero slope."""
+        ex = self.infinity_expansion()
+        d0, d1, d2 = ex.slopes
+        read = [d0, d1] + [p.slope for p in self.fixed_poles()]
+        if not any((ex.G0, d0, ex.G1, d1)):
+            read.append(d2)
+        return not any(read)
 
     def fixed_poles(self) -> Tuple[FixedPole, ...]:
-        """Πclear's roots, each with its strength g2: lim (t − t0)²·G."""
+        """Πclear's roots, each with its strength g2 + E·slope: lim (t − t0)²·G."""
         return self._g.poles
 
     def infinity_expansion(self) -> InfinityExpansion:
-        """(G0, G1, G2) of G = G0 + G1/t + G2/t² + O(1/t³) at |t| → ∞."""
+        """(G0, G1, G2) of G = G0 + G1/t + G2/t² + O(1/t³) at |t| → ∞, with their slopes in E."""
         return self._g.expansion
 
     def g_polynomials(self):
@@ -592,7 +610,6 @@ class ScarfPeriodicModel(PotentialModel):
     summary = "inverse-square periodic cell (band edges or bound)"
     param_decls = (Param("s", "rational", "(0, 50]", "wall-singularity index",
                          excluded=(Fraction(1, 2),)),)
-    parity_constraint = True
     energy_formula = "E_n = (n + 1/2 +/- s)^2"
     oracle = "inverse_square_cell"
     verify_tol = 5e-4
@@ -684,8 +701,6 @@ class AssociatedLameModel(PotentialModel):
     """
 
     spectrum_kind = "band_edge_group"
-    parity_constraint = True
-    uses_pencil = True
     energy_formula = "band edges from the (n+1)-term polynomial identity per set"
     notes = ("the mirror branch lambda1 = -a reproduces the same spectra "
              "under a -> -a-1, b -> -b-1 and is not enumerated separately",)
@@ -889,7 +904,6 @@ class KhareMandalModel(PotentialModel):
     param_decls = (Param("zeta", "rational", "(0, 50]", "hyperbolic strength"),
                    Param("M", "integer", "[1, 50]", "imaginary offset"))
     spectrum_kind = "pt_group"
-    uses_pencil = True
     energy_formula = "levels from the (n+1)-term polynomial identity per set"
     notes = ("lambda1 = -M/2 pairs with the exponential branch growing on "
              "the decay contour and is not enumerated",)

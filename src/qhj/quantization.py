@@ -12,11 +12,11 @@ pair — that is the parity constraint, built into the enumeration.  Every set
 then passes a filter pipeline (level positivity/integrality → finiteness at
 walls → square-integrability/decay) and carries a machine-readable verdict.
 
-Where the filters leave a closed-form energy (hydrogen-like, trigonometric
-Scarf, inverse-sin² cell, complex Scarf), closed_form_levels() solves the
-sum rule for E from each family's pole strengths and expansion of G at
-infinity, exactly when the parameters are rational.  The remaining models
-keep the energy as a pencil unknown for the polynomial-identity solver.
+Where a coefficient of G that the sum rule reads has a nonzero slope in E
+(hydrogen-like, trigonometric Scarf, inverse-sin² cell, complex Scarf),
+closed_form_levels() solves the sum rule for E from its exact value and
+slope, exactly when the parameters are rational.  Where none has, E stays
+a pencil unknown for the polynomial-identity solver (model.uses_pencil).
 
 The per-family sets and filters live on the catalog classes
 (PotentialModel.assignments and .normalizable); this module holds the shared
@@ -26,7 +26,6 @@ records and the condition that ties them together.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import NoAdmissibleAssignmentError
@@ -103,29 +102,20 @@ def enumerate_assignments(model):
     return model.assignments()
 
 
-def _affine(coeff):
-    """(value at E = 0, slope) of a coefficient affine in E; slope 0 if E-free."""
-    if not callable(coeff):
-        return coeff, 0
-    at0 = coeff(Fraction(0))
-    return at0, coeff(Fraction(1)) - at0
-
-
 def closed_form_levels(model, sets, count):
     """Rows n = 0 … count−1 of each admissible set, E solved from Σ b_i + n = λ1.
 
-    Exactly one of G0, G2 and the pole strengths depends on E.  With E-free
-    residues λ1 = Σ b_i + n, and G0(E) = −a0² with a0 = −G1/(2λ1), or, when
-    G0 = G1 = 0, G2(E) = λ1 − λ1².  E-dependent strengths keep the set's λ1
-    and put b = (λ1 − n)/k on each of the k paired poles, with g2(E) = b − b².
+    Exactly one of G0, G2 and the pole strengths has a nonzero slope d.  With
+    E-free residues λ1 = Σ b_i + n, and G0 + E·d = −a0² with a0 = −G1/(2λ1),
+    or, when G0 = G1 = 0, G2 + E·d = λ1 − λ1².  The k poles with a slope keep
+    the set's λ1 and each take b = (λ1 − n)/k, with g2 + E·d = b − b².
     A set's rows stop at the first level model.normalizable refuses.
     """
     if model.uses_pencil:
         return []
     expansion = model.infinity_expansion()
-    (g0, d0), (g2, d2) = _affine(expansion.G0), _affine(expansion.G2)
-    paired = [p for p in model.fixed_poles() if callable(p.g2)]
-    gp, dp = _affine(paired[0].g2) if paired else (0, 0)
+    (g0, g2), (d0, _, d2) = (expansion.G0, expansion.G2), expansion.slopes
+    paired = [p for p in model.fixed_poles() if p.slope]
     rows = []
     for a in (a for a in sets if a.admissible):
         for n in range(count):
@@ -133,7 +123,8 @@ def closed_form_levels(model, sets, count):
             lam = a.lambda1 if paired else sum(residues.values()) + n
             if paired:
                 b = (lam - n) / len(paired)
-                residues, energy = {p.label: b for p in paired}, (b - b * b - gp) / dp
+                residues = {p.label: b for p in paired}
+                energy = (b - b * b - paired[0].g2) / paired[0].slope
             elif d0:
                 a0 = -expansion.G1 / (2 * lam)
                 energy = (-a0 * a0 - g0) / d0

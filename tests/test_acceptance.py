@@ -313,7 +313,7 @@ def test_criterion_9_property_sweep():
 
             # the two branch residues of every finite pole sum exactly to 1
             for pole in model.fixed_poles():
-                if callable(pole.g2):
+                if pole.slope:
                     continue
                 branch = finite_pole_residues(pole)
                 total = branch.values[0] + branch.values[1]

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 from qhj.errors import ParameterError, SingularPointError, UnknownModelError
-from qhj.exactmath import ExactComplex, to_complex
+from qhj.exactmath import ExactComplex, as_exact, to_complex
 from qhj.polynomial_system import solve_spectrum
 from qhj.potential_catalog import (MODEL_CLASSES, MODEL_IDS, PARAM_DENOMINATOR,
                                    PARAM_SCHEMAS, AssociatedLameModel,
@@ -117,6 +117,13 @@ class TestStoredPolynomialsMatchPotential:
             assert abs(dtdx ** 2 - uval) <= 5e-6 * max(1.0, abs(uval))
 
 
+def _expansion_at(model, energy):
+    """(G0, G1, G2) at energy, each its value at E = 0 plus E times its slope."""
+    expansion = model.infinity_expansion()
+    return [to_complex(c) + energy * to_complex(d)
+            for c, d in zip((expansion.G0, expansion.G1, expansion.G2), expansion.slopes)]
+
+
 class TestInfinityExpansionSampling:
     """The derived (G0, G1, G2) against G sampled far out."""
 
@@ -132,8 +139,7 @@ class TestInfinityExpansionSampling:
     def test_large_argument_matches_stored_coefficients(self, mid, params):
         model = get_model(mid, **params)
         energy = 1.375
-        g0, g1, g2 = (to_complex(c)
-                      for c in model.infinity_expansion().coefficients(energy))
+        g0, g1, g2 = _expansion_at(model, energy)
         for t in (1.0e4, -1.0e4, 1.0e5):
             g = model.g_value(t, energy)
             remainder = (g - g0 - g1 / t) * t * t
@@ -146,8 +152,7 @@ class TestInfinityExpansionSampling:
         # closed_form_levels and the pencil sets compute from these coefficients
         model = get_model(mid, **data.draw(schema_points(mid)))
         energy = 1.375
-        g0, g1, g2 = (to_complex(c)
-                      for c in model.infinity_expansion().coefficients(energy))
+        g0, g1, g2 = _expansion_at(model, energy)
         # well outside every pole; the mean over ±t cancels the G3/t term
         t = 1.0e4 * max([1.0] + [abs(t0) for t0 in _pole_locations(model).values()])
         remainder = sum((model.g_value(y, energy) - g0 - g1 / y) * y * y for y in (t, -t)) / 2
@@ -161,20 +166,18 @@ ENERGY_SLOT = {"hydrogen": ["G0"], "scarf1": ["G2"], "complex_scarf": ["G2"],
 
 @pytest.mark.parametrize("mid", MODEL_IDS)
 def test_the_energy_sits_in_one_affine_coefficient(mid):
-    """The sum rule reads G0, G1, the pole strengths, and G2 when G0 = G1 = 0."""
+    """The sum rule reads G0, G1, the pole strengths, and G2 when G0 ≡ G1 ≡ 0."""
     model = get_model(mid, **next(params for m, params, _ in ALL_CASES if m == mid))
     expansion = model.infinity_expansion()
-    read = {"G0": [expansion.G0], "G1": [expansion.G1],
-            "pole strengths": [p.g2 for p in model.fixed_poles()]}
-    if expansion.G0 == 0 and expansion.G1 == 0:
-        read["G2"] = [expansion.G2]
-    moving = {name: [c for c in coeffs if callable(c)] for name, coeffs in read.items()}
-    assert sorted(name for name, cs in moving.items() if cs) == ENERGY_SLOT.get(mid, [])
+    (d0, d1, d2), poles = expansion.slopes, model.fixed_poles()
+    read = {"G0": [d0], "G1": [d1], "pole strengths": [p.slope for p in poles]}
+    if (expansion.G0, d0, expansion.G1, d1) == (0, 0, 0, 0):
+        read["G2"] = [d2]
+    assert sorted(name for name, slopes in read.items() if any(slopes)) == \
+        ENERGY_SLOT.get(mid, [])
     assert model.uses_pencil == (mid not in ENERGY_SLOT)
-    for coeffs in moving.values():
-        # affine, and one strength shared by every E-dependent pole
-        assert all(c(Fraction(2)) - 2 * c(Fraction(1)) + c(Fraction(0)) == 0 for c in coeffs)
-        assert len({(c(Fraction(0)), c(Fraction(1))) for c in coeffs}) <= 1
+    # one strength shared by every E-dependent pole
+    assert len({(p.g2, p.slope) for p in poles if p.slope}) <= 1
 
 
 class TestFinitePoleStrengthSampling:
@@ -198,7 +201,7 @@ class TestFinitePoleStrengthSampling:
             t0 = _pole_locations(model)[pole.label]
             ring = t0 + eps * np.exp(1j * thetas)
             avg = np.mean((ring - t0) ** 2 * model.g_value(ring, energy))
-            g2 = to_complex(pole.strength(energy))
+            g2 = to_complex(pole.g2) + energy * to_complex(pole.slope)
             assert abs(avg - g2) <= 1e-5 * (1.0 + abs(g2))
 
 
@@ -256,21 +259,22 @@ def _same(derived, reference):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_derived_strengths_and_expansion_equal_the_reference(mid, data):
-    # exact equality, types included: a real value is a Fraction, and an
-    # E-free coefficient is a constant, not a callable
+    # exact equality, types included: a real value or slope is a Fraction;
+    # the reference at E = 0 and E = 1 gives value and slope, and the third
+    # energy checks that value + E·slope is the reference there too
     model = get_model(mid, **data.draw(schema_points(mid)))
     reference = next(f for cls, f in REFERENCE_G if isinstance(model, cls))
     rows = [reference(model, E) for E in REFERENCE_ENERGIES]
     poles = model.fixed_poles()
     assert [p.label for p in poles] == list(rows[0][0])
-    derived = [(p.g2, [g2[p.label] for g2, _ in rows]) for p in poles]
+    derived = [((p.g2, p.slope), [g2[p.label] for g2, _ in rows]) for p in poles]
     expansion = model.infinity_expansion()
-    derived += [(c, [ex[k] for _, ex in rows])
-                for k, c in enumerate((expansion.G0, expansion.G1, expansion.G2))]
-    for coeff, want in derived:
-        assert callable(coeff) == (len(set(want)) > 1)
-        got = [coeff(E) for E in REFERENCE_ENERGIES] if callable(coeff) else [coeff] * 3
-        assert all(_same(g, w) for g, w in zip(got, want)), (got, want)
+    derived += [(pair, [ex[k] for _, ex in rows]) for k, pair in enumerate(
+        zip((expansion.G0, expansion.G1, expansion.G2), expansion.slopes))]
+    for (value, slope), want in derived:
+        assert _same(value, want[0]), (value, want)
+        assert _same(slope, as_exact(want[1] - want[0])), (slope, want)
+        assert all(value + E * slope == w for E, w in zip(REFERENCE_ENERGIES, want)), want
 
 
 # The prefactor exponents each family wrote by hand before the base class
@@ -726,15 +730,14 @@ def _uncalled_functions(modules, outside):
 
 def test_no_function_only_tests_call():
     # a function or method that only tests call is code the program carries
-    # for no consumer; the four listed probe other live code for tests
+    # for no consumer; the three listed probe other live code for tests
     root = Path(__file__).resolve().parents[1]
     modules = [importlib.import_module("qhj" if path.stem == "__init__" else "qhj." + path.stem)
                for path in sorted((root / "src" / "qhj").glob("*.py"))]
     outside = [ast.parse(path.read_text(encoding="utf-8")) for folder in ("scripts", "perfbench")
                for path in sorted((root / folder).rglob("*.py"))]
     assert _uncalled_functions(modules, outside) == [
-        "InfinityExpansion.coefficients", "PotentialModel.g_value",
-        "closed_form_deviation", "parity_deviation"]
+        "PotentialModel.g_value", "closed_form_deviation", "parity_deviation"]
 
 
 def test_every_level_record_field_is_read():
@@ -759,6 +762,20 @@ def test_one_wavefunction_assembler():
                   for k in cls.__mro__
                   if k is not PotentialModel and "recipe" in vars(k)})
     assert own == []
+
+
+def test_the_route_flags_follow_from_the_declared_g():
+    # uses_pencil and parity_constraint are read off each family's declared
+    # G (the slopes of what the sum rule reads, and its ± pole pairs); no
+    # family states them again
+    stated = sorted({k.__name__ for cls in MODEL_CLASSES.values() for k in cls.__mro__
+                     if k is not PotentialModel
+                     and {"uses_pencil", "parity_constraint"} & set(vars(k))})
+    assert stated == []
+    paired = {"scarf_periodic", "lame", "assoc_lame_es", "assoc_lame_qes"}
+    assert {mid for mid, _, _ in ALL_CASES} == set(MODEL_IDS)
+    for mid, params, _ in ALL_CASES:
+        assert get_model(mid, **params).parity_constraint == (mid in paired), mid
 
 
 def test_field_guard_sees_a_write_only_field():

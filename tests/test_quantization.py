@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from qhj import (QES_RELATIONS, NoAdmissibleAssignmentError,
                  enumerate_assignments, get_model, qes_family, quantize)
+from qhj.errors import EnergyRequiredError
 from qhj.exactmath import ExactComplex, to_complex
 from qhj.qmf_residues import InfinityExpansion, infinity_residues
 from test_catalog import schema_points
@@ -332,11 +333,14 @@ class TestSumRuleSolve:
         assert isinstance(out.levels[0].energy, Fraction)
 
     def test_infinity_residues_read_g2_only_when_g0_vanishes(self):
-        # a0 = ±2 and λ1 = −G1/(2a0); the E-dependent G2 is never evaluated
+        # a0 = ±2 and λ1 = −G1/(2a0); the E-dependent G2 = E is never read
+        slopes = (Fraction(0), Fraction(0), Fraction(1))
         branch = infinity_residues(InfinityExpansion(G0=Fraction(-4), G1=Fraction(8),
-                                                     G2=lambda E: E))
+                                                     G2=Fraction(0), slopes=slopes))
         assert branch.values == (Fraction(2), Fraction(-2))
         assert branch.a0_values == (Fraction(-2), Fraction(2))
+        with pytest.raises(EnergyRequiredError):       # read once G0 ≡ G1 ≡ 0
+            infinity_residues(InfinityExpansion(G2=Fraction(0), slopes=slopes))
         model = get_model("khare_mandal", zeta=Fraction(1, 4), M=3)
         branch = infinity_residues(model.infinity_expansion())
         assert (branch.values[0], branch.a0_values[0]) == (

@@ -85,11 +85,10 @@ class TestFinitePoleResidues:
         assert branch.values[0] + branch.values[1] == 1
 
     def test_energy_dependent_strength_requires_energy(self):
-        pole = FixedPole(g2=lambda e: (1 - e) / 4, label="t=i")
+        # g2 = (1 − E)/4: a nonzero slope is where the sum rule solves for E
+        pole = FixedPole(g2=Fraction(1, 4), label="t=i", slope=Fraction(-1, 4))
         with pytest.raises(EnergyRequiredError):
             finite_pole_residues(pole)
-        branch = finite_pole_residues(pole, energy=Fraction(9))
-        assert branch.values == (Fraction(2), Fraction(-1))
 
     def test_complex_strength(self):
         pole = FixedPole(g2=ExactComplex(Fraction(0), Fraction(1, 4)),
@@ -201,11 +200,9 @@ class TestInfinityResidues:
             infinity_residues(exp)
 
     def test_energy_dependent_leading_term(self):
-        exp = InfinityExpansion(G0=lambda e: e - 1, G1=Fraction(2),
-                                G2=Fraction(0))
-        with pytest.raises(EnergyRequiredError):
-            infinity_residues(exp)
-        branch = infinity_residues(exp, energy=Fraction(0))
-        assert branch.origin == ORIGIN_INFINITY_A0_NONZERO
-        assert (Fraction(1), Fraction(-1)) in list(zip(branch.values,
-                                                       branch.a0_values))
+        # G0 = E − 1, and G0 = E: a slope on G0 is refused whatever its value
+        for g0 in (Fraction(-1), Fraction(0)):
+            exp = InfinityExpansion(G0=g0, G1=Fraction(2), G2=Fraction(0),
+                                    slopes=(Fraction(1), Fraction(0), Fraction(0)))
+            with pytest.raises(EnergyRequiredError):
+                infinity_residues(exp)

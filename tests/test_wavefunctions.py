@@ -12,7 +12,7 @@ from qhj.exactmath import to_complex
 from qhj.polynomial_system import solve_spectrum
 from qhj.potential_catalog import (AssociatedLameModel, HydrogenModel,
                                    KhareMandalModel, ScarfPeriodicModel,
-                                   TwoWallJacobiModel, poly_eval)
+                                   TwoWallJacobiModel, WavefunctionRecipe, poly_eval)
 from qhj.schrodinger_oracle import (OracleSpectrum, solve_band_edges, solve_bound,
                                     solve_oracle)
 from qhj.special_functions import sn_cn_dn
@@ -56,10 +56,12 @@ class TestAssemble:
             assemble(lambda x: np.zeros_like(x), xs)
 
     def test_rejects_non_finite_profiles(self):
+        # the recipe itself refuses the value at its pole, for every caller
         xs = np.linspace(0.0, 1.0, 101)
+        recipe = WavefunctionRecipe(form="1/(x - 1/2)", evaluator=lambda x: 1.0 / (x - 0.5))
         with np.errstate(divide="ignore"):
             with pytest.raises(InvalidStateError):
-                assemble(lambda x: 1.0 / (x - 0.5), xs)
+                assemble(recipe, xs)
 
 
 class TestOverlapHelpers:
