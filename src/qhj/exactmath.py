@@ -201,52 +201,242 @@ def settle(value):
     return value
 
 
-# -- exact polynomials: ascending coefficient lists of Fraction/ExactComplex --
+# -- exact polynomials -----------------------------------------------------
 
-def poly_add(*polys):
-    """Sum of ascending coefficient lists."""
-    return [sum(cs, Fraction(0)) for cs in zip_longest(*polys, fillvalue=0)]
+def _parts(value):
+    """(re, im, den) integers of an exact scalar, den > 0, or None when it is inexact."""
+    if type(value) is int:
+        return value, 0, 1
+    e = value if type(value) is Fraction else as_exact(value)
+    if e is None:
+        return None
+    if type(e) is Fraction:
+        return e.numerator, 0, e.denominator
+    den = math.lcm(e.re.denominator, e.im.denominator)
+    return (e.re.numerator * (den // e.re.denominator),
+            e.im.numerator * (den // e.im.denominator), den)
 
 
-def poly_mul(p, q):
-    """Product of two ascending coefficient lists."""
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+def _conv(p, q, zero=0):
+    """Product of two ascending coefficient lists; a zero factor adds no term."""
+    out = [zero] * max(len(p) + len(q) - 1, 0)
     for i, c in enumerate(p):
-        for k, d in enumerate(q):
-            if c and d:
-                out[i + k] += c * d
+        if c:
+            for k, d in enumerate(q):
+                if d:
+                    out[i + k] += c * d
     return out
 
 
-def poly_der(p):
-    """Derivative of an ascending coefficient list."""
-    return [Fraction(k) * c for k, c in enumerate(p)][1:]
+def _lin(p, f, q, g):
+    """f·p + g·q of two ascending integer lists, the shorter padded with zeros."""
+    return [a * f + b * g for a, b in zip_longest(p, q, fillvalue=0)]
 
 
-def poly_divmod(num, den):
-    """(quotient, remainder) of ascending coefficient lists; den's leading coefficient exact."""
-    d, rem, lead = len(den) - 1, list(num), as_exact(den[-1])
-    quo = [Fraction(0)] * max(len(num) - d, 1)
-    for k in range(len(num) - d - 1, -1, -1):
-        quo[k] = rem[k + d] if lead == 1 else rem[k + d] / lead
-        for i, c in enumerate(den):
-            rem[k + i] -= quo[k] * c
-    return quo, rem[:d]
+class Poly:
+    """A polynomial in t, exact: ascending integer numerators over one positive
+    denominator (Knuth, *TAOCP* vol. 2, §4.6.1).
 
+    re holds the numerators of the real parts, im those of the imaginary parts
+    (None when every coefficient is real) and den the common denominator; each
+    result is divided by its content once.  Sums and products run on the
+    integers, and division is pseudo-division by the divisor's integer leading
+    coefficient.  Under this module's rule a float scalar makes a result
+    inexact: an inexact Poly (den None) holds its coefficients as plain
+    scalars, exact or float, and each operation then runs term by term in
+    Python arithmetic, so an exact coefficient is rounded where it meets a
+    float and not before.  Lengths follow the operations, not the degree: a
+    product has len(p) + len(q) − 1 coefficients, a sum the longer length.
+    Iterating gives the coefficients as Fraction or ExactComplex, or as the
+    plain scalars of an inexact Poly.
+    """
 
-def poly_at(p, t):
-    """Horner value of an ascending coefficient list at t."""
-    return reduce(lambda acc, c: acc * t + c, reversed(p), Fraction(0))
+    __slots__ = ("re", "im", "den")
 
+    def __init__(self, re, im=None, den=1):
+        if den is not None:
+            if im is not None and not any(im):
+                im = None
+            g = math.gcd(den, *re, *(im or ()))
+            if g != 1:
+                re, den = [c // g for c in re], den // g
+                im = im and [c // g for c in im]
+        self.re, self.im, self.den = re, im, den
 
-def expansion_at_infinity(num, den, terms=3):
-    """c_0, c_1, … of num/den = Σ_k c_k·t^(−k) at |t| → ∞; den monic, deg num ≤ deg den."""
-    d = len(den) - 1
-    n, m = ([p[d - k] if k <= d < len(p) + k else 0 for k in range(terms)] for p in (num, den))
-    out = []
-    for k in range(terms):      # n_k = Σ_j m_j·c_(k−j), with m_0 = 1
-        out.append(n[k] - sum((m[j] * out[k - j] for j in range(1, k + 1)), Fraction(0)))
-    return out
+    @classmethod
+    def of(cls, coeffs):
+        """The polynomial of ascending scalar coefficients; inexact if one of them is."""
+        parts = [_parts(c) for c in coeffs]
+        if None in parts:
+            return cls(list(coeffs), None, None)
+        den = math.lcm(*(d for _, _, d in parts))
+        return cls([r * (den // d) for r, _, d in parts], [i * (den // d) for _, i, d in parts],
+                   den)
+
+    def _plain(self):
+        """The coefficients as plain scalars: the arithmetic of an inexact operand."""
+        return self.re if self.den is None else list(self)
+
+    def floats(self):
+        """The coefficients rounded once: exact ones to a float each (a complex where
+        the imaginary part is not 0), those of an inexact Poly to complex."""
+        if self.den is None:
+            return [to_complex(c) for c in self.re]
+        den = self.den
+        if self.im is None:
+            return [c / den for c in self.re]
+        return [complex(r / den, i / den) if i else r / den for r, i in zip(self.re, self.im)]
+
+    # -- the ring operations ------------------------------------------------
+    def __add__(self, other):
+        if self.den is None or other.den is None:
+            return Poly([sum(cs, Fraction(0)) for cs in zip_longest(
+                self._plain(), other._plain(), fillvalue=0)], None, None)
+        g = math.gcd(self.den, other.den)
+        f, h = other.den // g, self.den // g
+        im = None if self.im is None and other.im is None else \
+            _lin(self.im or [0] * len(self.re), f, other.im or [0] * len(other.re), h)
+        return Poly(_lin(self.re, f, other.re, h), im, self.den * f)
+
+    def __neg__(self):
+        if self.den is None:
+            return Poly([-c for c in self.re], None, None)
+        return Poly([-c for c in self.re], self.im and [-c for c in self.im], self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if self.den is None or other.den is None:
+            return Poly(_conv(self._plain(), other._plain(), Fraction(0)), None, None)
+        re, im = _conv(self.re, other.re), None
+        if self.im is not None or other.im is not None:
+            pi, qi = self.im or [0] * len(self.re), other.im or [0] * len(other.re)
+            re = _lin(re, 1, _conv(pi, qi), -1)
+            im = _lin(_conv(self.re, qi), 1, _conv(pi, other.re), 1)
+        return Poly(re, im, self.den * other.den)
+
+    def scale(self, c):
+        """c·p for a scalar c."""
+        parts = _parts(c)
+        if parts is None or self.den is None:
+            return Poly([c * x for x in self._plain()], None, None)
+        cr, ci, cd = parts
+        if not ci and self.im is None:
+            return Poly([x * cr for x in self.re], None, self.den * cd)
+        re, im = self.re, self.im or [0] * len(self.re)
+        return Poly([x * cr - y * ci for x, y in zip(re, im)],
+                    [x * ci + y * cr for x, y in zip(re, im)], self.den * cd)
+
+    def shift(self, k):
+        """t^k·p, k ≥ 0."""
+        pad = [0] * k
+        return Poly(pad + self.re, self.im and pad + self.im, self.den)
+
+    def der(self):
+        """dp/dt."""
+        return Poly([k * c for k, c in enumerate(self.re)][1:],
+                    self.im and [k * c for k, c in enumerate(self.im)][1:], self.den)
+
+    def divmod(self, other):
+        """(quotient, remainder) by other, whose leading coefficient is nonzero: the
+        quotient has max(len(p) − d, 1) coefficients and the remainder d (fewer when
+        p is shorter), d = len(other) − 1."""
+        d = len(other.re) - 1
+        top = len(self.re) - d
+        if self.den is None or other.den is None:
+            rem, den = list(self._plain()), other._plain()
+            quo, lead = [Fraction(0)] * max(top, 1), as_exact(den[-1])
+            for k in range(top - 1, -1, -1):
+                quo[k] = rem[k + d] if lead == 1 else rem[k + d] / lead
+                for i, c in enumerate(den):
+                    rem[k + i] -= quo[k] * c
+            return Poly(quo, None, None), Poly(rem[:d], None, None)
+        if other.im is not None:        # through the real divisor q·conj(q), then rem = p − quo·q
+            conj = Poly(other.re, [-c for c in other.im], other.den)
+            quo = (self * conj).divmod(other * conj)[0]
+            return quo, (self - quo * other)[:min(d, len(self.re))]
+        # pseudo-division: lead^e·p = quo·q + rem on the integers, e = the quotient's length
+        lead = other.re[-1]
+        scale = lead ** max(top, 0)
+        sign = -1 if scale < 0 else 1
+        out = []
+        for part in (self.re, self.im):
+            if part is None:
+                out += [None, None]
+                continue
+            rem, quo = [c * scale for c in part], [0] * max(top, 1)
+            for k in range(top - 1, -1, -1):
+                q = quo[k] = rem[k + d] // lead
+                if q:
+                    for i, c in enumerate(other.re):
+                        rem[k + i] -= q * c
+            out += [[sign * c * other.den for c in quo], [sign * c for c in rem[:d]]]
+        den = self.den * scale * sign
+        return Poly(out[0], out[2], den), Poly(out[1], out[3], den)
+
+    # -- reading it ---------------------------------------------------------
+    def __len__(self):
+        return len(self.re)
+
+    def __bool__(self):
+        return self.im is not None or any(self.re)
+
+    def __iter__(self):
+        if self.den is None:
+            return iter(self.re)
+        den = self.den
+        if self.im is None:
+            return (Fraction(c, den) for c in self.re)
+        return (ExactComplex(Fraction(r, den), Fraction(i, den)) if i else Fraction(r, den)
+                for r, i in zip(self.re, self.im))
+
+    def __getitem__(self, index):
+        """The coefficients at a slice of degrees, as a Poly."""
+        return Poly(self.re[index], self.im and self.im[index], self.den)
+
+    def __repr__(self):
+        return "Poly(%s)" % ", ".join(map(str, self))
+
+    def trimmed(self):
+        """p without trailing zero coefficients, keeping one."""
+        n = len(self.re)
+        while n > 1 and not (self.re[n - 1] or self.im and self.im[n - 1]):
+            n -= 1
+        return self[:n]
+
+    def without(self, degrees):
+        """p with the coefficients at the given degrees set to zero."""
+        keep = [k not in degrees for k in range(len(self.re))]
+        return Poly([c if on else 0 for c, on in zip(self.re, keep)],
+                    self.im and [c if on else 0 for c, on in zip(self.im, keep)], self.den)
+
+    def at(self, t):
+        """The value at the exact scalar t, by Horner's rule: on the integers for a
+        rational t = p/q, as Σ c_k·p^k·q^(n−k) over q^n·den."""
+        parts = _parts(t)
+        if self.den is None or parts is None or parts[1]:
+            return reduce(lambda acc, c: acc * t + c, reversed(list(self)), Fraction(0))
+        p, _, q = parts
+        values = []
+        for part in (self.re, self.im or ()):
+            acc, qk = 0, 1
+            for c in reversed(part):
+                acc, qk = acc * p + c * qk, qk * q
+            values.append(Fraction(acc * q, qk * self.den))
+        return ExactComplex(*values) if self.im else values[0]
+
+    def expansion_at_infinity(self, den, terms=3):
+        """c_0, c_1, … of p/den = Σ_k c_k·t^(−k) at |t| → ∞; den monic, deg p ≤ deg den.
+        Only the top coefficients enter: n_k = Σ_j m_j·c_(k−j), with m_0 = 1."""
+        d = len(den) - 1
+        lo = max(d + 1 - terms, 0)
+        n, m = ([c[d - k - lo] if 0 <= d - k - lo < len(c) else 0 for k in range(terms)]
+                for c in (list(self[lo:]), list(den[lo:])))
+        out = []
+        for k in range(terms):
+            out.append(n[k] - sum((m[j] * out[k - j] for j in range(1, k + 1)), Fraction(0)))
+        return out
 
 
 def sort_key(value):

@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import NonlinearEnergyError, QhjError
-from .exactmath import as_exact, poly_add, poly_divmod, poly_mul, to_complex
+from .exactmath import Poly, as_exact, to_complex
 from .potential_catalog import WavefunctionRecipe, poly_eval
 from .quantization import QuantizationOutcome, quantize
 from .special_functions import np     # numpy on first use: the pencil and sampling need it
@@ -97,13 +97,13 @@ class BandEdgeSolution:
 def _pole_sums(model, residues, a0):
     """(S, Σ_i b_i·D_i²), exact, S = Σ_i b_i·D_i + a0·Π, by pole groups: a pair ±√q of cofactor
     D carries one residue b and D_± = D·(t ± √q), so it adds b·D·2t and b·D²·(2t² + 2q)."""
-    pi, groups, _a, _b = model.g_polynomials()
-    s, sq = [a0 * c for c in pi], []
+    pi, groups, *_ = model.g_polynomials()
+    s, sq = pi.scale(a0), Poly([])
     for labels, q, d in groups:
         b = residues[labels[0]]
         ds, dsq = ((0, 2 * b), (2 * b * q, 0, 2 * b)) if len(labels) == 2 else ((b,), (b,))
-        s = poly_add(s, poly_mul(d, ds))
-        sq = poly_add(sq, poly_mul(poly_mul(d, d), dsq))
+        s = s + d * Poly.of(ds)
+        sq = sq + d * d * Poly.of(dsq)
     return s, sq
 
 
@@ -115,20 +115,22 @@ def _refuted(values, tol, scale):
                default=None)
 
 
-def _identity(model, assignment, energy=None):
-    """(basis, Π, NS, NR), exact: NS = 2S, NR = (S² − Σ b_i·D_i² + A [+ E·B])/Π."""
-    pi, _groups, a, b = model.g_polynomials()
+def _identity(model, assignment):
+    """(basis, Π, NS, NR), exact: NS = 2S, NR = (S² − Σ b_i·D_i² + A [+ E·B])/Π, with
+    E·B at the assignment's energy, once it is resolved."""
+    pi, _groups, a, b, _ = model.g_polynomials()
     s, sq = _pole_sums(model, assignment.pole_residues, assignment.a0)
-    num = poly_add(poly_mul(s, s), [-c for c in sq], a,
-                   [] if energy is None else [energy * c for c in b])
-    nr, rem = poly_divmod(num, pi)
-    worst = _refuted(rem, _DIV_TOL, max([1.0] + [abs(to_complex(c)) for c in num]))
+    num = s * s - sq + a
+    if assignment.energy is not None:
+        num = num + b.scale(assignment.energy)
+    nr, rem = num.divmod(pi)
+    worst = _refuted(rem, _DIV_TOL, max([1.0] + [abs(c) for c in num.floats()])) if rem else None
     if worst is not None:
         raise QhjError("polynomial division for the %s identity is not exact (remainder "
                        "%.3e); inconsistent residue branch data" % (model.id, worst))
     n = int(assignment.n)
     basis = tuple(range(n % 2, n + 1, 2)) if model.parity_constraint else tuple(range(n + 1))
-    return basis, pi, [2 * c for c in s], nr
+    return basis, pi, s.scale(2), nr
 
 
 def _terms(basis, pi, ns, nr):
@@ -142,24 +144,30 @@ def _terms(basis, pi, ns, nr):
                     yield k, j, scale, c
 
 
-def _rows(basis, pi=(), ns=(), nr=()):
+def _rows(basis, pi=Poly([]), ns=Poly([]), nr=Poly([])):
     """The square block of Π·P'' + NS·P' + NR·P on the basis degrees, in floats: a
     list of rows of Python complex numbers.  The other rows vanish (_off_basis)."""
-    pi, ns, nr = ([to_complex(c) for c in p] for p in (pi, ns, nr))
+    pi, ns, nr = ([complex(c) for c in p.floats()] for p in (pi, ns, nr))
     mat = [[0j] * len(basis) for _ in range(max(basis) + max(len(pi), len(ns), len(nr)))]
     for k, j, scale, c in _terms(basis, pi, ns, nr):
         mat[k][j] += scale * c
     return [mat[d] for d in basis]
 
 
-def _off_basis(basis, pi=(), ns=(), nr=()):
+def _off_basis(basis, pi=Poly([]), ns=Poly([]), nr=Poly([])):
     """The nonzero entries of the rows off the basis degrees, in the identity's own
-    arithmetic: exact for an exact identity."""
-    on, entries = set(basis), {}
-    for k, j, scale, c in _terms(basis, pi, ns, nr):
-        if k not in on and c != 0:
-            entries[k, j] = entries.get((k, j), 0) + scale * c
-    return [v for v in entries.values() if v != 0]
+    arithmetic: exact for an exact identity.  Column d is the image of t^d,
+    d(d−1)·Π·t^(d−2) + d·NS·t^(d−1) + NR·t^d."""
+    on, out = set(basis), []
+    for d in basis:
+        column = Poly([])
+        for poly, scale, low in ((pi, d * (d - 1), d - 2), (ns, d, d - 1), (nr, 1, d)):
+            if scale:
+                column = column + poly.shift(low).scale(scale)
+        off = column.without(on)
+        if off:
+            out += [v for v in off if v != 0]
+    return out
 
 
 def build_pencil(model, assignment):
@@ -173,10 +181,9 @@ def build_pencil(model, assignment):
         raise NonlinearEnergyError(
             "assignment for %s has energy-dependent pole data; solve its "
             "closed-form energies first" % model.id)
-    pi, _groups, _a, b = model.g_polynomials()
+    nr1 = model.g_polynomials()[4]
     # E-part first: an energy-dependent set is refused as such, not as a remainder
-    nr1, rem = poly_divmod(b, pi)
-    if any(c != 0 for c in rem):
+    if nr1 is None:
         raise NonlinearEnergyError(
             "energy enters the %s identity through the pole strengths; "
             "no linear pencil exists" % model.id)
@@ -191,14 +198,11 @@ def build_pencil(model, assignment):
     return PencilSystem(M0=m0, M1=m1, basis=basis)
 
 
-def build_fixed_system(model, assignment, energy=None):
-    """Identity rows at a resolved energy (for closed-form-energy models): the
-    square block on the basis degrees, as rows of Python complex numbers, and
-    the basis."""
-    energy = assignment.energy if energy is None else energy
-    if energy is None:
-        raise QhjError("fixed system needs a resolved energy")
-    basis, *identity = _identity(model, assignment, energy)
+def build_fixed_system(model, assignment):
+    """Identity rows at the assignment's resolved energy (for closed-form-energy
+    models): the square block on the basis degrees, as rows of Python complex
+    numbers, and the basis."""
+    basis, *identity = _identity(model, assignment)
     sq = _rows(basis, *identity)
     worst = _refuted(_off_basis(basis, *identity), _FIXED_TOL,
                      max(1.0, max((abs(v) for row in sq for v in row), default=0.0)))
@@ -323,11 +327,16 @@ class SpectrumResult:
     solutions: List[BandEdgeSolution]
 
 
-def _solution_samples(model, recipe):
+def _sample_points(model):
+    """171 points inside the x window, with the model's prefactors there."""
     lo, hi = model.x_window()
     margin = 0.08 * (hi - lo)
     xs = np.linspace(lo + margin, hi - margin, 171)
-    vals = recipe(xs)
+    return xs, model.prefactors(xs)
+
+
+def _solution_samples(recipe, points):
+    vals = recipe(*points)
     if not np.any(vals):
         raise QhjError("eigenfunction samples vanish on the x window")
     vals = vals / np.max(np.abs(vals))
@@ -383,11 +392,13 @@ def _deduplicate(model, raw):
         else:
             groups.append([idx])
     kept: List[BandEdgeSolution] = []
+    points = None
     for group in groups:
         group.sort(key=lambda k: (raw[k].assignment.set_label, int(raw[k].assignment.n)))
         unique, rank = group, 1
         if len(group) > 1:      # only levels that share an energy are sampled
-            samples = {i: _solution_samples(model, raw[i].recipe) for i in group}
+            points = points or _sample_points(model)
+            samples = {i: _solution_samples(raw[i].recipe, points) for i in group}
             unique = []
             for i in group:
                 if not any(abs(np.vdot(samples[j], samples[i])) > 1 - 1e-8 for j in unique):

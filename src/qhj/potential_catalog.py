@@ -47,8 +47,7 @@ from typing import Callable, Dict, Tuple
 from .domain import OracleDomain, channel_tag
 from .errors import InvalidStateError, ParameterError, QhjError, SingularPointError
 from .errors import UnknownModelError
-from .exactmath import (ExactComplex, as_exact, expansion_at_infinity, poly_add, poly_at,
-                        poly_der, poly_divmod, poly_mul, real_or_complex, to_complex)
+from .exactmath import ExactComplex, Poly, as_exact, real_or_complex, to_complex
 from .qmf_residues import (FixedPole, InfinityExpansion, finite_pole_residues,
                            infinity_residues)
 from .quantization import ResidueAssignment, level_verdict
@@ -64,17 +63,22 @@ class WavefunctionRecipe:
     """Closed-form factorization of one eigenfunction.
 
     form is the display string (prefactors × polynomial in the mapped
-    variable).  evaluator(xs) returns complex ψ values on physical points xs;
-    PotentialModel.recipe builds it from the model's prefactors.  A call
+    variable).  prefactors(xs) gives the mapped variable t and the prefactors
+    f_j at physical points xs (the model's), and evaluator(t, factors) the
+    complex ψ values there; PotentialModel.recipe builds both.  A call
     refuses any value that overflows or is undefined (InvalidStateError).
     """
 
     form: str
-    evaluator: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
+    evaluator: Callable = field(repr=False, default=None)
+    prefactors: Callable = field(repr=False, default=None)
 
-    def __call__(self, xs):
+    def __call__(self, xs, prefactors=None):
+        """ψ at xs; prefactors, when given, are self.prefactors(xs), which every
+        level of one model shares on one grid."""
         with np.errstate(over="ignore", invalid="ignore"):   # refused below, with a reason
-            values = np.asarray(self.evaluator(np.asarray(xs)), dtype=complex)
+            t, factors = self.prefactors(np.asarray(xs)) if prefactors is None else prefactors
+            values = np.asarray(self.evaluator(t, factors), dtype=complex)
         if not np.all(np.isfinite(values)):
             raise InvalidStateError("wavefunction is not finite on the grid: it overflows "
                                     "or the grid touches a singular point")
@@ -150,12 +154,10 @@ _SHIFT = Param("shift", "rational", "[-50, 50]", "additive constant", default=No
 
 
 def _quotient(num, den):
-    """num/den of exact ascending coefficients, trailing zeros dropped, or None when
-    den does not divide num."""
-    quo, rem = poly_divmod(num, den)
-    while len(quo) > 1 and quo[-1] == 0:
-        quo.pop()
-    return None if any(c != 0 for c in rem) else quo
+    """num/den of exact polynomials, trailing zeros dropped, or None when den does
+    not divide num."""
+    quo, rem = num.divmod(den)
+    return None if rem else quo.trimmed()
 
 
 def _multiplicity(factor, poly):
@@ -245,38 +247,41 @@ class PotentialModel:
         and the prefactor exponent rule, exactly."""
         poles, (v_num, v_den), u = self.g_declaration()
         name = self.id or type(self).__name__
-        factors = [(-r, 0, 1) if isinstance(labels, tuple) else (-r, 1) for labels, r in poles]
-        clear = reduce(poly_mul, factors, [Fraction(1)])
-        square, dclear2 = poly_mul(clear, clear), poly_mul(poly_der(clear), poly_der(clear))
+        factors = [Poly.of((-r, 0, 1) if isinstance(labels, tuple) else (-r, 1))
+                   for labels, r in poles]
+        clear = reduce(Poly.__mul__, factors, Poly([1]))
+        square, dclear2 = clear * clear, clear.der() * clear.der()
         # Πclear²·G = A + E·B:  B = Πclear²/u, A = B·(3u'² − 4u·u'' − 16u·Ṽ)/(16u)
+        u, v_num, v_den = Poly.of(u), Poly.of(v_num), Poly.of(v_den)
         b = _quotient(square, u)
         if b is None:
             raise QhjError("%s declares poles and u whose Πclear²/u is not a polynomial" % name)
-        du, u16 = poly_der(u), [16 * c for c in u]
-        curvature = poly_add(poly_mul([3 * c for c in du], du), poly_mul([-4 * c for c in u], poly_der(du)))
-        a = _quotient(poly_mul(b, poly_add(poly_mul(curvature, v_den), [-c for c in poly_mul(u16, v_num)])),
-                      poly_mul(u16, v_den))
+        du, u16 = u.der(), u.scale(16)
+        curvature = du.scale(3) * du + u.scale(-4) * du.der()
+        a = _quotient(b * (curvature * v_den - u16 * v_num), u16 * v_den)
         if a is None:
             raise QhjError("%s declares poles, Ṽ and u whose Πclear²·(−Ṽ/u − u''/(4u) + "
                            "3u'²/(16u²)) is not a polynomial" % name)
         paired = any(isinstance(labels, tuple) for labels, _ in poles)
-        if paired and any(c != 0 for p in (square, a, b) for c in p[1::2]):  # a pair's g2 is read in t² = q
+        if paired and any(p[1::2] for p in (square, a, b)):  # a pair's g2 is read in t² = q
             raise QhjError("%s declares a pole pair ±√q, but its Πclear²·G is not even in t" % name)
         fixed, groups, factor_of = [], [], {}
         for (labels, root), factor in zip(poles, factors):
             labels = labels if isinstance(labels, tuple) else (labels,)
-            at = lambda p: poly_at(p[::len(labels)], root)    # a pair's: even, read in t² = q
+            at = lambda p: p[::len(labels)].at(root)    # a pair's: even, read in t² = q
             g2, slope = (as_exact(at(p) / at(dclear2)) for p in (a, b))
             fixed += [FixedPole(g2=g2, label=label, slope=slope) for label in labels]
-            groups.append((labels, root, poly_divmod(clear, factor)[0]))
+            groups.append((labels, root, clear.divmod(factor)[0]))
             factor_of.update(dict.fromkeys(labels, factor))
-        values, slopes = (tuple(map(as_exact, expansion_at_infinity(p, square))) for p in (a, b))
+        values, slopes = (tuple(map(as_exact, p.expansion_at_infinity(square))) for p in (a, b))
         expansion = InfinityExpansion(*values, slopes=slopes)
         # f_j^p ∝ the factor of its pole's group, which divides u k times
         exponents = tuple((label, p, Fraction(_multiplicity(factor_of[label], u), 4))
                           for label, p in self.prefactor_poles)
+        energy_part, rem = b.divmod(clear)      # NR's energy part, the same for every set
         return SimpleNamespace(poles=tuple(fixed), expansion=expansion, exponents=exponents,
-                               polynomials=(clear, tuple(groups), a, b), paired=paired)
+                               polynomials=(clear, tuple(groups), a, b, None if rem else energy_part),
+                               paired=paired)
 
     @property
     def parity_constraint(self):
@@ -303,14 +308,15 @@ class PotentialModel:
         return self._g.expansion
 
     def g_polynomials(self):
-        """(Πclear, groups, A, B), exact; a group is (labels, root, Πclear/factor)."""
+        """(Πclear, groups, A, B, B/Πclear), exact Polys; a group is (labels, root,
+        Πclear/factor), and B/Πclear is None when Πclear does not divide B."""
         return self._g.polynomials
 
     @cached_property
     def _g_view(self):
         """Πclear, A and B as float arrays, for g_value alone: a solve loads no numpy."""
-        clear, _groups, a, b = self._g.polynomials
-        return [np.array([real_or_complex(c) for c in p]) for p in (clear, a, b)]
+        clear, _groups, a, b, _ = self._g.polynomials
+        return [np.array(p.floats()) for p in (clear, a, b)]
 
     def g_value(self, t, energy):
         """G(t) at scalar or array t: the one evaluator of the declared G."""
@@ -359,8 +365,7 @@ class PotentialModel:
         a0 = to_complex(assignment.a0)
         coeffs = tuple(complex(c) for c in coeffs)
 
-        def evaluator(xs):
-            t, factors = self.prefactors(xs)
+        def evaluator(t, factors):
             psi = 1.0
             for f, e in zip(factors, powers):
                 psi = psi * f ** e
@@ -368,7 +373,7 @@ class PotentialModel:
 
         return WavefunctionRecipe(
             form=self.recipe_form.format(*exps, n=len(coeffs) - 1, a0=a0),
-            evaluator=evaluator)
+            evaluator=evaluator, prefactors=self.prefactors)
 
     # -- misc -------------------------------------------------------------------
     def describe_params(self):
@@ -737,12 +742,13 @@ class AssociatedLameModel(PotentialModel):
 
     # -- algebraic data -----------------------------------------------------
     def g_declaration(self):
-        # t = sn:  Ṽ = a(a+1)m·t² + shift + b(b+1)m·cn²/dn², u = cn²·dn²
-        a, b, m = self.a, self.b, self.m
-        cn2, dn2 = (1, 0, -1), (1, 0, -m)
-        v = poly_add(poly_mul((self.shift, 0, a * (a + 1) * m), dn2), [b * (b + 1) * m * c for c in cn2])
+        # t = sn:  Ṽ = ((shift + α·t²)·dn² + β·cn²)/dn², α = a(a+1)m, β = b(b+1)m,
+        # cn² = 1 − t², dn² = 1 − m·t²;  u = cn²·dn²
+        m, shift = self.m, self.shift
+        al, be = self.a * (self.a + 1) * m, self.b * (self.b + 1) * m
+        v = (shift + be, 0, al - shift * m - be, 0, -al * m)
         poles = (("t=+1", "t=-1"), 1), (("t=+1/sqrt(m)", "t=-1/sqrt(m)"), 1 / m)
-        return poles, (v, dn2), poly_mul(cn2, dn2)
+        return poles, (v, (1, 0, -m)), (1, 0, -1 - m, 0, m)
 
     def assignments(self):
         b1s = {+1: Fraction(3, 4), -1: Fraction(1, 4)}

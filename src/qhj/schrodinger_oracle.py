@@ -24,7 +24,10 @@ declares, and diagonalizes them, providing the cross-check spectra.
 * band edges of smooth periodic potentials — Hill's method: the lowest
   `keep` eigenpairs of real Fourier matrices (one FFT of V) of the periodic
   and antiperiodic operators, merged and tagged; each error bar is the
-  measured change as the Fourier cutoff doubles, plus a rounding floor.
+  measured change as the Fourier cutoff doubles, plus a rounding floor.  The
+  first cutoff is the smallest whose matrix holds every Fourier harmonic of
+  V above 1e-10 of its scale, and eigenvectors are computed once, at the
+  last cutoff.
 
 Every dense eigensolve goes through the module-level `eig` and `eigh`, which
 run numpy.linalg's LAPACK with scipy.linalg's signature and return types.
@@ -296,7 +299,10 @@ def solve_pt(model):
 # periodic cell (smooth potentials): Hill's method, periodic ∪ antiperiodic
 # ---------------------------------------------------------------------------
 
-_HILL_MODES, _HILL_MAX_MODES = 24, 384   # first and largest Fourier cutoff M
+_HILL_MAX_MODES = 384         # largest Fourier cutoff M; every cutoff is 384/2^i
+_HILL_TOL = 1e-10             # an edge counts when its estimate is ≤ this·(1 + |E|)
+_HILL_LIKELY = 1e-4           # estimates all ≤ this·(1 + |E|): the next doubling likely counts
+_HILL_HARMONICS = 1e-10       # a harmonic |V̂_p| above this·(1 + max |V̂|) must be in the first matrix
 
 
 def _hill(vhat, theta, modes, length):
@@ -311,16 +317,35 @@ def _hill(vhat, theta, modes, length):
         + np.diag((2.0 * np.pi / length * (np.concatenate([n, n[s:]]) + theta)) ** 2)
 
 
+def _first_cutoff(vhat):
+    """The smallest cutoff M = 384/2^i whose matrix holds every harmonic of V that
+    matters: the Hill matrix at M couples the harmonics p ≤ 2M, so 2M must reach
+    the last p with |V̂_p| > 1e-10·(1 + max |V̂|)."""
+    mags = np.abs(vhat[:len(vhat) // 2])
+    band = np.max(np.flatnonzero(mags > _HILL_HARMONICS * (1.0 + mags.max())), initial=0)
+    modes = _HILL_MAX_MODES // 2
+    while modes % 2 == 0 and modes >= band:
+        modes //= 2
+    return modes
+
+
 def solve_band_edges(model, k=6, emax=None):
     """Lowest band edges of a smooth periodic potential over one cell, by Hill.
 
     Keeps the lowest ``keep`` eigenpairs per operator (keep = k + 2, or at
     least 40 with ``emax``; at most the matrix order), plus every edge up to
-    ``emax``.  Estimate: |E(M) − E(2M)| + 4·eps·‖H‖.  M starts at 24 and
-    doubles, to a cap, while one exceeds 1e-10·(1 + |E|) or the count ≤ emax
-    changes.  Vectors are sampled on cell midpoints: odd edges vanish at x = 0, L/2.
-    Edge i of its operator has 2⌈i/2⌉ zeros per cell if periodic, 2⌊i/2⌋ + 1
-    if antiperiodic (Magnus & Winkler, *Hill's Equation*, 1966, Thm 2.1).
+    ``emax``.  Estimate: |E(M) − E(2M)| + 4·eps·‖H‖.  M starts at the
+    smallest cutoff whose matrix holds every harmonic of V that matters
+    (_first_cutoff: the potential's Fourier coefficients decay geometrically,
+    Boyd, *Chebyshev and Fourier Spectral Methods*, 2001, ch. 2) and doubles,
+    to a cap, while one exceeds 1e-10·(1 + |E|) or the count ≤ emax changes.
+    A solve gives eigenvalues only, unless every estimate of the step before
+    was ≤ 1e-4·(1 + |E|), so that the ladder likely ends with it; a ladder
+    that ends on a solve without vectors takes them from one more solve at
+    its final cutoff 2M.  Vectors are sampled on cell midpoints: odd edges
+    vanish at x = 0, L/2.  Edge i of its operator has
+    2⌈i/2⌉ zeros per cell if periodic, 2⌊i/2⌋ + 1 if antiperiodic (Magnus &
+    Winkler, *Hill's Equation*, 1966, Thm 2.1).
     """
     keep, top = (k + 2, -np.inf) if emax is None else (max(k + 2, 40), emax)
     lo, hi = model.x_window()
@@ -330,10 +355,29 @@ def solve_band_edges(model, k=6, emax=None):
     xs = lo + length / _SAMPLES * (np.arange(_SAMPLES) + 0.5)
     channels = (("periodic", 0.0), ("antiperiodic", 0.5))
 
-    def lowest(theta, modes, vectors):
-        mat = _hill(vhat, theta, modes, length)
-        out = eigh(mat, subset_by_index=(0, min(keep, len(mat)) - 1), eigvals_only=not vectors)
-        return (*out, 4.0 * np.finfo(float).eps * np.linalg.norm(mat, 1)) if vectors else out
+    def lowest(modes, vectors=False):
+        """Per channel: the lowest eigenvalues, the eigenvectors or None, 4·eps·‖H‖₁."""
+        out = []
+        for _, theta in channels:
+            mat = _hill(vhat, theta, modes, length)
+            vals = eigh(mat, subset_by_index=(0, min(keep, len(mat)) - 1), eigvals_only=not vectors)
+            out.append((*(vals if vectors else (vals, None)),
+                        4.0 * np.finfo(float).eps * np.linalg.norm(mat, 1)))
+        return out
+
+    def edges(coarse, fine):
+        """(E, tag, θ, column, estimate, zeros) of the kept edges, ascending."""
+        merged = sorted(((float(e), tag, theta, i,
+                          (abs(e - c[i]) if i < len(c) else np.inf) + floor,
+                          2 * ((i + 1) // 2) if theta == 0 else 2 * (i // 2) + 1)
+                         for (tag, theta), c, (vals, _, floor) in zip(channels, coarse, fine)
+                         for i, e in enumerate(vals)), key=lambda item: item[0])
+        cut = max(min(k, len(merged)), sum(item[0] <= top for item in merged))
+        # never truncate in the middle of a (near-)degenerate cluster
+        while cut < len(merged) and abs(merged[cut][0] - merged[cut - 1][0]) \
+                <= 1e-6 * (1.0 + abs(merged[cut][0])):
+            cut += 1
+        return merged[:cut]
 
     def synthesize(theta, vec):
         # w·u·cos + v·sin summed = Re Σ (w·u − i·v)·e^{2πi(n+θ)(j+½)/N}: one inverse FFT
@@ -342,26 +386,27 @@ def solve_band_edges(model, k=6, emax=None):
         return (np.exp(1j * np.pi * theta * (2 * np.arange(npts) + 1) / npts) * np.fft.ifft(
             coef * np.exp(1j * np.pi * np.arange(half) / npts), npts)).real
 
-    modes, coarse = _HILL_MODES, [lowest(theta, _HILL_MODES, False) for _, theta in channels]
+    modes, likely = _first_cutoff(vhat), False
+    coarse = [vals for vals, _, _ in lowest(modes)]
     while True:
-        fine = [lowest(theta, 2 * modes, True) for _, theta in channels]
-        merged = sorted(((float(e), tag, (theta, vecs[:, i]),
-                          (abs(e - c[i]) if i < len(c) else np.inf) + floor,
-                          2 * ((i + 1) // 2) if theta == 0 else 2 * (i // 2) + 1)
-                         for (tag, theta), c, (vals, vecs, floor) in zip(channels, coarse, fine)
-                         for i, e in enumerate(vals)), key=lambda item: item[0])
-        cut = max(min(k, len(merged)), sum(item[0] <= top for item in merged))
-        # never truncate in the middle of a (near-)degenerate cluster
-        while cut < len(merged) and abs(merged[cut][0] - merged[cut - 1][0]) \
-                <= 1e-6 * (1.0 + abs(merged[cut][0])):
-            cut += 1
-        merged = merged[:cut]
+        fine = lowest(2 * modes, vectors=likely)
+        kept = edges(coarse, fine)
         if 2 * modes >= _HILL_MAX_MODES or all(
-                item[3] <= 1e-10 * (1.0 + abs(item[0])) for item in merged) and \
+                item[4] <= _HILL_TOL * (1.0 + abs(item[0])) for item in kept) and \
                 sum(np.sum(c <= top) for c in coarse) == sum(np.sum(f[0] <= top) for f in fine):
             break
-        modes, coarse = 2 * modes, [f[0] for f in fine]
-    return _spectrum(xs, [(e, tag, synthesize(*vec), est, n) for e, tag, vec, est, n in merged])
+        # the truncation error falls geometrically in M: over the census and scan
+        # points, every ladder whose estimates were all ≤ 1e-4·(1 + |E|) counted
+        # at the next doubling (the least that did not: 7.3e-4), so that solve
+        # takes the vectors
+        likely = all(item[4] <= _HILL_LIKELY * (1.0 + abs(item[0])) for item in kept)
+        modes, coarse = 2 * modes, [vals for vals, _, _ in fine]
+    if fine[0][1] is None:
+        fine = lowest(2 * modes, vectors=True)
+        kept = edges(coarse, fine)
+    vectors = {theta: vecs for (_, theta), (_, vecs, _) in zip(channels, fine)}
+    return _spectrum(xs, [(e, tag, synthesize(theta, vectors[theta][:, i]), est, n)
+                          for e, tag, theta, i, est, n in kept])
 
 
 def solve_oracle(model, k=4, emax=None):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
@@ -179,6 +180,7 @@ def verify(model, levels=4, tol=None):
     oracle = solve_oracle(model, k=max(per_channel, default=2),
                           emax=(max(tops) if tops else 0.0) + 0.5)
     checks = []
+    grid = model.prefactors(oracle.xs) if result.solutions else None    # shared by every level
     for sol in result.solutions:
         e = to_complex(sol.energy)
         cands = _oracle_candidates(sol, oracle)
@@ -190,7 +192,7 @@ def verify(model, levels=4, tol=None):
                           - complex(oracle.eigenvalues[pick]))
                    <= 1e-6 * (1.0 + abs(e))]
         report = verify_against_oracle(
-            sol.recipe, oracle, pick, cluster_levels=cluster,
+            partial(sol.recipe, prefactors=grid), oracle, pick, cluster_levels=cluster,
             overlap_tol=1e-3, modulus_tol=5e-2)
         checks.append(LevelCheck(solution=sol, oracle_index=pick,
                                  oracle_energy=complex(oracle.eigenvalues[pick]),

@@ -1,14 +1,15 @@
 """Exact rational/complex helpers used by the residue algebra."""
 
 from fractions import Fraction
+from functools import reduce
+from itertools import zip_longest
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qhj.exactmath import (ExactComplex, as_exact, exact_sqrt, expansion_at_infinity,
-                           poly_add, poly_at, poly_der, poly_divmod, poly_mul, real_or_complex,
-                           settle, sort_key, sqrt, sqrt_fraction, to_complex)
+from qhj.exactmath import (ExactComplex, Poly, as_exact, exact_sqrt, real_or_complex, settle,
+                           sort_key, sqrt, sqrt_fraction, to_complex)
 
 rationals = st.fractions(min_value=-100, max_value=100)
 
@@ -129,42 +130,135 @@ class TestSortKey:
         assert to_complex(ordered[3]) == complex(0.5, 0)
 
 
-polys = st.lists(rationals, min_size=1, max_size=5)
+# -- the reference: ascending coefficient lists of Fraction/ExactComplex ------
+
+def _ref_add(*polys):
+    return [sum(cs, Fraction(0)) for cs in zip_longest(*polys, fillvalue=0)]
 
 
+def _ref_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        for k, d in enumerate(q):
+            if c and d:
+                out[i + k] += c * d
+    return out
+
+
+def _ref_der(p):
+    return [Fraction(k) * c for k, c in enumerate(p)][1:]
+
+
+def _ref_divmod(num, den):
+    d, rem, lead = len(den) - 1, list(num), den[-1]
+    quo = [Fraction(0)] * max(len(num) - d, 1)
+    for k in range(len(num) - d - 1, -1, -1):
+        quo[k] = rem[k + d] / lead
+        for i, c in enumerate(den):
+            rem[k + i] -= quo[k] * c
+    return quo, rem[:d]
+
+
+def _ref_at(p, t):
+    return reduce(lambda acc, c: acc * t + c, reversed(p), Fraction(0))
+
+
+def _ref_expansion(num, den, terms=3):
+    d = len(den) - 1
+    n, m = ([p[d - k] if k <= d < len(p) + k else 0 for k in range(terms)] for p in (num, den))
+    out = []
+    for k in range(terms):
+        out.append(n[k] - sum((m[j] * out[k - j] for j in range(1, k + 1)), Fraction(0)))
+    return out
+
+
+small = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+gaussian = st.one_of(small, st.builds(ExactComplex, small, small))
+SCALARS = {"rational": small, "gaussian": gaussian}
+
+
+def _polys(scalars, min_size=0):
+    return st.lists(scalars, min_size=min_size, max_size=6)
+
+
+@pytest.mark.parametrize("kind", sorted(SCALARS))
 class TestExactPolynomials:
-    @settings(max_examples=100, deadline=None)
-    @given(p=polys, q=polys, t=rationals)
-    def test_sum_product_and_derivative_at_a_point(self, p, q, t):
-        assert poly_at(poly_add(p, q), t) == poly_at(p, t) + poly_at(q, t)
-        assert poly_at(poly_mul(p, q), t) == poly_at(p, t) * poly_at(q, t)
-        # d/dt (t − a)·p = p + (t − a)·p'
-        assert poly_der(poly_mul((-t, 1), p)) == poly_add(p, poly_mul((-t, 1), poly_der(p)))
+    """Poly against the Fraction-list reference, value and length alike."""
 
-    @settings(max_examples=100, deadline=None)
-    @given(p=polys, q=polys, r=polys)
-    def test_division_by_an_exact_leading_coefficient(self, p, q, r):
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_sum_product_derivative_and_value(self, kind, data):
+        scalars = SCALARS[kind]
+        p, q = data.draw(_polys(scalars)), data.draw(_polys(scalars))
+        t, c = data.draw(scalars), data.draw(scalars)
+        assert list(Poly.of(p)) == p
+        assert list(Poly.of(p) + Poly.of(q)) == _ref_add(p, q)
+        assert list(Poly.of(p) - Poly.of(q)) == _ref_add(p, [-c for c in q])
+        assert list(Poly.of(p) * Poly.of(q)) == _ref_mul(p, q)
+        assert list(Poly.of(p).scale(c)) == [c * x for x in p]
+        assert list(Poly.of(p).der()) == _ref_der(p)
+        assert list(Poly.of(p).shift(2)) == [0, 0] + p
+        assert Poly.of(p).at(t) == _ref_at(p, t)
+        assert bool(Poly.of(p)) == any(x != 0 for x in p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_division_and_the_refusal_of_a_remainder(self, kind, data):
+        scalars = SCALARS[kind]
+        num, den = data.draw(_polys(scalars)), data.draw(_polys(scalars, min_size=1))
+        assume(den[-1] != 0)
+        quo, rem = Poly.of(num).divmod(Poly.of(den))
+        want_quo, want_rem = _ref_divmod(num, den)
+        assert list(quo) == want_quo and list(rem) == want_rem
+        # a remainder refuses exact division whenever it is not exactly zero
+        assert bool(rem) == any(c != 0 for c in want_rem)
         # (p·q + r) ÷ q = p with remainder r, whatever q's nonzero leading coefficient
-        assume(q[-1] != 0)
-        r = r[:len(q) - 1]
-        quo, rem = poly_divmod(poly_add(poly_mul(p, q), r), q)
-        assert quo == p and rem == r + [0] * (len(q) - 1 - len(r))
+        p, r = data.draw(_polys(scalars, min_size=1)), data.draw(_polys(scalars))[:len(den) - 1]
+        quo, rem = (Poly.of(p) * Poly.of(den) + Poly.of(r)).divmod(Poly.of(den))
+        assert list(quo.trimmed()) == list(Poly.of(p).trimmed())
+        assert list(rem) == r + [0] * (len(den) - 1 - len(r))
+        assert not (Poly.of(p) * Poly.of(den)).divmod(Poly.of(den))[1]
 
-    def test_complex_coefficients_stay_exact(self):
-        i = ExactComplex(0, 1)
-        assert poly_mul((i, 1), (-i, 1)) == [1, 0, 1]         # (t + i)(t − i)
-        assert poly_at((1, 0, 1), i) == 0
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_expansion_at_infinity(self, kind, data):
+        scalars = SCALARS[kind]
+        den = data.draw(_polys(scalars, min_size=1)) + [1]      # monic
+        num = data.draw(_polys(scalars, min_size=1))[:len(den)]
+        assert Poly.of(num).expansion_at_infinity(Poly.of(den)) == _ref_expansion(num, den)
 
-    def test_exact_complex_zeros_are_skipped(self):
-        # a zero coefficient adds no term, so its slot keeps the Fraction 0
-        zero, i = ExactComplex(0, 0), ExactComplex(0, 1)
-        out = poly_mul((zero, 1), (i, zero))
-        assert out == [0, i, 0] and [type(c) for c in out] == [Fraction, ExactComplex, Fraction]
 
+class TestExactPolynomialExamples:
     @settings(max_examples=100, deadline=None)
     @given(a=rationals, b=rationals, c=rationals)
     def test_expansion_at_infinity(self, a, b, c):
         # (b + c·t)/(t − a) = c + (b + ac)/t + a(b + ac)/t² + …
-        assert expansion_at_infinity([b, c], [-a, 1]) == [c, b + a * c, a * (b + a * c)]
+        assert Poly.of([b, c]).expansion_at_infinity(Poly.of([-a, 1])) == \
+            [c, b + a * c, a * (b + a * c)]
         # a lower-degree numerator starts the series later: 1/(t² − a) = 1/t² + …
-        assert expansion_at_infinity([1], [-a, 0, 1]) == [0, 0, 1]
+        assert Poly.of([1]).expansion_at_infinity(Poly.of([-a, 0, 1])) == [0, 0, 1]
+
+    def test_complex_coefficients_stay_exact(self):
+        i = ExactComplex(0, 1)
+        assert list(Poly.of((i, 1)) * Poly.of((-i, 1))) == [1, 0, 1]         # (t + i)(t − i)
+        assert Poly.of((1, 0, 1)).at(i) == 0
+
+    def test_exact_complex_zeros_read_as_fractions(self):
+        # a coefficient with no imaginary part reads as a Fraction
+        zero, i = ExactComplex(0, 0), ExactComplex(0, 1)
+        out = list(Poly.of((zero, 1)) * Poly.of((i, zero)))
+        assert out == [0, i, 0] and [type(c) for c in out] == [Fraction, ExactComplex, Fraction]
+
+    def test_integer_numerators_over_one_denominator(self):
+        p = Poly.of((Fraction(1, 6), Fraction(-1, 4), ExactComplex(0, Fraction(1, 3))))
+        assert (p.re, p.im, p.den) == ([2, -3, 0], [0, 0, 4], 12)
+        assert (p.scale(12).den, p.scale(12).re) == (1, [2, -3, 0])     # content taken once
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.lists(small, min_size=1, max_size=5),
+           f=st.lists(st.floats(-10, 10), min_size=1, max_size=5))
+    def test_a_float_makes_it_inexact_term_by_term(self, p, f):
+        # a float coefficient rounds the exact one it meets, as the reference does
+        assert list(Poly.of(p) * Poly.of(f)) == _ref_mul(p, f)
+        assert list(Poly.of(p) + Poly.of(f)) == _ref_add(p, f)
+        assert (Poly.of(p) * Poly.of(f)).den is None

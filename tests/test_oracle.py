@@ -155,10 +155,11 @@ class TestTargetedBandEdges:
             return out
 
         monkeypatch.setattr(schrodinger_oracle, "eigh", spy)
-        # keep = k + 2 = 72 exceeds the order of both 24-mode matrices
-        # (49 periodic, 50 antiperiodic), not of the 48-mode ones
+        # keep = k + 2 = 72 exceeds the order of the matrices up to the 24-mode
+        # ones (49 periodic, 50 antiperiodic), not of the 48-mode ones
         spec = solve_band_edges(_FlatCell(), k=70)
-        assert pairs == [(49, 49), (50, 50), (97, 72), (98, 72)]
+        assert all(kept == min(order, 72) for order, kept in pairs)
+        assert {(49, 49), (50, 50), (97, 72), (98, 72)} <= set(pairs)
         assert len(spec.eigenvalues) >= 70
         assert set(spec.bc_tags) == {"periodic", "antiperiodic"}
 
@@ -223,6 +224,34 @@ class TestHillBandEdges:
                  2 * delta - mf + 2, 4 * delta]
         for e, est, want in zip(spec.eigenvalues, spec.error_estimates, exact):
             assert abs(e - want) <= est <= 1e-9
+
+
+    @pytest.mark.parametrize("m", [Fraction(1, 10), Fraction(1, 2), Fraction(15, 16),
+                                   Fraction(97, 98)])
+    def test_lame_edges_hold_the_closed_forms_to_1e_12(self, m):
+        # j = 1 (shift 0): m, 1, 1 + m; j = 2 with its default shift: the five
+        # edges of acceptance criterion 4, which put the lowest at 0
+        mf = float(m)
+        delta = math.sqrt(1 - mf + mf * mf)
+        for model, exact in [
+                (get_model("lame", j=1, m=m, shift=0), [mf, 1.0, 1.0 + mf]),
+                (get_model("lame", j=2, m=m), [0.0, 2 * delta - mf - 1, 2 * delta + 2 * mf - 1,
+                                               2 * delta - mf + 2, 4 * delta])]:
+            spec = solve_band_edges(model, k=len(exact))
+            for e, want in zip(spec.eigenvalues, exact):
+                assert abs(e - want) <= 1e-12 * (1.0 + abs(want))
+
+    def test_lame_j2_verifies_on_matrices_of_order_50_at_most(self, monkeypatch):
+        # the cell converges at a 12-mode cutoff: no 97×97 or 98×98 solve
+        orders, eigh = [], schrodinger_oracle.eigh
+
+        def spy(mat, subset_by_index, eigvals_only=False):
+            orders.append(len(mat))
+            return eigh(mat, subset_by_index, eigvals_only)
+
+        monkeypatch.setattr(schrodinger_oracle, "eigh", spy)
+        assert verify(get_model("lame", j=2, m=Fraction(1, 2))).passed
+        assert orders and max(orders) <= 50
 
 
 class TestWeightedChannels:

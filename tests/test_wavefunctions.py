@@ -58,7 +58,8 @@ class TestAssemble:
     def test_rejects_non_finite_profiles(self):
         # the recipe itself refuses the value at its pole, for every caller
         xs = np.linspace(0.0, 1.0, 101)
-        recipe = WavefunctionRecipe(form="1/(x - 1/2)", evaluator=lambda x: 1.0 / (x - 0.5))
+        recipe = WavefunctionRecipe(form="1/(x - 1/2)", evaluator=lambda t, _: 1.0 / (t - 0.5),
+                                    prefactors=lambda x: (x, ()))
         with np.errstate(divide="ignore"):
             with pytest.raises(InvalidStateError):
                 assemble(recipe, xs)
