@@ -10,6 +10,12 @@ formula serves both worlds under one rule, kept here:
 * sqrt: a square root is exact when it is rational, a complex float otherwise;
 * settle: a result is settled once: a real exact value becomes a Fraction,
   and an inexact one drops an imaginary part below 1e-14 of its real part.
+
+Exact polynomials are one type, Poly: integer numerators over one positive
+denominator (Gaussian integers as pairs), so that sums and products run on
+the integers and a division is pseudo-division; their coefficients read out
+as Fraction or ExactComplex.  The same rule holds there: a float coefficient
+or scalar makes a Poly inexact, and it then computes term by term in floats.
 """
 
 from __future__ import annotations

@@ -351,6 +351,55 @@ class TestSchemaSweep:
         assert [o for o in outcomes if o[2][0] != 0] == []
 
 
+def _load_scan_diff():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "scan_diff.py"
+    spec = importlib.util.spec_from_file_location("scan_diff", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_SCAN = """$ qhj verify lame --param j=2 --param m=1/2
+exit 0
+set=1 n=2 E=0+0j oracle=1e-16+0j |dE|=1.000e-16 tol=5.0e-04 overlap=1.00000000 nodes=0/0 PASS
+set=3 n=1 E=1.732050808+0j oracle=1.732050808+0j |dE|=3.359e-12 tol=5.0e-04 overlap=1.00000000 nodes=1/1 PASS
+verification PASSED for lame
+$ qhj solve hydrogen --param e2=2 --param l=0 --format json
+exit 0
+{"model": "hydrogen", "levels": [{"n": 0, "energy_re": 0}, {"n": 1, "energy_re": 0.75}]}
+"""
+
+
+class TestScanDiff:
+    def test_identical_scans_report_no_change(self, tmp_path, capsys):
+        old = _write(tmp_path, _SCAN)
+        assert _load_scan_diff().main([old, old]) == 0
+        assert capsys.readouterr().out == "no change\n"
+
+    def test_moved_digits_are_reported_per_family_and_field(self, tmp_path, capsys):
+        old = tmp_path / "old.txt"
+        old.write_text(_SCAN)
+        new = _write(tmp_path, _SCAN.replace("|dE|=3.359e-12", "|dE|=8.882e-16")
+                     .replace('"energy_re": 0.75', '"energy_re": 0.7500000001'))
+        assert _load_scan_diff().main([str(old), new]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1].split()[:4] == ["hydrogen", "solve", "levels.energy_re", "1.000e-10"]
+        assert out[2].split()[:4] == ["lame", "verify", "|dE|", "3.358e-12"]
+        assert out[2].endswith("(1 / 2)")
+        assert len(out) == 3
+
+    def test_a_moved_verdict_or_exit_code_fails(self, tmp_path, capsys):
+        old = tmp_path / "old.txt"
+        old.write_text(_SCAN)
+        new = _write(tmp_path, _SCAN.replace("nodes=1/1 PASS", "nodes=1/1 FAIL")
+                     .replace("PASSED for", "FAILED for").replace("exit 0\nset", "exit 3\nset"))
+        assert _load_scan_diff().main([str(old), new]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "exit 0 -> 3: qhj verify lame --param j=2 --param m=1/2"
+        assert out[1].startswith("token 1 PASS -> FAIL: ")
+        assert out[2].startswith("token 2 verification PASSED for lame -> verification FAILED")
+
+
 def _write(tmp_path, text):
     path = tmp_path / "run.json"
     path.write_text(text)
