@@ -379,12 +379,13 @@ def solve_band_edges(model, k=6, emax=None):
             cut += 1
         return merged[:cut]
 
-    def synthesize(theta, vec):
-        # w·u·cos + v·sin summed = Re Σ (w·u − i·v)·e^{2πi(n+θ)(j+½)/N}: one inverse FFT
-        half, npts, s = (len(vec) + 1) // 2, len(xs), int(theta == 0)
-        coef = np.concatenate([vec[:s] * np.sqrt(0.5), vec[s:half] - 1j * vec[half:]])
-        return (np.exp(1j * np.pi * theta * (2 * np.arange(npts) + 1) / npts) * np.fft.ifft(
-            coef * np.exp(1j * np.pi * np.arange(half) / npts), npts)).real
+    def synthesize(theta, vecs):
+        # per column, w·u·cos + v·sin summed = Re Σ (w·u − i·v)·e^{2πi(n+θ)(j+½)/N}:
+        # one batch of inverse FFTs
+        half, npts, s = (len(vecs) + 1) // 2, len(xs), int(theta == 0)
+        coef = np.concatenate([vecs[:s] * np.sqrt(0.5), vecs[s:half] - 1j * vecs[half:]])
+        return (np.exp(1j * np.pi * theta * (2 * np.arange(npts) + 1) / npts)[:, None] * np.fft.ifft(
+            coef * np.exp(1j * np.pi * np.arange(half) / npts)[:, None], npts, axis=0)).real
 
     modes, likely = _first_cutoff(vhat), False
     coarse = [vals for vals, _, _ in lowest(modes)]
@@ -404,9 +405,11 @@ def solve_band_edges(model, k=6, emax=None):
     if fine[0][1] is None:
         fine = lowest(2 * modes, vectors=True)
         kept = edges(coarse, fine)
-    vectors = {theta: vecs for (_, theta), (_, vecs, _) in zip(channels, fine)}
-    return _spectrum(xs, [(e, tag, synthesize(theta, vectors[theta][:, i]), est, n)
-                          for e, tag, theta, i, est, n in kept])
+    vectors = {}
+    for (_, theta), (_, vecs, _) in zip(channels, fine):
+        cols = [item[3] for item in kept if item[2] == theta]
+        vectors.update(zip([(theta, i) for i in cols], synthesize(theta, vecs[:, cols]).T))
+    return _spectrum(xs, [(e, tag, vectors[theta, i], est, n) for e, tag, theta, i, est, n in kept])
 
 
 def solve_oracle(model, k=4, emax=None):
