@@ -24,7 +24,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import zip_longest
 from numbers import Rational
 
@@ -345,9 +344,9 @@ class Poly:
                     self.im and [k * c for k, c in enumerate(self.im)][1:], self.den)
 
     def divmod(self, other):
-        """(quotient, remainder) by other, whose leading coefficient is nonzero: the
-        quotient has max(len(p) − d, 1) coefficients and the remainder d (fewer when
-        p is shorter), d = len(other) − 1."""
+        """(quotient, remainder) by other, real with a nonzero leading coefficient:
+        the quotient has max(len(p) − d, 1) coefficients and the remainder d (fewer
+        when p is shorter), d = len(other) − 1."""
         d = len(other.re) - 1
         top = len(self.re) - d
         if self.den is None or other.den is None:
@@ -358,10 +357,6 @@ class Poly:
                 for i, c in enumerate(den):
                     rem[k + i] -= quo[k] * c
             return Poly(quo, None, None), Poly(rem[:d], None, None)
-        if other.im is not None:        # through the real divisor q·conj(q), then rem = p − quo·q
-            conj = Poly(other.re, [-c for c in other.im], other.den)
-            quo = (self * conj).divmod(other * conj)[0]
-            return quo, (self - quo * other)[:min(d, len(self.re))]
         # pseudo-division: lead^e·p = quo·q + rem on the integers, e = the quotient's length
         lead = other.re[-1]
         scale = lead ** max(top, 0)
@@ -401,9 +396,6 @@ class Poly:
         """The coefficients at a slice of degrees, as a Poly."""
         return Poly(self.re[index], self.im and self.im[index], self.den)
 
-    def __repr__(self):
-        return "Poly(%s)" % ", ".join(map(str, self))
-
     def trimmed(self):
         """p without trailing zero coefficients, keeping one."""
         n = len(self.re)
@@ -418,12 +410,9 @@ class Poly:
                     self.im and [c if on else 0 for c, on in zip(self.im, keep)], self.den)
 
     def at(self, t):
-        """The value at the exact scalar t, by Horner's rule: on the integers for a
-        rational t = p/q, as Σ c_k·p^k·q^(n−k) over q^n·den."""
-        parts = _parts(t)
-        if self.den is None or parts is None or parts[1]:
-            return reduce(lambda acc, c: acc * t + c, reversed(list(self)), Fraction(0))
-        p, _, q = parts
+        """The value of an exact p at a rational t = p/q, by Horner's rule on the
+        integers: Σ c_k·p^k·q^(n−k) over q^n·den."""
+        p, _, q = _parts(t)
         values = []
         for part in (self.re, self.im or ()):
             acc, qk = 0, 1
