@@ -17,11 +17,11 @@ coefficient the sum rule reads moves with E, and parity_constraint, when
 the family declares ± pole pairs.  Besides Ṽ and u a family declares:
 
 * the physical potential V(x) and the map t(x),
-* the residue sets with their admissibility verdicts (quantization turns
-  them into closed-form levels, or hands them to the pencil), where a level
-  tower stops (normalizable), the classical-polynomial twin of the node
-  polynomial and the oracle channel of each level (periodicity class or
-  wall roots),
+* each end of its real x-domain in t (t_ends) and, where the product
+  order does not fit, its residue sets as branch indices (set_order);
+  PotentialModel.assignments builds the sets from the branch pairs of G
+  and judges them by one boundary rule (normalizable),
+* the classical twin of the node polynomial and each level's oracle channel,
 * the wavefunction prefactors f_j(x) and the mapped variable t at sample
   points (prefactors), for each f_j a pole and the power p_j with f_j^p_j ∝
   the factor of that pole's group (prefactor_poles), and a display template
@@ -37,6 +37,7 @@ MODEL_CLASSES; no other module knows the family ids.
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -45,8 +46,8 @@ from types import SimpleNamespace
 from typing import Callable, Dict, Tuple
 
 from .domain import OracleDomain, channel_tag
-from .errors import InvalidStateError, ParameterError, QhjError, SingularPointError
-from .errors import UnknownModelError
+from .errors import EnergyRequiredError, InvalidStateError, ParameterError, QhjError
+from .errors import SingularPointError, UnknownModelError
 from .exactmath import ExactComplex, Poly, as_exact, real_or_complex, to_complex
 from .qmf_residues import (FixedPole, InfinityExpansion, finite_pole_residues,
                            infinity_residues)
@@ -172,6 +173,9 @@ def _multiplicity(factor, poly):
 # model base
 # ---------------------------------------------------------------------------
 
+T_INFINITY = "t=inf"        # a t_ends entry: the end of the x-domain where |t| → ∞
+
+
 class PotentialModel:
     """Base class for catalog entries.
 
@@ -191,6 +195,8 @@ class PotentialModel:
     oracle = "bound"               # bound | band_edges | inverse_square_cell | pt
     verify_tol = 2e-4              # default energy tolerance of verify()
     recipe_form = None             # str.format: {0}, {1}, … exponents, {n} degree, {a0} slope
+    t_ends: Tuple[str, ...] = ()   # each end of the real x-domain in t: a pole label or T_INFINITY
+    set_order = None               # branch indices per set in label order, or None: the product
 
     def __init__(self, **params):
         """Check params against param_decls and set each as an attribute."""
@@ -281,7 +287,7 @@ class PotentialModel:
         energy_part, rem = b.divmod(clear)      # NR's energy part, the same for every set
         return SimpleNamespace(poles=tuple(fixed), expansion=expansion, exponents=exponents,
                                polynomials=(clear, tuple(groups), a, b, None if rem else energy_part),
-                               paired=paired)
+                               paired=paired, u_degree=len(u.trimmed()) - 1)
 
     @property
     def parity_constraint(self):
@@ -324,13 +330,60 @@ class PotentialModel:
         return (poly_eval(a, t) + to_complex(energy) * poly_eval(b, t)) / poly_eval(pi, t) ** 2
 
     # -- residue sets and levels -----------------------------------------------
+    @cached_property
+    def _branches(self):
+        """((labels, residue pair) per pole group with an E-free strength, infinity's
+        branch or None where the sum rule does not read it), once per model."""
+        strength = {p.label: p for p in self.fixed_poles()}
+        groups = tuple((labels, finite_pole_residues(strength[labels[0]]).values)
+                       for labels, _root, _cofactor in self.g_polynomials()[1]
+                       if not strength[labels[0]].slope)
+        try:
+            infinity = infinity_residues(self.infinity_expansion())
+        except EnergyRequiredError:
+            infinity = None
+        return groups, infinity
+
     def assignments(self):
-        """Every candidate residue set, in set-label order, with its verdict."""
-        raise NotImplementedError
+        """Every candidate residue set, in set-label order, with its verdict.
+
+        A set takes one branch per _branches entry (a ± pair one for both
+        poles), by set_order's indices or in product order.  a0 is 0 where
+        G0 ≡ 0.  Where λ1 and every residue are E-free, n = λ1 − Σb is judged
+        (level_verdict); else the boundary rule (normalizable) judges the set.
+        """
+        groups, infinity = self._branches
+        ex = self.infinity_expansion()
+        order = self.set_order or itertools.product((0, 1), repeat=len(groups) + bool(infinity))
+        out = []
+        for label, index in enumerate(order, 1):
+            residues = {pole: values[i] for (labels, values), i in zip(groups, index)
+                        for pole in labels}
+            lambda1 = a0 = reason = n = None
+            if infinity:
+                lambda1, a0 = infinity.values[index[-1]], infinity.a0_values[index[-1]]
+                if len(residues) == len(self.fixed_poles()):
+                    reason, n = level_verdict(lambda1 - sum(residues.values()))
+            a = ResidueAssignment(
+                set_label=label, pole_residues=residues, lambda1=lambda1,
+                a0=0 if ex.G0 == ex.slopes[0] == 0 else a0, n=n, reason=reason,
+                qes_relation=self.qes_relations[label - 1] if self.qes_relations else None)
+            if reason is None and not self.normalizable(a):
+                a = replace(a, reason="nonvanishing_at_end")
+            out.append(a)
+        return out
 
     def normalizable(self, level):
-        """Whether a resolved level row is a bound state; its set stops at the first that is not."""
-        return True
+        """The boundary rule for a set or a level row: ψ → 0 at each of t_ends.  A pole
+        end needs its prefactor exponent's Re > 0; |t| → ∞ with a0 = 0 needs
+        Re λ1 < deg(u)/4, as ψ ~ t^(λ1 − deg u/4) (λ1 = Σb where infinity is
+        not read).  A set's level rows stop at the first that breaks it."""
+        exponent = {label: (p, k) for label, p, k in self._g.exponents}
+        lambda1 = sum(level.pole_residues.values()) if level.lambda1 is None else level.lambda1
+        margins = [Fraction(self._g.u_degree, 4) - lambda1 if end == T_INFINITY
+                   else exponent[end][0] * (level.pole_residues[end] - exponent[end][1])
+                   for end in self.t_ends if end != T_INFINITY or level.a0 == 0]
+        return all(to_complex(m).real > 0 for m in margins)
 
     def classical_polynomial(self, assignment):
         """(family, indices, evaluator(t)) of the classical node polynomial, or None."""
@@ -402,6 +455,7 @@ class HydrogenModel(PotentialModel):
     energy_formula = "E_n = e2^2/(4(l+1)^2) - e2^2/(4(n+l+1)^2)"
     recipe_form = "r^{0} * exp({a0.real:.6g}*r) * P{n}(r)"
     prefactor_poles = (("t=0", 1),)       # r = t
+    t_ends = ("t=0", T_INFINITY)
 
     def __init__(self, **params):
         super().__init__(**params)
@@ -426,12 +480,6 @@ class HydrogenModel(PotentialModel):
     def g_declaration(self):
         # Ṽ = (l(l+1) − e2·t + κ²·t²)/t², u = 1
         return (("t=0", 0),), ((self.l * (self.l + 1), -self.e2, self.kappa2), (0, 0, 1)), (1,)
-
-    def assignments(self):
-        return [ResidueAssignment(set_label=label, pole_residues={"t=0": b1},
-                                  lambda1=None, a0=None, n=None,
-                                  reason=None if b1 > 0 else "origin_exponent_nonpositive")
-                for label, b1 in enumerate(finite_pole_residues(self.fixed_poles()[0]).values, 1)]
 
     def classical_polynomial(self, assignment):
         n = int(assignment.n)
@@ -461,30 +509,18 @@ class TwoWallJacobiModel(PotentialModel):
     """Shared algebra of the Scarf wells, parametrized by strengths A and B.
 
     Fixed poles at t = ±1 with strengths g2(A ± B) and offsets 1/4; each
-    wall takes one of its two residues, giving four sets.  Admissible sets
+    pole takes one of its two residues, giving four sets.  Admissible sets
     carry closed-form levels λ1 = b1 + b1' + n with G2(E) = λ1 − λ1², their
     node polynomials are Jacobi polynomials P_n^(2b1−1, 2b1'−1)(t), and
     ψ = (1−t)^e₊ (1+t)^e₋ P(t) with e = b − 1/4.  Prefactor order:
     (1 − t, 1 + t).
 
-    Subclasses declare G with the poles _UNIT_POLES and give the set filter
-    _admissible(set).
+    Subclasses declare G with the poles _UNIT_POLES and the ends of their
+    domain in t (t_ends).
     """
 
     spectrum_kind = "es_spectrum"
-    reject_reason = None           # verdict of an inadmissible set
     prefactor_poles = (("t=+1", 1), ("t=-1", 1))       # 1 − t, 1 + t
-
-    def assignments(self):
-        plus, minus = (finite_pole_residues(p) for p in self.fixed_poles())
-        out = []
-        for bp in plus.values:
-            for bm in minus.values:
-                a = ResidueAssignment(set_label=len(out) + 1,
-                                      pole_residues={"t=+1": bp, "t=-1": bm},
-                                      lambda1=None, a0=0, n=None)
-                out.append(replace(a, reason=None if self._admissible(a) else self.reject_reason))
-        return out
 
     def classical_polynomial(self, assignment):
         n = int(assignment.n)
@@ -516,8 +552,8 @@ class ScarfOneModel(TwoWallJacobiModel):
                    Param("B", "rational", "[-50, 50]", "asymmetry strength"),
                    Param("alpha", "rational", "(0, 50]", "inverse width", default=1))
     energy_formula = "E_n = alpha^2*(b1 + b1' + n - 1/2)^2 - A^2"
-    reject_reason = "wall_exponent_nonpositive"
     recipe_form = "(1-sin)^{0} * (1+sin)^{1} * P{n}(sin(alpha*x))"
+    t_ends = ("t=-1", "t=+1")            # the walls x = ∓π/(2α)
 
     def potential(self, x):
         A, B, al = float(self.A), float(self.B), float(self.alpha)
@@ -535,12 +571,9 @@ class ScarfOneModel(TwoWallJacobiModel):
         return OracleDomain((-w, w), walls=tuple(float(X * (X - self.alpha) / self.alpha ** 2)
                                                  for X in (self.A - self.B, self.A + self.B)))
 
-    def bc_class(self, assignment):   # principal: the pole's first residue
-        return channel_tag([assignment.pole_residues[p.label] == finite_pole_residues(p).values[0]
-                            for p in reversed(self.fixed_poles())])
-
-    def _admissible(self, a):
-        return all(to_complex(e).real > 0 for e in self.prefactor_exponents(a.pole_residues))
+    def bc_class(self, assignment):   # principal: the pole's first residue, walls in x order
+        principal = {labels[0]: values[0] for labels, values in self._branches[0]}
+        return channel_tag([assignment.pole_residues[end] == principal[end] for end in self.t_ends])
 
     def g_declaration(self):
         # Ṽ = (n0 + n1·t)/(1 − t²) − A², u = α²(1 − t²)
@@ -567,8 +600,8 @@ class ComplexScarfModel(TwoWallJacobiModel):
     energy_formula = "E_n = -(b1 + b1' + n - 1/2)^2"
     oracle = "pt"
     verify_tol = 1e-3
-    reject_reason = "not_square_integrable"
     recipe_form = "(1-i*sinh)^{0} * (1+i*sinh)^{1} * P{n}(i*sinh(x))"
+    t_ends = (T_INFINITY, T_INFINITY)     # x → ∓∞
 
     def potential(self, x):
         z = np.asarray(x, dtype=complex)
@@ -584,13 +617,6 @@ class ComplexScarfModel(TwoWallJacobiModel):
     def oracle_domain(self):
         # V(−x) = conj V(x): the flip x ↦ −x conjugates the operator
         return OracleDomain((-math.inf, math.inf), scale=4.0, mirror="pt")
-
-    def normalizable(self, level):
-        # 1/2 − λ1 is the decay margin at infinity: strict square-integrability cut
-        return to_complex(Fraction(1, 2) - level.lambda1).real > 0
-
-    def _admissible(self, a):
-        return self.normalizable(replace(a, lambda1=sum(a.pole_residues.values()), n=0))
 
     def g_declaration(self):
         # Ṽ = (A + B·t)/(t² − 1), u = t² − 1
@@ -621,13 +647,8 @@ class ScarfPeriodicModel(PotentialModel):
     recipe_form = "sin(x)^{0} * P{n}(cot(x))"
     prefactor_poles = (("t=+i", -2),)      # sin⁻² = 1 + t²
 
-    _SETS = (
-        # (label, b-branch sign: -1 means b = (1−λ)/2, +1 means (1+λ)/2;  d1 choice sign)
-        (1, -1, -1),
-        (2, -1, +1),
-        (3, +1, -1),
-        (4, +1, +1),
-    )
+    t_ends = (T_INFINITY, T_INFINITY)     # the cell walls: cot x → ±∞
+    set_order = ((1,), (0,))                # the smaller λ1 first
 
     @property
     def spectrum_kind(self):
@@ -652,24 +673,6 @@ class ScarfPeriodicModel(PotentialModel):
         # Ṽ = (s² − 1/4)(1 + t²), u = (1 + t²)²
         c = self.s * self.s - Fraction(1, 4)
         return ((("t=+i", "t=-i"), -1),), ((c, 0, c), (1,)), (1, 0, 2, 0, 1)
-
-    def assignments(self):
-        roots = infinity_residues(self.infinity_expansion()).values     # 1/2 ± s
-        out = []
-        for label, bsign, dsign in self._SETS:
-            d1 = roots[0] if dsign > 0 else roots[1]
-            # the sum rule puts b = (d1 − n)/2 on each pole, so the sin exponent
-            # is λ = n + 1 − d1 on the (1−λ)/2 branch; the (1+λ)/2 branch has
-            # λ = d1 − 1 − n, whose λ(0) = d1 − 1 > 0 already breaks d1 < 1
-            if bsign > 0 and not d1 - 1 > 0:
-                reason = "negative_energy_root"
-            elif not d1 < 1 or (self.bound_phase and dsign > 0):
-                reason = "cell_wall_divergence"
-            else:
-                reason = None
-            out.append(ResidueAssignment(set_label=label, pole_residues={}, lambda1=d1,
-                                         a0=0, n=None, reason=reason))
-        return out
 
     def classical_polynomial(self, assignment):
         n = int(assignment.n)
@@ -714,9 +717,9 @@ class AssociatedLameModel(PotentialModel):
     verify_tol = 5e-4
     recipe_form = "cn^{0} * dn^{1} * P{n}(sn(x|m))"
     prefactor_poles = (("t=+1", 2), ("t=+1/sqrt(m)", 2))     # cn² = 1 − t², dn² = 1 − m·t²
-    # residue sets in label order as (b1, d1) branch signs: +1 takes
-    # b1 = 3/4 or d1 = 3/4 + b/2, −1 takes b1 = 1/4 or d1 = 1/4 − b/2
-    set_order = ((-1, -1), (+1, -1), (-1, +1), (+1, +1))
+    # branch indices (b1, d1, λ1) per set, 0 for the larger root: the mirror
+    # λ1 = −a is not enumerated
+    set_order = ((1, 1, 0), (0, 1, 0), (1, 0, 0), (0, 0, 0))
 
     def __init__(self, **params):
         super().__init__(**params)
@@ -749,22 +752,6 @@ class AssociatedLameModel(PotentialModel):
         v = (shift + be, 0, al - shift * m - be, 0, -al * m)
         poles = (("t=+1", "t=-1"), 1), (("t=+1/sqrt(m)", "t=-1/sqrt(m)"), 1 / m)
         return poles, (v, (1, 0, -m)), (1, 0, -1 - m, 0, m)
-
-    def assignments(self):
-        b1s = {+1: Fraction(3, 4), -1: Fraction(1, 4)}
-        d1s = {+1: Fraction(3, 4) + self.b / 2, -1: Fraction(1, 4) - self.b / 2}
-        lam1 = infinity_residues(self.infinity_expansion()).values[0]     # a + 1
-        relations = self.qes_relations or (None,) * len(self.set_order)
-        out = []
-        for label, ((bsign, dsign), rel) in enumerate(zip(self.set_order, relations), start=1):
-            b1, d1 = b1s[bsign], d1s[dsign]
-            reason, n = level_verdict(lam1 - 2 * b1 - 2 * d1)
-            out.append(ResidueAssignment(
-                set_label=label,
-                pole_residues={"t=+1": b1, "t=-1": b1, "t=+1/sqrt(m)": d1, "t=-1/sqrt(m)": d1},
-                lambda1=lam1, a0=0, n=n, reason=reason, qes_relation=rel,
-            ))
-        return out
 
     def bc_class(self, assignment):
         # the basis fixes P's parity to n's; the cn exponent is 0 or 1
@@ -848,7 +835,13 @@ class AssociatedLameQESModel(AssociatedLameModel):
                    _ELLIPTIC_M, _SHIFT)
     spectrum_kind = "qes_condition"
     qes_relations = QES_RELATIONS
-    set_order = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+
+    @property
+    def set_order(self):
+        # QES_RELATIONS name d1 by its signed root 3/4 + b/2, the second of the
+        # value-ordered pair when b < −1/2 (the mirror b ↦ −b − 1)
+        d = int(self.b < Fraction(-1, 2))
+        return ((0, d, 0), (0, 1 - d, 0), (1, d, 0), (1, 1 - d, 0))
 
     def _default_shift(self):
         a, b, m = self.a, self.b, self.m
@@ -918,9 +911,8 @@ class KhareMandalModel(PotentialModel):
     verify_tol = 1e-3
     recipe_form = "sinh^{0} * cosh^{1} * exp(i*zeta*cosh(2x)/2) * P{n}(cosh(2x))"
     prefactor_poles = (("t=+1", 2), ("t=-1", 2))     # sinh² = (t − 1)/2, cosh² = (t + 1)/2
-    # (b1, b1') per residue set, in label order
-    _SETS = ((Fraction(1, 4), Fraction(1, 4)), (Fraction(3, 4), Fraction(3, 4)),
-             (Fraction(3, 4), Fraction(1, 4)), (Fraction(1, 4), Fraction(3, 4)))
+    # branch indices (b1, b1', λ1) per set: 0 for the larger b, and λ1 = M/2
+    set_order = ((1, 1, 0), (0, 0, 0), (0, 1, 0), (1, 0, 0))
 
     def potential(self, x):
         z = np.asarray(x, dtype=complex)
@@ -942,19 +934,6 @@ class KhareMandalModel(PotentialModel):
         # t = cosh 2x:  Ṽ = −(ζt − iM)² = M² + 2iMζ·t − ζ²t², u = 4(t² − 1)
         v = (Fraction(self.M ** 2), ExactComplex(0, 2 * self.M * self.zeta), -self.zeta ** 2)
         return _UNIT_POLES, (v, (1,)), (-4, 0, 4)
-
-    def assignments(self):
-        branch = infinity_residues(self.infinity_expansion())
-        lam1, a0 = branch.values[0], branch.a0_values[0]     # M/2, iζ/2
-        out = []
-        for label, ((b1, b1p), rel) in enumerate(zip(self._SETS, self.qes_relations), start=1):
-            reason, n = level_verdict(lam1 - b1 - b1p)
-            out.append(ResidueAssignment(
-                set_label=label,
-                pole_residues={"t=+1": b1, "t=-1": b1p},
-                lambda1=lam1, a0=a0, n=n, reason=reason, qes_relation=rel,
-            ))
-        return out
 
     def prefactors(self, xs):
         z = np.asarray(xs, dtype=complex)

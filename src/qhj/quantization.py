@@ -9,8 +9,8 @@ Each fixed pole contributes one of two quadratic branches, so a model with k
 independent pole strengths yields 2^k candidate residue assignments ("sets").
 Models with paired poles (elliptic, inverse-sin² cell) share one branch per
 pair — that is the parity constraint, built into the enumeration.  Every set
-then passes a filter pipeline (level positivity/integrality → finiteness at
-walls → square-integrability/decay) and carries a machine-readable verdict.
+carries a machine-readable verdict: level_verdict's where λ1 fixes n, and
+otherwise the boundary rule's (ψ must vanish at each end of the domain).
 
 Where a coefficient of G that the sum rule reads has a nonzero slope in E
 (hydrogen-like, trigonometric Scarf, inverse-sin² cell, complex Scarf),
@@ -18,9 +18,10 @@ closed_form_levels() solves the sum rule for E from its exact value and
 slope, exactly when the parameters are rational.  Where none has, E stays
 a pencil unknown for the polynomial-identity solver (model.uses_pencil).
 
-The per-family sets and filters live on the catalog classes
-(PotentialModel.assignments and .normalizable); this module holds the shared
-records and the condition that ties them together.
+PotentialModel.assignments builds every family's sets from the branch pairs
+of its declared G, and PotentialModel.normalizable is the boundary rule; a
+family declares only the ends of its domain and its set order.  This module
+holds the shared records and the condition that ties them together.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def enumerate_assignments(model):
 
     Paired poles (elliptic families, the inverse-sin² cell) share one branch
     per pair; mixed choices violate the parity constraint and are excluded
-    structurally.  The sets themselves come from the model's catalog class.
+    structurally.  The sets come from PotentialModel.assignments.
     """
     return model.assignments()
 

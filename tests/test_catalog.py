@@ -778,6 +778,18 @@ def test_the_route_flags_follow_from_the_declared_g():
         assert get_model(mid, **params).parity_constraint == (mid in paired), mid
 
 
+def test_one_residue_set_enumerator():
+    # PotentialModel.assignments builds every family's sets from the branch
+    # pairs of its declared G and judges them by one boundary rule
+    # (normalizable); a family declares its ends and set order, never its
+    # sets, their residues or a filter of its own
+    members = ("assignments", "normalizable", "_SETS", "reject_reason", "_admissible")
+    stated = sorted({"%s.%s" % (k.__name__, name) for cls in MODEL_CLASSES.values()
+                     for k in cls.__mro__ if k is not PotentialModel
+                     for name in members if name in vars(k)})
+    assert stated == []
+
+
 def test_field_guard_sees_a_write_only_field():
     @dataclasses.dataclass
     class Level:

@@ -10,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from qhj import enumerate_assignments, potential_catalog
 from qhj.cli import (EXIT_NO_ASSIGNMENT, EXIT_OK, EXIT_USAGE,
                      EXIT_VERIFY_FAILED, build_parser, main)
 from qhj.polynomial_system import DefectivePencilWarning, solve_spectrum
+from qhj.qmf_residues import finite_pole_residues
 from qhj.potential_catalog import MODEL_IDS, PARAM_SCHEMAS, get_model
 
 from test_acceptance import ALL_CONFIGS
@@ -85,6 +87,34 @@ class TestSolve:
         assert {r["set"]: r["bc_class"] for r in json.loads(out)["levels"]} == {
             1: "exponent_plus", 2: "exponent_minus_plus",
             3: "exponent_plus_minus", 4: "exponent_minus"}
+
+    def test_a_double_root_tags_every_set_with_the_principal_root(self, capsys):
+        # at A = 1/2, B = 0 both residues of each wall are 1/2: the tag compares
+        # values, so no set names an exponent_minus channel the oracle lacks
+        model = get_model("scarf1", A=Fraction(1, 2), B=0, alpha=1)
+        assert [model.bc_class(a) for a in enumerate_assignments(model)] == ["exponent_plus"] * 4
+        code, out, _ = run_cli(capsys, "solve", "scarf1", "--param", "A=1/2",
+                               "--param", "B=0", "--param", "alpha=1", "--format", "json")
+        assert code == EXIT_OK
+        assert {r["bc_class"] for r in json.loads(out)["levels"]} == {"exponent_plus"}
+
+    def test_verify_computes_each_branch_pair_once(self, capsys, monkeypatch):
+        # enumeration computes each pole group's pair once per model, and the
+        # levels' bc_class reads those pairs instead of recomputing them
+        calls = []
+
+        def counted(pole):
+            calls.append(pole.label)
+            return finite_pole_residues(pole)
+
+        monkeypatch.setattr(potential_catalog, "finite_pole_residues", counted)
+        for argv, groups in (
+                (["scarf1", "--param", "A=2", "--param", "B=1/2"], ["t=+1", "t=-1"]),
+                (["lame", "--param", "j=2", "--param", "m=1/2"], ["t=+1", "t=+1/sqrt(m)"])):
+            calls.clear()
+            code, _, _ = run_cli(capsys, "verify", *argv)
+            assert code == EXIT_OK
+            assert sorted(calls) == sorted(groups)
 
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "scarf1", "--param", "A=2",
@@ -165,6 +195,14 @@ class TestExitCodes:
                                "a=2", "--param", "b=1/2", "--param", "m=1/2")
         assert code == EXIT_NO_ASSIGNMENT
         assert "non_integer_level" in err
+
+    def test_sets_that_break_the_boundary_rule_exit_two(self, capsys):
+        # every set's Σb is at least 1/2: none decays at x → ±∞
+        code, _, err = run_cli(capsys, "verify", "complex_scarf", "--param", "A=1/4",
+                               "--param", "B=1/2")
+        assert code == EXIT_NO_ASSIGNMENT
+        for label in (1, 2, 3, 4):
+            assert "set %d: nonvanishing_at_end" % label in err
 
     def test_failed_verification_exits_three(self, capsys):
         # the oracle matches these levels to ~1e-15, so only a tolerance far

@@ -5,8 +5,11 @@ the quadratic branch pairs and the residue sum rule) and are cross-checked
 against the grid oracle in the acceptance tests.
 """
 
+import importlib.util
+import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +19,12 @@ from qhj import (QES_RELATIONS, NoAdmissibleAssignmentError,
                  enumerate_assignments, get_model, qes_family, quantize)
 from qhj.errors import EnergyRequiredError
 from qhj.exactmath import ExactComplex, to_complex
-from qhj.qmf_residues import InfinityExpansion, infinity_residues
+from qhj.potential_catalog import MODEL_IDS
+from qhj.qmf_residues import InfinityExpansion, finite_pole_residues, infinity_residues
+from qhj.quantization import ResidueAssignment, level_verdict
+from test_acceptance import ALL_CONFIGS
 from test_catalog import schema_points
+from test_cli import _load_census
 
 
 def _by_set(assignments):
@@ -31,7 +38,7 @@ class TestHydrogen:
         assert sets[1].admissible
         assert sets[1].pole_residues["t=0"] == Fraction(1)
         assert not sets[2].admissible
-        assert sets[2].reason == "origin_exponent_nonpositive"
+        assert sets[2].reason == "nonvanishing_at_end"
         assert sets[2].pole_residues["t=0"] == Fraction(0)
 
     def test_energies_are_exact_rationals(self):
@@ -57,7 +64,7 @@ class TestScarfWell:
         assert sets[1].pole_residues == {"t=+1": Fraction(3, 2),
                                          "t=-1": Fraction(1)}
         for label in (2, 3, 4):
-            assert sets[label].reason == "wall_exponent_nonpositive"
+            assert sets[label].reason == "nonvanishing_at_end"
 
     def test_sign_flip_of_asymmetry_swaps_wall_residues(self):
         plus = _by_set(enumerate_assignments(
@@ -80,16 +87,16 @@ class TestInverseSquareCell:
     def test_band_phase_keeps_both_wall_exponents(self):
         model = get_model("scarf_periodic", s=Fraction(3, 10))
         sets = _by_set(enumerate_assignments(model))
+        # the (1 + λ)/2 branch is refused at every point and is not enumerated
+        assert sorted(sets) == [1, 2]
         assert sets[1].admissible and sets[2].admissible
-        assert not sets[3].admissible and not sets[4].admissible
-        assert sets[3].reason == "negative_energy_root"
         assert model.spectrum_kind == "band_edge_group"
 
     def test_bound_phase_keeps_only_normalizable_channel(self):
         model = get_model("scarf_periodic", s=Fraction(3, 2))
         sets = _by_set(enumerate_assignments(model))
         assert sets[1].admissible
-        assert sets[2].reason == "cell_wall_divergence"
+        assert sets[2].reason == "nonvanishing_at_end"
         assert model.spectrum_kind == "es_spectrum"
 
     def test_band_edge_energies_are_exact(self):
@@ -202,7 +209,7 @@ class TestPtPair:
         sets = _by_set(enumerate_assignments(model))
         admissible = [k for k in sets if sets[k].admissible]
         assert admissible == [4]
-        assert sets[1].reason == "not_square_integrable"
+        assert sets[1].reason == "nonvanishing_at_end"
         out = quantize(model, levels=6)
         # strict inequality truncates the tower after a single level
         assert len(out.levels) == 1
@@ -281,7 +288,7 @@ def _two_wall_levels(energy_of):
 
 def _scarf_periodic_levels(model, sets, count):
     out = []
-    for a, (_label, _bsign, dsign) in zip(sets, model._SETS):
+    for a, (_label, _bsign, dsign) in zip(sets, _SCARF_PERIODIC_SETS):
         assert a.lambda1 == Fraction(1, 2) + dsign * model.s
         if not a.admissible:
             continue
@@ -345,3 +352,192 @@ class TestSumRuleSolve:
         branch = infinity_residues(model.infinity_expansion())
         assert (branch.values[0], branch.a0_values[0]) == (
             Fraction(3, 2), ExactComplex(Fraction(0), Fraction(1, 8)))
+
+
+# -- the reference: the five enumerations the catalog classes once carried,
+# each with its residue table and verdicts --------------------------------
+
+_SCARF_PERIODIC_SETS = (
+    # (label, b-branch sign: -1 means b = (1−λ)/2, +1 means (1+λ)/2;  d1 choice sign)
+    (1, -1, -1),
+    (2, -1, +1),
+    (3, +1, -1),
+    (4, +1, +1),
+)
+_ELLIPTIC_SET_ORDER = {   # (b1, d1) branch signs: +1 takes b1 = 3/4 or d1 = 3/4 + b/2
+    "lame": ((-1, -1), (+1, -1), (-1, +1), (+1, +1)),
+    "assoc_lame_es": ((-1, -1), (+1, -1), (-1, +1), (+1, +1)),
+    "assoc_lame_qes": ((+1, +1), (+1, -1), (-1, +1), (-1, -1)),
+}
+_KHARE_MANDAL_SETS = ((Fraction(1, 4), Fraction(1, 4)), (Fraction(3, 4), Fraction(3, 4)),
+                      (Fraction(3, 4), Fraction(1, 4)), (Fraction(1, 4), Fraction(3, 4)))
+# the boundary verdicts that one verdict replaced
+_MERGED_VERDICTS = dict.fromkeys(("origin_exponent_nonpositive", "wall_exponent_nonpositive",
+                                  "not_square_integrable", "cell_wall_divergence"),
+                                 "nonvanishing_at_end")
+
+
+def _ref_hydrogen(model):
+    return [ResidueAssignment(set_label=label, pole_residues={"t=0": b1},
+                              lambda1=None, a0=None, n=None,
+                              reason=None if b1 > 0 else "origin_exponent_nonpositive")
+            for label, b1 in enumerate(finite_pole_residues(model.fixed_poles()[0]).values, 1)]
+
+
+def _ref_two_wall(admissible, reject_reason):
+    def sets(model):
+        plus, minus = (finite_pole_residues(p) for p in model.fixed_poles())
+        out = []
+        for bp in plus.values:
+            for bm in minus.values:
+                a = ResidueAssignment(set_label=len(out) + 1,
+                                      pole_residues={"t=+1": bp, "t=-1": bm},
+                                      lambda1=None, a0=0, n=None)
+                out.append(replace(a, reason=None if admissible(a) else reject_reason))
+        return out
+    return sets
+
+
+def _scarf1_admissible(a):      # both wall exponents b − 1/4 positive
+    return all(to_complex(b - Fraction(1, 4)).real > 0 for b in a.pole_residues.values())
+
+
+def _complex_scarf_admissible(a):       # 1/2 − Σb is the decay margin at infinity
+    return to_complex(Fraction(1, 2) - sum(a.pole_residues.values())).real > 0
+
+
+def _ref_scarf_periodic(model):
+    roots = infinity_residues(model.infinity_expansion()).values     # 1/2 ± s
+    bound_phase = model.s > Fraction(1, 2)
+    out = []
+    for label, bsign, dsign in _SCARF_PERIODIC_SETS:
+        d1 = roots[0] if dsign > 0 else roots[1]
+        if bsign > 0 and not d1 - 1 > 0:
+            reason = "negative_energy_root"
+        elif not d1 < 1 or (bound_phase and dsign > 0):
+            reason = "cell_wall_divergence"
+        else:
+            reason = None
+        out.append(ResidueAssignment(set_label=label, pole_residues={}, lambda1=d1,
+                                     a0=0, n=None, reason=reason))
+    return out
+
+
+def _ref_elliptic(model):
+    b1s = {+1: Fraction(3, 4), -1: Fraction(1, 4)}
+    d1s = {+1: Fraction(3, 4) + model.b / 2, -1: Fraction(1, 4) - model.b / 2}
+    lam1 = infinity_residues(model.infinity_expansion()).values[0]     # a + 1
+    order = _ELLIPTIC_SET_ORDER[model.id]
+    relations = model.qes_relations or (None,) * len(order)
+    out = []
+    for label, ((bsign, dsign), rel) in enumerate(zip(order, relations), start=1):
+        b1, d1 = b1s[bsign], d1s[dsign]
+        reason, n = level_verdict(lam1 - 2 * b1 - 2 * d1)
+        out.append(ResidueAssignment(
+            set_label=label,
+            pole_residues={"t=+1": b1, "t=-1": b1, "t=+1/sqrt(m)": d1, "t=-1/sqrt(m)": d1},
+            lambda1=lam1, a0=0, n=n, reason=reason, qes_relation=rel))
+    return out
+
+
+def _ref_khare_mandal(model):
+    branch = infinity_residues(model.infinity_expansion())
+    lam1, a0 = branch.values[0], branch.a0_values[0]     # M/2, iζ/2
+    out = []
+    for label, ((b1, b1p), rel) in enumerate(zip(_KHARE_MANDAL_SETS, model.qes_relations), start=1):
+        reason, n = level_verdict(lam1 - b1 - b1p)
+        out.append(ResidueAssignment(
+            set_label=label, pole_residues={"t=+1": b1, "t=-1": b1p},
+            lambda1=lam1, a0=a0, n=n, reason=reason, qes_relation=rel))
+    return out
+
+
+REFERENCE_SETS = {
+    "hydrogen": _ref_hydrogen,
+    "scarf1": _ref_two_wall(_scarf1_admissible, "wall_exponent_nonpositive"),
+    "complex_scarf": _ref_two_wall(_complex_scarf_admissible, "not_square_integrable"),
+    "scarf_periodic": _ref_scarf_periodic,
+    "lame": _ref_elliptic,
+    "assoc_lame_es": _ref_elliptic,
+    "assoc_lame_qes": _ref_elliptic,
+    "khare_mandal": _ref_khare_mandal,
+}
+
+
+def _typed(value):
+    return type(value), value
+
+
+def _record(a):
+    """Every field a set keeps, each value with its exact type, and its verdict
+    under the merged name."""
+    return (a.set_label, [(pole, _typed(b)) for pole, b in a.pole_residues.items()],
+            _typed(a.lambda1), _typed(a.a0), _typed(a.n), a.admissible,
+            _MERGED_VERDICTS.get(a.reason, a.reason), a.qes_relation)
+
+
+def _assert_same_sets(model):
+    want = REFERENCE_SETS[model.id](model)
+    if model.id == "scarf_periodic":        # the (1 + λ)/2 branch carries no level
+        assert not any(a.admissible for a in want[2:])
+        want = want[:2]
+    assert [_record(a) for a in enumerate_assignments(model)] == [_record(a) for a in want]
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sweep_points():
+    """ALL_CONFIGS, the draws of both reference censuses and the scan points
+    (`scripts/scan.py`: one drawn point per family at seeds 1001–1040)."""
+    census, workloads = _load_census(), _load_workloads()
+    points = list(ALL_CONFIGS)
+    points += [(mid, params) for seed in (2026, 7) for mid in MODEL_IDS
+               for params in census.draws(seed, mid, 30)]
+    points += [p for seed in range(1001, 1041)
+               for p in workloads.family_points(random.Random(seed))]
+    return points
+
+
+def _edge_points():
+    """Double roots, thresholds and branch crossings of each family."""
+    half = Fraction(1, 2)
+    points = [("scarf1", dict(A=A, B=B, alpha=alpha))      # A ± B = α/2: a double root
+              for alpha in (half, 1, 3) for A in (Fraction(1, 4), half, 2, Fraction(7, 3))
+              for B in (alpha / 2 - A, A - alpha / 2) if abs(B) <= 50]
+    points += [("complex_scarf", dict(A=A, B=sign * (A + Fraction(1, 4))))   # the PT threshold
+               for A in (Fraction(1, 4), 1, Fraction(59, 16), 6) for sign in (1, -1)]
+    points += [("scarf_periodic", dict(s=Fraction(k, 8))) for k in range(1, 41) if k != 4]
+    points += [("assoc_lame_qes", dict(a=a, b=Fraction(k, 2), m=half))     # both d orders
+               for a in (Fraction(7, 2), 2) for k in range(-20, 21)]
+    points += [("khare_mandal", dict(zeta=Fraction(1, 4), M=M)) for M in range(1, 51)]
+    points += [("hydrogen", dict(e2=2, l=l)) for l in range(0, 51)]
+    return points
+
+
+class TestOneEnumerator:
+    """PotentialModel.assignments builds the sets the five family enumerations
+    built, from the branch pairs of the declared G and one boundary rule."""
+
+    def test_sets_equal_the_reference_on_the_sweep(self):
+        for mid, params in _sweep_points() + _edge_points():
+            _assert_same_sets(get_model(mid, **params))
+
+    @pytest.mark.parametrize("mid", MODEL_IDS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_sets_equal_the_reference_over_the_whole_schema(self, mid, data):
+        _assert_same_sets(get_model(mid, **data.draw(schema_points(mid))))
+
+    def test_mirrored_qes_point_keeps_its_relation(self):
+        # b < −1/2 puts d1 = 3/4 + b/2 second in value order: set 1 still takes it
+        model = get_model("assoc_lame_qes", a=Fraction(7, 2), b=Fraction(-5, 2),
+                          m=Fraction(1, 2))
+        first = enumerate_assignments(model)[0]
+        assert (first.n, first.qes_relation) == (4, "b - a = -n - 2")
+        assert first.pole_residues["t=+1/sqrt(m)"] == Fraction(-1, 2)
