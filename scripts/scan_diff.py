@@ -16,6 +16,9 @@ It pairs the commands of both files in order and prints
   fields of the `verify` level lines (E, oracle, |dE|, …), the numbers of a
   `solve --format json` reply by their JSON path, and the columns of a
   `wavefunction` table;
+* per family and field, how many of the other fields of a `solve --format
+  json` reply changed (strings, nulls and booleans, such as `energy_exact`,
+  `bc_class`, `wavefunction_form` or a `params` string), by their JSON path;
 * the count of other output lines that changed, per family.
 
 It exits 1 when an exit code, a PASS/FAIL token or the command list moved,
@@ -55,15 +58,27 @@ def _number(text):
         return None
 
 
-def _json_numbers(value, path=""):
+def _json_leaves(value, path=""):
+    """(JSON path, value) of each leaf, a list's items sharing their list's path."""
     if isinstance(value, dict):
         for key, item in value.items():
-            yield from _json_numbers(item, "%s.%s" % (path, key) if path else key)
+            yield from _json_leaves(item, "%s.%s" % (path, key) if path else key)
     elif isinstance(value, list):
         for item in value:
-            yield from _json_numbers(item, path)
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield from _json_leaves(item, path)
+    else:
         yield path, value
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _json_reply(command, line):
+    """The leaves of a `solve --format json` reply line, or None for another line."""
+    if command.startswith("solve ") and line.startswith("{"):
+        return list(_json_leaves(json.loads(line)))
+    return None
 
 
 def fields(command, line):
@@ -71,8 +86,9 @@ def fields(command, line):
     if line.startswith("set="):
         pairs = [token.split("=", 1) for token in line.split() if "=" in token]
         return [(key, _number(value)) for key, value in pairs if _number(value) is not None]
-    if command.startswith("solve ") and line.startswith("{"):
-        return list(_json_numbers(json.loads(line)))
+    leaves = _json_reply(command, line)
+    if leaves is not None:
+        return [(key, value) for key, value in leaves if _is_number(value)]
     if command.startswith("wavefunction ") and "," in line:
         numbers = [_number(cell) for cell in line.split(",")]
         if None not in numbers:
@@ -84,6 +100,12 @@ def relative(old, new):
     return abs(new - old) / max(1.0, abs(old), abs(new))
 
 
+def texts(command, line):
+    """[(JSON path, value)] of the fields of a JSON reply that are no numbers, or None."""
+    leaves = _json_reply(command, line)
+    return None if leaves is None else [(k, v) for k, v in leaves if not _is_number(v)]
+
+
 def compare(old, new):
     """(report lines, whether an exit code, a token or the command list moved)."""
     report, moved = [], False
@@ -93,6 +115,7 @@ def compare(old, new):
         for name, mine, theirs in (("old", *commands), ("new", *commands[::-1])):
             report += ["only in %s: qhj %s" % (name, c) for c in mine if c not in theirs]
     largest = defaultdict(lambda: [0.0, 0, 0])       # (family, kind, field) → [max, moved, seen]
+    words = defaultdict(lambda: [0, 0])              # (family, kind, JSON path) → [moved, seen]
     text = defaultdict(int)
     paired = {c: (code, lines) for c, code, lines in old}
     for command, code, lines in new:
@@ -119,12 +142,27 @@ def compare(old, new):
                 entry[0] = max(entry[0], relative(x, y))
                 entry[1] += x != y
                 entry[2] += 1
+            ta, tb = texts(command, a), texts(command, b)
+            if ta is None or tb is None:
+                continue
+            if [k for k, _ in ta] != [k for k, _ in tb]:
+                text[family] += 1
+                continue
+            for (key, x), (_, y) in zip(ta, tb):
+                entry = words[family, command.split()[0], key]
+                entry[0] += x != y
+                entry[1] += 1
     rows = [(family, kind, key, *entry) for (family, kind, key), entry in largest.items()
             if entry[1]]
     if rows:
         report.append("largest change per family and field, relative to max(1, |value|) "
                       "(values moved / seen):")
         report += ["  %-16s %-13s %-28s %9.3e  (%d / %d)" % row for row in sorted(rows)]
+    rows = [(family, kind, key, *entry) for (family, kind, key), entry in words.items()
+            if entry[0]]
+    if rows:
+        report.append("other JSON fields changed per family and field (values moved / seen):")
+        report += ["  %-16s %-13s %-28s  (%d / %d)" % row for row in sorted(rows)]
     report += ["other lines changed: %s %d" % item for item in sorted(text.items()) if item[1]]
     return report, moved
 

@@ -17,7 +17,7 @@ from .errors import (EnergyRequiredError, GridTooCoarseError,
                      NonlinearEnergyError, ParameterError, QhjError,
                      SingularPointError, UnknownModelError,
                      UnsupportedExpansionError)
-from .exactmath import ExactComplex, as_exact, exact_sqrt, to_complex
+from .exactmath import Surd, as_exact, sqrt, to_complex
 from .potential_catalog import (MODEL_CLASSES, MODEL_IDS, PARAM_SCHEMAS,
                                 QES_RELATIONS, WavefunctionRecipe, get_model,
                                 qes_family)
@@ -56,21 +56,21 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BandEdgeSolution", "DefectivePencilWarning", "EnergyRequiredError",
-    "ExactComplex", "FixedPole", "GridTooCoarseError",
+    "FixedPole", "GridTooCoarseError",
     "InfinityExpansion", "InvalidStateError", "LevelCheck",
     "MODEL_CLASSES", "MODEL_IDS",
     "NoAdmissibleAssignmentError", "NonlinearEnergyError", "OracleDomain", "OracleSpectrum",
     "PARAM_SCHEMAS", "ParameterError", "PencilSystem", "PolynomialOnT",
     "QES_RELATIONS", "QhjError", "QuantizationOutcome", "ResidueAssignment",
     "ResidueBranch", "SingularPointError",
-    "SpectrumResult", "UnknownModelError", "UnsupportedExpansionError",
+    "SpectrumResult", "Surd", "UnknownModelError", "UnsupportedExpansionError",
     "Verification", "WavefunctionRecipe", "WavefunctionReport", "as_exact", "assemble",
     "build_fixed_system", "build_pencil", "closed_form_deviation",
-    "count_nodes", "elliptic_K", "enumerate_assignments", "exact_sqrt",
+    "count_nodes", "elliptic_K", "enumerate_assignments",
     "finite_pole_residues", "get_model", "infinity_residues",
     "jacobi_polynomial", "laguerre", "overlap", "parity_deviation", "qes_family",
     "quantize", "solve_band_edges", "solve_bound",
-    "solve_inverse_square_cell", "solve_oracle", "solve_pencil", "solve_pt",
+    "solve_inverse_square_cell", "solve_oracle", "solve_pencil", "solve_pt", "sqrt",
     "solve_spectrum", "to_complex", "verify",
     "verify_against_oracle",
 ]

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .errors import (InvalidStateError, NoAdmissibleAssignmentError,
                      ParameterError, QhjError, UnknownModelError)
-from .exactmath import real_or_complex, to_complex
+from .exactmath import as_exact, real_or_complex, to_complex
 from .potential_catalog import MODEL_CLASSES, MODEL_IDS, PARAM_SCHEMAS, get_model
 
 EXIT_OK = 0
@@ -72,7 +72,7 @@ def _rows(result):
             "n": int(a.n),
             "energy_re": float(e.real),
             "energy_im": float(e.imag),
-            "energy_exact": str(sol.energy) if isinstance(sol.energy, Fraction) else None,
+            "energy_exact": None if as_exact(sol.energy) is None else str(sol.energy),
             "degeneracy": int(sol.degeneracy),
             "multiplicity": int(sol.multiplicity),
             "bc_class": sol.bc_class,

@@ -27,10 +27,9 @@ and banded (a row of degree k reaches the degrees k … k+2 only), and its last
 row vanishes, so the node polynomial is p_n = 1 plus one back-substitution
 over the band for p_(n−1) … p_0.  Its rows are plain Python complex numbers,
 so a closed-form solve loads no numpy unless two of its levels share an energy
-(see _deduplicate).  The division's remainder and the rows off the basis
-degrees must vanish, under one rule (_refuted): an exact value must be zero,
-and only a float one, where float residues enter the identity, is held to a
-tolerance.
+(see _deduplicate).  Every residue, a0 and energy is exact (a Fraction or
+an exactmath.Surd), so the division's remainder and the rows off the basis
+degrees are exact too, and each must be zero: no tolerance enters.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import NonlinearEnergyError, QhjError
@@ -47,8 +45,6 @@ from .potential_catalog import WavefunctionRecipe, poly_eval
 from .quantization import QuantizationOutcome, quantize
 from .special_functions import np     # numpy on first use: the pencil and sampling need it
 
-_DIV_TOL = 1e-10      # float residues: the remainder and the pencil's overflow rows
-_FIXED_TOL = 1e-7     # float residues: the closed-form rows off the basis, at a float energy
 _DEDUP_TOL = 1e-8
 
 
@@ -98,7 +94,7 @@ def _pole_sums(model, residues, a0):
     """(S, Σ_i b_i·D_i²), exact, S = Σ_i b_i·D_i + a0·Π, by pole groups: a pair ±√q of cofactor
     D carries one residue b and D_± = D·(t ± √q), so it adds b·D·2t and b·D²·(2t² + 2q)."""
     pi, groups, *_ = model.g_polynomials()
-    s, sq = pi.scale(a0), Poly([])
+    s, sq = pi.scale(a0), Poly([[]])
     for labels, q, d in groups:
         b = residues[labels[0]]
         ds, dsq = ((0, 2 * b), (2 * b * q, 0, 2 * b)) if len(labels) == 2 else ((b,), (b,))
@@ -107,12 +103,9 @@ def _pole_sums(model, residues, a0):
     return s, sq
 
 
-def _refuted(values, tol, scale):
-    """The largest |value| among those that refute the identity, or None: an exact
-    value refutes it unless it is zero, a float one (float residues) above tol·scale."""
-    return max((abs(to_complex(v)) for v in values
-                if (v != 0 if as_exact(v) is not None else abs(to_complex(v)) > tol * scale)),
-               default=None)
+def _largest(values):
+    """The largest |value| of exact values that refute an identity by not being zero."""
+    return max(abs(to_complex(v)) for v in values)
 
 
 def _identity(model, assignment):
@@ -124,10 +117,9 @@ def _identity(model, assignment):
     if assignment.energy is not None:
         num = num + b.scale(assignment.energy)
     nr, rem = num.divmod(pi)
-    worst = _refuted(rem, _DIV_TOL, max([1.0] + [abs(c) for c in num.floats()])) if rem else None
-    if worst is not None:
+    if rem:
         raise QhjError("polynomial division for the %s identity is not exact (remainder "
-                       "%.3e); inconsistent residue branch data" % (model.id, worst))
+                       "%.3e); inconsistent residue branch data" % (model.id, _largest(rem)))
     n = int(assignment.n)
     basis = tuple(range(n % 2, n + 1, 2)) if model.parity_constraint else tuple(range(n + 1))
     return basis, pi, s.scale(2), nr
@@ -144,7 +136,7 @@ def _terms(basis, pi, ns, nr):
                     yield k, j, scale, c
 
 
-def _rows(basis, pi=Poly([]), ns=Poly([]), nr=Poly([])):
+def _rows(basis, pi=Poly([[]]), ns=Poly([[]]), nr=Poly([[]])):
     """The square block of Π·P'' + NS·P' + NR·P on the basis degrees, in floats: a
     list of rows of Python complex numbers.  The other rows vanish (_off_basis)."""
     pi, ns, nr = ([complex(c) for c in p.floats()] for p in (pi, ns, nr))
@@ -154,20 +146,14 @@ def _rows(basis, pi=Poly([]), ns=Poly([]), nr=Poly([])):
     return [mat[d] for d in basis]
 
 
-def _off_basis(basis, pi=Poly([]), ns=Poly([]), nr=Poly([])):
-    """The nonzero entries of the rows off the basis degrees, in the identity's own
-    arithmetic: exact for an exact identity.  Column d is the image of t^d,
-    d(d−1)·Π·t^(d−2) + d·NS·t^(d−1) + NR·t^d."""
-    on, out = set(basis), []
-    for d in basis:
-        column = Poly([])
-        for poly, scale, low in ((pi, d * (d - 1), d - 2), (ns, d, d - 1), (nr, 1, d)):
-            if scale:
-                column = column + poly.shift(low).scale(scale)
-        off = column.without(on)
-        if off:
-            out += [v for v in off if v != 0]
-    return out
+def _off_basis(basis, pi=Poly([[]]), ns=Poly([[]]), nr=Poly([[]])):
+    """The nonzero entries of the rows off the basis degrees, exactly: _terms' exact
+    entries summed per (row, column)."""
+    on, entries = set(basis), {}
+    for k, j, scale, c in _terms(basis, *(list(p) for p in (pi, ns, nr))):
+        if c and k not in on:
+            entries[k, j] = entries.get((k, j), 0) + scale * c
+    return [v for v in entries.values() if v]
 
 
 def build_pencil(model, assignment):
@@ -190,11 +176,10 @@ def build_pencil(model, assignment):
     basis, *identity = _identity(model, assignment)
     m0 = np.array(_rows(basis, *identity), dtype=complex)
     m1 = np.array(_rows(basis, nr=nr1), dtype=complex)     # energy rows: only NR1·P contributes
-    worst = _refuted(_off_basis(basis, *identity) + _off_basis(basis, nr=nr1), _DIV_TOL,
-                     max(np.max(np.abs(m), initial=1.0) for m in (m0, m1)))
-    if worst is not None:
+    off = _off_basis(basis, *identity) + _off_basis(basis, nr=nr1)
+    if off:
         raise QhjError("overflow rows of the %s pencil do not vanish (%.2e); "
-                       "the residue assignment is inconsistent" % (model.id, worst))
+                       "the residue assignment is inconsistent" % (model.id, _largest(off)))
     return PencilSystem(M0=m0, M1=m1, basis=basis)
 
 
@@ -203,14 +188,12 @@ def build_fixed_system(model, assignment):
     models): the square block on the basis degrees, as rows of Python complex
     numbers, and the basis."""
     basis, *identity = _identity(model, assignment)
-    sq = _rows(basis, *identity)
-    worst = _refuted(_off_basis(basis, *identity), _FIXED_TOL,
-                     max(1.0, max((abs(v) for row in sq for v in row), default=0.0)))
-    if worst is not None:
+    off = _off_basis(basis, *identity)
+    if off:
         raise QhjError("identity rows above the node-polynomial degree do not "
                        "vanish at the quantized energy (%.2e); closed form and "
-                       "identity disagree" % worst)
-    return sq, basis
+                       "identity disagree" % _largest(off))
+    return _rows(basis, *identity), basis
 
 
 def _back_substitute(sq, basis):
@@ -372,7 +355,7 @@ def solve_spectrum(model, levels=4):
 
 def _same_energy(e, f):
     """Exact energies are one level only when equal; floats within _DEDUP_TOL."""
-    if isinstance(e, Fraction) and isinstance(f, Fraction):
+    if as_exact(e) is not None and as_exact(f) is not None:
         return e == f
     e, f = to_complex(e), to_complex(f)
     return abs(e - f) <= _DEDUP_TOL * max(1.0, abs(e))

@@ -48,7 +48,7 @@ from typing import Callable, Dict, Tuple
 from .domain import OracleDomain, channel_tag
 from .errors import EnergyRequiredError, InvalidStateError, ParameterError, QhjError
 from .errors import SingularPointError, UnknownModelError
-from .exactmath import ExactComplex, Poly, as_exact, real_or_complex, to_complex
+from .exactmath import Poly, real_or_complex, sign, sqrt, to_complex
 from .qmf_residues import (FixedPole, InfinityExpansion, finite_pole_residues,
                            infinity_residues)
 from .quantization import ResidueAssignment, level_verdict
@@ -242,8 +242,8 @@ class PotentialModel:
 
         poles lists Πclear's roots in label order, each as (label, t0), or as
         ((label+, label−), q) for the pair ±√q of an even Πclear²·G.  Ṽ(t) =
-        V(x(t)) and u(t) = (dt/dx)² are ascending Fraction or ExactComplex
-        coefficients; _g derives G = (A + E·B)/Πclear² from them.
+        V(x(t)) and u(t) = (dt/dx)² are ascending Fraction or Surd coefficients;
+        _g derives G = (A + E·B)/Πclear² from them.
         """
         raise NotImplementedError
 
@@ -255,7 +255,7 @@ class PotentialModel:
         name = self.id or type(self).__name__
         factors = [Poly.of((-r, 0, 1) if isinstance(labels, tuple) else (-r, 1))
                    for labels, r in poles]
-        clear = reduce(Poly.__mul__, factors, Poly([1]))
+        clear = reduce(Poly.__mul__, factors, Poly.of((1,)))
         square, dclear2 = clear * clear, clear.der() * clear.der()
         # Πclear²·G = A + E·B:  B = Πclear²/u, A = B·(3u'² − 4u·u'' − 16u·Ṽ)/(16u)
         u, v_num, v_den = Poly.of(u), Poly.of(v_num), Poly.of(v_den)
@@ -275,11 +275,11 @@ class PotentialModel:
         for (labels, root), factor in zip(poles, factors):
             labels = labels if isinstance(labels, tuple) else (labels,)
             at = lambda p: p[::len(labels)].at(root)    # a pair's: even, read in t² = q
-            g2, slope = (as_exact(at(p) / at(dclear2)) for p in (a, b))
+            g2, slope = (at(p) / at(dclear2) for p in (a, b))
             fixed += [FixedPole(g2=g2, label=label, slope=slope) for label in labels]
             groups.append((labels, root, clear.divmod(factor)[0]))
             factor_of.update(dict.fromkeys(labels, factor))
-        values, slopes = (tuple(map(as_exact, p.expansion_at_infinity(square))) for p in (a, b))
+        values, slopes = (tuple(p.expansion_at_infinity(square)) for p in (a, b))
         expansion = InfinityExpansion(*values, slopes=slopes)
         # f_j^p ∝ the factor of its pole's group, which divides u k times
         exponents = tuple((label, p, Fraction(_multiplicity(factor_of[label], u), 4))
@@ -383,7 +383,7 @@ class PotentialModel:
         margins = [Fraction(self._g.u_degree, 4) - lambda1 if end == T_INFINITY
                    else exponent[end][0] * (level.pole_residues[end] - exponent[end][1])
                    for end in self.t_ends if end != T_INFINITY or level.a0 == 0]
-        return all(to_complex(m).real > 0 for m in margins)
+        return all(sign(m) > 0 for m in margins)
 
     def classical_polynomial(self, assignment):
         """(family, indices, evaluator(t)) of the classical node polynomial, or None."""
@@ -430,7 +430,7 @@ class PotentialModel:
 
     # -- misc -------------------------------------------------------------------
     def describe_params(self):
-        return {k: (str(v) if isinstance(v, Fraction) else v) for k, v in self.params.items()}
+        return {k: v if isinstance(v, int) else str(v) for k, v in self.params.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +735,7 @@ class AssociatedLameModel(PotentialModel):
         af, bf, mf = float(self.a), float(self.b), float(self.m)
         return (af * (af + 1) * mf * sn**2
                 + bf * (bf + 1) * mf * cn**2 / dn**2
-                + float(self.shift))
+                + to_complex(self.shift).real)
 
     def to_t(self, x):
         return self._sn_cn_dn(x)[0]
@@ -792,11 +792,7 @@ class LameModel(IntegerLameModel):
     param_decls = (Param("j", "integer", "[1, 50]", "band family order"), _ELLIPTIC_M, _SHIFT)
 
     def _default_shift(self):
-        if self.j == 2:
-            m = self.m
-            delta = math.sqrt(float(1 - m + m * m))
-            return Fraction(2 * delta) - 2 * m - 2
-        return Fraction(0)
+        return 2 * sqrt(1 - self.m + self.m ** 2) - 2 * self.m - 2 if self.j == 2 else Fraction(0)
 
 
 class AssociatedLameESModel(IntegerLameModel):
@@ -811,11 +807,7 @@ class AssociatedLameESModel(IntegerLameModel):
     b_equals_j = True
 
     def _default_shift(self):
-        if self.j == 1:
-            m = self.m
-            root = math.sqrt(float(1 - m))
-            return Fraction(2 * root) - m - 2
-        return Fraction(0)
+        return 2 * sqrt(1 - self.m) - self.m - 2 if self.j == 1 else Fraction(0)
 
 
 QES_RELATIONS = ("b - a = -n - 2", "a + b + 1 = n + 2", "b - a = -n - 1", "a + b = n")
@@ -848,8 +840,7 @@ class AssociatedLameQESModel(AssociatedLameModel):
         if (a, b) == (Fraction(2), Fraction(1)):
             return -4 * m
         if (a, b) == (Fraction(7, 2), Fraction(1, 2)):
-            d9 = math.sqrt(float(25 * m * m - 4 * m + 4))
-            return Fraction(d9) - 2 - Fraction(29, 4) * m
+            return sqrt(25 * m * m - 4 * m + 4) - 2 - Fraction(29, 4) * m
         return Fraction(0)
 
 
@@ -932,7 +923,7 @@ class KhareMandalModel(PotentialModel):
 
     def g_declaration(self):
         # t = cosh 2x:  Ṽ = −(ζt − iM)² = M² + 2iMζ·t − ζ²t², u = 4(t² − 1)
-        v = (Fraction(self.M ** 2), ExactComplex(0, 2 * self.M * self.zeta), -self.zeta ** 2)
+        v = (Fraction(self.M ** 2), 2 * self.M * self.zeta * sqrt(-1), -self.zeta ** 2)
         return _UNIT_POLES, (v, (1,)), (-4, 0, 4)
 
     def prefactors(self, xs):

@@ -11,11 +11,11 @@ G is exact data, its value at E = 0 plus its exact slope in E; the residues
 refuse one they read with a nonzero slope (EnergyRequiredError), since there
 the sum rule solves for E instead (quantization.closed_form_levels).
 
-Each pair is computed once, on exactmath's rule: a square root is exact when
-it is rational and a complex float otherwise, and each result is settled
-once.  So a pair is exact when its discriminant is a rational square, and the
-second branch is computed as (1 − first), so the root sum is exactly 1 by
-construction.
+Each pair is computed once, on exactmath's rules: every coefficient read is
+settled (a float is refused), and a square root is exact, a Fraction when it
+is rational and a quadratic surd (Surd) otherwise.  So every pair is exact,
+and the second branch is computed as (1 − first), so the root sum is exactly
+1 by construction.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .errors import EnergyRequiredError, UnsupportedExpansionError
-from .exactmath import ExactComplex, settle, sort_key, sqrt
+from .exactmath import Surd, settle, sort_key, sqrt
 
-Scalar = Union[int, float, complex, Fraction, ExactComplex]
+Scalar = Union[int, Fraction, Surd]
 
 ORIGIN_FINITE = "finite_pole"
 ORIGIN_INFINITY_A0_NONZERO = "infinity_a0_nonzero"
@@ -76,15 +76,15 @@ class ResidueBranch:
 
 
 def _energy_free(value, slope, what):
-    """value, refused when the coefficient moves with E: the sum rule then solves for E."""
+    """value, settled; refused when the coefficient moves with E (the sum rule solves for E)."""
     if slope != 0:
         raise EnergyRequiredError("%s depends on the energy" % what)
-    return value
+    return settle(value)
 
 
 def _quadratic_branch_pair(q):
-    """Ordered roots (r, 1−r) of  b² − b + q = 0, exact when 1 − 4q is a rational square."""
-    first = settle((1 + sqrt(1 - 4 * q)) / 2)
+    """Ordered roots (r, 1−r) of  b² − b + q = 0, exactly."""
+    first = (1 + sqrt(1 - 4 * q)) / 2
     return tuple(sorted((first, 1 - first), key=sort_key))
 
 
@@ -116,7 +116,7 @@ def infinity_residues(expansion):
         return ResidueBranch(values=values, origin=ORIGIN_INFINITY_A0_ZERO,
                              a0_values=(zero, zero))
     root = sqrt(-g0)
-    pairs = sorted(((settle(-g1 / (2 * a0)), settle(a0)) for a0 in (root, -root)),
+    pairs = sorted(((-g1 / (2 * a0), a0) for a0 in (root, -root)),
                    key=lambda p: sort_key(p[0]) + sort_key(p[1]))
     return ResidueBranch(values=(pairs[0][0], pairs[1][0]),
                          origin=ORIGIN_INFINITY_A0_NONZERO,

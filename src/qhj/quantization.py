@@ -15,8 +15,8 @@ otherwise the boundary rule's (ψ must vanish at each end of the domain).
 Where a coefficient of G that the sum rule reads has a nonzero slope in E
 (hydrogen-like, trigonometric Scarf, inverse-sin² cell, complex Scarf),
 closed_form_levels() solves the sum rule for E from its exact value and
-slope, exactly when the parameters are rational.  Where none has, E stays
-a pencil unknown for the polynomial-identity solver (model.uses_pencil).
+slope, exactly: E is a Fraction or a Surd, as the residues are.  Where none
+has, E stays a pencil unknown for the polynomial-identity solver.
 
 PotentialModel.assignments builds every family's sets from the branch pairs
 of its declared G, and PotentialModel.normalizable is the boundary rule; a
@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from .errors import NoAdmissibleAssignmentError
-from .exactmath import settle
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ def closed_form_levels(model, sets, count):
             else:
                 energy = (lam - lam * lam - g2) / d2
             level = replace(a, pole_residues=residues, lambda1=lam, a0=a0, n=n,
-                            energy=settle(energy))
+                            energy=energy)
             if not model.normalizable(level):
                 break
             rows.append(level)
@@ -144,7 +143,7 @@ def quantize(model, levels=4):
 
     Returns a QuantizationOutcome whose kind is one of es_spectrum,
     qes_condition, band_edge_group, pt_group.  Closed-form models get their
-    levels from closed_form_levels (exact for rational parameters); pencil models
+    levels from closed_form_levels, exactly; pencil models
     keep E unknown and defer to the polynomial-identity solver.
     Raises NoAdmissibleAssignmentError when every set is rejected.
     """

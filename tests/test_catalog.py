@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 from qhj.errors import ParameterError, SingularPointError, UnknownModelError
-from qhj.exactmath import ExactComplex, as_exact, to_complex
+from qhj.exactmath import Surd, as_exact, sqrt, to_complex
 from qhj.polynomial_system import solve_spectrum
 from qhj.potential_catalog import (MODEL_CLASSES, MODEL_IDS, PARAM_DENOMINATOR,
                                    PARAM_SCHEMAS, AssociatedLameModel,
@@ -241,7 +241,7 @@ def _elliptic_g(model, E):
 def _khare_mandal_g(model, E):
     z, M = model.zeta, model.M
     return ({"t=+1": Fraction(3, 16), "t=-1": Fraction(3, 16)},
-            (z * z / 4, ExactComplex(Fraction(0), -Fraction(M) * z / 2),
+            (z * z / 4, -Fraction(M) * z / 2 * sqrt(-1),
              (E - M * M + z * z + 1) / 4))
 
 
@@ -316,7 +316,7 @@ def test_each_family_declares_g_once_and_exactly(mid):
     assert [name for k in cls.__mro__ if k is not PotentialModel
             for name in derived if name in vars(k)] == []
     _poles, (v_num, v_den), u = get_model(mid, **BASE_POINTS[mid]).g_declaration()
-    assert all(isinstance(c, (int, Fraction, ExactComplex)) for c in (*v_num, *v_den, *u))
+    assert all(isinstance(c, (int, Fraction, Surd)) for c in (*v_num, *v_den, *u))
 
 
 class TestParameterValidation:
@@ -580,7 +580,7 @@ def test_knob_guard_sees_each_form():
 
 def _exactness_choices(tree):
     """Lines that pick exact or float arithmetic themselves: import cmath, call
-    .as_fraction() or test isinstance(…, ExactComplex)."""
+    .as_fraction() or test isinstance(…, Surd)."""
     hits = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -591,7 +591,7 @@ def _exactness_choices(tree):
             bad = node.func.attr == "as_fraction"
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id == "isinstance" and len(node.args) == 2):
-            bad = any(getattr(n, "id", getattr(n, "attr", None)) == "ExactComplex"
+            bad = any(getattr(n, "id", getattr(n, "attr", None)) == "Surd"
                       for n in ast.walk(node.args[1]))
         else:
             bad = False
@@ -601,9 +601,9 @@ def _exactness_choices(tree):
 
 
 def test_only_exactmath_chooses_between_exact_and_float():
-    # the rule "a root is exact when rational, a result is settled once"
-    # lives in exactmath.sqrt and exactmath.settle; a module that branches on
-    # number types itself starts a second copy of it
+    # the rules "a root is exact, a Fraction or a Surd" and "a value is settled
+    # once, a float refused" live in exactmath.sqrt and exactmath.settle; a
+    # module that branches on number types itself starts a second copy of them
     package = Path(__file__).resolve().parents[1] / "src" / "qhj"
     found = {}
     for path in sorted(package.glob("*.py")):
@@ -631,6 +631,39 @@ def _numpy_polynomial_uses(tree):
         if bad:
             hits.add(node.lineno)
     return sorted(hits)
+
+
+def test_one_exact_scalar_and_no_tolerance_in_the_identity_checks():
+    # Surd is the one irrational scalar: no second exact type, no float path in
+    # Poly, and no tolerance left for the identity's remainder and overflow rows
+    from qhj import exactmath, polynomial_system
+    assert not any(hasattr(exactmath, name) for name in ("ExactComplex", "exact_sqrt"))
+    with pytest.raises(TypeError):
+        exactmath.Poly.of([0.5])
+    assert not any(hasattr(polynomial_system, name)
+                   for name in ("_DIV_TOL", "_FIXED_TOL", "_refuted"))
+
+
+WORKED_SHIFTS = (
+    # (family, params, the radicand r and the rest c of shift = k·√r + c, k)
+    ("lame", dict(j=2), lambda m: (1 - m + m * m, -2 * m - 2), 2),
+    ("assoc_lame_es", dict(j=1), lambda m: (1 - m, -m - 2), 2),
+    ("assoc_lame_qes", dict(a=Fraction(7, 2), b=Fraction(1, 2)),
+     lambda m: (25 * m * m - 4 * m + 4, -2 - Fraction(29, 4) * m), 1),
+)
+
+
+@pytest.mark.parametrize("mid,params,form,k", WORKED_SHIFTS)
+@settings(max_examples=8, deadline=None)
+@given(m=st.fractions(0, 1, max_denominator=97).filter(lambda m: 0 < m < 1))
+def test_worked_default_shifts_are_exact_and_zero_the_lowest_edge(mid, params, form, k, m):
+    model = get_model(mid, m=m, **params)
+    radicand, rest = form(m)
+    root = (model.shift - rest) / k
+    assert as_exact(model.shift) is not None
+    assert root * root == radicand and to_complex(root).real > 0
+    lowest = solve_spectrum(model).solutions[0].energy
+    assert abs(to_complex(lowest)) <= 1e-12
 
 
 def test_no_module_uses_numpy_polynomial():
@@ -661,12 +694,12 @@ def test_exactness_guard_sees_each_form():
     code = ("import cmath\n"
             "from cmath import sqrt\n"
             "x = z.as_fraction()\n"
-            "if isinstance(z, ExactComplex): pass\n"
-            "ok = isinstance(z, (Fraction, exactmath.ExactComplex))\n"
+            "if isinstance(z, Surd): pass\n"
+            "ok = isinstance(z, (Fraction, exactmath.Surd))\n"
             "import math, os\n"
             "y = isinstance(z, Fraction)\n"
             "f = z.as_fraction\n"
-            "w = ExactComplex(1, 2)\n")
+            "w = Surd((1, 2), 1, (-1,))\n")
     assert _exactness_choices(ast.parse(code)) == [1, 2, 3, 4, 5]
 
 

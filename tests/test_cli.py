@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, deterministic output."""
 
+import cmath
 import importlib.util
 import json
 import subprocess
@@ -77,6 +78,20 @@ class TestSolve:
                                "--param", "B=0", "--format", "json")
         assert code == EXIT_OK
         assert [r["energy_exact"] for r in json.loads(out)["levels"]] == ["-1"]
+
+    @pytest.mark.parametrize("A,B", [("1", "1/2"), ("1", "2"), ("2", "0")])
+    def test_every_complex_scarf_level_carries_an_exact_energy(self, capsys, A, B):
+        # real phase, broken phase (complex surds), rational residues: each exact
+        # energy reads back in cmath as the level's float energy
+        code, out, _ = run_cli(capsys, "solve", "complex_scarf", "--param", "A=" + A,
+                               "--param", "B=" + B, "--format", "json")
+        assert code == EXIT_OK
+        rows = json.loads(out)["levels"]
+        assert rows and all(r["energy_exact"] is not None for r in rows)
+        for r in rows:
+            value = complex(eval(r["energy_exact"], {"sqrt": cmath.sqrt}))
+            assert abs(value - complex(r["energy_re"], r["energy_im"])) <= 1e-12 * abs(value)
+        assert any(r["energy_im"] for r in rows) == (B == "2")
 
     def test_scarf1_sets_name_their_root_at_each_wall(self, capsys):
         # exponent_<lower wall>_<upper wall>, plus for the principal root
@@ -425,6 +440,22 @@ class TestScanDiff:
         assert out[2].split()[:4] == ["lame", "verify", "|dE|", "3.358e-12"]
         assert out[2].endswith("(1 / 2)")
         assert len(out) == 3
+
+    def test_moved_text_fields_of_a_json_reply_are_reported_by_path(self, tmp_path, capsys):
+        # equal numbers, but an exact energy appears and a channel tag moves
+        old = _write(tmp_path, _SCAN.replace('"energy_re": 0.75}',
+                                             '"energy_re": 0.75, "energy_exact": null, '
+                                             '"bc_class": "periodic"}'))
+        new = tmp_path / "new.txt"
+        new.write_text(_SCAN.replace('"energy_re": 0.75}',
+                                     '"energy_re": 0.75, "energy_exact": "3/4", '
+                                     '"bc_class": "antiperiodic"}'))
+        assert _load_scan_diff().main([old, str(new)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("other JSON fields changed")
+        assert [line.split() for line in out[1:]] == [
+            ["hydrogen", "solve", "levels.bc_class", "(1", "/", "1)"],
+            ["hydrogen", "solve", "levels.energy_exact", "(1", "/", "1)"]]
 
     def test_a_moved_verdict_or_exit_code_fails(self, tmp_path, capsys):
         old = tmp_path / "old.txt"

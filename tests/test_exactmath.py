@@ -1,5 +1,6 @@
-"""Exact rational/complex helpers used by the residue algebra."""
+"""Exact scalars (Fraction and Surd) and polynomials used by the residue algebra."""
 
+import cmath
 from fractions import Fraction
 from functools import reduce
 from itertools import zip_longest
@@ -8,75 +9,152 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qhj.exactmath import (ExactComplex, Poly, as_exact, exact_sqrt, real_or_complex, settle,
-                           sort_key, sqrt, sqrt_fraction, to_complex)
+from qhj.exactmath import (Poly, Surd, as_exact, real_or_complex, settle, sign, sort_key, sqrt,
+                           to_complex)
 
 rationals = st.fractions(min_value=-100, max_value=100)
 
 
-class TestSqrtFraction:
-    def test_perfect_square(self):
-        assert sqrt_fraction(Fraction(9, 4)) == Fraction(3, 2)
-
-    def test_imperfect_square_is_none(self):
-        assert sqrt_fraction(Fraction(2)) is None
-
-    def test_negative_argument_is_rejected(self):
-        with pytest.raises(ValueError):
-            sqrt_fraction(Fraction(-1))
-
-    @settings(max_examples=100, deadline=None)
-    @given(q=rationals)
-    def test_square_roundtrip(self, q):
-        root = sqrt_fraction(q * q)
-        assert root == abs(q)
+I = sqrt(-1)
+small = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+# radicands: squares, ±1, rationals, and pairs (2, 8) and (3, 12) a square apart
+radicands = st.one_of(st.sampled_from([2, 8, 3, 12, -1, -3, -4, 5, Fraction(9, 4)]),
+                      st.fractions(min_value=-40, max_value=40, max_denominator=12))
 
 
-class TestExactComplex:
+def _element(coords, d1, d2):
+    """a + b·√d1 + c·√d2 + e·√d1·√d2, as a Surd or a Fraction."""
+    a, b, c, e = coords
+    return a + b * sqrt(d1) + c * sqrt(d2) + e * sqrt(d1) * sqrt(d2)
+
+
+def _element_float(coords, d1, d2):
+    """The same expression in cmath, and the sum of its terms' moduli."""
+    a, b, c, e = (float(x) for x in coords)
+    r1, r2 = cmath.sqrt(float(d1)), cmath.sqrt(float(d2))
+    terms = (a, b * r1, c * r2, e * r1 * r2)
+    return sum(terms), sum(abs(t) for t in terms)
+
+
+quadruples = st.tuples(small, small, small, small)
+
+
+class TestSurd:
     def test_arithmetic(self):
-        z = ExactComplex(Fraction(1, 2), Fraction(3, 4))
-        w = ExactComplex(Fraction(2), Fraction(-1))
+        z = Fraction(1, 2) + Fraction(3, 4) * I
+        w = 2 - I
         assert to_complex(z + w) == complex(2.5, -0.25)
         assert to_complex(z * w) == to_complex(z) * to_complex(w)
         q = z / w
+        assert q * w == z
         assert to_complex(q * w) == pytest.approx(to_complex(z), abs=1e-15)
 
     def test_sqrt_of_negative_real(self):
-        z = ExactComplex(Fraction(-9, 4), Fraction(0))
-        root = z.sqrt()
-        assert root is not None
+        root = sqrt(Fraction(-9, 4))
+        assert type(root) is Surd and root.p.gens == (-1,)
         assert to_complex(root) == complex(0.0, 1.5)
+        assert root * root == Fraction(-9, 4)
 
-    def test_sqrt_general_exact_case(self):
-        # (1 + 2i)² = −3 + 4i: the root of −3+4i is exactly representable
-        z = ExactComplex(Fraction(-3), Fraction(4))
-        root = z.sqrt()
-        assert root is not None
-        assert to_complex(root * root) == pytest.approx(-3 + 4j, abs=1e-15)
+    def test_the_root_of_a_surd_is_refused(self):
+        # the residue route takes roots of rationals only, even where one denests:
+        # (1 + 2i)² = −3 + 4i
+        for value in (-3 + 4 * I, 1 + I, sqrt(2)):
+            with pytest.raises(ValueError):
+                sqrt(value)
 
-    def test_sqrt_inexact_case_is_none(self):
-        assert ExactComplex(Fraction(1), Fraction(1)).sqrt() is None
+    def test_a_rational_value_is_a_fraction_and_a_surd_is_never_zero(self):
+        assert type(I - I) is Fraction and not (I - I)
+        assert type(I * I) is Fraction and I * I == -1
+        assert Fraction(1, 3) * I and -2 + 0 * I == -2
 
-    def test_only_zero_is_false(self):
-        assert not ExactComplex(0, 0)
-        assert ExactComplex(0, Fraction(1, 3)) and ExactComplex(-2, 0)
-
-    def test_parts_are_fractions_and_fractions_are_kept(self):
-        half = Fraction(1, 2)
-        z = ExactComplex(half, Fraction(0))
-        assert z.re is half
-        w = ExactComplex(1, 2)
-        assert (type(w.re), type(w.im)) == (Fraction, Fraction)
+    def test_numerators_are_integers_over_one_positive_denominator(self):
+        z = Fraction(1, 6) - Fraction(1, 4) * sqrt(2)
+        assert (z.p.parts, z.p.den, z.p.gens) == ([[2], [-3]], 12, (2,))
+        w = sqrt(Fraction(-2, 3))      # √(p/q) = √(pq)/q: the generator pq, never factored
+        assert (w.p.parts, w.p.den, w.p.gens) == ([[0], [1]], 3, (-6,))
+        v = sqrt(Fraction(12, 25))     # a square q leaves the generator p
+        assert (v.p.parts, v.p.den, v.p.gens) == ([[0], [1]], 5, (12,))
 
     @pytest.mark.parametrize("other", [3, Fraction(3), True])
     def test_exact_real_operands_stay_exact(self, other):
-        z = ExactComplex(Fraction(1, 2), Fraction(-1))
+        z = Fraction(1, 2) - I
         value = int(other)
-        for got, want in [(z + other, (Fraction(1, 2) + value, -1)),
-                          (other - z, (value - Fraction(1, 2), 1)),
-                          (z * other, (Fraction(value, 2), -value))]:
-            assert isinstance(got, ExactComplex) and (got.re, got.im) == want
-        assert ExactComplex(value, 0) == other
+        for got, want in [(z + other, Fraction(1, 2) + value - I),
+                          (other - z, value - Fraction(1, 2) + I),
+                          (z * other, Fraction(value, 2) - value * I)]:
+            assert isinstance(got, Surd) and got == want
+        assert (value + 0 * I) == other
+
+    def test_the_product_of_two_negative_roots(self):
+        # √−1·√−3 = i·i√3 = −√3: a symbol of its own, not √((−1)(−3))
+        assert I * sqrt(-3) == -sqrt(3)
+        assert sqrt(-2) * sqrt(-8) == -4 and sqrt(2) * sqrt(8) == 4
+        assert to_complex(sqrt(-3) * sqrt(-5)) == pytest.approx(-15 ** 0.5, rel=1e-15)
+
+    def test_an_exact_zero(self):
+        r2, r3 = sqrt(2), sqrt(3)
+        zero = (r2 + r3) * (r2 + r3) - 5 - 2 * r2 * r3
+        assert zero == 0 and type(zero) is Fraction
+        assert sign(zero) == 0 and sign(sqrt(-3)) == 0      # no real part
+
+    def test_one_value_in_two_fields_is_equal_and_hashes_equal(self):
+        assert sqrt(8) == 2 * sqrt(2) and hash(sqrt(8)) == hash(2 * sqrt(2))
+        assert sqrt(3) * sqrt(-1) == sqrt(-3)
+        assert sqrt(2) != sqrt(3) and 1 + sqrt(2) != 1 + sqrt(3)
+
+    def test_a_third_generator_is_refused(self):
+        with pytest.raises(ValueError):
+            sqrt(2) + sqrt(3) + sqrt(5)
+        assert sqrt(2) + sqrt(3) != sqrt(5) and sqrt(2) * sqrt(3) != sqrt(5)
+
+    def test_the_text_reads_back_in_cmath(self):
+        z = (1 - 3 * sqrt(2) + sqrt(-3) * sqrt(2)) / 7
+        assert str(z) == "(1 - 3*sqrt(2) + sqrt(2)*sqrt(-3))/7"
+        assert eval(str(z), {"sqrt": cmath.sqrt}) == pytest.approx(to_complex(z), rel=1e-15)
+        assert (str(-sqrt(5) / 2), str(sqrt(-1))) == ("-sqrt(5)/2", "sqrt(-1)")
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=quadruples, y=quadruples, z=quadruples, d1=radicands, d2=radicands)
+    def test_ring_axioms(self, x, y, z, d1, d2):
+        x, y, z = (_element(c, d1, d2) for c in (x, y, z))
+        assert x + y == y + x and x * y == y * x
+        assert (x + y) + z == x + (y + z) and (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
+        assert x - x == 0 and x + 0 == x and x * 1 == x and -(-x) == x
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=quadruples, c=small, d=radicands, d1=radicands, d2=radicands, q=small, r=small)
+    def test_division_by_a_rational_or_by_one_radical(self, x, c, d, d1, d2, q, r):
+        x = _element(x, d1, d2)
+        assume(c != 0)
+        assert (x / c) * c == x and x / c == x * (1 / c)
+        radical = q + r * sqrt(d)            # one generator, or a rational
+        assume(radical != 0)
+        try:
+            quotient = x / radical
+        except ValueError:                   # d brings a third generator
+            return
+        assert quotient * radical == x and 1 / (1 / radical) == radical
+
+    @settings(max_examples=200, deadline=None)
+    @given(coords=quadruples, d1=radicands, d2=radicands)
+    def test_to_complex_is_cmath_on_the_same_expression(self, coords, d1, d2):
+        value, scale = _element_float(coords, d1, d2)
+        assert abs(to_complex(_element(coords, d1, d2)) - value) <= 1e-15 * scale
+
+    @settings(max_examples=300, deadline=None)
+    @given(coords=quadruples, d1=radicands, d2=radicands)
+    def test_sign_is_the_float_sign_away_from_zero(self, coords, d1, d2):
+        x = _element(coords, d1, d2)
+        real = to_complex(x).real
+        if abs(real) > 1e-9:
+            assert sign(x) == (1 if real > 0 else -1)
+        assert sign(-x) == -sign(x)
+
+    def test_sign_decides_a_part_far_below_float_resolution(self):
+        # 1 + √2 differs from this rational by less than 1e-30
+        x = 1 + sqrt(2) - Fraction(24142135623730950488016887242096, 10 ** 31)
+        assert sign(x) == 1 and sign(-x) == -1 and abs(to_complex(x)) < 1e-30
 
 
 class TestConversions:
@@ -85,39 +163,43 @@ class TestConversions:
         assert as_exact(Fraction(1, 3)) == Fraction(1, 3)
         assert as_exact(0.5) is None          # floats are never trusted as exact
         assert as_exact(1 + 2j) is None       # same for float-backed complex
-        z = ExactComplex(Fraction(1), Fraction(2))
+        z = 1 + 2 * I
         assert as_exact(z) is z
 
     def test_real_or_complex_drops_only_an_exactly_zero_imaginary_part(self):
-        for value, want in [(Fraction(1, 4), 0.25), (ExactComplex(-3, 0), -3.0), (2 + 0j, 2.0)]:
+        for value, want in [(Fraction(1, 4), 0.25), (-3 + 0 * I, -3.0), (2 + 0j, 2.0)]:
             got = real_or_complex(value)
             assert type(got) is float and got == want
-        for value in (ExactComplex(1, Fraction(1, 10 ** 20)), 1 + 1e-300j):
+        for value in (1 + Fraction(1, 10 ** 20) * I, 1 + 1e-300j):
             got = real_or_complex(value)
             assert type(got) is complex and got.imag != 0.0
 
-    def test_exact_sqrt(self):
-        assert exact_sqrt(Fraction(16, 25)) == Fraction(4, 5)
-        assert exact_sqrt(Fraction(-4)) == ExactComplex(Fraction(0), Fraction(2))
-        assert exact_sqrt(Fraction(3)) is None
+    def test_sqrt_of_rationals(self):
+        assert sqrt(Fraction(16, 25)) == Fraction(4, 5)
+        assert sqrt(Fraction(-4)) == 2 * I
+        root = sqrt(Fraction(3))
+        assert type(root) is Surd and root * root == 3
 
 
 class TestOneRule:
-    def test_sqrt_is_exact_when_rational_else_complex_float(self):
+    def test_sqrt_is_exact_a_fraction_when_rational_else_a_surd(self):
         assert sqrt(Fraction(9, 4)) == Fraction(3, 2)
-        assert sqrt(-4) == ExactComplex(0, 2)
-        assert sqrt(ExactComplex(3, 4)) == ExactComplex(2, 1)
-        for value in (Fraction(2), 2.25, ExactComplex(1, 1)):
-            assert type(sqrt(value)) is complex
-        assert sqrt(Fraction(2)) == pytest.approx(2 ** 0.5)
+        assert sqrt(-4) == 2 * I
+        assert type(sqrt(Fraction(2))) is Surd
+        assert to_complex(sqrt(Fraction(2))) == 2 ** 0.5
+        for value in (2.25, 1 + 1j):
+            with pytest.raises(TypeError):
+                sqrt(value)
 
     def test_settle(self):
-        assert type(settle(ExactComplex(Fraction(1, 3), 0))) is Fraction
-        assert type(settle(3)) is Fraction
-        assert settle(ExactComplex(1, 2)) == ExactComplex(1, 2)
-        assert settle(complex(2.0, 1e-15)) == 2.0 and type(settle(complex(2.0, 1e-15))) is float
-        assert type(settle(complex(2.0, 1e-13))) is complex
-        assert type(settle(0.5)) is float
+        assert type(settle(3)) is Fraction and settle(3) == 3
+        assert settle(Fraction(1, 3)) == Fraction(1, 3)
+        z = 1 + 2 * I
+        assert settle(z) is z
+        assert type(settle(I * I)) is Fraction
+        for value in (complex(2.0, 1e-15), complex(2.0, 1e-13), 0.5, True):
+            with pytest.raises(TypeError):
+                settle(value)
 
 
 class TestSortKey:
@@ -130,7 +212,7 @@ class TestSortKey:
         assert to_complex(ordered[3]) == complex(0.5, 0)
 
 
-# -- the reference: ascending coefficient lists of Fraction/ExactComplex ------
+# -- the reference: ascending coefficient lists of Fraction/Surd ----------------
 
 def _ref_add(*polys):
     return [sum(cs, Fraction(0)) for cs in zip_longest(*polys, fillvalue=0)]
@@ -172,9 +254,10 @@ def _ref_expansion(num, den, terms=3):
     return out
 
 
-small = st.fractions(min_value=-20, max_value=20, max_denominator=30)
-gaussian = st.one_of(small, st.builds(ExactComplex, small, small))
-SCALARS = {"rational": small, "gaussian": gaussian}
+gaussian = st.one_of(small, st.builds(lambda re, im: re + im * I, small, small))
+# Q(√2, √−3), with the product symbol √2·√−3
+biquadratic = st.one_of(small, st.builds(lambda c: _element(c, 2, -3), quadruples))
+SCALARS = {"rational": small, "gaussian": gaussian, "biquadratic": biquadratic}
 
 
 def _polys(scalars, min_size=0):
@@ -197,7 +280,6 @@ class TestExactPolynomials:
         assert list(Poly.of(p) * Poly.of(q)) == _ref_mul(p, q)
         assert list(Poly.of(p).scale(c)) == [c * x for x in p]
         assert list(Poly.of(p).der()) == _ref_der(p)
-        assert list(Poly.of(p).shift(2)) == [0, 0] + p
         assert Poly.of(p).at(t) == _ref_at(p, t)
         assert bool(Poly.of(p)) == any(x != 0 for x in p)
 
@@ -240,26 +322,27 @@ class TestExactPolynomialExamples:
         assert Poly.of([1]).expansion_at_infinity(Poly.of([-a, 0, 1])) == [0, 0, 1]
 
     def test_complex_coefficients_stay_exact(self):
-        i = ExactComplex(0, 1)
-        assert list(Poly.of((i, 1)) * Poly.of((-i, 1))) == [1, 0, 1]         # (t + i)(t − i)
-        assert Poly.of((i, 1)).at(Fraction(-1, 2)) == ExactComplex(Fraction(-1, 2), 1)
+        assert list(Poly.of((I, 1)) * Poly.of((-I, 1))) == [1, 0, 1]         # (t + i)(t − i)
+        assert Poly.of((I, 1)).at(Fraction(-1, 2)) == Fraction(-1, 2) + I
 
-    def test_exact_complex_zeros_read_as_fractions(self):
-        # a coefficient with no imaginary part reads as a Fraction
-        zero, i = ExactComplex(0, 0), ExactComplex(0, 1)
-        out = list(Poly.of((zero, 1)) * Poly.of((i, zero)))
-        assert out == [0, i, 0] and [type(c) for c in out] == [Fraction, ExactComplex, Fraction]
+    def test_coefficients_without_a_generator_read_as_fractions(self):
+        # a coefficient with no irrational part reads as a Fraction, and a product
+        # whose parts cancel drops the generator: (√2·t + 1)(√2·t − 1) = 2t² − 1
+        out = list(Poly.of((0, 1)) * Poly.of((I, 0)))
+        assert out == [0, I, 0] and [type(c) for c in out] == [Fraction, Surd, Fraction]
+        product = Poly.of((1, sqrt(2))) * Poly.of((-1, sqrt(2)))
+        assert product.gens == () and list(product) == [-1, 0, 2]
 
     def test_integer_numerators_over_one_denominator(self):
-        p = Poly.of((Fraction(1, 6), Fraction(-1, 4), ExactComplex(0, Fraction(1, 3))))
-        assert (p.re, p.im, p.den) == ([2, -3, 0], [0, 0, 4], 12)
-        assert (p.scale(12).den, p.scale(12).re) == (1, [2, -3, 0])     # content taken once
+        p = Poly.of((Fraction(1, 6), Fraction(-1, 4), Fraction(1, 3) * I))
+        assert (p.parts, p.gens, p.den) == ([[2, -3, 0], [0, 0, 4]], (-1,), 12)
+        assert (p.scale(12).den, p.scale(12).parts[0]) == (1, [2, -3, 0])   # content taken once
+        q = Poly.of((sqrt(2), sqrt(-3)))
+        assert (q.parts, q.gens, q.den) == ([[0, 0], [1, 0], [0, 1], [0, 0]], (2, -3), 1)
 
-    @settings(max_examples=100, deadline=None)
-    @given(p=st.lists(small, min_size=1, max_size=5),
-           f=st.lists(st.floats(-10, 10), min_size=1, max_size=5))
-    def test_a_float_makes_it_inexact_term_by_term(self, p, f):
-        # a float coefficient rounds the exact one it meets, as the reference does
-        assert list(Poly.of(p) * Poly.of(f)) == _ref_mul(p, f)
-        assert list(Poly.of(p) + Poly.of(f)) == _ref_add(p, f)
-        assert (Poly.of(p) * Poly.of(f)).den is None
+    def test_a_float_is_refused(self):
+        for coeffs in ((0.5,), (1, 2.0), (Fraction(1, 2), 1j)):
+            with pytest.raises(TypeError):
+                Poly.of(coeffs)
+        with pytest.raises(TypeError):
+            Poly.of((1, 2)).scale(0.5)

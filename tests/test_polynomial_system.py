@@ -19,7 +19,7 @@ from numpy.polynomial import polynomial as P
 
 from qhj import (NoAdmissibleAssignmentError, NonlinearEnergyError, QhjError,
                  enumerate_assignments, get_model, polynomial_system, quantize)
-from qhj.exactmath import ExactComplex, as_exact, to_complex
+from qhj.exactmath import Surd, as_exact, sqrt, to_complex
 from qhj.polynomial_system import (PolynomialOnT, _identity, _kernel_vectors, _off_basis,
                                    _pole_sums, build_fixed_system, build_pencil,
                                    closed_form_deviation, solve_pencil,
@@ -135,13 +135,13 @@ class _Declared(PotentialModel):
 
 
 def _is_exact(poly):
-    return all(isinstance(c, (Fraction, ExactComplex)) for c in poly)
+    return all(isinstance(c, (Fraction, Surd)) for c in poly)
 
 
 class TestIdentityParts:
     @settings(max_examples=200, deadline=None)
     @given(roots=st.lists(_small, min_size=1, max_size=4, unique=True), data=st.data(),
-           a0=st.one_of(_small, st.builds(ExactComplex, _small, _small)))
+           a0=st.one_of(_small, st.builds(lambda re, im: re + im * sqrt(-1), _small, _small)))
     def test_group_build_matches_the_pairwise_definition(self, roots, data, a0):
         # a root r is a single pole at r or the pair ±√r; no two locations coincide
         paired = data.draw(st.lists(st.booleans(), min_size=len(roots), max_size=len(roots)))
@@ -208,14 +208,14 @@ def _rounded_identities(model):
 
 
 def _assert_identities_are_exact(model):
-    # complex_scarf's residues, and so its energies, are floats where a
-    # discriminant is no rational square; every other input is exact
+    # every residue, a0 and energy is a Fraction or a Surd in every family, and
+    # so is every coefficient of the polynomials the rows are rounded from
     for a, polys in _rounded_identities(model):
-        inexact = [v for v in (*a.pole_residues.values(), a.energy)
+        inexact = [v for v in (*a.pole_residues.values(), a.a0, a.energy)
                    if v is not None and as_exact(v) is None]
-        assert not inexact or model.id == "complex_scarf"
+        assert not inexact
         assert len(polys) >= 3
-        assert all(_is_exact(poly) for poly in polys) == (not inexact)
+        assert all(_is_exact(poly) for poly in polys)
 
 
 @pytest.mark.parametrize("mid,params", ALL_CONFIGS)
@@ -275,9 +275,10 @@ class TestFixedSystem:
         slipped = level.energy + Fraction(1, 10**12)
         with pytest.raises(QhjError, match="rows above the node-polynomial degree"):
             build_fixed_system(model, replace(level, energy=slipped))
-        # float residues (complex_scarf) leave rounding noise, so floats keep a tolerance
-        sq, basis = build_fixed_system(model, replace(level, energy=float(slipped)))
-        assert basis == (0, 1, 2)
+        # no tolerance remains: a float energy is refused, not held to one
+        with pytest.raises(TypeError):
+            build_fixed_system(model, replace(level, energy=float(slipped)))
+        assert build_fixed_system(model, level)[1] == (0, 1, 2)
 
     def test_square_block_is_singular_only_at_the_level_energy(self):
         model = get_model("scarf1", A=2, B=HALF, alpha=1)
@@ -286,7 +287,7 @@ class TestFixedSystem:
         assert basis == (0, 1)
         s_right = np.linalg.svd(sq, compute_uv=False)
         assert s_right[-1] <= 1e-10 * s_right[0]
-        sq_bad, _ = build_fixed_system(model, replace(level1, energy=7.0))
+        sq_bad, _ = build_fixed_system(model, replace(level1, energy=Fraction(7)))
         s_wrong = np.linalg.svd(sq_bad, compute_uv=False)
         assert s_wrong[-1] > 1e-3 * s_wrong[0]
 

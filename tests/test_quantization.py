@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from qhj import (QES_RELATIONS, NoAdmissibleAssignmentError,
                  enumerate_assignments, get_model, qes_family, quantize)
 from qhj.errors import EnergyRequiredError
-from qhj.exactmath import ExactComplex, to_complex
+from qhj.exactmath import sqrt, to_complex
 from qhj.potential_catalog import MODEL_IDS
 from qhj.qmf_residues import InfinityExpansion, finite_pole_residues, infinity_residues
 from qhj.quantization import ResidueAssignment, level_verdict
@@ -351,7 +351,7 @@ class TestSumRuleSolve:
         model = get_model("khare_mandal", zeta=Fraction(1, 4), M=3)
         branch = infinity_residues(model.infinity_expansion())
         assert (branch.values[0], branch.a0_values[0]) == (
-            Fraction(3, 2), ExactComplex(Fraction(0), Fraction(1, 8)))
+            Fraction(3, 2), Fraction(1, 8) * sqrt(-1))
 
 
 # -- the reference: the five enumerations the catalog classes once carried,

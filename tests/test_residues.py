@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from qhj.errors import EnergyRequiredError, UnsupportedExpansionError
-from qhj.exactmath import ExactComplex, to_complex
+from qhj.exactmath import Surd, sqrt, to_complex
 from qhj.qmf_residues import (ORIGIN_FINITE, ORIGIN_INFINITY_A0_NONZERO,
                               ORIGIN_INFINITY_A0_ZERO, FixedPole,
                               InfinityExpansion, finite_pole_residues,
@@ -91,35 +91,39 @@ class TestFinitePoleResidues:
             finite_pole_residues(pole)
 
     def test_complex_strength(self):
-        pole = FixedPole(g2=ExactComplex(Fraction(0), Fraction(1, 4)),
-                         label="t=+1")
-        branch = finite_pole_residues(pole)
-        for b in branch.values:
-            z = to_complex(b)
-            assert abs(z * z - z + 0.25j) < 1e-12
+        # every catalog strength is rational, so the residues take roots of rationals
+        # only: a complex strength is refused, even where 1 − 4·g2 = 2i = (1 + i)²
+        i = sqrt(-1)
+        for g2 in (Fraction(1, 4) - i / 2, i / 4):
+            with pytest.raises(ValueError):
+                finite_pole_residues(FixedPole(g2=g2, label="t=+1"))
 
     def test_rational_complex_root_gives_an_exact_complex_pair(self):
-        # 1 − 4·g2 = 3 + 4i = (2 + i)²
-        g2 = ExactComplex(Fraction(-1, 2), Fraction(-1))
-        branch = finite_pole_residues(FixedPole(g2=g2, label="t=0"))
-        assert branch.values == (ExactComplex(Fraction(3, 2), Fraction(1, 2)),
-                                 ExactComplex(Fraction(-1, 2), Fraction(-1, 2)))
-        assert all(type(b) is ExactComplex for b in branch.values)
+        # 1 − 4·g2 = −4 = (2i)²: b = 1/2 ± i, Gaussian and exact
+        i = sqrt(-1)
+        pole = FixedPole(g2=Fraction(5, 4), label="t=0")
+        branch = finite_pole_residues(pole)
+        assert branch.values == (Fraction(1, 2) + i, Fraction(1, 2) - i)
+        assert all(type(b) is Surd and b.p.gens == (-1,) for b in branch.values)
+        assert all(b * b - b + pole.g2 == 0 for b in branch.values)
 
-    def test_irrational_root_gives_floats(self):
-        # 1 − 4·g2 = 2: b = (1 ± √2)/2, real, so settled to float
+    def test_irrational_root_gives_surds(self):
+        # 1 − 4·g2 = 2: b = (1 ± √2)/2, exact, with the root sum exactly 1
         pole = FixedPole(g2=Fraction(-1, 4), label="t=0")
         b1, b2 = finite_pole_residues(pole).values
-        assert (type(b1), type(b2)) == (float, float)
-        assert (b1, b2) == pytest.approx(((1 + math.sqrt(2)) / 2, (1 - math.sqrt(2)) / 2))
-        assert b1 + b2 == pytest.approx(1.0, abs=1e-15)
+        assert (type(b1), type(b2)) == (Surd, Surd)
+        assert (b1, b2) == ((1 + sqrt(2)) / 2, (1 - sqrt(2)) / 2)
+        assert b1 + b2 == 1 and b1 * b2 == pole.g2
+        assert to_complex(b1) == pytest.approx((1 + math.sqrt(2)) / 2, rel=1e-15)
 
-    def test_float_strength_gives_floats(self):
-        pole = FixedPole(g2=0.1875, label="t=0")
-        assert finite_pole_residues(pole).values == (0.75, 0.25)
-        assert all(type(b) is float for b in finite_pole_residues(pole).values)
-        pole = FixedPole(g2=0.5, label="t=0")     # 1 − 4·g2 = −1
-        assert finite_pole_residues(pole).values == (0.5 + 0.5j, 0.5 - 0.5j)
+    def test_float_strength_is_refused(self):
+        # a float carries no exactness claim: the residues refuse it, exact or not
+        for g2 in (0.1875, 0.5):
+            with pytest.raises(TypeError):
+                finite_pole_residues(FixedPole(g2=g2, label="t=0"))
+        pole = FixedPole(g2=Fraction(1, 2), label="t=0")     # 1 − 4·g2 = −1
+        assert finite_pole_residues(pole).values == (
+            Fraction(1, 2) + sqrt(-1) / 2, Fraction(1, 2) - sqrt(-1) / 2)
 
     @settings(max_examples=150, deadline=None)
     @given(g2=rational_g2)
@@ -127,10 +131,7 @@ class TestFinitePoleResidues:
         pole = FixedPole(g2=g2, label="t=0")
         branch = finite_pole_residues(pole)
         b1, b2 = branch.values
-        if isinstance(b1, Fraction) and isinstance(b2, Fraction):
-            assert b1 + b2 == 1
-        else:
-            assert abs(to_complex(b1) + to_complex(b2) - 1.0) < 1e-12
+        assert b1 + b2 == 1 and b1 * b2 == g2
 
     @settings(max_examples=150, deadline=None)
     @given(g2=rational_g2)
@@ -163,7 +164,7 @@ class TestInfinityResidues:
         # G0 = ζ²/4 > 0 forces a0 = ±iζ/2 and exponents ±M/2
         zeta, M = Fraction(1, 4), 3
         exp = InfinityExpansion(G0=zeta * zeta / 4,
-                                G1=ExactComplex(Fraction(0), -M * zeta / 2),
+                                G1=-M * zeta / 2 * sqrt(-1),
                                 G2=Fraction(0))
         branch = infinity_residues(exp)
         pairs = {(to_complex(l), to_complex(a)) for l, a in
@@ -173,19 +174,21 @@ class TestInfinityResidues:
         exact = [l for l in branch.values if isinstance(l, Fraction)]
         assert len(exact) == 2          # the exponents come out exactly rational
 
-    def test_irrational_slope_pair_is_float(self):
+    def test_irrational_slope_pair_is_exact(self):
         # a0² = −G0 = 2 has no rational root: a0 = ±√2 and λ1 = −G1/(2a0) = ∓1/√2
         branch = infinity_residues(InfinityExpansion(G0=Fraction(-2), G1=Fraction(2)))
         assert branch.origin == ORIGIN_INFINITY_A0_NONZERO
-        r = math.sqrt(2)
-        assert branch.values == pytest.approx((1 / r, -1 / r))
-        assert branch.a0_values == pytest.approx((-r, r))
-        assert all(type(v) is float for v in branch.values + branch.a0_values)
+        r = sqrt(2)
+        assert branch.values == (r / 2, -r / 2)
+        assert branch.a0_values == (-r, r)
+        assert all(type(v) is Surd for v in branch.values + branch.a0_values)
+        assert all(2 * a0 * lam == -2 for lam, a0 in zip(branch.values, branch.a0_values))
 
-    def test_float_leading_coefficient(self):
-        branch = infinity_residues(InfinityExpansion(G0=-1.0, G1=2.0))
-        assert list(zip(branch.values, branch.a0_values)) == [(1.0, -1.0), (-1.0, 1.0)]
-        assert all(type(v) is float for v in branch.values + branch.a0_values)
+    def test_float_leading_coefficient_is_refused(self):
+        for expansion in (InfinityExpansion(G0=-1.0, G1=2.0),
+                          InfinityExpansion(G0=Fraction(-1), G1=2.0)):
+            with pytest.raises(TypeError):
+                infinity_residues(expansion)
 
     def test_vanishing_leading_terms_give_quadratic_exponents(self):
         exp = InfinityExpansion(G0=Fraction(0), G1=Fraction(0), G2=Fraction(-6))
