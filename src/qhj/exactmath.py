@@ -391,8 +391,7 @@ class Surd:
 
 
 def _lift(value, refuse=False):
-    """An exact scalar as a constant Poly; a float or a complex gives None, or with
-    refuse a TypeError (settle)."""
+    """An exact scalar as a constant Poly; a float gives None, or TypeError with refuse."""
     if type(value) is Surd:
         return value.p
     if type(value) in (Fraction, int) or isinstance(value, Rational):    # the ABC check is slow
@@ -406,8 +405,7 @@ def _scalar(p):
 
 
 def as_exact(value):
-    """value as a Fraction or a Surd, or None for a float or a complex: they carry no
-    exactness claim."""
+    """value as a Fraction or a Surd, or None for a float or a complex (no exactness claim)."""
     if type(value) in (Fraction, Surd):
         return value
     return Fraction(value) if isinstance(value, Rational) and type(value) is not bool else None

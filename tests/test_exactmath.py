@@ -113,7 +113,7 @@ class TestSurd:
         assert eval(str(z), {"sqrt": cmath.sqrt}) == pytest.approx(to_complex(z), rel=1e-15)
         assert (str(-sqrt(5) / 2), str(sqrt(-1))) == ("-sqrt(5)/2", "sqrt(-1)")
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(x=quadruples, y=quadruples, z=quadruples, d1=radicands, d2=radicands)
     def test_ring_axioms(self, x, y, z, d1, d2):
         x, y, z = (_element(c, d1, d2) for c in (x, y, z))
@@ -122,7 +122,7 @@ class TestSurd:
         assert x * (y + z) == x * y + x * z
         assert x - x == 0 and x + 0 == x and x * 1 == x and -(-x) == x
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(x=quadruples, c=small, d=radicands, d1=radicands, d2=radicands, q=small, r=small)
     def test_division_by_a_rational_or_by_one_radical(self, x, c, d, d1, d2, q, r):
         x = _element(x, d1, d2)
@@ -142,7 +142,7 @@ class TestSurd:
         value, scale = _element_float(coords, d1, d2)
         assert abs(to_complex(_element(coords, d1, d2)) - value) <= 1e-15 * scale
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(coords=quadruples, d1=radicands, d2=radicands)
     def test_sign_is_the_float_sign_away_from_zero(self, coords, d1, d2):
         x = _element(coords, d1, d2)
