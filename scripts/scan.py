@@ -10,8 +10,9 @@ point also through `qhj wavefunction --samples 32` (state 0), and the
 script prints each command with its exit code, its stdout and its stderr.
 The output is deterministic, so two checkouts can be compared with diff.
 
-The script exits 1 when a command raised a Python traceback or exited with
-a non-zero code, else 0.
+The script exits 1 when a command raised a Python traceback, exited with a
+non-zero code, or printed a numpy floating-point warning (`overflow
+encountered in cosh`, for example) on stderr, else 0.
 """
 
 import random
@@ -26,6 +27,7 @@ from perfbench.workloads import ALL_CONFIGS, family_points      # noqa: E402
 
 SEEDS = range(1001, 1041)
 WAVEFUNCTION_SAMPLES = 32
+FLOATING_POINT_WARNING = " encountered in "     # numpy's RuntimeWarning text
 
 
 def points():
@@ -39,7 +41,7 @@ def points():
 
 
 def main():
-    failed, pts = 0, points()
+    failed, warned, pts = 0, 0, points()
     for mid, params in pts:
         args = [mid] + [arg for item in params.items() for arg in ("--param", "%s=%s" % item)]
         commands = [["verify", *args], ["solve", *args, "--format", "json"]]
@@ -48,10 +50,11 @@ def main():
         for argv in commands:
             code, out, err = run(argv)
             failed += code != 0
+            warned += FLOATING_POINT_WARNING in err
             print("$ qhj %s\nexit %s" % (" ".join(argv), code))
             sys.stdout.write(out + ("stderr:\n" + err if err else ""))
-    print("%d points, %d non-zero exits" % (len(pts), failed))
-    return 1 if failed else 0
+    print("%d points, %d non-zero exits, %d floating-point warnings" % (len(pts), failed, warned))
+    return 1 if failed or warned else 0
 
 
 if __name__ == "__main__":

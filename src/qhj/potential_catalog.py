@@ -424,8 +424,10 @@ class PotentialModel:
                 psi = psi * f ** e
             return psi * np.exp(a0 * t) * poly_eval(coeffs, t)
 
+        # an integer exponent prints bare, any other in parentheses: f^(5/4)
+        texts = (str(e) if getattr(e, "denominator", 0) == 1 else "(%s)" % e for e in exps)
         return WavefunctionRecipe(
-            form=self.recipe_form.format(*exps, n=len(coeffs) - 1, a0=a0),
+            form=self.recipe_form.format(*texts, n=len(coeffs) - 1, a0=a0),
             evaluator=evaluator, prefactors=self.prefactors)
 
     # -- misc -------------------------------------------------------------------

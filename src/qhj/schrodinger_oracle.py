@@ -11,10 +11,14 @@ declares, and diagonalizes them, providing the cross-check spectra.
   (one channel per choice of roots, see _channels), and φ is collocated on N
   Gauss–Chebyshev nodes with no endpoint rows.  A level's error estimate is
   the change from the solve at N to the one at 2N plus a rounding floor, and
-  it counts when that is ≤ 1e-4·(1 + |E|).  The nodes are mirror images,
-  s_{N−1−j} = −s_j, so the flip J of the node order carries a mirror symmetry
-  of the potential over to the matrix; a family that declares one is
-  diagonalized in reduced form.
+  it counts when that is ≤ 1e-4·(1 + |E|).  On a line, a complex spectrum
+  first tries N = 32/64 with the change from map scale L to 2L as a second
+  estimate, since the pseudo-continuum at the threshold moves with L, and
+  falls back to the fixed N = 128/256 solve when that rung cannot settle
+  the levels (_rung).  The nodes are mirror images, s_{N−1−j} = −s_j, so
+  the flip J of the node order carries a mirror symmetry of the potential
+  over to the matrix; a family that declares one is diagonalized in
+  reduced form.
   Parity (JHJ = H) splits H into an even and an odd block of order N/2; PT
   symmetry (JHJ = conj H) makes S*HS real for the unitary S = (I + iJ)/√2
   (Bender & Boettcher, PRL 80 (1998) 5243), so real levels come out exactly
@@ -42,7 +46,7 @@ scipy's import time from `qhj verify` children (a metric that must not read 0).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional, Tuple
 
@@ -100,9 +104,10 @@ def _spectrum(xs, items):
 # Chebyshev collocation: bound levels, wall-exponent channels, complex spectra
 # ---------------------------------------------------------------------------
 
-_FIRST_NODES, _MAX_NODES, _PT_NODES = 32, 256, 128   # bound solves' first N; cap on 2N
+_FIRST_NODES, _MAX_NODES, _PT_NODES = 32, 256, 128   # first N of a ladder or rung; cap on 2N
 _CONVERGED, _VECTORS_AGREE = 1e-4, 1e-2   # counting rule; bound solves' vector change
 _PT_WINDOW = 40.0                         # |Re E|, |Im E| kept
+_CONTINUUM_MARGIN = 0.1                   # a rung's estimates ≤ this·|E − E_thr|
 
 
 def _frozen(*arrays):
@@ -205,6 +210,14 @@ def _eig(mat, mirror, vectors=True):
     return np.concatenate([w for w, _ in out]), lambda cols: lift(vecs[:, cols], cols)
 
 
+def _estimate(vals, coarse, mat):
+    """For each eigenvalue of mat, the index of the nearest of coarse and the
+    estimate: that change plus the rounding floor of Hill's estimate,
+    4·eps·‖H‖₁."""
+    near = np.argmin(np.abs(np.subtract.outer(vals, coarse)), axis=1)
+    return near, np.abs(vals - coarse[near]) + 4.0 * np.finfo(float).eps * np.linalg.norm(mat, 1)
+
+
 def _collocate(model, domain, rho, n, order, k=None, compare=True):
     """Levels of one wall-exponent channel from the solves at N = n and 2N.
 
@@ -219,9 +232,7 @@ def _collocate(model, domain, rho, n, order, k=None, compare=True):
     while True:
         mat = _operator(model, domain, rho, 2 * n)
         vals, vector = _eig(mat, domain.mirror)
-        near = np.argmin(np.abs(np.subtract.outer(vals, coarse)), axis=1)
-        # the N/2N change plus the rounding floor of Hill's estimate, 4·eps·‖H‖₁
-        est = np.abs(vals - coarse[near]) + 4.0 * np.finfo(float).eps * np.linalg.norm(mat, 1)
+        near, est = _estimate(vals, coarse, mat)
         ranked = order(vals)
         counts = est[ranked] <= _CONVERGED * (1.0 + np.abs(vals[ranked]))
         if counts[:k].all() or 2 * n >= _MAX_NODES:
@@ -279,15 +290,55 @@ def solve_inverse_square_cell(model, k):
     return _channels(model, k)
 
 
-def solve_pt(model):
-    """Every counted eigenvalue with |Re E|, |Im E| ≤ 40 from the solves at
-    N = 128 and 2N = 256, with eigenfunctions against x on the declared
-    contour.  Raises GridTooCoarseError when none counts."""
+def _rung(model, domain, rho, window, k):
+    """xs and (E, ψ, estimate) of each counted level from three solves on a
+    domain with an infinite end, or None when they cannot settle the levels.
+
+    N = 32 gives eigenvalues; 2N gives eigenvalues and vectors at the map
+    scale L, and eigenvalues at 2L.  A level counts when its N/2N and its
+    L/2L change, each plus the rounding floor, are ≤ 1e-4·(1 + |E|) and
+    the larger, its estimate, is ≤ 0.1·|E − E_thr|, where E_thr is V at the
+    outermost nodes of the infinite ends: the continuum threshold, near
+    which pseudo-continuum eigenvalues move with L (Boyd, *Chebyshev and
+    Fourier Spectral Methods*, 2001, ch. 17).  The levels are settled when
+    at least k count, and so does every eigenvalue window(vals) lists that
+    lies below E_thr or farther off the real axis than along it,
+    Re(E − E_thr) < |Im(E − E_thr)|."""
+    coarse, _ = _eig(_operator(model, domain, rho, _FIRST_NODES), domain.mirror, vectors=False)
+    n = 2 * _FIRST_NODES
+    wide, _ = _eig(_operator(model, replace(domain, scale=2.0 * domain.scale), rho, n),
+                   domain.mirror, vectors=False)
+    mat = _operator(model, domain, rho, n)
+    vals, vector = _eig(mat, domain.mirror)
+    est = np.maximum(_estimate(vals, coarse, mat)[1], _estimate(vals, wide, mat)[1])
+    ends = _geometry(domain, rho, _nodes(n)[0][[-1, 0]])[0][np.isinf(domain.ends)]
+    gap = vals - np.mean(model.potential(ends))
+    counts = (est <= _CONVERGED * (1.0 + np.abs(vals))) & (est <= _CONTINUUM_MARGIN * np.abs(gap))
+    inside = window(vals)
+    sel, must = inside[counts[inside]], inside[gap[inside].real < np.abs(gap[inside].imag)]
+    if len(sel) < max(k, 1) or not counts[must].all():
+        return None
+    xs, psi = _sample(domain, rho, vector(sel))
+    return xs, [(vals[i], psi[:, j], float(est[i])) for j, i in enumerate(sel)]
+
+
+def solve_pt(model, k=None):
+    """Every counted eigenvalue with |Re E|, |Im E| ≤ 40, with eigenfunctions
+    against x on the declared contour.  Given k, a domain with an infinite
+    end first tries the rung at N = 32/64 and scales L/2L (_rung); without
+    k, on a finite contour, or when the rung cannot settle the levels, the
+    solves at N = 128 and 2N = 256 count them.  Raises GridTooCoarseError
+    when none counts."""
     domain = model.oracle_domain()
-    xs, levels, _ = _collocate(
-        model, domain, 0.5 + np.sqrt(0.25 + np.array(domain.walls)), _PT_NODES,
-        lambda vals: np.flatnonzero(np.maximum(abs(vals.real), abs(vals.imag)) <= _PT_WINDOW),
-        compare=False)
+    rho = 0.5 + np.sqrt(0.25 + np.array(domain.walls))
+
+    def window(vals):
+        return np.flatnonzero(np.maximum(abs(vals.real), abs(vals.imag)) <= _PT_WINDOW)
+
+    rung = None
+    if k is not None and np.isinf(domain.ends).any():
+        rung = _rung(model, domain, rho, window, k)
+    xs, levels = rung or _collocate(model, domain, rho, _PT_NODES, window, compare=False)[:2]
     if not levels:
         raise GridTooCoarseError("no eigenvalue agrees between N = 128 and 256")
     levels.sort(key=lambda level: (level[0].real, level[0].imag))
@@ -416,13 +467,14 @@ def solve_oracle(model, k=4, emax=None):
     """Dispatch to the solver the model declares (model.oracle).
 
     k counts levels per channel: the lowest k of each collocation channel,
-    or at least k band edges (and model.min_band_edges); solve_pt ignores
-    it.  verify() passes the most residue levels of any one channel.  emax
+    at least k band edges (and model.min_band_edges), or for solve_pt the
+    least number of levels its first rung must count.  verify() passes the
+    most residue levels of any one channel.  emax
     reaches only the band-edge solver, which then keeps every edge up to
     it: the algebraic edges can be a sparse subset of all edges.
     """
     if model.oracle == "pt":
-        return solve_pt(model)
+        return solve_pt(model, k=k)
     if model.oracle == "inverse_square_cell":
         return solve_inverse_square_cell(model, k=k)
     if model.oracle == "band_edges":

@@ -797,6 +797,20 @@ def test_one_wavefunction_assembler():
     assert own == []
 
 
+@pytest.mark.parametrize("mid,params,form", [
+    ("scarf1", dict(A=2, B=Fraction(1, 2), alpha=1),
+     "(1-sin)^(5/4) * (1+sin)^(3/4) * P0(sin(alpha*x))"),
+    ("complex_scarf", dict(A=1, B=Fraction(1, 2)),
+     "(1-i*sinh)^((1 - sqrt(7))/4) * (1+i*sinh)^((1 - sqrt(3))/4) * P0(i*sinh(x))"),
+    ("scarf_periodic", dict(s=Fraction(3, 10)), "sin(x)^(1/5) * P0(cot(x))"),
+    ("hydrogen", dict(e2=2, l=1), "r^2 * exp(-0.5*r) * P0(r)"),
+    ("lame", dict(j=2, m=Fraction(1, 2)), "cn^0 * dn^0 * P2(sn(x|m))"),
+])
+def test_recipe_form_parenthesizes_each_non_integer_exponent(mid, params, form):
+    # f^5/4 would read as a power divided by 4; an integer exponent stays bare
+    assert solve_spectrum(get_model(mid, **params)).solutions[0].recipe.form == form
+
+
 def test_the_route_flags_follow_from_the_declared_g():
     # uses_pencil and parity_constraint are read off each family's declared
     # G (the slopes of what the sum rule reads, and its ± pole pairs); no

@@ -320,6 +320,23 @@ class TestFixedOraclePoints:
         assert out.splitlines()[-1] == "verification PASSED for khare_mandal"
 
 
+class TestPtRungTraps:
+    """complex_scarf points where a looser first rung of the PT oracle broke
+    `qhj verify`.  At A=2749/62 B=-19 a rung that stopped once k levels
+    counted kept the deeper −4.0658 and dropped the residue level −0.9175,
+    which was then paired with −4.07.  At A=1065/22 B=-941/46 the residue
+    level at E = −2.2e-6 pairs with a pseudo-continuum level at −1.87e-6,
+    which no two-scale rule counts, so a rung climbing to N = 128 under that
+    rule lost it.  A rung whose levels leave any eigenvalue below the
+    threshold uncounted falls back to the N = 128/256 solve."""
+
+    @pytest.mark.parametrize("params", [("A=2749/62", "B=-19"), ("A=1065/22", "B=-941/46")])
+    def test_verifies(self, capsys, params):
+        code, out, err = _verify(capsys, "complex_scarf", params)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[-1] == "verification PASSED for complex_scarf"
+
+
 class TestResidueSideFixes:
     """Points whose residue route failed `qhj verify`: a hydrogen node
     polynomial at small e2 has coefficients far below its leading one, and
@@ -379,12 +396,17 @@ class TestOscillationTheoremNodeCounts:
                             "node counts are unknown\n")
 
 
-def _load_census():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "census.py"
-    spec = importlib.util.spec_from_file_location("census", path)
+def _load_script(name):
+    """scripts/<name>.py, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / ("%s.py" % name)
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_census():
+    return _load_script("census")
 
 
 class TestSchemaSweep:
@@ -404,14 +426,6 @@ class TestSchemaSweep:
         assert [o for o in outcomes if o[2][0] != 0] == []
 
 
-def _load_scan_diff():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "scan_diff.py"
-    spec = importlib.util.spec_from_file_location("scan_diff", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 _SCAN = """$ qhj verify lame --param j=2 --param m=1/2
 exit 0
 set=1 n=2 E=0+0j oracle=1e-16+0j |dE|=1.000e-16 tol=5.0e-04 overlap=1.00000000 nodes=0/0 PASS
@@ -426,7 +440,7 @@ exit 0
 class TestScanDiff:
     def test_identical_scans_report_no_change(self, tmp_path, capsys):
         old = _write(tmp_path, _SCAN)
-        assert _load_scan_diff().main([old, old]) == 0
+        assert _load_script("scan_diff").main([old, old]) == 0
         assert capsys.readouterr().out == "no change\n"
 
     def test_moved_digits_are_reported_per_family_and_field(self, tmp_path, capsys):
@@ -434,7 +448,7 @@ class TestScanDiff:
         old.write_text(_SCAN)
         new = _write(tmp_path, _SCAN.replace("|dE|=3.359e-12", "|dE|=8.882e-16")
                      .replace('"energy_re": 0.75', '"energy_re": 0.7500000001'))
-        assert _load_scan_diff().main([str(old), new]) == 0
+        assert _load_script("scan_diff").main([str(old), new]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[1].split()[:4] == ["hydrogen", "solve", "levels.energy_re", "1.000e-10"]
         assert out[2].split()[:4] == ["lame", "verify", "|dE|", "3.358e-12"]
@@ -450,7 +464,7 @@ class TestScanDiff:
         new.write_text(_SCAN.replace('"energy_re": 0.75}',
                                      '"energy_re": 0.75, "energy_exact": "3/4", '
                                      '"bc_class": "antiperiodic"}'))
-        assert _load_scan_diff().main([old, str(new)]) == 0
+        assert _load_script("scan_diff").main([old, str(new)]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("other JSON fields changed")
         assert [line.split() for line in out[1:]] == [
@@ -462,11 +476,35 @@ class TestScanDiff:
         old.write_text(_SCAN)
         new = _write(tmp_path, _SCAN.replace("nodes=1/1 PASS", "nodes=1/1 FAIL")
                      .replace("PASSED for", "FAILED for").replace("exit 0\nset", "exit 3\nset"))
-        assert _load_scan_diff().main([str(old), new]) == 1
+        assert _load_script("scan_diff").main([str(old), new]) == 1
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "exit 0 -> 3: qhj verify lame --param j=2 --param m=1/2"
         assert out[1].startswith("token 1 PASS -> FAIL: ")
         assert out[2].startswith("token 2 verification PASSED for lame -> verification FAILED")
+
+
+class TestScanExitRule:
+    """scripts/scan.py fails on a command's non-zero exit, and on a numpy
+    floating-point warning in its stderr, which no verdict shows."""
+
+    @pytest.mark.parametrize("code,err,status", [
+        (0, "", 0),
+        (0, "warning: pencil eigenvalue (6.75+0j) has multiplicity 2 "
+            "but kernel dimension 1\n", 0),
+        (0, "warning: overflow encountered in cosh\n", 1),
+        (0, "warning: invalid value encountered in multiply\n", 1),
+        (3, "", 1),
+    ])
+    def test_exit_status(self, monkeypatch, capsys, code, err, status):
+        monkeypatch.setattr(sys, "path", list(sys.path))     # scan.py extends it
+        monkeypatch.setitem(sys.modules, "census", _load_census())
+        scan = _load_script("scan")
+        monkeypatch.setattr(scan, "points", lambda: [("hydrogen", {"e2": 3, "l": 0})])
+        monkeypatch.setattr(scan, "run", lambda argv: (code, "", err))
+        assert scan.main() == status
+        assert capsys.readouterr().out.endswith(
+            "1 points, %d non-zero exits, %d floating-point warnings\n"
+            % (2 * (code != 0), 2 * ("encountered" in err)))
 
 
 def _write(tmp_path, text):

@@ -782,7 +782,7 @@ class TestNoWastedWork:
         assert all(np.isrealobj(mat) and len(mat) < 200 for mat in mats)
 
     @staticmethod
-    def _pt_solves(monkeypatch, model):
+    def _pt_solves(monkeypatch, model, k=4):
         """(matrix, keyword arguments) of every eig call during solve_oracle."""
         calls = []
         real_eig = schrodinger_oracle.eig
@@ -792,7 +792,7 @@ class TestNoWastedWork:
             return real_eig(mat, **kwargs)
 
         monkeypatch.setattr(schrodinger_oracle, "eig", spy)
-        solve_oracle(model)
+        solve_oracle(model, k=k)
         assert calls
         return calls
 
@@ -804,17 +804,67 @@ class TestNoWastedWork:
         calls = self._pt_solves(monkeypatch, get_model("khare_mandal", zeta=Fraction(1, 4), M=3))
         assert all(len(mat) <= 128 for mat, _ in calls)
 
-    @pytest.mark.parametrize("mid,params", [
-        ("complex_scarf", {"A": 1, "B": Fraction(1, 2)}),
-        ("khare_mandal", {"zeta": Fraction(1, 4), "M": 3}),
+    @pytest.mark.parametrize("mid,params,solves,sampled", [
+        # the rung settles the one level verify pairs: N = 32, then 2N at
+        # scales 2L and L
+        ("complex_scarf", {"A": 1, "B": Fraction(1, 2)},
+         [(32, False), (64, False), (64, True)], [64]),
+        # the rung cannot settle them, and the N = 128/256 pair follows
+        ("complex_scarf", {"A": Fraction(1, 4), "B": -3},
+         [(32, False), (64, False), (64, True), (128, False), (256, True)], [256]),
+        # a finite contour: the pair alone, in even and odd blocks
+        ("khare_mandal", {"zeta": Fraction(1, 4), "M": 3},
+         [(64, False), (64, False), (128, True), (128, True)], [256]),
     ])
-    def test_pt_solves_at_n128_return_no_vectors(self, monkeypatch, mid, params):
-        # the N = 128 solves only give each level its estimate; the N = 256
-        # solves, of the largest order, give the vectors
-        calls = self._pt_solves(monkeypatch, get_model(mid, **params))
-        top = max(len(mat) for mat, _ in calls)
-        assert [kwargs.get("right", True) for mat, kwargs in calls] == \
-            [len(mat) == top for mat, _ in calls]
+    def test_pt_solves_ask_for_vectors_only_where_they_are_sampled(
+            self, monkeypatch, mid, params, solves, sampled):
+        # the N solves and the 2L solve only give each level its estimates;
+        # the 2N solve at scale L gives the vectors, and they are sampled
+        # once, from the last solve.  The one unsampled request is the
+        # rung's, on a point it cannot settle: it asks before it knows.
+        lengths = []
+        real_sample = schrodinger_oracle._sample
+
+        def spy(domain, rho, vecs):
+            lengths.append(len(vecs))
+            return real_sample(domain, rho, vecs)
+
+        monkeypatch.setattr(schrodinger_oracle, "_sample", spy)
+        calls = self._pt_solves(monkeypatch, get_model(mid, **params), k=1)
+        assert [(len(mat), kwargs.get("right", True)) for mat, kwargs in calls] == solves
+        assert lengths == sampled
+
+    @pytest.mark.parametrize("params", [{"A": 1, "B": Fraction(1, 2)}, {"A": 1, "B": 2},
+                                        {"A": 6, "B": 3}])
+    def test_verify_settles_the_benchmark_pt_scarf_points_on_the_rung(self, monkeypatch, params):
+        orders, spectra = [], []
+        real_eig, real_solve_pt = schrodinger_oracle.eig, schrodinger_oracle.solve_pt
+
+        def eig_spy(mat, **kwargs):
+            orders.append(len(mat))
+            return real_eig(mat, **kwargs)
+
+        def solve_pt_spy(model, **kwargs):
+            spectra.append(real_solve_pt(model, **kwargs))
+            return spectra[-1]
+
+        monkeypatch.setattr(schrodinger_oracle, "eig", eig_spy)
+        monkeypatch.setattr(schrodinger_oracle, "solve_pt", solve_pt_spy)
+        assert verify(get_model("complex_scarf", **params)).passed
+        assert orders and max(orders) <= 64
+        # no kept level is a pseudo-continuum eigenvalue at the threshold E = 0
+        (spec,) = spectra
+        assert all(est <= 0.1 * abs(e) for e, est in zip(spec.eigenvalues, spec.error_estimates))
+
+    def test_a_point_the_rung_cannot_settle_keeps_the_fixed_solve(self, monkeypatch):
+        model = get_model("complex_scarf", A=Fraction(1, 4), B=-3)
+        fixed = solve_pt(model)                 # without k: the N = 128/256 pair alone
+        spec, calls = solve_oracle(model, k=2), self._pt_solves(monkeypatch, model, k=2)
+        assert {len(mat) for mat, _ in calls} == {32, 64, 128, 256}
+        assert spec.eigenvalues == fixed.eigenvalues
+        assert spec.error_estimates == fixed.error_estimates
+        assert np.array_equal(spec.eigenvectors, fixed.eigenvectors)
+        assert verify(model).passed
 
     def test_verify_solves_hydrogen_no_finer_than_it_scores(self, monkeypatch):
         # only the four paired levels must converge, and they do by 2N = 64
