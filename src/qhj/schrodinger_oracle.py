@@ -301,9 +301,9 @@ def _rung(model, domain, rho, window, k):
     outermost nodes of the infinite ends: the continuum threshold, near
     which pseudo-continuum eigenvalues move with L (Boyd, *Chebyshev and
     Fourier Spectral Methods*, 2001, ch. 17).  The levels are settled when
-    at least k count, and so does every eigenvalue window(vals) lists that
-    lies below E_thr or farther off the real axis than along it,
-    Re(E − E_thr) < |Im(E − E_thr)|."""
+    at least k (and one) count, and so does every eigenvalue window(vals)
+    lists that lies below E_thr or farther off the real axis than along
+    it, Re(E − E_thr) < |Im(E − E_thr)|."""
     coarse, _ = _eig(_operator(model, domain, rho, _FIRST_NODES), domain.mirror, vectors=False)
     n = 2 * _FIRST_NODES
     wide, _ = _eig(_operator(model, replace(domain, scale=2.0 * domain.scale), rho, n),

@@ -859,7 +859,8 @@ class TestNoWastedWork:
     def test_a_point_the_rung_cannot_settle_keeps_the_fixed_solve(self, monkeypatch):
         model = get_model("complex_scarf", A=Fraction(1, 4), B=-3)
         fixed = solve_pt(model)                 # without k: the N = 128/256 pair alone
-        spec, calls = solve_oracle(model, k=2), self._pt_solves(monkeypatch, model, k=2)
+        spec = solve_oracle(model, k=2)
+        calls = self._pt_solves(monkeypatch, model, k=2)
         assert {len(mat) for mat, _ in calls} == {32, 64, 128, 256}
         assert spec.eigenvalues == fixed.eigenvalues
         assert spec.error_estimates == fixed.error_estimates
