@@ -34,7 +34,8 @@ declares, and diagonalizes them, providing the cross-check spectra.
   last cutoff.
 
 Every dense eigensolve goes through the module-level `eig` and `eigh`, which
-run numpy.linalg's LAPACK with scipy.linalg's signature and return types.
+run numpy.linalg's LAPACK with scipy.linalg's signature and return types;
+the rung's vectors come from linear solves (_inverse_iteration).
 The rest of the oracle's BLAS work is numpy's too, so one BLAS thread pool
 serves a solve: where numpy and scipy each ship their own OpenBLAS, mixing
 them leaves two pools spinning on the same cores.  `eigh_tridiagonal` is
@@ -187,10 +188,11 @@ def _sample(domain, rho, vecs):
     return x, (w / rows)[:, None] * (c @ vecs)
 
 
-def _eig(mat, mirror, vectors=True):
-    """Eigenvalues of mat and, when vectors is set, a map from column indices
-    to those eigenvectors, from the module-bound eig on the reduced form the
-    mirror symmetry allows (J is the flip mat[::-1, ::-1], h = N/2; N is even).
+def _blocks(mat, mirror):
+    """The blocks the mirror symmetry reduces mat to, and lift(v, cols), which
+    maps their eigenvectors for the columns cols, numbered as the blocks'
+    eigenvalues concatenate, to mat's (J is the flip mat[::-1, ::-1],
+    h = N/2; N is even).
 
     parity, JHJ = H: even block a + b and odd block a − b, a = H[:h, :h],
     b = H[:h, h:]·J; the vectors are [u; Ju] and [u; −Ju].  pt, JHJ = conj H:
@@ -198,16 +200,43 @@ def _eig(mat, mirror, vectors=True):
     if mirror == "parity":
         h = len(mat) // 2
         a, b, sign = mat[:h, :h], mat[:h, h:][:, ::-1], np.repeat([1.0, -1.0], h)
-        blocks, lift = [a + b, a - b], lambda v, cols: np.vstack([v, sign[cols] * v[::-1]])
-    elif mirror == "pt":
-        blocks, lift = [mat.real - mat.imag[:, ::-1]], lambda v, cols: v + 1j * v[::-1]
-    else:
-        blocks, lift = [mat], lambda v, cols: v
+        return [a + b, a - b], lambda v, cols: np.vstack([v, sign[cols] * v[::-1]])
+    if mirror == "pt":
+        return [mat.real - mat.imag[:, ::-1]], lambda v, cols: v + 1j * v[::-1]
+    return [mat], lambda v, cols: v
+
+
+def _eig(mat, mirror, vectors=True):
+    """Eigenvalues of mat and, when vectors is set, a map from column indices
+    to those eigenvectors, from the module-bound eig on the reduced form the
+    mirror symmetry allows (_blocks)."""
+    blocks, lift = _blocks(mat, mirror)
     out = [eig(block, right=vectors) for block in blocks]
     if not vectors:
         return np.concatenate(out), None
     vecs = np.hstack([v for _, v in out])
     return np.concatenate([w for w, _ in out]), lambda cols: lift(vecs[:, cols], cols)
+
+
+def _inverse_iteration(mat, mirror, vals, cols):
+    """Eigenvectors of mat for the eigenvalues vals[cols], where vals is what
+    _eig(mat, mirror, vectors=False) returned: two steps of inverse iteration
+    on the block each eigenvalue came from, shifted by the eigenvalue plus
+    eps·‖block‖₁ so that no factorization is exactly singular, from one
+    fixed start (Wilkinson, *The Algebraic Eigenvalue Problem*, 1965, ch. 9)."""
+    blocks, lift = _blocks(mat, mirror)
+    owner = np.searchsorted(np.cumsum([len(block) for block in blocks]), cols, side="right")
+    start = np.random.default_rng(0).standard_normal(len(blocks[0]))
+    vecs = []
+    for b, i in zip(owner, cols):
+        block = blocks[b]
+        shift = vals[i] + np.finfo(float).eps * np.linalg.norm(block, 1)
+        v = start
+        for _ in range(2):
+            v = np.linalg.solve(block - shift * np.eye(len(block)), v)
+            v = v / np.linalg.norm(v)
+        vecs.append(v)
+    return lift(np.column_stack(vecs), np.asarray(cols))
 
 
 def _estimate(vals, coarse, mat):
@@ -294,22 +323,23 @@ def _rung(model, domain, rho, window, k):
     """xs and (E, ψ, estimate) of each counted level from three solves on a
     domain with an infinite end, or None when they cannot settle the levels.
 
-    N = 32 gives eigenvalues; 2N gives eigenvalues and vectors at the map
-    scale L, and eigenvalues at 2L.  A level counts when its N/2N and its
-    L/2L change, each plus the rounding floor, are ≤ 1e-4·(1 + |E|) and
-    the larger, its estimate, is ≤ 0.1·|E − E_thr|, where E_thr is V at the
-    outermost nodes of the infinite ends: the continuum threshold, near
-    which pseudo-continuum eigenvalues move with L (Boyd, *Chebyshev and
-    Fourier Spectral Methods*, 2001, ch. 17).  The levels are settled when
-    at least k (and one) count, and so does every eigenvalue window(vals)
-    lists that lies below E_thr or farther off the real axis than along
-    it, Re(E − E_thr) < |Im(E − E_thr)|."""
+    The solves give eigenvalues only: at N = 32, and at 2N for the map
+    scales 2L and L.  A level counts when its N/2N and its L/2L change,
+    each plus the rounding floor, are ≤ 1e-4·(1 + |E|) and the larger, its
+    estimate, is ≤ 0.1·|E − E_thr|, where E_thr is V at the outermost nodes
+    of the infinite ends: the continuum threshold, near which
+    pseudo-continuum eigenvalues move with L (Boyd, *Chebyshev and Fourier
+    Spectral Methods*, 2001, ch. 17).  The levels are settled when at least
+    k (and one) count, and so does every eigenvalue window(vals) lists that
+    lies below E_thr or farther off the real axis than along it,
+    Re(E − E_thr) < |Im(E − E_thr)|; only then are the counted levels'
+    vectors computed, by inverse iteration on the 2N matrix at scale L."""
     coarse, _ = _eig(_operator(model, domain, rho, _FIRST_NODES), domain.mirror, vectors=False)
     n = 2 * _FIRST_NODES
     wide, _ = _eig(_operator(model, replace(domain, scale=2.0 * domain.scale), rho, n),
                    domain.mirror, vectors=False)
     mat = _operator(model, domain, rho, n)
-    vals, vector = _eig(mat, domain.mirror)
+    vals, _ = _eig(mat, domain.mirror, vectors=False)
     est = np.maximum(_estimate(vals, coarse, mat)[1], _estimate(vals, wide, mat)[1])
     ends = _geometry(domain, rho, _nodes(n)[0][[-1, 0]])[0][np.isinf(domain.ends)]
     gap = vals - np.mean(model.potential(ends))
@@ -318,26 +348,24 @@ def _rung(model, domain, rho, window, k):
     sel, must = inside[counts[inside]], inside[gap[inside].real < np.abs(gap[inside].imag)]
     if len(sel) < max(k, 1) or not counts[must].all():
         return None
-    xs, psi = _sample(domain, rho, vector(sel))
+    xs, psi = _sample(domain, rho, _inverse_iteration(mat, domain.mirror, vals, sel))
     return xs, [(vals[i], psi[:, j], float(est[i])) for j, i in enumerate(sel)]
 
 
-def solve_pt(model, k=None):
+def solve_pt(model, k):
     """Every counted eigenvalue with |Re E|, |Im E| ≤ 40, with eigenfunctions
-    against x on the declared contour.  Given k, a domain with an infinite
-    end first tries the rung at N = 32/64 and scales L/2L (_rung); without
-    k, on a finite contour, or when the rung cannot settle the levels, the
-    solves at N = 128 and 2N = 256 count them.  Raises GridTooCoarseError
-    when none counts."""
+    against x on the declared contour.  A domain with an infinite end first
+    tries the rung at N = 32/64 and scales L/2L, which must count at least k
+    levels (_rung); on a finite contour, or when the rung cannot settle the
+    levels, the solves at N = 128 and 2N = 256 count them.  Raises
+    GridTooCoarseError when none counts."""
     domain = model.oracle_domain()
     rho = 0.5 + np.sqrt(0.25 + np.array(domain.walls))
 
     def window(vals):
         return np.flatnonzero(np.maximum(abs(vals.real), abs(vals.imag)) <= _PT_WINDOW)
 
-    rung = None
-    if k is not None and np.isinf(domain.ends).any():
-        rung = _rung(model, domain, rho, window, k)
+    rung = _rung(model, domain, rho, window, k) if np.isinf(domain.ends).any() else None
     xs, levels = rung or _collocate(model, domain, rho, _PT_NODES, window, compare=False)[:2]
     if not levels:
         raise GridTooCoarseError("no eigenvalue agrees between N = 128 and 256")
@@ -469,9 +497,9 @@ def solve_oracle(model, k=4, emax=None):
     k counts levels per channel: the lowest k of each collocation channel,
     at least k band edges (and model.min_band_edges), or for solve_pt the
     least number of levels its first rung must count.  verify() passes the
-    most residue levels of any one channel.  emax
-    reaches only the band-edge solver, which then keeps every edge up to
-    it: the algebraic edges can be a sparse subset of all edges.
+    most residue levels of any one channel.  emax reaches only the band-edge
+    solver, which then keeps every edge up to it: the algebraic edges can be
+    a sparse subset of all edges.
     """
     if model.oracle == "pt":
         return solve_pt(model, k=k)

@@ -405,10 +405,6 @@ def _load_script(name):
     return module
 
 
-def _load_census():
-    return _load_script("census")
-
-
 class TestSchemaSweep:
     """`qhj verify` on the draws of the reference censuses
     (`scripts/census.py --draws 30` at seeds 2026 and 7) of each family that
@@ -420,7 +416,7 @@ class TestSchemaSweep:
 
     @pytest.mark.parametrize("mid", ["scarf_periodic"])
     def test_every_census_draw_verifies(self, mid):
-        census = _load_census()
+        census = _load_script("census")
         outcomes = [(seed, params, census.verify_exit(mid, params))
                     for seed in (2026, 7) for params in census.draws(seed, mid, 30)]
         assert [o for o in outcomes if o[2][0] != 0] == []
@@ -497,7 +493,7 @@ class TestScanExitRule:
     ])
     def test_exit_status(self, monkeypatch, capsys, code, err, status):
         monkeypatch.setattr(sys, "path", list(sys.path))     # scan.py extends it
-        monkeypatch.setitem(sys.modules, "census", _load_census())
+        monkeypatch.setitem(sys.modules, "census", _load_script("census"))
         scan = _load_script("scan")
         monkeypatch.setattr(scan, "points", lambda: [("hydrogen", {"e2": 3, "l": 0})])
         monkeypatch.setattr(scan, "run", lambda argv: (code, "", err))

@@ -10,6 +10,7 @@ collocation estimates.
 """
 
 import ast
+import dataclasses
 import inspect
 import math
 from fractions import Fraction
@@ -320,10 +321,30 @@ class _AliasedWell:
         return 100.0 * np.cos(2000.0 * np.asarray(x))
 
 
+def _pt_orders(model, k):
+    """solve_pt(model, k) and the order of each eig call it makes."""
+    orders = []
+    real_eig = schrodinger_oracle.eig
+
+    def spy(mat, **kwargs):
+        orders.append(len(mat))
+        return real_eig(mat, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schrodinger_oracle, "eig", spy)
+        return solve_pt(model, k), orders
+
+
+def _rung_spectrum(model, k):
+    """solve_pt(model, k), checked to come from the rung: no eig above order 64."""
+    spec, orders = _pt_orders(model, k)
+    assert orders and max(orders) <= 64
+    return spec
+
+
 class TestComplexSpectra:
     def test_pt_pair_is_grid_stable(self):
-        model = get_model("complex_scarf", A=1, B=2)
-        spec = solve_pt(model)
+        spec = _rung_spectrum(get_model("complex_scarf", A=1, B=2), k=2)
         target = complex(0.026387818865997253, 0.3476120479075805)
         found = [e for e in spec.eigenvalues
                  if abs(e - target) < 1e-3 or abs(e - target.conjugate()) < 1e-3]
@@ -331,7 +352,7 @@ class TestComplexSpectra:
 
     def test_no_converged_level_raises(self):
         with pytest.raises(GridTooCoarseError, match="no eigenvalue agrees"):
-            solve_pt(_AliasedWell())
+            solve_pt(_AliasedWell(), k=1)
 
 
 def _rationals(lo, hi):
@@ -356,10 +377,11 @@ class _OddWell:
         return np.asarray(x, dtype=complex)
 
 
-def _full_matrix(model, n):
+def _full_matrix(model, n, scale=1.0):
     domain = model.oracle_domain()
     rho = 0.5 + np.sqrt(0.25 + np.array(domain.walls))
-    return schrodinger_oracle._operator(model, domain, rho, n)
+    return schrodinger_oracle._operator(
+        model, dataclasses.replace(domain, scale=scale * domain.scale), rho, n)
 
 
 def _mirror_defect(model, n):
@@ -374,7 +396,7 @@ def _assert_matches_the_threshold_levels(model):
     b' = 1/2 twice, b = (1 − √(2A + 1/2))/2, and level n is bound while
     b + n < 0.  Each level is a defective pair whose mean lies within the
     pair's estimates."""
-    spec = solve_pt(model)
+    spec = solve_pt(model, k=1)
     levels, est = np.array(spec.eigenvalues), np.array(spec.error_estimates)
     b = (1 - math.sqrt(2 * float(model.A) + 0.5)) / 2
     for n in range(math.ceil(-b)):
@@ -384,17 +406,32 @@ def _assert_matches_the_threshold_levels(model):
         assert abs(levels[pair].mean() - exact) <= est[pair].min() + 1e-12 * (1.0 + abs(exact))
 
 
-def _assert_matches_the_full_solve(model):
-    """solve_pt against full-matrix eigvals at N = 128 and 256 under the same
-    counting rule: the same levels, each within both estimates."""
-    coarse, mat = scipy.linalg.eigvals(_full_matrix(model, 128)), _full_matrix(model, 256)
+def _full_estimates(model, n, coarse):
+    """Full-matrix eigvals at order n with |Re E|, |Im E| ≤ 40, and each one's
+    estimate: the largest change to the nearest eigvals of the (order,
+    scale) solves in coarse, plus 4·eps·‖H‖₁."""
+    mat = _full_matrix(model, n)
     vals = scipy.linalg.eigvals(mat)
     vals = vals[np.maximum(abs(vals.real), abs(vals.imag)) <= 40.0]
-    est = np.min(np.abs(np.subtract.outer(vals, coarse)), axis=1) \
-        + 4.0 * np.finfo(float).eps * np.linalg.norm(mat, 1)
-    keep = est <= 1e-4 * (1.0 + np.abs(vals))
+    est = np.max([np.min(np.abs(np.subtract.outer(
+        vals, scipy.linalg.eigvals(_full_matrix(model, order, scale)))), axis=1)
+        for order, scale in coarse], axis=0)
+    return vals, est + 4.0 * np.finfo(float).eps * np.linalg.norm(mat, 1)
+
+
+def _assert_matches_the_full_solve(model, k):
+    """solve_pt against full-matrix eigvals under the counting rule of the
+    path it took: the rung's at N = 32/64 and scales L/2L (V → 0 at both
+    ends of complex_scarf's line), or the N = 128/256 rule.  The same
+    levels, each within both estimates."""
+    spec, orders = _pt_orders(model, k)
+    if max(orders) <= 64:
+        vals, est = _full_estimates(model, 64, [(32, 1.0), (64, 2.0)])
+        keep = (est <= 1e-4 * (1.0 + np.abs(vals))) & (est <= 0.1 * np.abs(vals))
+    else:
+        vals, est = _full_estimates(model, 256, [(128, 1.0)])
+        keep = est <= 1e-4 * (1.0 + np.abs(vals))
     ref, ref_est = vals[keep], est[keep]
-    spec = solve_pt(model)
     levels = np.array(spec.eigenvalues)
     assert len(levels) == len(ref)
     rows, cols = scipy.optimize.linear_sum_assignment(np.abs(np.subtract.outer(levels, ref)))
@@ -422,6 +459,8 @@ class TestMirrorReduction:
     @settings(max_examples=10, deadline=None)
     @given(params=_PT_SCARF)
     @example(params={"A": Fraction(2), "B": Fraction(9, 4)})
+    @example(params={"A": Fraction(1), "B": Fraction(1, 2)})     # settled on the rung
+    @example(params={"A": Fraction(1, 4), "B": Fraction(-3)})    # the rung declines
     def test_pt_scarf_matches_the_full_solve(self, params):
         model = get_model("complex_scarf", **params)
         if abs(params["B"]) == params["A"] + Fraction(1, 4):
@@ -429,23 +468,23 @@ class TestMirrorReduction:
             # full-matrix reference splits √eps-wide: check the closed form
             _assert_matches_the_threshold_levels(model)
         else:
-            _assert_matches_the_full_solve(model)
+            _assert_matches_the_full_solve(model, k=1)
 
     @settings(max_examples=10, deadline=None)
     @given(params=_PT_COSH)
     def test_khare_mandal_matches_the_full_solve(self, params):
-        _assert_matches_the_full_solve(get_model("khare_mandal", **params))
+        _assert_matches_the_full_solve(get_model("khare_mandal", **params), k=4)
 
     def test_real_levels_come_out_exactly_real(self):
         # the unbroken level of the PT Scarf well, E = −((√(1/4 + A + B) +
         # √(1/4 + A − B))/2 − 1/2)², matched by an exactly real oracle level
         exact = -((math.sqrt(1.75) + math.sqrt(0.75)) / 2 - 0.5) ** 2
-        spec = solve_pt(get_model("complex_scarf", A=1, B=Fraction(1, 2)))
+        spec = _rung_spectrum(get_model("complex_scarf", A=1, B=Fraction(1, 2)), k=1)
         found = [e for e in spec.eigenvalues if abs(e - exact) < 1e-8]
         assert len(found) == 1 and found[0].imag == 0.0
 
     def test_broken_pairs_come_out_as_exact_conjugates(self):
-        spec = solve_pt(get_model("complex_scarf", A=1, B=2))
+        spec = _rung_spectrum(get_model("complex_scarf", A=1, B=2), k=2)
         complex_levels = {e for e in spec.eigenvalues if e.imag != 0.0}
         assert complex_levels
         assert {e.conjugate() for e in complex_levels} == complex_levels
@@ -806,22 +845,21 @@ class TestNoWastedWork:
 
     @pytest.mark.parametrize("mid,params,solves,sampled", [
         # the rung settles the one level verify pairs: N = 32, then 2N at
-        # scales 2L and L
+        # scales 2L and L, and inverse iteration on the last for the vectors
         ("complex_scarf", {"A": 1, "B": Fraction(1, 2)},
-         [(32, False), (64, False), (64, True)], [64]),
+         [(32, False), (64, False), (64, False)], [64]),
         # the rung cannot settle them, and the N = 128/256 pair follows
         ("complex_scarf", {"A": Fraction(1, 4), "B": -3},
-         [(32, False), (64, False), (64, True), (128, False), (256, True)], [256]),
+         [(32, False), (64, False), (64, False), (128, False), (256, True)], [256]),
         # a finite contour: the pair alone, in even and odd blocks
         ("khare_mandal", {"zeta": Fraction(1, 4), "M": 3},
          [(64, False), (64, False), (128, True), (128, True)], [256]),
     ])
     def test_pt_solves_ask_for_vectors_only_where_they_are_sampled(
             self, monkeypatch, mid, params, solves, sampled):
-        # the N solves and the 2L solve only give each level its estimates;
-        # the 2N solve at scale L gives the vectors, and they are sampled
-        # once, from the last solve.  The one unsampled request is the
-        # rung's, on a point it cannot settle: it asks before it knows.
+        # the solves that only give each level its estimate ask for no
+        # vectors; the vectors are sampled once, from the 2N solve that gives
+        # the kept levels: by inverse iteration on the rung, from eig at 256
         lengths = []
         real_sample = schrodinger_oracle._sample
 
@@ -858,13 +896,19 @@ class TestNoWastedWork:
 
     def test_a_point_the_rung_cannot_settle_keeps_the_fixed_solve(self, monkeypatch):
         model = get_model("complex_scarf", A=Fraction(1, 4), B=-3)
-        fixed = solve_pt(model)                 # without k: the N = 128/256 pair alone
+        domain = model.oracle_domain()
+        xs, levels, _ = schrodinger_oracle._collocate(     # the N = 128/256 pair alone
+            model, domain, 0.5 + np.sqrt(0.25 + np.array(domain.walls)), 128,
+            lambda vals: np.flatnonzero(np.maximum(abs(vals.real), abs(vals.imag)) <= 40.0),
+            compare=False)
+        levels.sort(key=lambda level: (level[0].real, level[0].imag))
         spec = solve_oracle(model, k=2)
         calls = self._pt_solves(monkeypatch, model, k=2)
         assert {len(mat) for mat, _ in calls} == {32, 64, 128, 256}
-        assert spec.eigenvalues == fixed.eigenvalues
-        assert spec.error_estimates == fixed.error_estimates
-        assert np.array_equal(spec.eigenvectors, fixed.eigenvectors)
+        assert spec.eigenvalues == tuple(complex(e) for e, _, _ in levels)
+        assert spec.error_estimates == tuple(est for _, _, est in levels)
+        assert np.array_equal(spec.eigenvectors, np.column_stack([psi for _, psi, _ in levels]))
+        assert np.array_equal(spec.xs, xs)
         assert verify(model).passed
 
     def test_verify_solves_hydrogen_no_finer_than_it_scores(self, monkeypatch):

@@ -24,7 +24,7 @@ from qhj.qmf_residues import InfinityExpansion, finite_pole_residues, infinity_r
 from qhj.quantization import ResidueAssignment, level_verdict
 from test_acceptance import ALL_CONFIGS
 from test_catalog import schema_points
-from test_cli import _load_census
+from test_cli import _load_script
 
 
 def _by_set(assignments):
@@ -495,7 +495,7 @@ def _load_workloads():
 def _sweep_points():
     """ALL_CONFIGS, the draws of both reference censuses and the scan points
     (`scripts/scan.py`: one drawn point per family at seeds 1001–1040)."""
-    census, workloads = _load_census(), _load_workloads()
+    census, workloads = _load_script("census"), _load_workloads()
     points = list(ALL_CONFIGS)
     points += [(mid, params) for seed in (2026, 7) for mid in MODEL_IDS
                for params in census.draws(seed, mid, 30)]
