@@ -30,8 +30,8 @@ declares, and diagonalizes them, providing the cross-check spectra.
   and antiperiodic operators, merged and tagged; each error bar is the
   measured change as the Fourier cutoff doubles, plus a rounding floor.  The
   first cutoff is the smallest whose matrix holds every Fourier harmonic of
-  V above 1e-10 of its scale, and eigenvectors are computed once, at the
-  last cutoff.
+  V above 1e-10 of its scale.  Each cutoff is one solve for eigenpairs, and
+  the vectors of the last are sampled.
 
 Every dense eigensolve goes through the module-level `eig` and `eigh`, which
 run numpy.linalg's LAPACK with scipy.linalg's signature and return types;
@@ -68,12 +68,10 @@ def eig(a, right=True):
     return w.astype(complex, copy=False), v
 
 
-def eigh(a, subset_by_index, eigvals_only=False):
-    """Eigenvalues lo..hi (ascending, inclusive) of the symmetric a, and unless
-    eigvals_only their eigenvectors, from one full solve sliced to the range."""
+def eigh(a, subset_by_index):
+    """Eigenvalues lo..hi (ascending, inclusive) of the symmetric a and their
+    eigenvectors, from one full solve sliced to the range."""
     lo, hi = subset_by_index
-    if eigvals_only:
-        return np.linalg.eigvalsh(a)[lo:hi + 1]
     w, v = np.linalg.eigh(a)
     return w[lo:hi + 1], v[:, lo:hi + 1]
 
@@ -239,12 +237,16 @@ def _inverse_iteration(mat, mirror, vals, cols):
     return lift(np.column_stack(vecs), np.asarray(cols))
 
 
+def _rounding_floor(mat):
+    """The rounding floor of every estimate, Hill's included: 4·eps·‖H‖₁."""
+    return 4.0 * np.finfo(float).eps * np.linalg.norm(mat, 1)
+
+
 def _estimate(vals, coarse, mat):
     """For each eigenvalue of mat, the index of the nearest of coarse and the
-    estimate: that change plus the rounding floor of Hill's estimate,
-    4·eps·‖H‖₁."""
+    estimate: that change plus the rounding floor."""
     near = np.argmin(np.abs(np.subtract.outer(vals, coarse)), axis=1)
-    return near, np.abs(vals - coarse[near]) + 4.0 * np.finfo(float).eps * np.linalg.norm(mat, 1)
+    return near, np.abs(vals - coarse[near]) + _rounding_floor(mat)
 
 
 def _collocate(model, domain, rho, n, order, k=None, compare=True):
@@ -332,8 +334,10 @@ def _rung(model, domain, rho, window, k):
     Spectral Methods*, 2001, ch. 17).  The levels are settled when at least
     k (and one) count, and so does every eigenvalue window(vals) lists that
     lies below E_thr or farther off the real axis than along it,
-    Re(E − E_thr) < |Im(E − E_thr)|; only then are the counted levels'
-    vectors computed, by inverse iteration on the 2N matrix at scale L."""
+    Re(E − E_thr) < |Im(E − E_thr)|, unless it lies within the rounding
+    floor of E_thr, where that sign is noise; only then are the counted
+    levels' vectors computed, by inverse iteration on the 2N matrix at
+    scale L."""
     coarse, _ = _eig(_operator(model, domain, rho, _FIRST_NODES), domain.mirror, vectors=False)
     n = 2 * _FIRST_NODES
     wide, _ = _eig(_operator(model, replace(domain, scale=2.0 * domain.scale), rho, n),
@@ -345,7 +349,9 @@ def _rung(model, domain, rho, window, k):
     gap = vals - np.mean(model.potential(ends))
     counts = (est <= _CONVERGED * (1.0 + np.abs(vals))) & (est <= _CONTINUUM_MARGIN * np.abs(gap))
     inside = window(vals)
-    sel, must = inside[counts[inside]], inside[gap[inside].real < np.abs(gap[inside].imag)]
+    off = gap[inside]
+    sel = inside[counts[inside]]
+    must = inside[(off.real < np.abs(off.imag)) & (np.abs(off) > _rounding_floor(mat))]
     if len(sel) < max(k, 1) or not counts[must].all():
         return None
     xs, psi = _sample(domain, rho, _inverse_iteration(mat, domain.mirror, vals, sel))
@@ -380,7 +386,6 @@ def solve_pt(model, k):
 
 _HILL_MAX_MODES = 384         # largest Fourier cutoff M; every cutoff is 384/2^i
 _HILL_TOL = 1e-10             # an edge counts when its estimate is ≤ this·(1 + |E|)
-_HILL_LIKELY = 1e-4           # estimates all ≤ this·(1 + |E|): the next doubling likely counts
 _HILL_HARMONICS = 1e-10       # a harmonic |V̂_p| above this·(1 + max |V̂|) must be in the first matrix
 
 
@@ -408,7 +413,7 @@ def _first_cutoff(vhat):
     return modes
 
 
-def solve_band_edges(model, k=6, emax=None):
+def solve_band_edges(model, k, emax=None):
     """Lowest band edges of a smooth periodic potential over one cell, by Hill.
 
     Keeps the lowest ``keep`` eigenpairs per operator (keep = k + 2, or at
@@ -418,11 +423,9 @@ def solve_band_edges(model, k=6, emax=None):
     (_first_cutoff: the potential's Fourier coefficients decay geometrically,
     Boyd, *Chebyshev and Fourier Spectral Methods*, 2001, ch. 2) and doubles,
     to a cap, while one exceeds 1e-10·(1 + |E|) or the count ≤ emax changes.
-    A solve gives eigenvalues only, unless every estimate of the step before
-    was ≤ 1e-4·(1 + |E|), so that the ladder likely ends with it; a ladder
-    that ends on a solve without vectors takes them from one more solve at
-    its final cutoff 2M.  Vectors are sampled on cell midpoints: odd edges
-    vanish at x = 0, L/2.  Edge i of its operator has
+    Each cutoff is solved once, for eigenvalues and vectors, and the vectors
+    of the last solve are sampled, on cell midpoints: odd edges vanish at
+    x = 0, L/2.  Edge i of its operator has
     2⌈i/2⌉ zeros per cell if periodic, 2⌊i/2⌋ + 1 if antiperiodic (Magnus &
     Winkler, *Hill's Equation*, 1966, Thm 2.1).
     """
@@ -434,14 +437,13 @@ def solve_band_edges(model, k=6, emax=None):
     xs = lo + length / _SAMPLES * (np.arange(_SAMPLES) + 0.5)
     channels = (("periodic", 0.0), ("antiperiodic", 0.5))
 
-    def lowest(modes, vectors=False):
-        """Per channel: the lowest eigenvalues, the eigenvectors or None, 4·eps·‖H‖₁."""
+    def lowest(modes):
+        """Per channel: the lowest eigenvalues, their eigenvectors, 4·eps·‖H‖₁."""
         out = []
         for _, theta in channels:
             mat = _hill(vhat, theta, modes, length)
-            vals = eigh(mat, subset_by_index=(0, min(keep, len(mat)) - 1), eigvals_only=not vectors)
-            out.append((*(vals if vectors else (vals, None)),
-                        4.0 * np.finfo(float).eps * np.linalg.norm(mat, 1)))
+            vals, vecs = eigh(mat, subset_by_index=(0, min(keep, len(mat)) - 1))
+            out.append((vals, vecs, _rounding_floor(mat)))
         return out
 
     def edges(coarse, fine):
@@ -466,24 +468,16 @@ def solve_band_edges(model, k=6, emax=None):
         return (np.exp(1j * np.pi * theta * (2 * np.arange(npts) + 1) / npts)[:, None] * np.fft.ifft(
             coef * np.exp(1j * np.pi * np.arange(half) / npts)[:, None], npts, axis=0)).real
 
-    modes, likely = _first_cutoff(vhat), False
+    modes = _first_cutoff(vhat)
     coarse = [vals for vals, _, _ in lowest(modes)]
     while True:
-        fine = lowest(2 * modes, vectors=likely)
+        fine = lowest(2 * modes)
         kept = edges(coarse, fine)
         if 2 * modes >= _HILL_MAX_MODES or all(
                 item[4] <= _HILL_TOL * (1.0 + abs(item[0])) for item in kept) and \
                 sum(np.sum(c <= top) for c in coarse) == sum(np.sum(f[0] <= top) for f in fine):
             break
-        # the truncation error falls geometrically in M: over the census and scan
-        # points, every ladder whose estimates were all ≤ 1e-4·(1 + |E|) counted
-        # at the next doubling (the least that did not: 7.3e-4), so that solve
-        # takes the vectors
-        likely = all(item[4] <= _HILL_LIKELY * (1.0 + abs(item[0])) for item in kept)
         modes, coarse = 2 * modes, [vals for vals, _, _ in fine]
-    if fine[0][1] is None:
-        fine = lowest(2 * modes, vectors=True)
-        kept = edges(coarse, fine)
     vectors = {}
     for (_, theta), (_, vecs, _) in zip(channels, fine):
         cols = [item[3] for item in kept if item[2] == theta]

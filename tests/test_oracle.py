@@ -102,12 +102,10 @@ class TestBandEdges:
             abs=1e-10)
 
 
-def _full_eigh(mat, subset_by_index, eigvals_only=False):
+def _full_eigh(mat, subset_by_index):
     """Reference band-edge eigensolve: every eigenpair, then the index range."""
     vals, vecs = scipy.linalg.eigh(mat)
     lo, hi = subset_by_index
-    if eigvals_only:
-        return vals[lo:hi + 1]
     return vals[lo:hi + 1], vecs[:, lo:hi + 1]
 
 
@@ -149,10 +147,9 @@ class TestTargetedBandEdges:
     def test_keep_beyond_the_matrix_takes_every_pair(self, monkeypatch):
         pairs = []
 
-        def spy(mat, subset_by_index, eigvals_only=False):
-            out = scipy.linalg.eigh(mat, subset_by_index=subset_by_index,
-                                    eigvals_only=eigvals_only)
-            pairs.append((len(mat), len(out if eigvals_only else out[0])))
+        def spy(mat, subset_by_index):
+            out = scipy.linalg.eigh(mat, subset_by_index=subset_by_index)
+            pairs.append((len(mat), len(out[0])))
             return out
 
         monkeypatch.setattr(schrodinger_oracle, "eigh", spy)
@@ -242,17 +239,32 @@ class TestHillBandEdges:
             for e, want in zip(spec.eigenvalues, exact):
                 assert abs(e - want) <= 1e-12 * (1.0 + abs(want))
 
-    def test_lame_j2_verifies_on_matrices_of_order_50_at_most(self, monkeypatch):
-        # the cell converges at a 12-mode cutoff: no 97×97 or 98×98 solve
+    @staticmethod
+    def _hill_orders(monkeypatch):
+        """The order of every Hill matrix eigh solves from here on, in call order."""
         orders, eigh = [], schrodinger_oracle.eigh
 
-        def spy(mat, subset_by_index, eigvals_only=False):
+        def spy(mat, subset_by_index):
             orders.append(len(mat))
-            return eigh(mat, subset_by_index, eigvals_only)
+            return eigh(mat, subset_by_index)
 
         monkeypatch.setattr(schrodinger_oracle, "eigh", spy)
+        return orders
+
+    def test_lame_j2_verifies_on_matrices_of_order_50_at_most(self, monkeypatch):
+        # the cell converges at a 12-mode cutoff: no 97×97 or 98×98 solve
+        orders = self._hill_orders(monkeypatch)
         assert verify(get_model("lame", j=2, m=Fraction(1, 2))).passed
-        assert orders and max(orders) <= 50
+        # each cutoff's periodic and antiperiodic matrices are solved once
+        assert orders == [13, 14, 25, 26]
+
+    def test_a_long_ladder_solves_each_cutoff_once(self, monkeypatch):
+        # the 384-mode cap: the vectors come from the 193/194 solves that
+        # give the edges, not from a second solve of that cutoff
+        orders = self._hill_orders(monkeypatch)
+        spec = solve_oracle(get_model("lame", j=48, m=Fraction(12, 17)))
+        assert orders == [13, 14, 25, 26, 49, 50, 97, 98, 193, 194]
+        assert len(spec.eigenvalues) >= 97
 
 
 class TestWeightedChannels:
@@ -470,6 +482,22 @@ class TestMirrorReduction:
         else:
             _assert_matches_the_full_solve(model, k=1)
 
+    def test_the_rung_decides_alike_on_the_full_matrix(self):
+        # A=2 B=0 has an eigenvalue within rounding of the threshold E = 0,
+        # whose sign of Re(E − E_thr) the reduction flips: it must not decide
+        model = get_model("complex_scarf", A=2, B=0)
+        domain = model.oracle_domain()
+        rho = 0.5 + np.sqrt(0.25 + np.array(domain.walls))
+
+        def window(vals):
+            return np.flatnonzero(np.maximum(abs(vals.real), abs(vals.imag)) <= 40.0)
+
+        reduced, full = (schrodinger_oracle._rung(model, d, rho, window, 1)
+                         for d in (domain, dataclasses.replace(domain, mirror=None)))
+        assert reduced is not None and full is not None
+        assert [e for e, _, _ in reduced[1]] == pytest.approx([e for e, _, _ in full[1]],
+                                                              abs=1e-12)
+
     @settings(max_examples=10, deadline=None)
     @given(params=_PT_COSH)
     def test_khare_mandal_matches_the_full_solve(self, params):
@@ -575,18 +603,16 @@ class TestNumpyEigensolvers:
         assert calls
         for mat, (lo, hi) in calls:
             vals, vecs = real_eigh(mat, subset_by_index=(lo, hi))
-            only = real_eigh(mat, subset_by_index=(lo, hi), eigvals_only=True)
             # the reference reaches through any cluster that the slice cuts
             top, full = hi, scipy.linalg.eigvalsh(mat)
             while top + 1 < len(full) and full[top + 1] - full[top] <= 1e-8 * (1 + abs(full[top])):
                 top += 1
             ref, ref_vecs = scipy.linalg.eigh(mat, subset_by_index=(lo, top))
-            assert len(vals) == len(only) == hi - lo + 1
+            assert len(vals) == hi - lo + 1
             # each library within the oracle's rounding floor 4·eps·‖H‖₁
             floor = 8.0 * np.finfo(float).eps * np.linalg.norm(mat, 1)
-            for got in (vals, only):
-                assert np.all(np.abs(got - ref[:len(got)])
-                              <= 1e-12 * (1 + np.abs(ref[:len(got)])) + floor)
+            assert np.all(np.abs(vals - ref[:len(vals)])
+                          <= 1e-12 * (1 + np.abs(ref[:len(vals)])) + floor)
             # qhj's vectors are backward stable: residual within the same floor
             res, ref_res = _residuals(mat, vals, vecs), _residuals(mat, ref, ref_vecs)
             assert np.all(np.linalg.norm(res, axis=0) <= floor)
